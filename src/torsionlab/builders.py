@@ -1,18 +1,21 @@
-"""Named example models: triangulations and small twisted complexes.
+"""Named example models: triangulations, small twisted complexes and
+circle-bundle models.
 
-Each builder returns a SimplicialComplex or GradedCochainComplex ready
-for the torsion engine.  ``from_expression`` parses the compact call
-syntax used on the command line, e.g. ``cycle(12)`` or ``lens(5,1,2)``.
+Each builder returns a SimplicialComplex, GradedCochainComplex or
+BundleData.  ``from_expression`` parses the compact call syntax used on
+the command line, e.g. ``cycle(12)``, ``lens(5,1,2)`` or ``hopf(1,2)``.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re
 
 import numpy as np
 
 from .chain_models import GradedCochainComplex, SimplicialComplex, build_simplicial
+from .circle_bundle import hopf, random_bundle
 from .errors import UnknownBuilder, ValidationError
 
 __all__ = [
@@ -88,11 +91,22 @@ def lens(p: int, q: int, k: int) -> GradedCochainComplex:
     return GradedCochainComplex(dims=(1, 1, 1, 1), coboundary=cob)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+# name -> (builder, parser of every argument)
 CATALOG = {
-    "cycle": cycle,
-    "simplex_boundary": simplex_boundary,
-    "lens": lens,
-    "minimal_sphere": minimal_sphere,
+    "cycle": (cycle, int),
+    "simplex_boundary": (simplex_boundary, int),
+    "lens": (lens, int),
+    "minimal_sphere": (minimal_sphere, int),
+    "hopf": (hopf, _finite),
+    "random": (random_bundle, int),
+    "random_bundle": (random_bundle, int),
 }
 
 _CALL = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*$")
@@ -101,7 +115,8 @@ _CALL = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*$")
 def from_expression(text: str):
     """Build a model from call syntax like ``lens(5,1,2)``.
 
-    Arguments must be integers; the builder name must be in CATALOG.
+    The builder name must be in CATALOG.  Arguments must be integers,
+    except for ``hopf``, whose arguments are finite real numbers.
     """
     m = _CALL.match(text)
     if not m:
@@ -109,22 +124,21 @@ def from_expression(text: str):
             f"cannot parse model expression {text!r}; expected name(arg, ...)"
         )
     name, argtext = m.group(1), m.group(2)
-    fn = CATALOG.get(name)
-    if fn is None:
+    if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise UnknownBuilder(f"unknown model {name!r}; known models: {known}")
+    fn, parse = CATALOG[name]
     args = []
     for piece in argtext.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            args.append(int(piece))
+            args.append(parse(piece))
         except ValueError as exc:
-            raise UnknownBuilder(
-                f"model arguments must be integers, got {piece!r}"
-            ) from exc
+            kind = "integers" if parse is int else "finite numbers"
+            raise UnknownBuilder(f"{name} arguments must be {kind}, got {piece!r}") from exc
     try:
         return fn(*args)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise UnknownBuilder(f"bad arguments for {name}: {exc}") from exc

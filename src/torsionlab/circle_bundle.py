@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .chain_models import (
+    _SQUARE_ZERO_TOL,
     GradedCochainComplex,
     TwistedComplex,
     assemble_shift_blocks,
@@ -35,6 +36,7 @@ from .chain_models import (
 )
 from .errors import (
     DualityViolation,
+    FluxNotNilpotent,
     InvalidFlux,
     ParityMismatch,
     PathInvalid,
@@ -61,9 +63,6 @@ __all__ = [
     "hopf",
     "random_bundle",
 ]
-
-_BLOCK_TOL = 1e-12
-
 
 def _normalize_ops(
     dims: Sequence[int],
@@ -141,38 +140,13 @@ class BundleData:
 
 
 @dataclass(frozen=True, eq=False)
-class InvariantComplex:
+class InvariantComplex(TwistedComplex):
     """Z2-graded complex of invariant cochains, with its slot split."""
 
-    pair: TwistedComplex
     base_even_dim: int
     base_odd_dim: int
     radius: float
     bundle: BundleData = field(repr=False)
-
-    @property
-    def even_dim(self) -> int:
-        return self.pair.even_dim
-
-    @property
-    def odd_dim(self) -> int:
-        return self.pair.odd_dim
-
-    @property
-    def d_even(self) -> np.ndarray:
-        return self.pair.d_even
-
-    @property
-    def d_odd(self) -> np.ndarray:
-        return self.pair.d_odd
-
-    @property
-    def gram_even(self) -> np.ndarray:
-        return self.pair.gram_even
-
-    @property
-    def gram_odd(self) -> np.ndarray:
-        return self.pair.gram_odd
 
 
 def minimal_model(
@@ -186,25 +160,6 @@ def minimal_model(
         for p in range(len(dims) - 1)
     )
     return GradedCochainComplex(dims=dims, coboundary=cob, gram=None if gram is None else tuple(gram))
-
-
-def _pair_block(tl, tr, bl, br) -> np.ndarray:
-    r1, c1 = tl.shape
-    r2, c2 = br.shape
-    out = np.zeros((r1 + r2, c1 + c2), dtype=np.complex128)
-    out[:r1, :c1] = tl
-    out[:r1, c1:] = tr
-    out[r1:, :c1] = bl
-    out[r1:, c1:] = br
-    return out
-
-
-def _blkdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out
 
 
 def _base_blocks(b: BundleData) -> dict[str, np.ndarray]:
@@ -257,47 +212,47 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     r = b.radius
     rinv = b.inverse_radius
 
-    d_even = _pair_block(
-        blocks["b_eo"], rinv * blocks["f_oo"],
-        r * blocks["h2_ee"], -blocks["b_oe"],
-    )
-    d_odd = _pair_block(
-        blocks["b_oe"], rinv * blocks["f_ee"],
-        r * blocks["h2_oo"], -blocks["b_eo"],
-    )
-
-    scale = 1.0 + float(np.linalg.norm(d_even)) * float(np.linalg.norm(d_odd))
-    res_oe = float(np.linalg.norm(d_odd @ d_even)) if d_even.size and d_odd.size else 0.0
-    res_eo = float(np.linalg.norm(d_even @ d_odd)) if d_even.size and d_odd.size else 0.0
-    if res_oe > _BLOCK_TOL * scale or res_eo > _BLOCK_TOL * scale:
-        failing = {
-            name: resid
-            for name, resid in _closure_residuals(blocks).items()
-            if resid > _BLOCK_TOL * scale
-        }
-        detail = ", ".join(f"{k}: {v:.3e}" for k, v in failing.items()) or "radius coupling"
-        raise InvalidFlux(f"bundle data violates square-zero; failing identities: {detail}")
+    d_even = np.block([
+        [blocks["b_eo"], rinv * blocks["f_oo"]],
+        [r * blocks["h2_ee"], -blocks["b_oe"]],
+    ])
+    d_odd = np.block([
+        [blocks["b_oe"], rinv * blocks["f_ee"]],
+        [r * blocks["h2_oo"], -blocks["b_eo"]],
+    ])
 
     evens, odds = parity_degrees(len(C.dims))
     e = sum(C.dims[q] for q in evens)
     o = sum(C.dims[q] for q in odds)
     ge = parity_gram(C, 0)
     go = parity_gram(C, 1)
-    pair = TwistedComplex(
-        even_dim=e + o,
-        odd_dim=o + e,
-        d_even=d_even,
-        d_odd=d_odd,
-        gram_even=_blkdiag(ge, go),
-        gram_odd=_blkdiag(go, ge),
-    )
-    return InvariantComplex(
-        pair=pair,
-        base_even_dim=e,
-        base_odd_dim=o,
-        radius=r,
-        bundle=b,
-    )
+    z = np.zeros((e, o), dtype=np.complex128)
+    try:
+        return InvariantComplex(
+            even_dim=e + o,
+            odd_dim=o + e,
+            d_even=d_even,
+            d_odd=d_odd,
+            gram_even=np.block([[ge, z], [z.T, go]]),
+            gram_odd=np.block([[go, z.T], [z, ge]]),
+            base_even_dim=e,
+            base_odd_dim=o,
+            radius=r,
+            bundle=b,
+        )
+    except FluxNotNilpotent:
+        # the bound of the square-zero check in TwistedComplex that failed
+        scale = 1.0 + float(np.linalg.norm(d_even)) * float(np.linalg.norm(d_odd))
+        bound = _SQUARE_ZERO_TOL * scale
+        failing = {
+            name: resid
+            for name, resid in _closure_residuals(blocks).items()
+            if resid > bound
+        }
+        detail = ", ".join(f"{k}: {v:.3e}" for k, v in failing.items()) or "radius coupling"
+        raise InvalidFlux(
+            f"bundle data violates square-zero; failing identities: {detail}"
+        ) from None
 
 
 def invariant_twisted_torsion(
@@ -306,7 +261,7 @@ def invariant_twisted_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Twisted torsion of the invariant complex of a bundle model."""
-    return twisted_torsion(build_invariant_complex(b).pair, kernel_tol=kernel_tol)
+    return twisted_torsion(build_invariant_complex(b), kernel_tol=kernel_tol)
 
 
 def t_dualize(b: BundleData) -> BundleData:
@@ -442,8 +397,8 @@ def verify_t_duality(
     dual = t_dualize(b)
     icd = build_invariant_complex(dual)
 
-    tau = twisted_torsion(ic.pair, kernel_tol=kernel_tol)
-    tau_dual = twisted_torsion(icd.pair, kernel_tol=kernel_tol)
+    tau = twisted_torsion(ic, kernel_tol=kernel_tol)
+    tau_dual = twisted_torsion(icd, kernel_tol=kernel_tol)
     product_log = tau.log_scalar + tau_dual.log_scalar
 
     t0 = t_duality_matrix(ic, 0)
@@ -600,7 +555,7 @@ def gram_scale_path(
 # bundle builders
 # ---------------------------------------------------------------------------
 
-def hopf(f: float, h2: float, r: float) -> BundleData:
+def hopf(f: float, h2: float, r: float = 1.0) -> BundleData:
     """Hopf-type model over the minimal two-sphere base (dims 1, 0, 1).
 
     Curvature f * generator, H2 flux h2 * generator, no H3.  The twisted
@@ -616,7 +571,7 @@ def hopf(f: float, h2: float, r: float) -> BundleData:
     )
 
 
-def random_bundle(seed: int, top_degree: int = 3) -> BundleData:
+def random_bundle(seed: int = 0, top_degree: int = 3) -> BundleData:
     """Seeded random bundle over a wedge-of-spheres minimal base.
 
     Degree 0 is one-dimensional; higher degrees get 0 to 2 classes, and
@@ -625,6 +580,8 @@ def random_bundle(seed: int, top_degree: int = 3) -> BundleData:
     are random well-conditioned SPD matrices; the radius is uniform in
     [0.5, 2].  Fully determined by the seed.
     """
+    if seed < 0:
+        raise ValidationError(f"bundle seed must be >= 0, got {seed}")
     if top_degree < 1:
         raise ValidationError(f"base top degree must be >= 1, got {top_degree}")
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ acceptance suite has a failing criterion, 2 for input or model errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -45,6 +46,16 @@ def _suite_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsion",
@@ -68,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--flux", default="zero", help="zero, top, top(c), or a cochain.v1 file")
     parser.add_argument("--radius", type=float, default=None, help="override the fiber radius")
-    parser.add_argument("--tol", type=float, default=None, help="kernel tolerance override")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="kernel tolerance override")
     parser.add_argument("--seed", type=int, default=None, help="seed for random bundle models")
     parser.add_argument("--steps", type=int, default=8, help="steps for deformation paths")
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .chain_models import (
     LocalSystem,
     SimplicialComplex,
     build_simplicial,
+    signed_incidence,
 )
 from .circle_bundle import BundleData
 from .errors import ParseError
@@ -112,6 +114,18 @@ def _encode_cochain_complex(C: GradedCochainComplex) -> dict:
     return payload
 
 
+def _is_plain_simplicial(C: GradedCochainComplex) -> bool:
+    """True when C is exactly the untwisted, identity-Gram cochain complex
+    of its simplicial backing, so the simplicial form loses nothing."""
+    K = C.simplicial
+    return (
+        K is not None
+        and C.gram is None
+        and C.local_rank == 1
+        and all(np.array_equal(C.delta(p), signed_incidence(K, p)) for p in range(K.dim))
+    )
+
+
 def encode_complex(model, local_system: LocalSystem | None = None) -> dict:
     if isinstance(model, SimplicialComplex):
         payload = _encode_simplicial(model)
@@ -119,7 +133,7 @@ def encode_complex(model, local_system: LocalSystem | None = None) -> dict:
             payload["local_system"] = _encode_local_system(local_system)
         return payload
     if isinstance(model, GradedCochainComplex):
-        if model.simplicial is not None:
+        if _is_plain_simplicial(model):
             return _encode_simplicial(model.simplicial)
         return _encode_cochain_complex(model)
     raise ParseError(f"cannot encode object of type {type(model).__name__}")
@@ -271,9 +285,28 @@ def digest(payload: dict) -> str:
 
 
 def load_json_file(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a JSON file; unreadable files, malformed JSON and non-finite
+    numbers (NaN, Infinity, or literals that overflow a double, integers
+    included) raise ParseError."""
     try:
-        return json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+    def number(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: non-finite number {literal:.20} is not allowed")
+        return value
+
+    def integer(literal: str) -> int:
+        number(literal)
+        return int(literal)
+
+    try:
+        return json.loads(text, parse_float=number, parse_int=integer, parse_constant=number)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

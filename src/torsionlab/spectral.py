@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     GramNotPositive,
@@ -41,6 +40,7 @@ __all__ = [
 KERNEL_TOL_FACTOR = 1e-9
 GAP_RATIO = 1e3
 HERMITIAN_TOL = 1e-10
+_INVERSE_LEAF = 32
 
 
 def default_kernel_tol(eigenvalues: np.ndarray) -> float:
@@ -115,6 +115,27 @@ class HarmonicBasis:
         return self.vectors.shape[1]
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix.
+
+    Halves L into [[A, 0], [C, D]] until blocks have at most 32 rows,
+    where a general inverse is cheapest; the off-diagonal block of the
+    inverse is -D^-1 C A^-1.  Above a few dozen rows this is several
+    times faster than one general inverse of L.
+    """
+    n = L.shape[0]
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    a = _lower_inverse(L[:h, :h])
+    d = _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = a
+    out[h:, h:] = d
+    out[h:, :h] = -d @ (L[h:, :h] @ a)
+    return out
+
+
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -165,7 +186,7 @@ def hermitian_spectrum(
         except np.linalg.LinAlgError:
             raise GramNotPositive("gram is not positive definite") from None
         # B = L* A L^{-*}; Hermitian because GA = A*G
-        Linv = solve_triangular(L, np.eye(n, dtype=np.complex128), lower=True)
+        Linv = _lower_inverse(L)
         B = L.conj().T @ A @ Linv.conj().T
         B = 0.5 * (B + B.conj().T)
         w, W = np.linalg.eigh(B)

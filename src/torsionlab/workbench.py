@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import builders, circle_bundle
+from . import builders
 from .chain_models import (
     Cochain,
     GradedCochainComplex,
@@ -30,7 +30,7 @@ from .circle_bundle import (
     t_dualize,
     verify_t_duality,
 )
-from .errors import ParseError, UnknownBuilder, ValidationError
+from .errors import ParseError, ValidationError
 from .serialize import (
     REPORT_SCHEMA,
     canonical_bytes,
@@ -131,13 +131,9 @@ def _looks_like_path(text: str) -> bool:
 
 
 def load_model(text: str):
-    """Resolve a model reference: a JSON file path or builder syntax.
-    Bundle builders (hopf, random) are part of the catalog too."""
+    """Resolve a model reference: a JSON file path or builder syntax."""
     if _looks_like_path(text):
         return decode_model(load_json_file(text))
-    m = _BUNDLE_CALL.match(text)
-    if m and m.group(1) in ("hopf", "random", "random_bundle"):
-        return load_bundle(text)
     return builders.from_expression(text)
 
 
@@ -153,53 +149,16 @@ def _as_complex(obj) -> GradedCochainComplex:
     )
 
 
-_BUNDLE_CALL = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*$")
-
-
-def _float_args(argtext: str) -> list[float]:
-    out = []
-    for piece in argtext.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(float(piece))
-        except ValueError as exc:
-            raise UnknownBuilder(f"bundle arguments must be numbers, got {piece!r}") from exc
-    return out
-
-
 def load_bundle(text: str, options: RunOptions | None = None) -> BundleData:
     """Resolve a bundle reference: JSON file, ``hopf(f,h2[,r])``, or
-    ``random_bundle([seed[,top]])``; --radius and --seed override."""
+    ``random([seed[,top]])``; --seed fills an empty ``random()`` and
+    --radius overrides the fiber radius."""
     options = options or RunOptions()
-    if _looks_like_path(text):
-        obj = decode_model(load_json_file(text))
-        if not isinstance(obj, BundleData):
-            raise ValidationError(f"{text} does not contain bundle data")
-        bundle = obj
-    else:
-        m = _BUNDLE_CALL.match(text)
-        if not m:
-            raise UnknownBuilder(
-                f"cannot parse bundle expression {text!r}; expected name(arg, ...)"
-            )
-        name, args = m.group(1), _float_args(m.group(2))
-        if name == "hopf":
-            if len(args) == 2:
-                bundle = circle_bundle.hopf(args[0], args[1], 1.0)
-            elif len(args) == 3:
-                bundle = circle_bundle.hopf(args[0], args[1], args[2])
-            else:
-                raise UnknownBuilder("hopf takes (f, h2) or (f, h2, radius)")
-        elif name in ("random", "random_bundle"):
-            seed = int(args[0]) if args else (options.seed if options.seed is not None else 0)
-            top = int(args[1]) if len(args) > 1 else 3
-            bundle = circle_bundle.random_bundle(seed, top)
-        else:
-            raise UnknownBuilder(
-                f"unknown bundle model {name!r}; known: hopf, random"
-            )
+    if options.seed is not None and "".join(text.split()) in ("random()", "random_bundle()"):
+        text = f"random({options.seed})"
+    bundle = load_model(text)
+    if not isinstance(bundle, BundleData):
+        raise ValidationError(f"{text} does not contain bundle data")
     if options.radius is not None:
         bundle = BundleData(
             base=bundle.base,
@@ -289,7 +248,7 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
     elif command == "bundle-torsion":
         bundle = load_bundle(model, options)
         ic = build_invariant_complex(bundle)
-        elem = twisted_torsion(ic.pair, kernel_tol=options.kernel_tol)
+        elem = twisted_torsion(ic, kernel_tol=options.kernel_tol)
         result = {
             "torsion": elem.to_json(),
             "radius": bundle.radius,

@@ -107,7 +107,10 @@ def test_lens_uses_inverse_parameter():
 
 
 def test_catalog_names():
-    assert set(CATALOG) == {"cycle", "simplex_boundary", "lens", "minimal_sphere"}
+    assert set(CATALOG) == {
+        "cycle", "simplex_boundary", "lens", "minimal_sphere",
+        "hopf", "random", "random_bundle",
+    }
 
 
 def test_from_expression_round_trips():

@@ -1,9 +1,14 @@
 """Exit codes, output formats, and argument handling of the front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torsionlab
 from torsionlab.cli import build_parser, main
 
 
@@ -99,3 +104,71 @@ def test_parser_metadata():
     # suite is a valid command on top of the workbench ones
     actions = {a.dest: a for a in parser._actions}
     assert "suite" in actions["command"].choices
+
+
+def _error_lines(err: str) -> list[str]:
+    return [ln for ln in err.splitlines() if ln.startswith("torsion: error:")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bundle-torsion", "hopf(nan,1,1)"],
+        ["verify-duality", "hopf(inf,1,1)"],
+        ["bundle-torsion", "random(7.5)"],
+        ["t-dual", "random(-1)"],
+        ["reidemeister", "missing-model.json"],
+        ["reidemeister", f"lens({10**30},1,1)"],
+    ],
+    ids=["hopf-nan", "hopf-inf", "random-float-seed", "random-negative-seed",
+         "missing-file", "lens-overflow"],
+)
+def test_bad_model_input_is_refused(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", str(10**400)],
+    ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+)
+def test_non_finite_json_model_is_refused(literal, capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"schema": "complex.v1", "kind": "cochain", "dims": [1, 1], '
+        f'"coboundary": [[[[{literal}, 0.0]]]]}}'
+    )
+    assert main(["reidemeister", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert _error_lines(err) == [
+        f"torsion: error: {path}: non-finite number {literal[:20]} is not allowed"
+    ]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+def test_bad_tolerance_is_refused(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reidemeister", "cycle(5)", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert _error_lines(capsys.readouterr().err) == [
+        f"torsion: error: argument --tol: must be a finite number > 0, got {tol!r}"
+    ]
+
+
+def test_positive_tolerance_runs(capsys):
+    assert main(["reidemeister", "cycle(5)", "--tol", "1e-6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_tol"] == 1e-6
+
+
+def test_import_loads_numpy_but_not_scipy():
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    probe = "import sys, torsionlab; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "'numpy'" in out and "'scipy'" not in out

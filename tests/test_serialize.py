@@ -12,6 +12,7 @@ from torsionlab import (
     coboundary_matrices,
     hopf,
     random_bundle,
+    reidemeister_torsion,
 )
 from torsionlab.builders import cycle, lens, simplex_boundary
 from torsionlab.chain_models import build_simplicial
@@ -103,6 +104,22 @@ def test_simplicial_backref_encodes_as_simplicial():
     C = coboundary_matrices(cycle(4))
     payload = encode_complex(C)
     assert payload["kind"] == "simplicial"
+
+
+def test_twisted_or_weighted_simplicial_complexes_keep_their_data():
+    K = cycle(3)
+    plain = coboundary_matrices(K)
+    zeta = np.array([[np.exp(2j * np.pi / 3)]])
+    twisted = coboundary_matrices(K, LocalSystem(rank=1, holonomy={(0, 2): zeta}))
+    weighted = plain.with_gram([2.0 * np.eye(n, dtype=np.complex128) for n in plain.dims])
+    assert encode_complex(plain) == encode_complex(K)
+    assert len({digest(encode_complex(C)) for C in (plain, twisted, weighted)}) == 3
+    for C, tau in ((twisted, np.sqrt(3.0)), (weighted, 3.0)):
+        payload = encode_complex(C)
+        assert payload["kind"] == "cochain"
+        back = reidemeister_torsion(decode_model(payload))
+        assert back.scalar == pytest.approx(tau, rel=1e-12)
+        assert back.log_scalar == pytest.approx(reidemeister_torsion(C).log_scalar, abs=1e-14)
 
 
 def test_bundle_round_trip():

@@ -60,6 +60,22 @@ def test_eigenvalues_match_scipy_generalized_solver():
     assert np.allclose(dec.eigenvalues, reference, atol=1e-10)
 
 
+def test_gram_larger_than_one_inverse_block_matches_scipy():
+    # n = 75 splits unevenly twice before the Cholesky factor's inverse
+    # reaches blocks small enough to invert directly
+    rng = np.random.default_rng(23)
+    n = 75
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = a + a.conj().T
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = g @ g.conj().T + n * np.eye(n)
+    dec = hermitian_spectrum(np.linalg.solve(G, H), G)
+    reference = scipy.linalg.eigh(H, G, eigvals_only=True)
+    assert np.allclose(dec.eigenvalues, reference, atol=1e-10)
+    V = dec.eigenvectors
+    assert np.allclose(V.conj().T @ G @ V, np.eye(n), atol=1e-10)
+
+
 def test_eigenvectors_are_gram_orthonormal_and_solve():
     rng = np.random.default_rng(22)
     n = 6

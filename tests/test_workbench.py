@@ -57,11 +57,11 @@ def test_load_model_from_file(tmp_path):
 def test_load_bundle_arity_and_overrides(tmp_path):
     assert load_bundle("hopf(1,2)").radius == 1.0
     assert load_bundle("hopf(1, 2, 0.5)").radius == 0.5
-    with pytest.raises(UnknownBuilder, match="hopf takes"):
+    with pytest.raises(UnknownBuilder, match="bad arguments for hopf"):
         load_bundle("hopf(1)")
-    with pytest.raises(UnknownBuilder, match="unknown bundle"):
+    with pytest.raises(UnknownBuilder, match="unknown model"):
         load_bundle("mobius(2)")
-    with pytest.raises(UnknownBuilder, match="must be numbers"):
+    with pytest.raises(UnknownBuilder, match="must be finite numbers"):
         load_bundle("hopf(a,b)")
 
     b = load_bundle("hopf(1,2,3)", RunOptions(radius=7.0))
