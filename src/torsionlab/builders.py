@@ -54,9 +54,7 @@ def minimal_sphere(n: int) -> GradedCochainComplex:
     if n < 1:
         raise ValidationError(f"sphere dimension must be >= 1, got {n}")
     dims = tuple(1 if p in (0, n) else 0 for p in range(n + 1))
-    cob = tuple(
-        np.zeros((dims[p + 1], dims[p]), dtype=np.complex128) for p in range(n)
-    )
+    cob = tuple(np.zeros((dims[p + 1], dims[p])) for p in range(n))
     return GradedCochainComplex(dims=dims, coboundary=cob)
 
 

@@ -13,6 +13,13 @@ matrix of delta_p is the transpose of the signed boundary matrix.  With a
 local system, cochain values sit in the fiber over the smallest vertex of
 the simplex; only the drop-v_0 face term needs transport, by U(v_0,v_1)
 conjugate-transposed.  Grams default to the identity.
+
+Matrices, Grams and cochains are stored read-only, as float64 when every
+entry is exactly real and as complex128 otherwise, so a real complex is
+solved in real arithmetic downstream.  Non-finite entries are refused,
+and so are coboundary and Gram entries whose nonzero modulus lies
+outside [1e-150, 1e150], where squaring them leaves float64 (Grams can
+still scale a square out of range; ``torsion_engine`` refuses that).
 """
 
 from __future__ import annotations
@@ -57,12 +64,45 @@ __all__ = [
 ]
 
 _SQUARE_ZERO_TOL = 1e-12
+_ENTRY_RANGE = (1e-150, 1e150)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, order="C")
+def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
+    """Read-only copy: float64 when every entry is real, else complex128.
+
+    Non-finite entries are refused, so nothing downstream computes with
+    them; ``bounded`` also refuses nonzero entries whose modulus lies
+    outside [1e-150, 1e150], where squaring them in a Laplacian would
+    overflow or underflow float64 into a wrong kernel.
+    """
+    out = np.asarray(a)
+    if out.dtype.kind != "f":
+        out = out.astype(np.complex128, copy=False)
+        if not out.imag.any():
+            out = out.real
+    out = np.array(out, dtype=np.complex128 if out.dtype.kind == "c" else np.float64, order="C")
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    if bounded:
+        _check_entry_range(out, what)
     out.setflags(write=False)
     return out
+
+
+def _check_entry_range(a: np.ndarray, what: str) -> None:
+    if not a.size:
+        return
+    moduli = np.abs(a)
+    lo, hi = _ENTRY_RANGE
+    tiny = (moduli < lo) & (moduli != 0)
+    top = float(moduli.max())
+    if top <= hi and not tiny.any():
+        return
+    bad = top if top > hi else float(moduli[tiny].min())
+    raise ValidationError(
+        f"{what} has an entry of modulus {bad:.3e} outside [{lo:.0e}, {hi:.0e}]; "
+        f"its square would {'overflow' if bad > 1.0 else 'underflow'} in float64"
+    )
 
 
 def _norm(a: np.ndarray) -> float:
@@ -253,7 +293,7 @@ class LocalSystem:
         for (a, b), mat in self.holonomy.items():
             if not a < b:
                 raise ValidationError(f"holonomy key {(a, b)} is not a sorted edge")
-            m = _freeze(mat)
+            m = _freeze(mat, f"holonomy on edge {(a, b)}")
             if m.shape != (self.rank, self.rank):
                 raise ValidationError(
                     f"holonomy for edge {(a, b)} has shape {m.shape}, "
@@ -266,9 +306,9 @@ class LocalSystem:
         """Transport matrix along the edge from vertex a to vertex b."""
         if a < b:
             U = self.holonomy.get((a, b))
-            return np.eye(self.rank, dtype=np.complex128) if U is None else U
+            return np.eye(self.rank) if U is None else U
         U = self.holonomy.get((b, a))
-        return np.eye(self.rank, dtype=np.complex128) if U is None else U.conj().T
+        return np.eye(self.rank) if U is None else U.conj().T
 
 
 def validate_local_system(K: SimplicialComplex, L: LocalSystem, tol: float = 1e-12) -> None:
@@ -314,7 +354,9 @@ class GradedCochainComplex:
         if not dims or any(n < 0 for n in dims):
             raise ValidationError(f"bad dimension vector {dims}")
         object.__setattr__(self, "dims", dims)
-        cob = tuple(_freeze(d) for d in self.coboundary)
+        cob = tuple(
+            _freeze(d, f"coboundary {p}", bounded=True) for p, d in enumerate(self.coboundary)
+        )
         if len(cob) != len(dims) - 1:
             raise ValidationError(
                 f"{len(cob)} coboundaries for {len(dims)} degrees; expected {len(dims) - 1}"
@@ -333,7 +375,9 @@ class GradedCochainComplex:
                     f"coboundary does not square to zero at degree {p}: residual {resid:.3e}"
                 )
         if self.gram is not None:
-            grams = tuple(_freeze(g) for g in self.gram)
+            grams = tuple(
+                _freeze(g, f"Gram at degree {p}", bounded=True) for p, g in enumerate(self.gram)
+            )
             if len(grams) != len(dims):
                 raise ValidationError("need one Gram per degree")
             for p, g in enumerate(grams):
@@ -346,7 +390,7 @@ class GradedCochainComplex:
 
     def gram_at(self, p: int) -> np.ndarray:
         if self.gram is None:
-            return np.eye(self.dims[p], dtype=np.complex128)
+            return np.eye(self.dims[p])
         return self.gram[p]
 
     def delta(self, p: int) -> np.ndarray:
@@ -354,7 +398,7 @@ class GradedCochainComplex:
         if p < 0 or p > self.top:
             raise ValidationError(f"degree {p} outside 0..{self.top}")
         if p == self.top:
-            return np.zeros((0, self.dims[p]), dtype=np.complex128)
+            return np.zeros((0, self.dims[p]))
         return self.coboundary[p]
 
     def with_gram(self, gram: Sequence[np.ndarray]) -> "GradedCochainComplex":
@@ -403,29 +447,30 @@ def coboundary_matrices(
     """Assemble the cochain complex of K, optionally twisted by a flat
     unitary local system.
 
-    The untwisted matrices are built over the integers and the square-zero
-    identity is checked exactly before converting to complex numbers.
+    The untwisted matrices are real.  Their square-zero identity is
+    checked exactly: entries are +-1 with at most dim K + 2 per row, so a
+    float64 product of two of them is an exact integer matrix.
     """
     if local_system is None:
-        deltas_int = [signed_incidence(K, p) for p in range(K.dim)]
-        for p in range(len(deltas_int) - 1):
-            prod = deltas_int[p + 1] @ deltas_int[p]
-            if prod.size and np.any(prod):
+        deltas = [signed_incidence(K, p).astype(np.float64) for p in range(K.dim)]
+        for p in range(len(deltas) - 1):
+            if np.any(deltas[p + 1] @ deltas[p]):
                 raise ValidationError(f"integer coboundary fails delta^2=0 at degree {p}")
         return GradedCochainComplex(
             dims=K.f_vector,
-            coboundary=tuple(d.astype(np.complex128) for d in deltas_int),
+            coboundary=tuple(deltas),
             simplicial=K,
         )
 
     validate_local_system(K, local_system)
     m = local_system.rank
     dims = tuple(n * m for n in K.f_vector)
+    dtype = np.result_type(np.float64, *local_system.holonomy.values())
     deltas = []
     for p in range(K.dim):
         rows, cols = K.n(p + 1), K.n(p)
-        block = np.zeros((rows * m, cols * m), dtype=np.complex128)
-        eye = np.eye(m, dtype=np.complex128)
+        block = np.zeros((rows * m, cols * m), dtype=dtype)
+        eye = np.eye(m)
         for r, simplex in enumerate(K.simplices[p + 1]):
             for i in range(len(simplex)):
                 face = simplex[:i] + simplex[i + 1:]
@@ -459,7 +504,7 @@ class Cochain:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValidationError(f"negative cochain degree {self.degree}")
-        c = _freeze(np.atleast_1d(self.coefficients))
+        c = _freeze(np.atleast_1d(self.coefficients), f"degree-{self.degree} cochain")
         if c.ndim != 1:
             raise ValidationError("cochain coefficients must be a vector")
         object.__setattr__(self, "coefficients", c)
@@ -490,9 +535,9 @@ def cup(a: Cochain, b: Cochain, K: SimplicialComplex) -> Cochain:
     p, q = a.degree, b.degree
     d = p + q
     if d > K.dim:
-        return Cochain(degree=d, coefficients=np.zeros(0, dtype=np.complex128))
+        return Cochain(degree=d, coefficients=np.zeros(0))
     av, bv = a.coefficients, b.coefficients
-    out = np.zeros(K.n(d), dtype=np.complex128)
+    out = np.zeros(K.n(d), dtype=np.result_type(av, bv))
     for r, simplex in enumerate(K.simplices[d]):
         front = simplex[:p + 1]
         back = simplex[p:]
@@ -506,9 +551,9 @@ def cup_operator(K: SimplicialComplex, h: Cochain, q: int) -> np.ndarray:
     p = h.degree
     d = p + q
     if d > K.dim:
-        return np.zeros((0, K.n(q)), dtype=np.complex128)
+        return np.zeros((0, K.n(q)))
     hv = h.coefficients
-    out = np.zeros((K.n(d), K.n(q)), dtype=np.complex128)
+    out = np.zeros((K.n(d), K.n(q)), dtype=hv.dtype)
     for r, simplex in enumerate(K.simplices[d]):
         front = simplex[:p + 1]
         back = simplex[p:]
@@ -576,12 +621,12 @@ def assemble_shift_blocks(
     tgt_off = _offsets(dims, tgt)
     rows = sum(dims[q] for q in tgt)
     cols = sum(dims[q] for q in src)
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    out = np.zeros((rows, cols), dtype=np.result_type(np.float64, *ops.values()))
     for q, block in ops.items():
         tq = q + shift
         if q not in src_off or tq not in tgt_off:
             continue
-        b = np.asarray(block, dtype=np.complex128)
+        b = np.asarray(block)
         if b.shape != (dims[tq], dims[q]):
             raise ValidationError(
                 f"block {q}->{tq} has shape {b.shape}, expected {(dims[tq], dims[q])}"
@@ -597,9 +642,9 @@ def parity_gram(C: GradedCochainComplex, parity: int) -> np.ndarray:
     degs = evens if parity % 2 == 0 else odds
     blocks = [C.gram_at(q) for q in degs]
     if not blocks:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0))
     total = sum(C.dims[q] for q in degs)
-    out = np.zeros((total, total), dtype=np.complex128)
+    out = np.zeros((total, total), dtype=np.result_type(*blocks))
     at = 0
     for b in blocks:
         n = b.shape[0]
@@ -620,16 +665,16 @@ class TwistedComplex:
     gram_odd: np.ndarray
 
     def __post_init__(self) -> None:
-        de = _freeze(self.d_even)
-        do = _freeze(self.d_odd)
+        de = _freeze(self.d_even, "d_even (even parity)", bounded=True)
+        do = _freeze(self.d_odd, "d_odd (odd parity)", bounded=True)
         if de.shape != (self.odd_dim, self.even_dim):
             raise ValidationError(f"d_even shape {de.shape} != {(self.odd_dim, self.even_dim)}")
         if do.shape != (self.even_dim, self.odd_dim):
             raise ValidationError(f"d_odd shape {do.shape} != {(self.even_dim, self.odd_dim)}")
         object.__setattr__(self, "d_even", de)
         object.__setattr__(self, "d_odd", do)
-        ge = _freeze(self.gram_even)
-        go = _freeze(self.gram_odd)
+        ge = _freeze(self.gram_even, "Gram at even parity", bounded=True)
+        go = _freeze(self.gram_odd, "Gram at odd parity", bounded=True)
         _check_gram(ge, self.even_dim, where="even parity")
         _check_gram(go, self.odd_dim, where="odd parity")
         object.__setattr__(self, "gram_even", ge)
@@ -668,10 +713,10 @@ def _unit_cup_operator(dims: Sequence[int], h: Cochain, q: int) -> np.ndarray | 
     rows = dims[q + d] if q + d <= top else 0
     cols = dims[q]
     if q != 0 or rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=np.complex128)
+        return np.zeros((rows, cols))
     if cols != 1:
         return None  # no canonical action on a fat degree 0
-    return np.asarray(h.coefficients, dtype=np.complex128).reshape(rows, 1)
+    return h.coefficients.reshape(rows, 1)
 
 
 def twisted_differential(

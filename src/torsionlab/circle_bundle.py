@@ -88,9 +88,9 @@ def _normalize_ops(
         want = (rows, dims[q])
         block = table.pop(q, None)
         if block is None:
-            out.append(np.zeros(want, dtype=np.complex128))
+            out.append(np.zeros(want))
             continue
-        block = np.asarray(block, dtype=np.complex128)
+        block = np.asarray(block)
         if block.size == 0:
             block = block.reshape(want) if block.size == want[0] * want[1] else block
         if block.shape != want:
@@ -155,10 +155,7 @@ def minimal_model(
 ) -> GradedCochainComplex:
     """Zero-differential complex with the given dimension vector."""
     dims = tuple(int(n) for n in dims)
-    cob = tuple(
-        np.zeros((dims[p + 1], dims[p]), dtype=np.complex128)
-        for p in range(len(dims) - 1)
-    )
+    cob = tuple(np.zeros((dims[p + 1], dims[p])) for p in range(len(dims) - 1))
     return GradedCochainComplex(dims=dims, coboundary=cob, gram=None if gram is None else tuple(gram))
 
 
@@ -226,7 +223,7 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     o = sum(C.dims[q] for q in odds)
     ge = parity_gram(C, 0)
     go = parity_gram(C, 1)
-    z = np.zeros((e, o), dtype=np.complex128)
+    z = np.zeros((e, o))
     try:
         return InvariantComplex(
             even_dim=e + o,
@@ -295,7 +292,7 @@ def t_duality_matrix(ic: InvariantComplex, parity: int) -> np.ndarray:
         raise ParityMismatch(f"parity must be 0 or 1, got {parity}")
     a, b = _slot_dims(ic, parity)
     s1 = float((-1) ** parity)
-    out = np.zeros((a + b, a + b), dtype=np.complex128)
+    out = np.zeros((a + b, a + b))
     out[:b, a:] = s1 * np.eye(b)
     out[b:, :a] = -s1 * np.eye(a)
     return out
@@ -304,7 +301,7 @@ def t_duality_matrix(ic: InvariantComplex, parity: int) -> np.ndarray:
 def t_duality_map(ic: InvariantComplex, x: np.ndarray, parity: int) -> np.ndarray:
     """Apply T to a parity-k invariant cochain vector."""
     T = t_duality_matrix(ic, parity)
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
+    v = np.asarray(x).reshape(-1)
     if v.shape[0] != T.shape[1]:
         raise ParityMismatch(
             f"vector of length {v.shape[0]} does not live in the parity-{parity} "
@@ -422,7 +419,9 @@ def verify_t_duality(
     # nonzero spectra of d^+d move to the opposite parity on the dual side
     def positive(op, g_src, g_tgt):
         a = gram_adjoint(op, g_src, g_tgt) @ op
-        return hermitian_spectrum(a, g_src, kernel_tol=kernel_tol).positive_eigenvalues
+        return hermitian_spectrum(
+            a, g_src, kernel_tol=kernel_tol, vectors=False
+        ).positive_eigenvalues
 
     ev_even = positive(ic.d_even, ic.gram_even, ic.gram_odd)
     ev_odd = positive(ic.d_odd, ic.gram_odd, ic.gram_even)
@@ -564,8 +563,8 @@ def hopf(f: float, h2: float, r: float = 1.0) -> BundleData:
     base = minimal_model((1, 0, 1))
     return BundleData(
         base=base,
-        f_op={0: np.array([[f]], dtype=np.complex128)},
-        h2_op={0: np.array([[h2]], dtype=np.complex128)},
+        f_op={0: np.array([[f]])},
+        h2_op={0: np.array([[h2]])},
         h3_op=None,
         radius=r,
     )
@@ -590,13 +589,13 @@ def random_bundle(seed: int = 0, top_degree: int = 3) -> BundleData:
     grams = []
     for n in dims:
         if n == 0:
-            grams.append(np.zeros((0, 0), dtype=np.complex128))
+            grams.append(np.zeros((0, 0)))
             continue
         a = rng.standard_normal((n, n))
         q, _ = np.linalg.qr(a + np.eye(n))
         d = rng.uniform(0.5, 2.0, size=n)
         g = q @ np.diag(d) @ q.T
-        grams.append(np.asarray(0.5 * (g + g.T), dtype=np.complex128))
+        grams.append(0.5 * (g + g.T))
 
     base = minimal_model(dims, gram=grams)
 
@@ -604,7 +603,7 @@ def random_bundle(seed: int = 0, top_degree: int = 3) -> BundleData:
         if degree > top_degree or dims[degree] == 0:
             return {}
         vec = rng.standard_normal(dims[degree])
-        return {0: vec.reshape(dims[degree], 1).astype(np.complex128)}
+        return {0: vec.reshape(dims[degree], 1)}
 
     f_op = unit_column(2)
     h2_op = unit_column(2)

@@ -8,6 +8,12 @@ spectrum.  Kernel membership is decided by a relative threshold,
 1e-9 times the largest eigenvalue magnitude (or 1 if the spectrum
 vanishes); a cut with retained/discarded ratio under 1e3 emits a
 SpectralGapWarning rather than failing.
+
+The arithmetic follows the input dtype: real A and G give a real
+symmetric solve in float64, and a complex A or G a Hermitian one in
+complex128.  Callers that read only eigenvalues pass ``vectors=False``,
+which runs ``eigvalsh`` and leaves the decomposition without
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import (
     NegativeEigenvalue,
     NotHermitian,
     SpectralGapWarning,
+    ValidationError,
 )
 
 __all__ = [
@@ -54,19 +61,23 @@ def default_kernel_tol(eigenvalues: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues ascending, eigenvectors G-orthonormal in columns."""
+    """Eigenvalues ascending, eigenvectors G-orthonormal in columns.
+
+    ``eigenvectors`` is None for a values-only solve.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     kernel_tol: float
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
         ev.setflags(write=False)
-        vec = np.asarray(self.eigenvectors, dtype=np.complex128)
-        vec.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "eigenvectors", vec)
+        if self.eigenvectors is not None:
+            vec = np.asarray(self.eigenvectors)
+            vec.setflags(write=False)
+            object.__setattr__(self, "eigenvectors", vec)
 
     @cached_property
     def _positive_mask(self) -> np.ndarray:
@@ -82,6 +93,8 @@ class SpectralDecomposition:
 
     @property
     def kernel_vectors(self) -> np.ndarray:
+        if self.eigenvectors is None:
+            raise ValueError("decomposition was computed without eigenvectors")
         return self.eigenvectors[:, ~self._positive_mask]
 
 
@@ -106,7 +119,7 @@ class HarmonicBasis:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vectors, dtype=np.complex128)
+        v = np.asarray(self.vectors)
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
@@ -137,10 +150,20 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _largest(a: np.ndarray, name: str = "operator") -> float:
+    """Largest entry modulus: a size that, unlike the Frobenius norm, does
+    not overflow before the entries do.  Refuses non-finite entries."""
+    top = float(np.abs(a).max())
+    if not np.isfinite(top):
+        raise ValidationError(f"{name} has a non-finite entry; its data overflowed float64")
+    return top
 
 
 def hermitian_spectrum(
@@ -148,11 +171,18 @@ def hermitian_spectrum(
     G: np.ndarray | None = None,
     *,
     kernel_tol: float | None = None,
+    vectors: bool = True,
 ) -> SpectralDecomposition:
     """Solve A v = lambda v for a G-self-adjoint A, with V*GV = I.
 
-    Raises NotHermitian when ||GA - A*G|| exceeds 1e-10 relative, and
-    GramNotPositive when G fails Hermitian positive definiteness.
+    Real A and G are solved in float64; a complex A or G promotes the
+    solve to complex128.  With ``vectors=False`` only the eigenvalues are
+    computed and the result's ``eigenvectors`` is None.
+
+    Raises NotHermitian when the largest entry of GA - A*G exceeds 1e-10
+    times that of GA (or 1), GramNotPositive when G fails Hermitian
+    positive definiteness, and ValidationError when A has a non-finite
+    entry.
     """
     A = _as_square(A, "operator")
     n = A.shape[0]
@@ -160,24 +190,26 @@ def hermitian_spectrum(
         ev = np.zeros(0)
         return SpectralDecomposition(
             eigenvalues=ev,
-            eigenvectors=np.zeros((0, 0), dtype=np.complex128),
+            eigenvectors=np.zeros((0, 0), dtype=A.dtype) if vectors else None,
             kernel_tol=kernel_tol if kernel_tol is not None else default_kernel_tol(ev),
         )
+    scale = _largest(A)  # also refuses a non-finite A
 
     if G is None:
-        resid = np.linalg.norm(A - A.conj().T)
-        if resid > HERMITIAN_TOL * max(1.0, np.linalg.norm(A)):
+        resid = _largest(A - A.conj().T)
+        if resid > HERMITIAN_TOL * max(1.0, scale):
             raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
-        w, V = np.linalg.eigh(A)
+        B = A
     else:
         G = _as_square(G, "gram")
         if G.shape != A.shape:
             raise GramNotPositive(f"gram shape {G.shape} does not match operator {A.shape}")
-        if np.linalg.norm(G - G.conj().T) > 1e-12 * max(1.0, np.linalg.norm(G)):
+        gram_scale = _largest(G, "gram")
+        if _largest(G - G.conj().T) > 1e-12 * max(1.0, gram_scale):
             raise GramNotPositive("gram is not Hermitian")
         GA = G @ A
-        resid = np.linalg.norm(GA - A.conj().T @ G)
-        if resid > HERMITIAN_TOL * max(1.0, np.linalg.norm(GA)):
+        resid = _largest(GA - A.conj().T @ G)
+        if resid > HERMITIAN_TOL * max(1.0, _largest(GA)):
             raise NotHermitian(
                 f"operator is not self-adjoint for the given gram (residual {resid:.3e})"
             )
@@ -185,12 +217,18 @@ def hermitian_spectrum(
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             raise GramNotPositive("gram is not positive definite") from None
-        # B = L* A L^{-*}; Hermitian because GA = A*G
+        # B = L* A L^{-*}; Hermitian because GA = A*G, so its entries are
+        # bounded by the spectral radius of A and overflow no sooner than A
         Linv = _lower_inverse(L)
         B = L.conj().T @ A @ Linv.conj().T
         B = 0.5 * (B + B.conj().T)
-        w, W = np.linalg.eigh(B)
-        V = Linv.conj().T @ W
+
+    if vectors:
+        w, V = np.linalg.eigh(B)
+        if G is not None:
+            V = Linv.conj().T @ V
+    else:
+        w, V = np.linalg.eigvalsh(B), None
 
     tol = kernel_tol if kernel_tol is not None else default_kernel_tol(w)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
@@ -249,7 +287,10 @@ def pseudodet(
 
 
 def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> HarmonicBasis:
-    """Kernel basis of an already computed decomposition."""
+    """Kernel basis of an already computed decomposition.
+
+    Raises ValueError when the decomposition carries no eigenvectors.
+    """
     ev = decomposition.eigenvalues
     if ev.size and float(ev[0]) < -decomposition.kernel_tol:
         raise NegativeEigenvalue(

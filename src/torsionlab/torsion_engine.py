@@ -14,7 +14,8 @@ of a Z2-graded complex is the parity-split analogue,
 with adjoints taken against the parity Grams.  Harmonic bases of the
 Laplacians ride along on the returned element, and kernel dimensions
 double as cohomology dimensions (checked against rank-nullity in the
-test suite).
+test suite).  Only the Laplacian solves compute eigenvectors; the
+delta^+ delta solves read eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_models import GradedCochainComplex, TwistedComplex
+from .errors import ValidationError
 from .spectral import (
     HarmonicBasis,
     harmonic_basis_of,
@@ -45,6 +47,7 @@ __all__ = [
 REIDEMEISTER_TAG = "p-weighted-v1"
 TWISTED_TAG = "parity-split-v1"
 _CONVENTION_CHECK_TOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +109,19 @@ def gram_adjoint(
     return out
 
 
+def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.ndarray:
+    """Pass op^+ op (or op op^+) through, refusing it when op is nonzero
+    but the product fell below the normal float64 range.  Grams can do
+    that to in-range entries, and a zero product would enlarge the
+    kernel; overflow to inf is refused by the solver."""
+    if square.size and float(np.abs(square).max()) < _TINY and op.any():
+        raise ValidationError(
+            f"{what}: the Gram-weighted square of a nonzero coboundary "
+            "underflowed float64"
+        )
+    return square
+
+
 def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hodge Laplacians Delta_p = delta_p^+ delta_p + delta_{p-1} delta_{p-1}^+,
     returned as (matrix, gram) pairs in degree order."""
@@ -115,12 +131,14 @@ def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
         g_here = C.gram[p] if explicit else None
         d_up = C.delta(p)
         g_up = (C.gram[p + 1] if p + 1 < len(C.dims) else None) if explicit else None
-        lap = gram_adjoint(d_up, g_here, g_up) @ d_up
+        lap = _unless_underflowed(gram_adjoint(d_up, g_here, g_up) @ d_up, d_up, f"degree {p}")
         if p > 0:
             d_down = C.delta(p - 1)
             g_down = C.gram[p - 1] if explicit else None
-            lap = lap + d_down @ gram_adjoint(d_down, g_down, g_here)
-        gram = g_here if g_here is not None else np.eye(C.dims[p], dtype=np.complex128)
+            lap = lap + _unless_underflowed(
+                d_down @ gram_adjoint(d_down, g_down, g_here), d_down, f"degree {p - 1}"
+            )
+        gram = g_here if g_here is not None else np.eye(C.dims[p])
         out.append((lap, gram))
     return out
 
@@ -159,8 +177,8 @@ def reidemeister_torsion(
         d_up = C.delta(p)
         g_here = C.gram[p] if explicit else None
         g_up = (C.gram[p + 1] if p + 1 < len(C.dims) else None) if explicit else None
-        block = gram_adjoint(d_up, g_here, g_up) @ d_up
-        pd = pseudodet_of(hermitian_spectrum(block, g_here, kernel_tol=kernel_tol))
+        block = _unless_underflowed(gram_adjoint(d_up, g_here, g_up) @ d_up, d_up, f"degree {p}")
+        pd = pseudodet_of(hermitian_spectrum(block, g_here, kernel_tol=kernel_tol, vectors=False))
         alt += (-1.0) ** p * 0.5 * pd.log_value
     if abs(log_scalar - alt) > _CONVENTION_CHECK_TOL * max(1.0, abs(log_scalar)):
         notes.append(
@@ -185,13 +203,15 @@ def twisted_torsion(
     ge, go = T.gram_even, T.gram_odd
     de_adj = gram_adjoint(T.d_even, ge, go)
     do_adj = gram_adjoint(T.d_odd, go, ge)
+    sq_even = _unless_underflowed(de_adj @ T.d_even, T.d_even, "d_even (even parity)")
+    sq_odd = _unless_underflowed(do_adj @ T.d_odd, T.d_odd, "d_odd (odd parity)")
 
-    pd_even = pseudodet_of(hermitian_spectrum(de_adj @ T.d_even, ge, kernel_tol=kernel_tol))
-    pd_odd = pseudodet_of(hermitian_spectrum(do_adj @ T.d_odd, go, kernel_tol=kernel_tol))
+    pd_even = pseudodet_of(hermitian_spectrum(sq_even, ge, kernel_tol=kernel_tol, vectors=False))
+    pd_odd = pseudodet_of(hermitian_spectrum(sq_odd, go, kernel_tol=kernel_tol, vectors=False))
     log_scalar = 0.5 * pd_even.log_value - 0.5 * pd_odd.log_value
 
-    lap_even = de_adj @ T.d_even + T.d_odd @ do_adj
-    lap_odd = do_adj @ T.d_odd + T.d_even @ de_adj
+    lap_even = sq_even + _unless_underflowed(T.d_odd @ do_adj, T.d_odd, "d_odd (odd parity)")
+    lap_odd = sq_odd + _unless_underflowed(T.d_even @ de_adj, T.d_even, "d_even (even parity)")
     dec_even = hermitian_spectrum(lap_even, ge, kernel_tol=kernel_tol)
     dec_odd = hermitian_spectrum(lap_odd, go, kernel_tol=kernel_tol)
 

@@ -210,6 +210,18 @@ def _digest_of_model(obj) -> str:
     return digest(encode_complex(obj))
 
 
+def _rank_nullity_warning(kernel_dims, rank_nullity) -> tuple[str, ...]:
+    """A warning when the Laplacian kernel dimensions and the rank-nullity
+    cohomology dimensions, two routes to the same numbers, disagree."""
+    if tuple(kernel_dims) == tuple(rank_nullity):
+        return ()
+    return (
+        f"kernel dims {list(kernel_dims)} disagree with rank-nullity "
+        f"cohomology dims {list(rank_nullity)}; the kernel tolerance may cut "
+        "through the nonzero spectrum",
+    )
+
+
 def run(command: str, model: str, options: RunOptions | None = None) -> Report:
     """Execute one workbench command and wrap the outcome in a Report.
 
@@ -223,13 +235,14 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
         obj = load_model(model)
         C = _as_complex(obj)
         elem = reidemeister_torsion(C, kernel_tol=options.kernel_tol)
+        dims = cohomology_dimensions(C)
         result = {
             "torsion": elem.to_json(),
-            "cohomology_dims": list(cohomology_dimensions(C)),
+            "cohomology_dims": list(dims),
             "model_digest": _digest_of_model(obj),
         }
         convention = elem.convention_tag
-        warnings = elem.warnings
+        warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, dims)
     elif command == "twisted":
         obj = load_model(model)
         C = _as_complex(obj)
@@ -244,7 +257,7 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
             "model_digest": _digest_of_model(obj),
         }
         convention = elem.convention_tag
-        warnings = elem.warnings
+        warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, (even, odd))
     elif command == "bundle-torsion":
         bundle = load_bundle(model, options)
         ic = build_invariant_complex(bundle)

@@ -8,6 +8,7 @@ from torsionlab import (
     Cochain,
     GradedCochainComplex,
     LocalSystem,
+    TwistedComplex,
     build_simplicial,
     coboundary_matrices,
     cup,
@@ -142,6 +143,62 @@ def test_gram_must_be_hermitian_positive():
             coboundary=(),
             gram=(np.array([[1.0, 1.0], [0.0, 1.0]]),),  # not Hermitian
         )
+
+
+def test_exactly_real_data_is_stored_as_float64():
+    C = coboundary_matrices(simplex_boundary(4))
+    assert all(d.dtype == np.float64 for d in C.coboundary)
+    assert all(not d.flags.writeable for d in C.coboundary)
+    zero_imag = GradedCochainComplex(dims=(1, 1), coboundary=(np.array([[2.0 + 0j]]),))
+    assert zero_imag.coboundary[0].dtype == np.float64
+    complex_entry = GradedCochainComplex(dims=(1, 1), coboundary=(np.array([[2.0 + 1j]]),))
+    assert complex_entry.coboundary[0].dtype == np.complex128
+    assert Cochain(degree=0, coefficients=[1, 2]).coefficients.dtype == np.float64
+    T = twisted_differential(simplex_boundary(4), Cochain(degree=3, coefficients=2 * np.ones(5)))
+    assert {T.d_even.dtype, T.d_odd.dtype, T.gram_even.dtype} == {np.dtype(np.float64)}
+    T = twisted_differential(simplex_boundary(4), Cochain(degree=3, coefficients=1j * np.ones(5)))
+    # the flux maps degree 0 to degree 3, so only d_even carries it
+    assert (T.d_even.dtype, T.d_odd.dtype) == (np.complex128, np.float64)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entries_are_refused(value):
+    bad = np.array([[value]])
+    with pytest.raises(ValidationError, match="coboundary 0 has a non-finite entry"):
+        GradedCochainComplex(dims=(1, 1), coboundary=(bad,))
+    with pytest.raises(ValidationError, match="Gram at degree 1 has a non-finite entry"):
+        GradedCochainComplex(dims=(1, 1), coboundary=(np.ones((1, 1)),),
+                             gram=(np.eye(1), bad))
+    with pytest.raises(ValidationError, match="degree-0 cochain has a non-finite entry"):
+        Cochain(degree=0, coefficients=[1.0, value])
+    with pytest.raises(ValidationError, match=r"holonomy on edge \(0, 1\) has a non-finite"):
+        LocalSystem(rank=1, holonomy={(0, 1): bad})
+    ok = np.ones((1, 1))
+    with pytest.raises(ValidationError, match=r"d_even \(even parity\) has a non-finite"):
+        TwistedComplex(1, 1, bad, np.zeros((1, 1)), ok, ok)
+    with pytest.raises(ValidationError, match="Gram at odd parity has a non-finite"):
+        TwistedComplex(1, 1, ok, np.zeros((1, 1)), ok, bad)
+
+
+@pytest.mark.parametrize("value", [1e160, 1e200, 1e-170, -1e151, 1e-151j])
+def test_entries_whose_square_leaves_float64_are_refused(value):
+    bad = np.array([[value]])
+    with pytest.raises(ValidationError, match=r"coboundary 0 has an entry of modulus .* outside"):
+        GradedCochainComplex(dims=(1, 1), coboundary=(bad,))
+    with pytest.raises(ValidationError, match=r"Gram at degree 0 has an entry of modulus"):
+        GradedCochainComplex(dims=(1, 1), coboundary=(np.ones((1, 1)),),
+                             gram=(np.abs(bad), np.eye(1)))
+    ok = np.ones((1, 1))
+    with pytest.raises(ValidationError, match=r"d_odd \(odd parity\) has an entry of modulus"):
+        TwistedComplex(1, 1, np.zeros((1, 1)), bad, ok, ok)
+    with pytest.raises(ValidationError, match=r"Gram at even parity has an entry of modulus"):
+        TwistedComplex(1, 1, ok, np.zeros((1, 1)), np.abs(bad), ok)
+
+
+def test_entries_at_the_range_ends_and_exact_zeros_are_accepted():
+    for value in (1e150, -1e150, 1e-150, 1e-150j):
+        C = GradedCochainComplex(dims=(1, 1, 1), coboundary=(np.array([[value]]), np.zeros((1, 1))))
+        assert C.coboundary[0][0, 0] == value
 
 
 # ---------------------------------------------------------------------------

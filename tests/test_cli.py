@@ -1,6 +1,7 @@
 """Exit codes, output formats, and argument handling of the front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -147,6 +148,47 @@ def test_non_finite_json_model_is_refused(literal, capsys, tmp_path):
     assert _error_lines(err) == [
         f"torsion: error: {path}: non-finite number {literal[:20]} is not allowed"
     ]
+
+
+def _write_one_by_one(path: Path, entry: float) -> Path:
+    path.write_text(
+        '{"schema": "complex.v1", "kind": "cochain", "dims": [1, 1], '
+        f'"coboundary": [[[[{entry!r}, 0.0]]]]}}'
+    )
+    return path
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e200, 1e-170])
+def test_coboundary_whose_square_leaves_float64_is_refused(entry, capsys, tmp_path):
+    path = _write_one_by_one(tmp_path / "model.json", entry)
+    assert main(["reidemeister", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = _error_lines(captured.err)
+    assert "coboundary 0 has an entry of modulus" in line
+
+
+def test_grams_that_underflow_the_laplacian_are_refused(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"schema": "complex.v1", "kind": "cochain", "dims": [1, 1], '
+        '"coboundary": [[[[1e-150, 0.0]]]], '
+        '"gram": [[[[1e150, 0.0]]], [[[1e-150, 0.0]]]]}'
+    )
+    assert main(["reidemeister", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = _error_lines(captured.err)
+    assert "underflowed float64" in line
+
+
+@pytest.mark.parametrize("entry", [1e150, 1e-150])
+def test_coboundary_at_the_range_ends_gives_log_modulus(entry, capsys, tmp_path):
+    path = _write_one_by_one(tmp_path / "model.json", entry)
+    assert main(["reidemeister", str(path), "--format", "json"]) == 0
+    torsion = json.loads(capsys.readouterr().out)["result"]["torsion"]
+    assert torsion["log_scalar"] == pytest.approx(math.log(entry), rel=1e-15)
+    assert torsion["kernel_dims"] == [0, 0]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])

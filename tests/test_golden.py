@@ -4,8 +4,17 @@ A refactor must leave every one of these byte-identical.  A change that
 moves a number on purpose re-records them and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder compares every new report with the recorded one first and
+writes nothing, exiting 1, when anything but roundoff moved: a non-float
+field (kernel dims, warnings, conventions, digests, list lengths, keys),
+a ``log_scalar`` by more than 1e-12 absolute, or any other float by more
+than 1e-12 relative while above 1e-12 absolute.  It prints the largest
+shift per file.
 """
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,8 +87,86 @@ def test_golden_directory_has_no_strays():
     assert recorded == {case_name(*case) for case in CASES}
 
 
-if __name__ == "__main__":
+DRIFT_TOL = 1e-12
+
+
+def drift(old, new, path: str = "") -> tuple[tuple[float, str], list[str]]:
+    """Largest float shift from ``old`` to ``new`` with where it is, and
+    the changes that are more than roundoff."""
+    if isinstance(old, float) and isinstance(new, float):
+        shift = abs(new - old)
+        if path.endswith(".log_scalar"):
+            bad = shift > DRIFT_TOL
+        else:
+            bad = shift > DRIFT_TOL and shift > DRIFT_TOL * abs(old)
+        return (shift, path), [f"{path}: {old!r} -> {new!r}"] if bad else []
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return (0.0, path), [f"{path}: keys {sorted(old)} -> {sorted(new)}"]
+        pairs = [(old[k], new[k], f"{path}.{k}") for k in old]
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return (0.0, path), [f"{path}: length {len(old)} -> {len(new)}"]
+        pairs = [(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        same = type(old) is type(new) and old == new
+        return (0.0, path), [] if same else [f"{path}: {old!r} -> {new!r}"]
+    largest, problems = (0.0, path), []
+    for a, b, where in pairs:
+        shift, bad = drift(a, b, where)
+        largest = max(largest, shift)
+        problems += bad
+    return largest, problems
+
+
+def test_recorder_accepts_roundoff_and_refuses_the_rest():
+    old = {"torsion": {"log_scalar": 1.5, "scalar": 4.48, "kernel_dims": [1, 0]},
+           "residual": 1e-15, "warnings": []}
+
+    def moved(**changes):
+        new = json.loads(json.dumps(old))
+        for key, value in changes.items():
+            (new["torsion"] if key in new["torsion"] else new)[key] = value
+        return drift(old, new)
+
+    (shift, where), problems = moved(log_scalar=1.5 + 8e-13, scalar=4.48 * (1 + 9e-13),
+                                     residual=5e-13)
+    assert problems == []
+    assert where == ".torsion.scalar" and shift == pytest.approx(4.48 * 9e-13, rel=1e-3)
+    assert moved(log_scalar=1.5 + 2e-12)[1] == [".torsion.log_scalar: 1.5 -> 1.500000000002"]
+    assert len(moved(scalar=4.48 * (1 + 3e-12))[1]) == 1
+    assert len(moved(residual=2e-12)[1]) == 1
+    assert moved(kernel_dims=[0, 0])[1] == [".torsion.kernel_dims[0]: 1 -> 0"]
+    assert moved(kernel_dims=[1])[1] == [".torsion.kernel_dims: length 2 -> 1"]
+    assert moved(warnings=["gap"])[1] == [".warnings: length 0 -> 1"]
+    assert len(drift(old, {**old, "extra": 1})[1]) == 1
+
+
+def record() -> int:
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
-        (GOLDEN / case_name(*case)).write_bytes(render(*case))
+    fresh = {case_name(*case): render(*case) for case in CASES}
+    refused = False
+    for name, payload in fresh.items():
+        target = GOLDEN / name
+        if not target.exists():
+            print(f"{name}: new")
+            continue
+        recorded = target.read_bytes()
+        if recorded == payload:
+            continue
+        (shift, where), problems = drift(json.loads(recorded), json.loads(payload))
+        print(f"{name}: largest shift {shift:.2e} at {where}")
+        for problem in problems:
+            print(f"  more than roundoff: {problem}")
+        refused = refused or bool(problems)
+    if refused:
+        print("refused: nothing written", file=sys.stderr)
+        return 1
+    for name, payload in fresh.items():
+        (GOLDEN / name).write_bytes(payload)
     print(f"recorded {len(CASES)} golden reports in {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(record())

@@ -1,7 +1,8 @@
 """Gram-aware spectral decompositions and pseudo-determinants.
 
 The triangle Laplacian oracle is computed symbolically, independent of
-any numerics in the package.
+any numerics in the package.  scipy's complex Hermitian solver is the
+reference for the real-arithmetic path.
 """
 
 import warnings
@@ -19,6 +20,7 @@ from torsionlab.errors import (
     NegativeEigenvalue,
     NotHermitian,
     SpectralGapWarning,
+    ValidationError,
 )
 from torsionlab.spectral import (
     GAP_RATIO,
@@ -182,3 +184,82 @@ def test_harmonic_basis_gram_orthonormal():
     hb = harmonic_basis_of(dec)
     assert hb.dimension == 4
     assert np.allclose(hb.vectors.conj().T @ G @ hb.vectors, np.eye(4), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic follows the dtype; values-only solves
+# ---------------------------------------------------------------------------
+
+def test_solve_dtype_follows_operator_and_gram(eigensolves):
+    A = np.diag([0.0, 1.0, 2.0])
+    G = np.diag([1.0, 2.0, 4.0])
+    assert hermitian_spectrum(A).eigenvectors.dtype == np.float64
+    assert hermitian_spectrum(A, G, vectors=False).eigenvectors is None
+    assert hermitian_spectrum(A.astype(np.complex128)).eigenvectors.dtype == np.complex128
+    # a complex Gram promotes a real operator to a complex solve
+    assert hermitian_spectrum(A, G.astype(np.complex128)).eigenvectors.dtype == np.complex128
+    assert eigensolves == [
+        ("float64", "vectors"),
+        ("float64", "values"),
+        ("complex128", "vectors"),
+        ("complex128", "vectors"),
+    ]
+
+
+def test_values_only_solve_has_no_kernel_vectors():
+    dec = hermitian_spectrum(np.diag([0.0, 0.0, 5.0]), vectors=False)
+    assert dec.eigenvectors is None
+    assert dec.kernel_dimension == 2
+    assert pseudodet_of(dec).value == pytest.approx(5.0, rel=1e-15)
+    with pytest.raises(ValueError, match="without eigenvectors"):
+        dec.kernel_vectors
+    with pytest.raises(ValueError, match="without eigenvectors"):
+        harmonic_basis_of(dec)
+    empty = hermitian_spectrum(np.zeros((0, 0)), vectors=False)
+    assert empty.eigenvectors is None and empty.kernel_dimension == 0
+
+
+def _random_psd(rng, n, rank):
+    f = rng.standard_normal((rank, n))
+    return f.T @ f
+
+
+@pytest.mark.parametrize("with_gram", [False, True], ids=["identity", "gram"])
+@pytest.mark.parametrize("seed", range(4))
+def test_real_path_agrees_with_scipy_complex_solver(seed, with_gram):
+    rng = np.random.default_rng(300 + seed)
+    n, rank = 14, 9
+    H = _random_psd(rng, n, rank)
+    G = None
+    if with_gram:
+        g = rng.standard_normal((n, n))
+        G = g @ g.T + n * np.eye(n)
+    A = H if G is None else np.linalg.solve(G, H)
+
+    dec = hermitian_spectrum(A, G)
+    values = hermitian_spectrum(A, G, vectors=False)
+    cast = None if G is None else G.astype(np.complex128)
+    reference = scipy.linalg.eigh(H.astype(np.complex128), cast, eigvals_only=True)
+    bound = 1e-12 * np.linalg.norm(A)
+    assert dec.eigenvectors.dtype == np.float64
+    assert np.max(np.abs(dec.eigenvalues - reference)) <= bound
+    assert np.max(np.abs(values.eigenvalues - reference)) <= bound
+
+    complex_dec = hermitian_spectrum(A.astype(np.complex128), cast)
+    assert dec.kernel_dimension == values.kernel_dimension == complex_dec.kernel_dimension
+    assert dec.kernel_dimension == n - rank
+
+    V = dec.eigenvectors
+    gram = np.eye(n) if G is None else G
+    assert np.allclose(V.T @ gram @ V, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_is_refused(bad):
+    A = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="operator has a non-finite entry"):
+        hermitian_spectrum(A)
+    with pytest.raises(ValidationError, match="operator has a non-finite entry"):
+        hermitian_spectrum(A, np.eye(2), vectors=False)
+    with pytest.raises(ValidationError, match="gram has a non-finite entry"):
+        hermitian_spectrum(np.eye(2), A)

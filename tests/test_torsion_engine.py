@@ -16,6 +16,7 @@ from torsionlab import (
     Cochain,
     GradedCochainComplex,
     LocalSystem,
+    TwistedComplex,
     coboundary_matrices,
     cohomology_dimensions,
     gram_adjoint,
@@ -26,6 +27,7 @@ from torsionlab import (
     twisted_torsion,
 )
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
+from torsionlab.errors import ValidationError
 from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG
 
 
@@ -237,3 +239,100 @@ def test_twisted_kernel_dims_match_rank_nullity():
     T = twisted_differential(C, None)
     elem = twisted_torsion(T)
     assert elem.kernel_dims == twisted_cohomology_dimensions(T)
+
+
+# ---------------------------------------------------------------------------
+# real complexes run in real arithmetic
+# ---------------------------------------------------------------------------
+
+def test_real_complex_runs_only_real_solves(eigensolves):
+    reidemeister_torsion(coboundary_matrices(cycle(9)))
+    # Laplacians keep their vectors for the harmonic bases; the telescoped
+    # delta^+ delta solves read eigenvalues only
+    assert eigensolves == [("float64", "vectors")] * 2 + [("float64", "values")] * 2
+
+
+def test_lens_complex_runs_complex_solves(eigensolves):
+    reidemeister_torsion(lens(5, 1, 2))
+    # delta_1 is an exact zero and delta_3 the empty top map: both are
+    # stored real, so only their telescoped solves are real
+    assert eigensolves == [("complex128", "vectors")] * 4 + [
+        ("complex128", "values"),
+        ("float64", "values"),
+        ("complex128", "values"),
+        ("float64", "values"),
+    ]
+
+
+def test_twisted_solves_follow_the_flux_dtype(eigensolves):
+    C = coboundary_matrices(simplex_boundary(4))
+    ones = np.ones(C.dims[3])
+    twisted_torsion(twisted_differential(C, Cochain(degree=3, coefficients=2 * ones)))
+    assert eigensolves == [("float64", "values")] * 2 + [("float64", "vectors")] * 2
+    eigensolves.clear()
+    twisted_torsion(twisted_differential(C, Cochain(degree=3, coefficients=(1 + 1j) * ones)))
+    # a top-degree flux maps degree 0 to degree 3, so only D_even is complex
+    # and D_odd^+ D_odd stays a real solve
+    assert eigensolves == [
+        ("complex128", "values"),
+        ("float64", "values"),
+        ("complex128", "vectors"),
+        ("complex128", "vectors"),
+    ]
+
+
+def test_matrix_tree_oracle_at_benchmark_scale():
+    # pdet of the vertex Laplacian of the n-cycle is n^2 (Kirchhoff), so tau = n
+    elem = reidemeister_torsion(coboundary_matrices(cycle(600)))
+    assert abs(elem.log_scalar - math.log(600)) <= 1e-11
+    assert elem.kernel_dims == (1, 1)
+    # the boundary of the 10-simplex, a triangulated 9-sphere, has tau = 11
+    elem = reidemeister_torsion(coboundary_matrices(simplex_boundary(10)))
+    assert abs(elem.log_scalar - math.log(11)) <= 1e-11
+    assert elem.kernel_dims == (1,) + (0,) * 8 + (1,)
+
+
+@pytest.mark.parametrize("entry", [1e150, -1e150, 1e-150, 1e-150j])
+def test_entries_at_the_range_ends_give_log_modulus(entry):
+    C = GradedCochainComplex(dims=(1, 1), coboundary=(np.array([[entry]]),))
+    elem = reidemeister_torsion(C)
+    assert elem.log_scalar == pytest.approx(math.log(abs(entry)), rel=1e-15)
+    assert elem.kernel_dims == cohomology_dimensions(C) == (0, 0)
+
+
+def test_grams_that_overflow_the_laplacian_are_refused():
+    # each entry is in range, but delta^+ delta = 1e150 * 1e150 * 1e150^2
+    C = GradedCochainComplex(
+        dims=(1, 1),
+        coboundary=(np.array([[1e150]]),),
+        gram=(np.array([[1e-150]]), np.array([[1e150]])),
+    )
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        reidemeister_torsion(C)
+
+
+def test_grams_that_underflow_the_laplacian_are_refused():
+    # each entry is in range, but delta^+ delta = 1e-150 * 1e-150^2 / 1e150
+    # is exactly 0 in float64, which would read as a kernel in both degrees
+    C = GradedCochainComplex(
+        dims=(1, 1),
+        coboundary=(np.array([[1e-150]]),),
+        gram=(np.array([[1e150]]), np.array([[1e-150]])),
+    )
+    with pytest.raises(ValidationError, match="degree 0: .* underflowed"):
+        reidemeister_torsion(C)
+    with pytest.raises(ValidationError, match="degree 0: .* underflowed"):
+        laplacians(C)
+
+
+def test_twisted_grams_that_underflow_the_laplacian_are_refused():
+    T = TwistedComplex(
+        even_dim=1,
+        odd_dim=1,
+        d_even=np.array([[1e-150]]),
+        d_odd=np.zeros((1, 1)),
+        gram_even=np.array([[1e150]]),
+        gram_odd=np.array([[1e-150]]),
+    )
+    with pytest.raises(ValidationError, match=r"d_even \(even parity\): .* underflowed"):
+        twisted_torsion(T)

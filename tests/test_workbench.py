@@ -8,6 +8,7 @@ import pytest
 from torsionlab import (
     BundleData,
     Cochain,
+    GradedCochainComplex,
     ParseError,
     SimplicialComplex,
     UnknownBuilder,
@@ -141,6 +142,30 @@ def test_twisted_command_with_flux():
     assert report.result["cohomology_dims"] == {"even": 0, "odd": 0}
     assert report.result["flux"] == "top(2)"
     assert report.convention == "parity-split-v1"
+
+
+def test_kernel_dims_disagreeing_with_rank_nullity_warn(tmp_path):
+    # a kernel tolerance of 1 cuts the Laplacian eigenvalues 0.25 into the
+    # kernel, while rank-nullity sees delta = [[0.5]] as invertible
+    path = tmp_path / "half.json"
+    dump_json_file(path, encode_complex(
+        GradedCochainComplex(dims=(1, 1), coboundary=(np.array([[0.5]]),))
+    ))
+    report = run("reidemeister", str(path), RunOptions(kernel_tol=1.0))
+    assert report.result["torsion"]["kernel_dims"] == [1, 1]
+    assert report.result["cohomology_dims"] == [0, 0]
+    assert report.warnings == (
+        "kernel dims [1, 1] disagree with rank-nullity cohomology dims [0, 0]; "
+        "the kernel tolerance may cut through the nonzero spectrum",
+    )
+    assert run("reidemeister", str(path)).warnings == ()
+
+    report = run("twisted", "simplex_boundary(4)", RunOptions(flux="top(0.5)", kernel_tol=1e3))
+    assert report.result["cohomology_dims"] == {"even": 0, "odd": 0}
+    assert [w for w in report.warnings if "rank-nullity" in w] == [
+        f"kernel dims {report.result['torsion']['kernel_dims']} disagree with rank-nullity "
+        "cohomology dims [0, 0]; the kernel tolerance may cut through the nonzero spectrum"
+    ]
 
 
 def test_verify_duality_report_passes():
