@@ -66,9 +66,7 @@ from .spectral import (
     HarmonicBasis,
     PseudoDeterminant,
     SpectralDecomposition,
-    harmonic_basis,
     hermitian_spectrum,
-    pseudodet,
 )
 from .torsion_engine import (
     TorsionElement,
@@ -104,8 +102,6 @@ __all__ = [
     "PseudoDeterminant",
     "HarmonicBasis",
     "hermitian_spectrum",
-    "pseudodet",
-    "harmonic_basis",
     # torsion engine
     "TorsionElement",
     "reidemeister_torsion",

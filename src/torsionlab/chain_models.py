@@ -37,13 +37,13 @@ from .errors import (
     FluxHasDegreeOne,
     FluxNotClosed,
     FluxNotNilpotent,
-    GramNotPositive,
     InconsistentDimension,
     NonFlatLocalSystem,
     NotOriented,
     NotTopDegree,
     ValidationError,
 )
+from .spectral import _gram_factor
 
 __all__ = [
     "SimplicialComplex",
@@ -381,7 +381,7 @@ class GradedCochainComplex:
             if len(grams) != len(dims):
                 raise ValidationError("need one Gram per degree")
             for p, g in enumerate(grams):
-                _check_gram(g, dims[p], where=f"degree {p}")
+                _gram_factor(g, dims[p], f"Gram at degree {p}")
             object.__setattr__(self, "gram", grams)
 
     @property
@@ -409,18 +409,6 @@ class GradedCochainComplex:
             simplicial=self.simplicial,
             local_rank=self.local_rank,
         )
-
-
-def _check_gram(g: np.ndarray, n: int, where: str) -> None:
-    if g.shape != (n, n):
-        raise GramNotPositive(f"Gram at {where} has shape {g.shape}, expected {(n, n)}")
-    if _norm(g - g.conj().T) > 1e-12 * (1.0 + _norm(g)):
-        raise GramNotPositive(f"Gram at {where} is not Hermitian")
-    if n:
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise GramNotPositive(f"Gram at {where} is not positive definite") from None
 
 
 def signed_incidence(K: SimplicialComplex, p: int) -> np.ndarray:
@@ -588,9 +576,7 @@ def pair_with_fundamental_class(K: SimplicialComplex, h: Cochain):
 
 def parity_degrees(n_degrees: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Degrees of each parity, as (evens, odds)."""
-    evens = tuple(q for q in range(n_degrees) if q % 2 == 0)
-    odds = tuple(q for q in range(n_degrees) if q % 2 == 1)
-    return evens, odds
+    return tuple(range(0, n_degrees, 2)), tuple(range(1, n_degrees, 2))
 
 
 def _offsets(dims: Sequence[int], degrees: Sequence[int]) -> dict[int, int]:
@@ -638,19 +624,8 @@ def assemble_shift_blocks(
 
 def parity_gram(C: GradedCochainComplex, parity: int) -> np.ndarray:
     """Direct-sum Gram of the degrees with the given parity."""
-    evens, odds = parity_degrees(len(C.dims))
-    degs = evens if parity % 2 == 0 else odds
-    blocks = [C.gram_at(q) for q in degs]
-    if not blocks:
-        return np.zeros((0, 0))
-    total = sum(C.dims[q] for q in degs)
-    out = np.zeros((total, total), dtype=np.result_type(*blocks))
-    at = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[at:at + n, at:at + n] = b
-        at += n
-    return out
+    degs = parity_degrees(len(C.dims))[parity % 2]
+    return assemble_shift_blocks(C.dims, {q: C.gram_at(q) for q in degs}, 0, parity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -675,8 +650,8 @@ class TwistedComplex:
         object.__setattr__(self, "d_odd", do)
         ge = _freeze(self.gram_even, "Gram at even parity", bounded=True)
         go = _freeze(self.gram_odd, "Gram at odd parity", bounded=True)
-        _check_gram(ge, self.even_dim, where="even parity")
-        _check_gram(go, self.odd_dim, where="odd parity")
+        _gram_factor(ge, self.even_dim, "Gram at even parity")
+        _gram_factor(go, self.odd_dim, "Gram at odd parity")
         object.__setattr__(self, "gram_even", ge)
         object.__setattr__(self, "gram_odd", go)
         scale = 1.0 + _norm(de) * _norm(do)

@@ -50,8 +50,8 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows, shape=None) -> np.ndarray:
-    if shape is not None and not rows:
-        return np.zeros(shape, dtype=np.complex128)
+    """Matrix of [re, im] rows; ParseError unless it has ``shape`` when
+    one is given.  An empty list is a matrix with no rows."""
     try:
         out = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in rows],
@@ -59,8 +59,8 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed complex matrix: {exc}") from exc
-    if out.size == 0:
-        out = out.reshape(shape if shape is not None else (0, 0))
+    if out.ndim == 1:  # [] holds no row to give the column count
+        out = out.reshape(0, shape[1] if shape is not None else 0)
     if shape is not None and out.shape != tuple(shape):
         raise ParseError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
     return out

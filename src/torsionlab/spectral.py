@@ -18,6 +18,7 @@ eigenvectors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,9 +38,7 @@ __all__ = [
     "PseudoDeterminant",
     "HarmonicBasis",
     "hermitian_spectrum",
-    "pseudodet",
     "pseudodet_of",
-    "harmonic_basis",
     "harmonic_basis_of",
     "default_kernel_tol",
 ]
@@ -161,9 +160,30 @@ def _largest(a: np.ndarray, name: str = "operator") -> float:
     """Largest entry modulus: a size that, unlike the Frobenius norm, does
     not overflow before the entries do.  Refuses non-finite entries."""
     top = float(np.abs(a).max())
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise ValidationError(f"{name} has a non-finite entry; its data overflowed float64")
     return top
+
+
+def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> np.ndarray:
+    """Cholesky factor L of an n x n Hermitian positive definite Gram,
+    G = L L*: the one check of every Gram the package accepts.
+
+    Raises GramNotPositive, naming ``name``, on a wrong shape, when the
+    largest entry of G - G* exceeds 1e-12 times that of G (or 1), or when
+    Cholesky fails; ValidationError on a non-finite entry.
+    """
+    if G.shape != (n, n):
+        raise GramNotPositive(f"{name} has shape {G.shape}, expected {(n, n)}")
+    if not n:
+        return G
+    scale = _largest(G, name)
+    if _largest(G - G.conj().T, name) > 1e-12 * max(1.0, scale):
+        raise GramNotPositive(f"{name} is not Hermitian")
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise GramNotPositive(f"{name} is not positive definite") from None
 
 
 def hermitian_spectrum(
@@ -202,21 +222,13 @@ def hermitian_spectrum(
         B = A
     else:
         G = _as_square(G, "gram")
-        if G.shape != A.shape:
-            raise GramNotPositive(f"gram shape {G.shape} does not match operator {A.shape}")
-        gram_scale = _largest(G, "gram")
-        if _largest(G - G.conj().T) > 1e-12 * max(1.0, gram_scale):
-            raise GramNotPositive("gram is not Hermitian")
+        L = _gram_factor(G, n)
         GA = G @ A
         resid = _largest(GA - A.conj().T @ G)
         if resid > HERMITIAN_TOL * max(1.0, _largest(GA)):
             raise NotHermitian(
                 f"operator is not self-adjoint for the given gram (residual {resid:.3e})"
             )
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise GramNotPositive("gram is not positive definite") from None
         # B = L* A L^{-*}; Hermitian because GA = A*G, so its entries are
         # bounded by the spectral radius of A and overflow no sooner than A
         Linv = _lower_inverse(L)
@@ -254,7 +266,12 @@ def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:
 
 
 def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
-    """Pseudo-determinant of an already computed decomposition."""
+    """Log-domain product of the eigenvalues above the kernel cut.
+
+    The empty product is 1 (log 0).  Eigenvalues below -kernel_tol raise
+    NegativeEigenvalue; a weak separation at the cut emits
+    SpectralGapWarning and is recorded on the result.
+    """
     ev = decomposition.eigenvalues
     tol = decomposition.kernel_tol
     if ev.size and float(ev[0]) < -tol:
@@ -271,25 +288,12 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     )
 
 
-def pseudodet(
-    A: np.ndarray,
-    G: np.ndarray | None = None,
-    *,
-    kernel_tol: float | None = None,
-) -> PseudoDeterminant:
-    """Log-domain product of the positive eigenvalues of a G-psd operator.
-
-    The empty product is 1 (log 0).  Eigenvalues below -kernel_tol raise
-    NegativeEigenvalue; a weak separation at the cut emits
-    SpectralGapWarning and is recorded on the result.
-    """
-    return pseudodet_of(hermitian_spectrum(A, G, kernel_tol=kernel_tol))
-
-
 def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> HarmonicBasis:
-    """Kernel basis of an already computed decomposition.
+    """G-orthonormal basis of the kernel of a decomposition.
 
-    Raises ValueError when the decomposition carries no eigenvectors.
+    Uses the same kernel mask as :func:`pseudodet_of`, so the two agree
+    on the kernel dimension by construction.  Raises ValueError when the
+    decomposition carries no eigenvectors.
     """
     ev = decomposition.eigenvalues
     if ev.size and float(ev[0]) < -decomposition.kernel_tol:
@@ -297,18 +301,3 @@ def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> 
             f"eigenvalue {float(ev[0]):.6e} below -{decomposition.kernel_tol:.3e}"
         )
     return HarmonicBasis(label=label, vectors=decomposition.kernel_vectors)
-
-
-def harmonic_basis(
-    A: np.ndarray,
-    G: np.ndarray | None = None,
-    *,
-    kernel_tol: float | None = None,
-    label: str = "",
-) -> HarmonicBasis:
-    """G-orthonormal basis of the kernel of a G-psd operator.
-
-    Uses the same kernel mask as :func:`pseudodet`, so the two agree on
-    the kernel dimension by construction.
-    """
-    return harmonic_basis_of(hermitian_spectrum(A, G, kernel_tol=kernel_tol), label=label)

@@ -6,6 +6,11 @@ duality inversion theorem with its map contracts, and determinism of the
 reporting layer.  Results are deterministic: no timestamps or wall times
 enter the JSON payload (time budgets are reported as booleans).
 
+``criterion_1`` ... ``criterion_9`` each return (passed, detail, data);
+criteria 7-9 read the reports that ``fleet_reports(bundle_fleet())``
+collects.  ``tests/test_acceptance.py`` asserts these same verdicts, so
+each bound is written once.
+
 Criterion 4 is knowingly red in its distinctness half: the characters
 k and p-k of a cyclic group are complex conjugates, so their twisted
 complexes have conjugate matrices and identical Laplacian spectra; any
@@ -96,7 +101,7 @@ def _random_fleet() -> list[tuple[str, BundleData]]:
     return out
 
 
-def _bundle_fleet() -> list[tuple[str, BundleData]]:
+def bundle_fleet() -> list[tuple[str, BundleData]]:
     return _hopf_grid() + _random_fleet()
 
 
@@ -104,7 +109,7 @@ def _bundle_fleet() -> list[tuple[str, BundleData]]:
 # criteria
 # ---------------------------------------------------------------------------
 
-def _criterion_1() -> tuple[bool, str, dict]:
+def criterion_1() -> tuple[bool, str, dict]:
     # integer square-zero for the simplicial catalog
     exact = True
     for name, K in [(f"cycle({n})", builders.cycle(n)) for n in range(3, 9)] + [
@@ -116,7 +121,7 @@ def _criterion_1() -> tuple[bool, str, dict]:
                 exact = False
     # float residual for bundle models
     max_resid = 0.0
-    for _, b in _bundle_fleet():
+    for _, b in bundle_fleet():
         ic = build_invariant_complex(b)
         r1 = float(np.linalg.norm(ic.d_odd @ ic.d_even))
         r2 = float(np.linalg.norm(ic.d_even @ ic.d_odd))
@@ -142,7 +147,7 @@ def _hodge_models() -> list[tuple[str, object]]:
     return models
 
 
-def _criterion_2() -> tuple[bool, str, dict]:
+def criterion_2() -> tuple[bool, str, dict]:
     mismatches = {}
     for name, C in _hodge_models():
         kernel = list(reidemeister_torsion(C).kernel_dims)
@@ -156,7 +161,7 @@ def _criterion_2() -> tuple[bool, str, dict]:
     return passed, detail, {"models": len(_hodge_models()), "mismatches": mismatches}
 
 
-def _criterion_3() -> tuple[bool, str, dict]:
+def criterion_3() -> tuple[bool, str, dict]:
     worst = 0.0
     values = {}
     for n in range(3, 9):
@@ -170,7 +175,7 @@ def _criterion_3() -> tuple[bool, str, dict]:
     }
 
 
-def _criterion_4() -> tuple[bool, str, dict]:
+def criterion_4() -> tuple[bool, str, dict]:
     expected = 4.0 * math.sin(math.pi / 5.0) ** 2
     taus = {
         k: reidemeister_torsion(builders.lens(5, 1, k)).scalar for k in (1, 2, 3, 4)
@@ -199,7 +204,7 @@ def _criterion_4() -> tuple[bool, str, dict]:
     }
 
 
-def _criterion_5() -> tuple[bool, str, dict]:
+def criterion_5() -> tuple[bool, str, dict]:
     worst = 0.0
     table = {}
     for name, K in [
@@ -220,7 +225,7 @@ def _criterion_5() -> tuple[bool, str, dict]:
     }
 
 
-def _criterion_6() -> tuple[bool, str, dict]:
+def criterion_6() -> tuple[bool, str, dict]:
     K = builders.simplex_boundary(4)
     C = coboundary_matrices(K)
     ones = np.ones(K.n(3), dtype=np.complex128)
@@ -253,7 +258,7 @@ def _criterion_6() -> tuple[bool, str, dict]:
     }
 
 
-def _fleet_reports(fleet) -> tuple[dict[str, DualityReport], list[str]]:
+def fleet_reports(fleet) -> tuple[dict[str, DualityReport], list[str]]:
     reports: dict[str, DualityReport] = {}
     failures: list[str] = []
     for name, b in fleet:
@@ -264,7 +269,7 @@ def _fleet_reports(fleet) -> tuple[dict[str, DualityReport], list[str]]:
     return reports, failures
 
 
-def _criterion_7(reports, failures) -> tuple[bool, str, dict]:
+def criterion_7(reports, failures) -> tuple[bool, str, dict]:
     worst = max((abs(r.product_log) for r in reports.values()), default=0.0)
     hand = reports.get("hopf(1,2,1.0)")
     hand_ok = hand is not None and (
@@ -286,7 +291,7 @@ def _criterion_7(reports, failures) -> tuple[bool, str, dict]:
     }
 
 
-def _criterion_8(reports, failures) -> tuple[bool, str, dict]:
+def criterion_8(reports, failures) -> tuple[bool, str, dict]:
     def peak(attr):
         return max((getattr(r, attr) for r in reports.values()), default=0.0)
 
@@ -314,7 +319,7 @@ def _criterion_8(reports, failures) -> tuple[bool, str, dict]:
     }
 
 
-def _criterion_9(fleet, reports) -> tuple[bool, str, dict]:
+def criterion_9(fleet, reports) -> tuple[bool, str, dict]:
     involution_ok = True
     swap_ok = True
     for name, b in fleet:
@@ -403,22 +408,22 @@ def _wrap(ident: str, title: str, fn, budget: float | None = None) -> CriterionR
 
 def _battery() -> list[CriterionResult]:
     results = [
-        _wrap("1", "structural exactness", _criterion_1, budget=5.0),
-        _wrap("2", "Hodge kernels match rank-nullity", _criterion_2),
-        _wrap("3", "circle torsion equals vertex count", _criterion_3),
-        _wrap("4", "lens torsion value and character separation", _criterion_4),
-        _wrap("5", "zero-flux twisted torsion matches graded torsion", _criterion_5),
-        _wrap("6", "top-flux scaling, vanishing cohomology, linear pairing", _criterion_6),
+        _wrap("1", "structural exactness", criterion_1, budget=5.0),
+        _wrap("2", "Hodge kernels match rank-nullity", criterion_2),
+        _wrap("3", "circle torsion equals vertex count", criterion_3),
+        _wrap("4", "lens torsion value and character separation", criterion_4),
+        _wrap("5", "zero-flux twisted torsion matches graded torsion", criterion_5),
+        _wrap("6", "top-flux scaling, vanishing cohomology, linear pairing", criterion_6),
     ]
     t0 = time.perf_counter()
-    fleet = _bundle_fleet()
-    reports, failures = _fleet_reports(fleet)
+    fleet = bundle_fleet()
+    reports, failures = fleet_reports(fleet)
     fleet_elapsed = time.perf_counter() - t0
     results.append(
         _wrap(
             "7",
             "torsion inversion under dualization",
-            lambda: _criterion_7(reports, failures),
+            lambda: criterion_7(reports, failures),
         )
     )
     # fleet construction and verification time counts against criterion 7
@@ -434,10 +439,10 @@ def _battery() -> list[CriterionResult]:
         data=data,
     )
     results.append(
-        _wrap("8", "duality map contracts", lambda: _criterion_8(reports, failures))
+        _wrap("8", "duality map contracts", lambda: criterion_8(reports, failures))
     )
     results.append(
-        _wrap("9", "dualization is an exact involution", lambda: _criterion_9(fleet, reports))
+        _wrap("9", "dualization is an exact involution", lambda: criterion_9(fleet, reports))
     )
     return results
 

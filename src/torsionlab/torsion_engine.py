@@ -6,7 +6,8 @@ degree from Laplacian pseudo-determinants,
     log tau = sum_p (-1)^(p+1) * (p/2) * log pdet(Delta_p),
 
 which telescopes to sum_p (-1)^p * (1/2) * log pdet(delta_p^+ delta_p);
-both sums are computed and compared on every call.  The twisted scalar
+both sums are computed, from one build of each delta_p^+ delta_p, and
+compared on every call.  The twisted scalar
 of a Z2-graded complex is the parity-split analogue,
 
     log tau = (1/2) log pdet(D_even^+ D_even) - (1/2) log pdet(D_odd^+ D_odd),
@@ -122,34 +123,35 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
     return square
 
 
-def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hodge Laplacians Delta_p = delta_p^+ delta_p + delta_{p-1} delta_{p-1}^+,
-    returned as (matrix, gram) pairs in degree order."""
+def _degree_blocks(C: GradedCochainComplex) -> list[tuple]:
+    """Per degree p: (delta_p^+ delta_p, the Laplacian Delta_p, the Gram or
+    None without explicit Grams).  Each product is built, and refused if
+    it underflowed, once for both torsion sums."""
     explicit = C.gram is not None
     out = []
     for p in range(len(C.dims)):
         g_here = C.gram[p] if explicit else None
         d_up = C.delta(p)
         g_up = (C.gram[p + 1] if p + 1 < len(C.dims) else None) if explicit else None
-        lap = _unless_underflowed(gram_adjoint(d_up, g_here, g_up) @ d_up, d_up, f"degree {p}")
+        up = _unless_underflowed(gram_adjoint(d_up, g_here, g_up) @ d_up, d_up, f"degree {p}")
+        lap = up
         if p > 0:
             d_down = C.delta(p - 1)
             g_down = C.gram[p - 1] if explicit else None
-            lap = lap + _unless_underflowed(
+            lap = up + _unless_underflowed(
                 d_down @ gram_adjoint(d_down, g_down, g_here), d_down, f"degree {p - 1}"
             )
-        gram = g_here if g_here is not None else np.eye(C.dims[p])
-        out.append((lap, gram))
+        out.append((up, lap, g_here))
     return out
 
 
-def _spectra_for(C: GradedCochainComplex, kernel_tol):
-    explicit = C.gram is not None
-    decs = []
-    for p, (lap, gram) in enumerate(laplacians(C)):
-        g = gram if explicit else None
-        decs.append(hermitian_spectrum(lap, g, kernel_tol=kernel_tol))
-    return decs
+def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hodge Laplacians Delta_p = delta_p^+ delta_p + delta_{p-1} delta_{p-1}^+,
+    returned as (matrix, gram) pairs in degree order."""
+    return [
+        (lap, np.eye(n) if gram is None else gram)
+        for n, (_, lap, gram) in zip(C.dims, _degree_blocks(C))
+    ]
 
 
 def reidemeister_torsion(
@@ -158,13 +160,14 @@ def reidemeister_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Degree-weighted torsion scalar with harmonic bases per degree."""
-    explicit = C.gram is not None
+    blocks = _degree_blocks(C)
     notes: list[str] = []
 
     log_scalar = 0.0
     bases: list[HarmonicBasis] = []
     kernel_dims: list[int] = []
-    for p, dec in enumerate(_spectra_for(C, kernel_tol)):
+    for p, (_, lap, gram) in enumerate(blocks):
+        dec = hermitian_spectrum(lap, gram, kernel_tol=kernel_tol)
         pd = pseudodet_of(dec)
         notes.extend(pd.warnings)
         log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
@@ -173,12 +176,8 @@ def reidemeister_torsion(
 
     # telescoped form over delta^+ delta only; must match the weighted sum
     alt = 0.0
-    for p in range(len(C.dims)):
-        d_up = C.delta(p)
-        g_here = C.gram[p] if explicit else None
-        g_up = (C.gram[p + 1] if p + 1 < len(C.dims) else None) if explicit else None
-        block = _unless_underflowed(gram_adjoint(d_up, g_here, g_up) @ d_up, d_up, f"degree {p}")
-        pd = pseudodet_of(hermitian_spectrum(block, g_here, kernel_tol=kernel_tol, vectors=False))
+    for p, (up, _, gram) in enumerate(blocks):
+        pd = pseudodet_of(hermitian_spectrum(up, gram, kernel_tol=kernel_tol, vectors=False))
         alt += (-1.0) ** p * 0.5 * pd.log_value
     if abs(log_scalar - alt) > _CONVENTION_CHECK_TOL * max(1.0, abs(log_scalar)):
         notes.append(

@@ -1,6 +1,10 @@
-"""Acceptance gate: one test per advertised guarantee, at the advertised
-tolerance.  Each test prints a single PASS/FAIL line (visible with -s or
-in the failure report) before asserting.
+"""Acceptance gate: one test per criterion of ``torsion suite``.
+
+Each test runs the suite's own criterion function and asserts its
+verdict, so the tests and the suite judge every criterion by the same
+bounds.  Each prints a single PASS/FAIL line (visible with -s or in the
+failure report) before asserting.  Criterion 2 also keeps an oracle the
+suite lacks: exact ranks from sympy.
 
 Criterion 4 is split: the torsion value of the k=1 character is checked
 as 4a, and the pairwise separation of the k=2,3,4 characters as 4b.  4b
@@ -11,86 +15,48 @@ here on purpose; see the suite output for the same verdict.
 """
 
 import json
-import math
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 import sympy
 
-from torsionlab import (
-    Cochain,
-    cohomology_dimensions,
-    pair_with_fundamental_class,
-    reidemeister_torsion,
-    twisted_cohomology_dimensions,
-    twisted_differential,
-    twisted_torsion,
-)
+from torsionlab import reidemeister_torsion, suite
 from torsionlab.builders import cycle, lens, simplex_boundary
 from torsionlab.chain_models import coboundary_matrices
-from torsionlab.circle_bundle import (
-    build_invariant_complex,
-    hopf,
-    random_bundle,
-    t_dualize,
-    verify_t_duality,
-)
 from torsionlab.serialize import canonical_bytes
 from torsionlab.workbench import emit, parse_report
+
+SUITE_GOLDEN = Path(__file__).resolve().parent / "golden" / "suite.json"
 
 
 def _line(ident: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {ident}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _hopf_grid():
-    return [
-        (f"hopf(1,{k},{r})", hopf(1, k, r))
-        for k in (1, 2, 3)
-        for r in (0.5, 1.0, 2.0, 3.0)
-    ]
-
-
-def _random_fleet():
-    return [
-        (f"random({seed})", random_bundle(seed, 3 + seed % 2)) for seed in range(100)
-    ]
+def _verdict(ident: str, outcome: tuple[bool, str, dict]) -> dict:
+    passed, detail, data = outcome
+    _line(ident, passed, detail)
+    assert passed, detail
+    return data
 
 
 @pytest.fixture(scope="module")
-def fleet_reports():
+def fleet():
     t0 = time.perf_counter()
-    reports = [
-        (name, b, verify_t_duality(b, tol=1e-8))
-        for name, b in _hopf_grid() + _random_fleet()
-    ]
-    return reports, time.perf_counter() - t0
+    bundles = suite.bundle_fleet()
+    reports, failures = suite.fleet_reports(bundles)
+    return bundles, reports, failures, time.perf_counter() - t0
 
 
 def test_criterion_01_square_zero():
     t0 = time.perf_counter()
-    for K in [cycle(n) for n in range(3, 9)] + [simplex_boundary(n) for n in (2, 3, 4)]:
-        C = coboundary_matrices(K)
-        for p in range(C.top - 1):
-            prod = C.delta(p + 1).real.astype(np.int64) @ C.delta(p).real.astype(np.int64)
-            assert not prod.any()  # exact integer zero
-    worst = 0.0
-    for _, b in _hopf_grid() + _random_fleet():
-        ic = build_invariant_complex(b)
-        worst = max(
-            worst,
-            float(np.linalg.norm(ic.d_odd @ ic.d_even)),
-            float(np.linalg.norm(ic.d_even @ ic.d_odd)),
-        )
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 5.0
-    _line("1", ok, f"max bundle residual {worst:.3e}, {elapsed:.2f}s")
-    assert worst <= 1e-12
-    assert elapsed < 5.0
+    _verdict("1", suite.criterion_1())
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_criterion_02_kernel_dimensions():
+    _verdict("2", suite.criterion_2())
     cases = (
         [coboundary_matrices(cycle(n)) for n in range(3, 9)]
         + [coboundary_matrices(simplex_boundary(n)) for n in (3, 4)]
@@ -112,23 +78,16 @@ def test_criterion_02_kernel_dimensions():
         )
         got = reidemeister_torsion(C).kernel_dims
         assert got == oracle  # exact integers on both sides
-    _line("2", True, f"{len(cases)} complexes, kernel dims all exact")
 
 
 def test_criterion_03_circle_torsion():
-    worst = 0.0
-    for n in range(3, 9):
-        tau = reidemeister_torsion(coboundary_matrices(cycle(n))).scalar
-        worst = max(worst, abs(tau - n) / n)
-    _line("3", worst <= 1e-9, f"max relative error {worst:.3e}")
-    assert worst <= 1e-9
+    _verdict("3", suite.criterion_3())
 
 
 def test_criterion_04a_lens_value():
-    expected = 4.0 * math.sin(math.pi / 5.0) ** 2
-    tau = reidemeister_torsion(lens(5, 1, 1)).scalar
-    rel = abs(tau - expected) / expected
-    _line("4a", rel <= 1e-9, f"lens(5,1,1) tau={tau!r}, rel {rel:.3e}")
+    data = suite.criterion_4()[2]
+    rel = data["value_rel_error"]
+    _line("4a", rel <= 1e-9, f"lens(5,1,1) relative error {rel:.3e} (bound 1e-9)")
     assert rel <= 1e-9
 
 
@@ -137,109 +96,34 @@ def test_criterion_04b_lens_characters_distinct():
     # so their coboundaries are complex conjugates with the same singular
     # values and the torsion scalars coincide exactly.  The separation
     # demanded here is not achievable by any spectrum-derived scalar.
-    scalars = {k: reidemeister_torsion(lens(5, 1, k)).scalar for k in (2, 3, 4)}
-    pairs = [(2, 3), (2, 4), (3, 4)]
-    coincident = [
-        (a, b)
-        for a, b in pairs
-        if abs(scalars[a] - scalars[b]) <= 1e-6 * max(abs(scalars[a]), 1.0)
-    ]
-    ok = not coincident
-    _line(
-        "4b",
-        ok,
-        f"scalars {scalars}; coincident pairs {coincident or 'none'}",
-    )
-    assert ok, (
-        f"torsion scalars for k=2,3,4 are not pairwise distinct: {scalars}; "
-        "conjugate characters give conjugate complexes with identical real "
-        "spectra, so no spectrum-derived scalar separates k from 5-k"
-    )
+    _, detail, data = suite.criterion_4()
+    coincident = data["equal_pairs"]
+    _line("4b", not coincident, f"scalars {data['values']}; coincident pairs {coincident}")
+    assert not coincident, detail
 
 
 def test_criterion_05_zero_flux_agreement():
-    worst = 0.0
-    for K in (cycle(3), simplex_boundary(3), simplex_boundary(4)):
-        C = coboundary_matrices(K)
-        a = reidemeister_torsion(C).log_scalar
-        b = twisted_torsion(twisted_differential(C, None)).log_scalar
-        worst = max(worst, abs(a - b) / max(abs(a), 1.0))
-    _line("5", worst <= 1e-10, f"max relative log gap {worst:.3e}")
-    assert worst <= 1e-10
+    _verdict("5", suite.criterion_5())
 
 
 def test_criterion_06_flux_scaling():
-    K = simplex_boundary(4)
-    C = coboundary_matrices(K)
-    ones = np.ones(K.n(3), dtype=np.complex128)
-    h = Cochain(degree=3, coefficients=ones)
-    base = twisted_torsion(twisted_differential(C, h))
-    base_pair = pair_with_fundamental_class(K, h)
-    worst = 0.0
-    for c in (2.0, -2.0, 0.5, -0.5, 3.0):
-        ch = Cochain(degree=3, coefficients=c * ones)
-        T = twisted_differential(C, ch)
-        elem = twisted_torsion(T)
-        worst = max(worst, abs(elem.scalar / base.scalar - abs(c)) / abs(c))
-        assert twisted_cohomology_dimensions(T) == (0, 0)
-        assert pair_with_fundamental_class(K, ch) == c * base_pair  # exact
-    _line("6", worst <= 1e-9, f"max relative ratio error {worst:.3e}")
-    assert worst <= 1e-9
+    _verdict("6", suite.criterion_6())
 
 
-def test_criterion_07_duality_inversion(fleet_reports):
-    reports, elapsed = fleet_reports
-    worst = max(abs(rep.product_log) for _, _, rep in reports)
-    hand = next(rep for name, _, rep in reports if name == "hopf(1,2,1.0)")
-    tau, dual = hand.torsion.scalar, hand.dual_torsion.scalar
-    ok = (
-        worst <= 1e-8
-        and abs(tau - 2.0) <= 2e-9
-        and abs(dual - 0.5) <= 0.5e-9
-        and elapsed < 10.0
-    )
-    _line(
-        "7",
-        ok,
-        f"max |log tau + log tau_dual| {worst:.3e} over {len(reports)} bundles, "
-        f"hopf(1,2,1) tau={tau!r} dual={dual!r}, {elapsed:.2f}s",
-    )
-    assert worst <= 1e-8
-    assert tau == pytest.approx(2.0, rel=1e-9)
-    assert dual == pytest.approx(0.5, rel=1e-9)
+def test_criterion_07_duality_inversion(fleet):
+    _, reports, failures, elapsed = fleet
+    _verdict("7", suite.criterion_7(reports, failures))
     assert elapsed < 10.0
 
 
-def test_criterion_08_duality_map_contracts(fleet_reports):
-    reports, _ = fleet_reports
-    inter = max(rep.intertwining_residual for _, _, rep in reports)
-    isom = max(rep.isometry_residual for _, _, rep in reports)
-    inv = max(rep.inverse_residual for _, _, rep in reports)
-    transport = max(rep.spectral_transport_residual for _, _, rep in reports)
-    ok = max(inter, isom, inv) <= 1e-12 and transport <= 1e-10
-    _line(
-        "8",
-        ok,
-        f"intertwining {inter:.3e}, isometry {isom:.3e}, inverse {inv:.3e}, "
-        f"transport {transport:.3e}",
-    )
-    assert inter <= 1e-12
-    assert isom <= 1e-12
-    assert inv <= 1e-12
-    assert transport <= 1e-10
+def test_criterion_08_duality_map_contracts(fleet):
+    _, reports, failures, _ = fleet
+    _verdict("8", suite.criterion_8(reports, failures))
 
 
-def test_criterion_09_involution(fleet_reports):
-    reports, _ = fleet_reports
-    for name, b, rep in reports:
-        dd = t_dualize(t_dualize(b))
-        assert dd.base is b.base
-        assert dd.radius == b.radius  # bit-exact through the cache
-        for x, y in zip(dd.f_op + dd.h2_op + dd.h3_op, b.f_op + b.h2_op + b.h3_op):
-            assert np.array_equal(x, y)
-        even, odd, dual_even, dual_odd = rep.cohomology_dims
-        assert (even, odd) == (dual_odd, dual_even), name
-    _line("9", True, f"double dual bit-exact on {len(reports)} bundles")
+def test_criterion_09_involution(fleet):
+    bundles, reports, _, _ = fleet
+    _verdict("9", suite.criterion_9(bundles, reports))
 
 
 def test_criterion_10_suite_determinism():
@@ -258,6 +142,7 @@ def test_criterion_10_suite_determinism():
         f"byte-identical {b1 == b2}, round trip {round_trip == first}, "
         f"two runs in {elapsed:.2f}s",
     )
+    assert b1 == SUITE_GOLDEN.read_bytes()
     assert b1 == b2
     assert round_trip == first
     assert canonical_bytes(round_trip.to_json()) == b1

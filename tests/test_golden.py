@@ -1,4 +1,6 @@
-"""Golden outputs: the canonical report.v1 bytes of a fixed command matrix.
+"""Golden outputs: the canonical report.v1 bytes of a fixed command matrix,
+plus ``torsion suite --format json`` in ``suite.json`` (which
+``test_criterion_10_suite_determinism`` compares its first run against).
 
 A refactor must leave every one of these byte-identical.  A change that
 moves a number on purpose re-records them and says why in CHANGES.md:
@@ -19,9 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from torsionlab.suite import run_suite
 from torsionlab.workbench import RunOptions, emit, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SUITE = GOLDEN / "suite.json"
 
 _BUNDLES = [
     ("hopf(2,-0.5,1.5)", RunOptions()),
@@ -84,7 +88,7 @@ def test_report_bytes_match_golden(command, model, options):
 
 def test_golden_directory_has_no_strays():
     recorded = {p.name for p in GOLDEN.glob("*.json")}
-    assert recorded == {case_name(*case) for case in CASES}
+    assert recorded == {case_name(*case) for case in CASES} | {SUITE.name}
 
 
 DRIFT_TOL = 1e-12
@@ -145,6 +149,7 @@ def test_recorder_accepts_roundoff_and_refuses_the_rest():
 def record() -> int:
     GOLDEN.mkdir(exist_ok=True)
     fresh = {case_name(*case): render(*case) for case in CASES}
+    fresh[SUITE.name] = emit(run_suite(), "json")
     refused = False
     for name, payload in fresh.items():
         target = GOLDEN / name
@@ -164,7 +169,7 @@ def record() -> int:
         return 1
     for name, payload in fresh.items():
         (GOLDEN / name).write_bytes(payload)
-    print(f"recorded {len(CASES)} golden reports in {GOLDEN}")
+    print(f"recorded {len(fresh)} golden reports in {GOLDEN}")
     return 0
 
 

@@ -48,6 +48,22 @@ def test_matrix_shape_enforced():
         matrix_from_json(rows, (3, 3))
     with pytest.raises(ParseError, match="malformed"):
         matrix_from_json([[1.0], [[2.0, "x"]]])
+    with pytest.raises(ParseError, match=r"shape \(0, 2\), expected \(1, 2\)"):
+        matrix_from_json([], (1, 2))
+    with pytest.raises(ParseError, match=r"shape \(2, 0\), expected \(2, 1\)"):
+        matrix_from_json([[], []], (2, 1))
+    assert matrix_from_json([[], []], (2, 0)).shape == (2, 0)
+    assert matrix_from_json([]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("field", ["coboundary", "gram"])
+def test_empty_matrix_for_a_nonempty_block_is_refused(field):
+    # read as a zero block, [] would make a 1x1 coboundary 0 and the kernel (1, 1)
+    payload = {"schema": COMPLEX_SCHEMA, "kind": "cochain", "dims": [1, 1],
+               "coboundary": [[[[1.0, 0.0]]]], "gram": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+    payload[field][0] = []
+    with pytest.raises(ParseError, match=r"matrix has shape \(0, 1\), expected \(1, 1\)"):
+        decode_model(payload)
 
 
 def test_simplicial_round_trip_preserves_torsion_inputs():

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import sympy
 
-from torsionlab import hermitian_spectrum, pseudodet
+from torsionlab import hermitian_spectrum
 from torsionlab.builders import cycle
 from torsionlab.chain_models import coboundary_matrices, signed_incidence
 from torsionlab.errors import (
@@ -26,7 +26,6 @@ from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
     default_kernel_tol,
-    harmonic_basis,
     harmonic_basis_of,
     pseudodet_of,
 )
@@ -118,28 +117,28 @@ def test_clean_spectrum_has_no_warning():
     A = np.diag([0.0, 1.0, 2.0]).astype(np.complex128)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pd = pseudodet(A)
+        pd = pseudodet_of(hermitian_spectrum(A))
     assert not caught
     assert pd.warnings == ()
     assert pd.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_pseudodet_empty_matrix_is_one():
-    pd = pseudodet(np.zeros((0, 0), dtype=np.complex128))
+    pd = pseudodet_of(hermitian_spectrum(np.zeros((0, 0), dtype=np.complex128)))
     assert pd.log_value == 0.0
     assert pd.value == 1.0
     assert pd.kernel_dim == 0
 
 
 def test_pseudodet_zero_matrix_is_one():
-    pd = pseudodet(np.zeros((3, 3), dtype=np.complex128))
+    pd = pseudodet_of(hermitian_spectrum(np.zeros((3, 3), dtype=np.complex128)))
     assert pd.value == 1.0
     assert pd.kernel_dim == 3
 
 
 def test_negative_eigenvalue_rejected():
     with pytest.raises(NegativeEigenvalue):
-        pseudodet(np.diag([-1.0, 1.0]).astype(np.complex128))
+        pseudodet_of(hermitian_spectrum(np.diag([-1.0, 1.0]).astype(np.complex128)))
 
 
 def test_non_hermitian_rejected():
@@ -162,11 +161,19 @@ def test_indefinite_gram_rejected():
         hermitian_spectrum(A, G)
 
 
+def test_gram_checked_by_the_solver_too():
+    A = np.eye(2)
+    with pytest.raises(GramNotPositive, match="gram is not Hermitian"):
+        hermitian_spectrum(A, np.array([[1.0, 8e-13], [-8e-13, 1.0]]))
+    with pytest.raises(GramNotPositive, match=r"gram has shape \(3, 3\), expected \(2, 2\)"):
+        hermitian_spectrum(A, np.eye(3))
+
+
 def test_harmonic_basis_spans_kernel():
     C = coboundary_matrices(cycle(4))
     d0 = C.delta(0)
     lap = (d0.conj().T @ d0).astype(np.complex128)
-    hb = harmonic_basis(lap, label="H^0")
+    hb = harmonic_basis_of(hermitian_spectrum(lap), label="H^0")
     assert hb.dimension == 1
     assert hb.label == "H^0"
     # kernel of the vertex Laplacian is the constants
