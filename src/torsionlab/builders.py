@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from .chain_models import GradedCochainComplex, SimplicialComplex, build_simplicial
-from .circle_bundle import hopf, random_bundle
+from .circle_bundle import hopf, minimal_model, random_bundle
 from .errors import UnknownBuilder, ValidationError
 
 __all__ = [
@@ -53,9 +53,7 @@ def minimal_sphere(n: int) -> GradedCochainComplex:
     """Minimal cochain model of the n-sphere: one class in degrees 0 and n."""
     if n < 1:
         raise ValidationError(f"sphere dimension must be >= 1, got {n}")
-    dims = tuple(1 if p in (0, n) else 0 for p in range(n + 1))
-    cob = tuple(np.zeros((dims[p + 1], dims[p])) for p in range(n))
-    return GradedCochainComplex(dims=dims, coboundary=cob)
+    return minimal_model(1 if p in (0, n) else 0 for p in range(n + 1))
 
 
 def lens(p: int, q: int, k: int) -> GradedCochainComplex:

@@ -25,7 +25,7 @@ still scale a square out of range; ``torsion_engine`` refuses that).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -402,13 +402,7 @@ class GradedCochainComplex:
         return self.coboundary[p]
 
     def with_gram(self, gram: Sequence[np.ndarray]) -> "GradedCochainComplex":
-        return GradedCochainComplex(
-            dims=self.dims,
-            coboundary=self.coboundary,
-            gram=tuple(gram),
-            simplicial=self.simplicial,
-            local_rank=self.local_rank,
-        )
+        return replace(self, gram=tuple(gram))
 
 
 def signed_incidence(K: SimplicialComplex, p: int) -> np.ndarray:
@@ -518,19 +512,9 @@ def cup(a: Cochain, b: Cochain, K: SimplicialComplex) -> Cochain:
     commutative.  When p+q exceeds the dimension of K the zero cochain is
     returned; that is the documented overflow behavior, not an error.
     """
-    _check_cochain_on(K, a)
+    op = cup_operator(K, a, b.degree)
     _check_cochain_on(K, b)
-    p, q = a.degree, b.degree
-    d = p + q
-    if d > K.dim:
-        return Cochain(degree=d, coefficients=np.zeros(0))
-    av, bv = a.coefficients, b.coefficients
-    out = np.zeros(K.n(d), dtype=np.result_type(av, bv))
-    for r, simplex in enumerate(K.simplices[d]):
-        front = simplex[:p + 1]
-        back = simplex[p:]
-        out[r] = av[K.index(p, front)] * bv[K.index(q, back)]
-    return Cochain(degree=d, coefficients=out)
+    return Cochain(a.degree + b.degree, op @ b.coefficients)
 
 
 def cup_operator(K: SimplicialComplex, h: Cochain, q: int) -> np.ndarray:
@@ -697,8 +681,6 @@ def _unit_cup_operator(dims: Sequence[int], h: Cochain, q: int) -> np.ndarray | 
 def twisted_differential(
     source: SimplicialComplex | GradedCochainComplex,
     flux=None,
-    *,
-    tol: float = _SQUARE_ZERO_TOL,
 ) -> TwistedComplex:
     """Deform the coboundary by odd-degree flux and fold to Z2 grading.
 
@@ -741,7 +723,7 @@ def twisted_differential(
     # closedness of each homogeneous component
     for h in nontrivial:
         resid = _norm(C.delta(h.degree) @ h.coefficients)
-        if resid > tol * max(1.0, h.norm):
+        if resid > _SQUARE_ZERO_TOL * max(1.0, h.norm):
             raise FluxNotClosed(f"degree-{h.degree} flux is not closed (residual {resid:.3e})")
 
     # cup-square: for minimal models this vanishes identically, since the
@@ -750,7 +732,7 @@ def twisted_differential(
         for ha in nontrivial:
             for hb in nontrivial:
                 sq = cup(ha, hb, K)
-                if _norm(sq.coefficients) > tol * max(1.0, ha.norm * hb.norm):
+                if _norm(sq.coefficients) > _SQUARE_ZERO_TOL * max(1.0, ha.norm * hb.norm):
                     raise FluxNotNilpotent(
                         f"flux cup square in degree {sq.degree} has norm "
                         f"{_norm(sq.coefficients):.3e}"

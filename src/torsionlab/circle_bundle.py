@@ -21,13 +21,14 @@ and its dual multiply to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .chain_models import (
     _SQUARE_ZERO_TOL,
+    _norm,
     GradedCochainComplex,
     TwistedComplex,
     assemble_shift_blocks,
@@ -63,6 +64,11 @@ __all__ = [
     "hopf",
     "random_bundle",
 ]
+
+_EPS = float(np.finfo(np.float64).eps)
+# |log tau + log tau_dual| above this is a DualityViolation
+DUALITY_TOL = 1e-8
+
 
 def _normalize_ops(
     dims: Sequence[int],
@@ -112,7 +118,8 @@ class BundleData:
     """Operator-valued circle-bundle model over a finite base complex.
 
     ``radius_inverse`` caches the exact inverse radius so that double
-    dualization is bit-exact; it is bookkeeping, not independent data.
+    dualization is bit-exact; it is bookkeeping, not independent data, so
+    a value that is not 1/radius up to roundoff is refused.
     """
 
     base: GradedCochainComplex
@@ -133,6 +140,9 @@ class BundleData:
         if not (math.isfinite(r) and r > 0):
             raise ValidationError(f"fiber radius must be positive, got {self.radius}")
         object.__setattr__(self, "radius", r)
+        inv = self.radius_inverse
+        if inv is not None and not abs(r * inv - 1.0) <= 4 * _EPS:  # NaN fails too
+            raise ValidationError(f"radius_inverse {inv!r} is not the inverse of radius {r!r}")
 
     @property
     def inverse_radius(self) -> float:
@@ -145,8 +155,6 @@ class InvariantComplex(TwistedComplex):
 
     base_even_dim: int
     base_odd_dim: int
-    radius: float
-    bundle: BundleData = field(repr=False)
 
 
 def minimal_model(
@@ -182,19 +190,15 @@ def _closure_residuals(blocks: dict[str, np.ndarray]) -> dict[str, float]:
     b_eo, b_oe = blocks["b_eo"], blocks["b_oe"]
     f_ee, f_oo = blocks["f_ee"], blocks["f_oo"]
     h2_ee, h2_oo = blocks["h2_ee"], blocks["h2_oo"]
-
-    def nrm(x):
-        return float(np.linalg.norm(x)) if x.size else 0.0
-
     return {
-        "dH3^2 + F.H2 (even source)": nrm(b_oe @ b_eo + f_ee @ h2_ee),
-        "dH3^2 + H2.F (even source)": nrm(b_oe @ b_eo + h2_ee @ f_ee),
-        "dH3^2 + F.H2 (odd source)": nrm(b_eo @ b_oe + f_oo @ h2_oo),
-        "dH3^2 + H2.F (odd source)": nrm(b_eo @ b_oe + h2_oo @ f_oo),
-        "[dH3, F] (even source)": nrm(b_eo @ f_ee - f_oo @ b_eo),
-        "[dH3, F] (odd source)": nrm(b_oe @ f_oo - f_ee @ b_oe),
-        "[H2, dH3] (even source)": nrm(h2_oo @ b_eo - b_eo @ h2_ee),
-        "[H2, dH3] (odd source)": nrm(h2_ee @ b_oe - b_oe @ h2_oo),
+        "dH3^2 + F.H2 (even source)": _norm(b_oe @ b_eo + f_ee @ h2_ee),
+        "dH3^2 + H2.F (even source)": _norm(b_oe @ b_eo + h2_ee @ f_ee),
+        "dH3^2 + F.H2 (odd source)": _norm(b_eo @ b_oe + f_oo @ h2_oo),
+        "dH3^2 + H2.F (odd source)": _norm(b_eo @ b_oe + h2_oo @ f_oo),
+        "[dH3, F] (even source)": _norm(b_eo @ f_ee - f_oo @ b_eo),
+        "[dH3, F] (odd source)": _norm(b_oe @ f_oo - f_ee @ b_oe),
+        "[H2, dH3] (even source)": _norm(h2_oo @ b_eo - b_eo @ h2_ee),
+        "[H2, dH3] (odd source)": _norm(h2_ee @ b_oe - b_oe @ h2_oo),
     }
 
 
@@ -234,12 +238,10 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
             gram_odd=np.block([[go, z.T], [z, ge]]),
             base_even_dim=e,
             base_odd_dim=o,
-            radius=r,
-            bundle=b,
         )
     except FluxNotNilpotent:
         # the bound of the square-zero check in TwistedComplex that failed
-        scale = 1.0 + float(np.linalg.norm(d_even)) * float(np.linalg.norm(d_odd))
+        scale = 1.0 + _norm(d_even) * _norm(d_odd)
         bound = _SQUARE_ZERO_TOL * scale
         failing = {
             name: resid
@@ -263,13 +265,8 @@ def invariant_twisted_torsion(
 
 def t_dualize(b: BundleData) -> BundleData:
     """Swap curvature with H2 and invert the radius; an exact involution."""
-    dual = BundleData(
-        base=b.base,
-        f_op=b.h2_op,
-        h2_op=b.f_op,
-        h3_op=b.h3_op,
-        radius=b.inverse_radius,
-        radius_inverse=b.radius,
+    dual = replace(
+        b, f_op=b.h2_op, h2_op=b.f_op, radius=b.inverse_radius, radius_inverse=b.radius
     )
     build_invariant_complex(dual)  # cannot fail for valid input; asserted
     return dual
@@ -380,7 +377,7 @@ def verify_t_duality(
     b: BundleData,
     *,
     kernel_tol: float | None = None,
-    tol: float = 1e-8,
+    tol: float = DUALITY_TOL,
 ) -> DualityReport:
     """Check the torsion-inversion theorem on one bundle model.
 
@@ -538,14 +535,7 @@ def gram_scale_path(
         s = 1.0 + (factor - 1.0) * t
         grams = [b.base.gram_at(q) for q in range(len(dims))]
         grams[degree] = s * grams[degree]
-        return BundleData(
-            base=b.base.with_gram(grams),
-            f_op=b.f_op,
-            h2_op=b.h2_op,
-            h3_op=b.h3_op,
-            radius=b.radius,
-            radius_inverse=b.radius_inverse,
-        )
+        return replace(b, base=b.base.with_gram(grams))
 
     return at
 

@@ -12,7 +12,10 @@ of a Z2-graded complex is the parity-split analogue,
 
     log tau = (1/2) log pdet(D_even^+ D_even) - (1/2) log pdet(D_odd^+ D_odd),
 
-with adjoints taken against the parity Grams.  Harmonic bases of the
+with adjoints taken against the parity Grams.  One block builder serves
+both: a graded complex is a chain of spaces (its degrees) and a Z2-graded
+one a cycle of two (its parities), and each adjoint and each product
+d^+ d, d d^+ is formed once per call.  Harmonic bases of the
 Laplacians ride along on the returned element, and kernel dimensions
 double as cohomology dimensions (checked against rank-nullity in the
 test suite).  Only the Laplacian solves compute eigenvectors; the
@@ -49,6 +52,7 @@ REIDEMEISTER_TAG = "p-weighted-v1"
 TWISTED_TAG = "parity-split-v1"
 _CONVENTION_CHECK_TOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +72,12 @@ class TorsionElement:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.log_scalar):
-            raise ValueError(f"torsion log-scalar is not finite: {self.log_scalar}")
+        # past log(float max), tau or 1/tau would read inf; NaN fails too
+        if not abs(self.log_scalar) <= _LOG_MAX:
+            raise ValidationError(
+                f"torsion log-scalar {self.log_scalar!r} is outside "
+                f"[-{_LOG_MAX:.2f}, {_LOG_MAX:.2f}]; tau is not a float64"
+            )
 
     @property
     def scalar(self) -> float:
@@ -123,25 +131,32 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
     return square
 
 
-def _degree_blocks(C: GradedCochainComplex) -> list[tuple]:
-    """Per degree p: (delta_p^+ delta_p, the Laplacian Delta_p, the Gram or
-    None without explicit Grams).  Each product is built, and refused if
-    it underflowed, once for both torsion sums."""
-    explicit = C.gram is not None
+def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
+    """(dims, maps, grams, labels, cyclic): maps[p] leaves space p for
+    space p + 1 and, when cyclic, maps[-1] enters space 0.  The spaces
+    are the degrees (Grams None without explicit Grams) or the parities."""
+    if isinstance(C, TwistedComplex):
+        labels = ("d_even (even parity)", "d_odd (odd parity)")
+        return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), (C.gram_even, C.gram_odd), labels, True
+    n = len(C.dims)
+    labels = tuple(f"degree {p}" for p in range(n))
+    return C.dims, [C.delta(p) for p in range(n)], C.gram or (None,) * n, labels, False
+
+
+def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
+    """Per space p: (d_p^+ d_p, the Laplacian, the Gram or None).  Each
+    adjoint and each product is built, and refused if it underflowed,
+    once for both torsion sums."""
+    dims, maps, grams, labels, cyclic = _spaces(C)
+    k = len(dims)
+    adj = [gram_adjoint(d, grams[p], grams[(p + 1) % k] if cyclic or p + 1 < k else None)
+           for p, d in enumerate(maps)]
     out = []
-    for p in range(len(C.dims)):
-        g_here = C.gram[p] if explicit else None
-        d_up = C.delta(p)
-        g_up = (C.gram[p + 1] if p + 1 < len(C.dims) else None) if explicit else None
-        up = _unless_underflowed(gram_adjoint(d_up, g_here, g_up) @ d_up, d_up, f"degree {p}")
-        lap = up
-        if p > 0:
-            d_down = C.delta(p - 1)
-            g_down = C.gram[p - 1] if explicit else None
-            lap = up + _unless_underflowed(
-                d_down @ gram_adjoint(d_down, g_down, g_here), d_down, f"degree {p - 1}"
-            )
-        out.append((up, lap, g_here))
+    for p, d in enumerate(maps):
+        lap = up = _unless_underflowed(adj[p] @ d, d, labels[p])
+        if p > 0 or cyclic:
+            lap = up + _unless_underflowed(maps[p - 1] @ adj[p - 1], maps[p - 1], labels[p - 1])
+        out.append((up, lap, grams[p]))
     return out
 
 
@@ -150,7 +165,7 @@ def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
     returned as (matrix, gram) pairs in degree order."""
     return [
         (lap, np.eye(n) if gram is None else gram)
-        for n, (_, lap, gram) in zip(C.dims, _degree_blocks(C))
+        for n, (_, lap, gram) in zip(C.dims, _blocks(C))
     ]
 
 
@@ -160,7 +175,7 @@ def reidemeister_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Degree-weighted torsion scalar with harmonic bases per degree."""
-    blocks = _degree_blocks(C)
+    blocks = _blocks(C)
     notes: list[str] = []
 
     log_scalar = 0.0
@@ -199,18 +214,11 @@ def twisted_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Parity-split torsion of a Z2-graded complex."""
-    ge, go = T.gram_even, T.gram_odd
-    de_adj = gram_adjoint(T.d_even, ge, go)
-    do_adj = gram_adjoint(T.d_odd, go, ge)
-    sq_even = _unless_underflowed(de_adj @ T.d_even, T.d_even, "d_even (even parity)")
-    sq_odd = _unless_underflowed(do_adj @ T.d_odd, T.d_odd, "d_odd (odd parity)")
-
+    (sq_even, lap_even, ge), (sq_odd, lap_odd, go) = _blocks(T)
     pd_even = pseudodet_of(hermitian_spectrum(sq_even, ge, kernel_tol=kernel_tol, vectors=False))
     pd_odd = pseudodet_of(hermitian_spectrum(sq_odd, go, kernel_tol=kernel_tol, vectors=False))
     log_scalar = 0.5 * pd_even.log_value - 0.5 * pd_odd.log_value
 
-    lap_even = sq_even + _unless_underflowed(T.d_odd @ do_adj, T.d_odd, "d_odd (odd parity)")
-    lap_odd = sq_odd + _unless_underflowed(T.d_even @ de_adj, T.d_even, "d_even (even parity)")
     dec_even = hermitian_spectrum(lap_even, ge, kernel_tol=kernel_tol)
     dec_odd = hermitian_spectrum(lap_odd, go, kernel_tol=kernel_tol)
 
@@ -227,26 +235,22 @@ def twisted_torsion(
     )
 
 
-def cohomology_dimensions(C: GradedCochainComplex) -> tuple[int, ...]:
-    """Betti numbers by rank-nullity: dim ker delta_p - rank delta_{p-1}.
+def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
+    """dim - rank of the map out - rank of the map in, per space.
+    Independent of the spectral route; ranks come from SVD."""
+    dims, maps, _, _, cyclic = _spaces(C)
+    ranks = [int(np.linalg.matrix_rank(d)) if d.size else 0 for d in maps]
+    return tuple(
+        n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0) for p, n in enumerate(dims)
+    )
 
-    Independent of the spectral route; ranks come from SVD.
-    """
-    ranks = [int(np.linalg.matrix_rank(C.delta(p))) if C.delta(p).size else 0
-             for p in range(len(C.dims))]
-    out = []
-    for p in range(len(C.dims)):
-        below = ranks[p - 1] if p > 0 else 0
-        out.append(C.dims[p] - ranks[p] - below)
-    return tuple(out)
+
+def cohomology_dimensions(C: GradedCochainComplex) -> tuple[int, ...]:
+    """Betti numbers by rank-nullity: dim ker delta_p - rank delta_{p-1}."""
+    return _rank_nullity(C)
 
 
 def twisted_cohomology_dimensions(T: TwistedComplex) -> tuple[int, int]:
     """(even, odd) cohomology dimensions of a Z2-graded complex by
     rank-nullity."""
-    rank_even = int(np.linalg.matrix_rank(T.d_even)) if T.d_even.size else 0
-    rank_odd = int(np.linalg.matrix_rank(T.d_odd)) if T.d_odd.size else 0
-    return (
-        T.even_dim - rank_even - rank_odd,
-        T.odd_dim - rank_odd - rank_even,
-    )
+    return _rank_nullity(T)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .chain_models import (
     twisted_differential,
 )
 from .circle_bundle import (
+    DUALITY_TOL,
     BundleData,
     build_invariant_complex,
     deformation_experiment,
@@ -77,7 +78,6 @@ class RunOptions:
     kernel_tol: float | None = None
     seed: int | None = None
     steps: int = 8
-    duality_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -160,13 +160,7 @@ def load_bundle(text: str, options: RunOptions | None = None) -> BundleData:
     if not isinstance(bundle, BundleData):
         raise ValidationError(f"{text} does not contain bundle data")
     if options.radius is not None:
-        bundle = BundleData(
-            base=bundle.base,
-            f_op=bundle.f_op,
-            h2_op=bundle.h2_op,
-            h3_op=bundle.h3_op,
-            radius=options.radius,
-        )
+        bundle = replace(bundle, radius=options.radius, radius_inverse=None)
     return bundle
 
 
@@ -287,13 +281,11 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
         warnings = ()
     elif command == "verify-duality":
         bundle = load_bundle(model, options)
-        rep = verify_t_duality(
-            bundle, kernel_tol=options.kernel_tol, tol=options.duality_tol
-        )
+        rep = verify_t_duality(bundle, kernel_tol=options.kernel_tol)
         result = {
             **rep.to_json(),
-            "tolerance": options.duality_tol,
-            "passed": abs(rep.product_log) <= options.duality_tol,
+            "tolerance": DUALITY_TOL,
+            "passed": abs(rep.product_log) <= DUALITY_TOL,
             "model_digest": _digest_of_model(bundle),
         }
         convention = rep.torsion.convention_tag

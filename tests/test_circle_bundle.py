@@ -257,6 +257,16 @@ def test_radius_must_be_positive_and_finite():
             BundleData(base=base, f_op=None, h2_op=None, h3_op=None, radius=r)
 
 
+@pytest.mark.parametrize("inverse", [3.0, 0.0, -1.0, -0.5, float("inf"), float("nan")])
+def test_inconsistent_radius_inverse_is_refused(inverse):
+    # radius_inverse=3 with radius 2 once gave tau = 4/3 instead of 8
+    b = hopf(1, 2, 2)
+    with pytest.raises(ValidationError, match="radius_inverse"):
+        BundleData(b.base, b.f_op, b.h2_op, b.h3_op, radius=2.0, radius_inverse=inverse)
+    ok = BundleData(b.base, b.f_op, b.h2_op, b.h3_op, radius=2.0, radius_inverse=0.5)
+    assert invariant_twisted_torsion(ok).scalar == pytest.approx(8.0, rel=1e-12)
+
+
 def test_base_must_be_graded_complex():
     with pytest.raises(ValidationError):
         BundleData(base=object(), f_op=None, h2_op=None, h3_op=None, radius=1.0)

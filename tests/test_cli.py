@@ -182,6 +182,22 @@ def test_grams_that_underflow_the_laplacian_are_refused(capsys, tmp_path):
     assert "underflowed float64" in line
 
 
+@pytest.mark.parametrize("command", ["reidemeister", "twisted"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_torsion_beyond_float64_is_refused(command, fmt, capsys, tmp_path):
+    # every entry is in range, but log tau = 3 log 1e150 = 1036.16 > log(float max)
+    path = tmp_path / "model.json"
+    rows = [[[1e150 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps(
+        {"schema": "complex.v1", "kind": "cochain", "dims": [3, 3], "coboundary": [rows]}
+    ))
+    assert main([command, str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = _error_lines(captured.err)
+    assert "torsion log-scalar 1036.16" in line
+
+
 @pytest.mark.parametrize("entry", [1e150, 1e-150])
 def test_coboundary_at_the_range_ends_gives_log_modulus(entry, capsys, tmp_path):
     path = _write_one_by_one(tmp_path / "model.json", entry)

@@ -28,7 +28,7 @@ from torsionlab import (
 )
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
 from torsionlab.errors import ValidationError
-from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG
+from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement
 
 
 def _cycle_pseudodet_oracle(n: int) -> float:
@@ -336,3 +336,38 @@ def test_twisted_grams_that_underflow_the_laplacian_are_refused():
     )
     with pytest.raises(ValidationError, match=r"d_even \(even parity\): .* underflowed"):
         twisted_torsion(T)
+
+
+def test_underflow_in_the_down_term_is_refused():
+    # delta^+ delta = 2 * 1e-300 * 1.5e-8 is still normal, but each entry
+    # of delta delta^+ = 1e-300 * 1.5e-8 lies below the normal range
+    column = np.array([[1e-150], [1e-150]])
+    small = 1.5e-8 * np.eye(2)
+    C = GradedCochainComplex(dims=(1, 2), coboundary=(column,), gram=(np.eye(1), small))
+    with pytest.raises(ValidationError, match="degree 0: .* underflowed"):
+        reidemeister_torsion(C)
+    T = TwistedComplex(
+        even_dim=1,
+        odd_dim=2,
+        d_even=column,
+        d_odd=np.zeros((1, 2)),
+        gram_even=np.eye(1),
+        gram_odd=small,
+    )
+    with pytest.raises(ValidationError, match=r"d_even \(even parity\): .* underflowed"):
+        twisted_torsion(T)
+
+
+@pytest.mark.parametrize("log_scalar", [710.0, -710.0, math.inf, math.nan])
+def test_torsion_element_outside_float64_is_refused(log_scalar):
+    with pytest.raises(ValidationError, match="torsion log-scalar"):
+        TorsionElement(log_scalar, (), REIDEMEISTER_TAG, ())
+    assert TorsionElement(-709.0, (), REIDEMEISTER_TAG, ()).inverse_scalar < math.inf
+
+
+def test_torsion_beyond_float64_is_refused():
+    C = GradedCochainComplex(dims=(3, 3), coboundary=(1e150 * np.eye(3),))
+    with pytest.raises(ValidationError, match="torsion log-scalar 1036.16"):
+        reidemeister_torsion(C)
+    with pytest.raises(ValidationError, match="torsion log-scalar 1036.16"):
+        twisted_torsion(twisted_differential(C))
