@@ -57,7 +57,6 @@ from .errors import (
     ParseError,
     PathInvalid,
     ShapeMismatch,
-    SpectralGapWarning,
     TorsionLabError,
     UnknownBuilder,
     ValidationError,
@@ -148,7 +147,6 @@ __all__ = [
     "NotHermitian",
     "GramNotPositive",
     "NegativeEigenvalue",
-    "SpectralGapWarning",
     "NonFlatLocalSystem",
     "FluxError",
     "FluxHasDegreeOne",

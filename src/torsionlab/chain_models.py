@@ -3,7 +3,9 @@
 Combinatorial layer of the package: simplicial complexes closed under
 faces, signed-incidence coboundaries (optionally twisted by a unitary
 local system), Alexander-Whitney cup products, flux-twisted Z2-graded
-differentials, and evaluation against a fundamental class.
+differentials, and evaluation against a fundamental class.  ``fold`` is
+the one owner of the Z2 parity layout: twisted differentials and the
+invariant complexes of ``circle_bundle`` are both assembled from it.
 
 Conventions
 -----------
@@ -58,9 +60,7 @@ __all__ = [
     "cup_operator",
     "twisted_differential",
     "pair_with_fundamental_class",
-    "parity_degrees",
-    "assemble_shift_blocks",
-    "parity_gram",
+    "fold",
 ]
 
 _SQUARE_ZERO_TOL = 1e-12
@@ -161,11 +161,11 @@ class SimplicialComplex:
 def _normalize_simplex(raw: Iterable[int]) -> tuple[int, ...]:
     verts = tuple(int(v) for v in raw)
     if not verts:
-        raise ValueError("empty simplex")
+        raise ValidationError("empty simplex")
     if any(v < 0 for v in verts):
-        raise ValueError(f"negative vertex id in {verts}")
+        raise ValidationError(f"negative vertex id in {verts}")
     if len(set(verts)) != len(verts):
-        raise ValueError(f"repeated vertex in simplex {verts}")
+        raise ValidationError(f"repeated vertex in simplex {verts}")
     return tuple(sorted(verts))
 
 
@@ -191,7 +191,7 @@ def build_simplicial(
     """
     tops = [_normalize_simplex(t) for t in top_simplices]
     if not tops:
-        raise ValueError("need at least one top simplex")
+        raise ValidationError("need at least one top simplex")
     seen: set[tuple[int, ...]] = set()
     for t in tops:
         if t in seen:
@@ -558,58 +558,38 @@ def pair_with_fundamental_class(K: SimplicialComplex, h: Cochain):
 # Z2-graded assembly and twisted differentials
 # ---------------------------------------------------------------------------
 
-def parity_degrees(n_degrees: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Degrees of each parity, as (evens, odds)."""
-    return tuple(range(0, n_degrees, 2)), tuple(range(1, n_degrees, 2))
-
-
-def _offsets(dims: Sequence[int], degrees: Sequence[int]) -> dict[int, int]:
-    out, acc = {}, 0
-    for q in degrees:
-        out[q] = acc
-        acc += dims[q]
-    return out
-
-
-def assemble_shift_blocks(
+def fold(
     dims: Sequence[int],
-    ops: Mapping[int, np.ndarray],
+    ops: Sequence[np.ndarray],
     shift: int,
-    source_parity: int,
-) -> np.ndarray:
-    """Assemble a degree-homogeneous operator on one parity block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lay a degree-homogeneous operator family out on the Z2 grading.
 
     ``ops[q]`` maps degree q to degree q+shift and must have shape
-    (dims[q+shift], dims[q]).  The result maps the direct sum of the
-    source-parity degrees to the direct sum of the degrees of parity
-    (source_parity + shift) mod 2, both ordered by increasing degree.
+    (dims[q+shift], dims[q]); blocks whose target lies past the top
+    degree are skipped.  Returns (from_even, from_odd): the operator on
+    the direct sum of the even degrees and on that of the odd degrees,
+    each into the degrees of the shifted parity, every direct sum ordered
+    by increasing degree.  This is the one place the parity layout is
+    computed.
     """
-    evens, odds = parity_degrees(len(dims))
-    src = evens if source_parity % 2 == 0 else odds
-    tgt = evens if (source_parity + shift) % 2 == 0 else odds
-    src_off = _offsets(dims, src)
-    tgt_off = _offsets(dims, tgt)
-    rows = sum(dims[q] for q in tgt)
-    cols = sum(dims[q] for q in src)
-    out = np.zeros((rows, cols), dtype=np.result_type(np.float64, *ops.values()))
-    for q, block in ops.items():
-        tq = q + shift
-        if q not in src_off or tq not in tgt_off:
+    offset, size = [], [0, 0]
+    for q, n in enumerate(dims):
+        offset.append(size[q % 2])
+        size[q % 2] += n
+    dtype = np.result_type(np.float64, *ops)
+    out = tuple(np.zeros((size[(s + shift) % 2], size[s]), dtype=dtype) for s in (0, 1))
+    for q, block in enumerate(ops):
+        t = q + shift
+        if t >= len(dims):
             continue
-        b = np.asarray(block)
-        if b.shape != (dims[tq], dims[q]):
+        if block.shape != (dims[t], dims[q]):
             raise ValidationError(
-                f"block {q}->{tq} has shape {b.shape}, expected {(dims[tq], dims[q])}"
+                f"block {q}->{t} has shape {block.shape}, expected {(dims[t], dims[q])}"
             )
-        r0, c0 = tgt_off[tq], src_off[q]
-        out[r0:r0 + dims[tq], c0:c0 + dims[q]] += b
+        r0, c0 = offset[t], offset[q]
+        out[q % 2][r0:r0 + dims[t], c0:c0 + dims[q]] += block
     return out
-
-
-def parity_gram(C: GradedCochainComplex, parity: int) -> np.ndarray:
-    """Direct-sum Gram of the degrees with the given parity."""
-    degs = parity_degrees(len(C.dims))[parity % 2]
-    return assemble_shift_blocks(C.dims, {q: C.gram_at(q) for q in degs}, 0, parity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,24 +638,17 @@ def _flux_components(flux) -> list[Cochain]:
             raise FluxHasDegreeOne("flux with a degree-1 component is rejected")
         if h.degree % 2 == 0 or h.degree < 3:
             raise FluxError(f"flux degree {h.degree}: components must have odd degree >= 3")
-        if h.degree in by_degree:
-            by_degree[h.degree] = by_degree[h.degree] + h.coefficients
-        else:
+        prev = by_degree.get(h.degree)
+        if prev is None:
             by_degree[h.degree] = np.array(h.coefficients)
+        elif prev.shape != h.coefficients.shape:
+            raise FluxError(
+                f"degree-{h.degree} flux components have {prev.shape[0]} "
+                f"and {h.coefficients.shape[0]} coefficients"
+            )
+        else:
+            by_degree[h.degree] = prev + h.coefficients
     return [Cochain(degree=d, coefficients=v) for d, v in sorted(by_degree.items())]
-
-
-def _unit_cup_operator(dims: Sequence[int], h: Cochain, q: int) -> np.ndarray | None:
-    # minimal-model multiplication: unit law in degree 0, zero above
-    top = len(dims) - 1
-    d = h.degree
-    rows = dims[q + d] if q + d <= top else 0
-    cols = dims[q]
-    if q != 0 or rows == 0 or cols == 0:
-        return np.zeros((rows, cols))
-    if cols != 1:
-        return None  # no canonical action on a fat degree 0
-    return h.coefficients.reshape(rows, 1)
 
 
 def twisted_differential(
@@ -738,36 +711,24 @@ def twisted_differential(
                         f"{_norm(sq.coefficients):.3e}"
                     )
 
-    def flux_ops(h: Cochain) -> dict[int, np.ndarray]:
-        ops: dict[int, np.ndarray] = {}
-        for q in range(top + 1):
-            if q + h.degree > top:
-                continue
-            if K is not None:
-                ops[q] = cup_operator(K, h, q)
-            else:
-                block = _unit_cup_operator(dims, h, q)
-                if block is None:
-                    raise FluxError(
-                        "flux action undetermined: bare complex with dim C^0 != 1"
-                    )
-                ops[q] = block
-        return ops
-
-    delta_ops = {q: C.delta(q) for q in range(top)}
-    d_even = assemble_shift_blocks(dims, delta_ops, 1, 0)
-    d_odd = assemble_shift_blocks(dims, delta_ops, 1, 1)
+    d_even, d_odd = fold(dims, C.coboundary, 1)
     for h in nontrivial:
-        ops = flux_ops(h)
-        d_even = d_even + assemble_shift_blocks(dims, ops, h.degree, 0)
-        d_odd = d_odd + assemble_shift_blocks(dims, ops, h.degree, 1)
+        if K is not None:
+            ops = [cup_operator(K, h, q) for q in range(top + 1 - h.degree)]
+        elif dims[0] > 1:
+            raise FluxError("flux action undetermined: bare complex with dim C^0 != 1")
+        else:
+            # minimal-model multiplication: unit law in degree 0, zero above
+            ops = [h.coefficients.reshape(-1, 1)] if dims[0] else []
+        from_even, from_odd = fold(dims, ops, h.degree)
+        d_even, d_odd = d_even + from_even, d_odd + from_odd
 
-    evens, odds = parity_degrees(len(dims))
+    gram_even, gram_odd = fold(dims, [C.gram_at(q) for q in range(top + 1)], 0)
     return TwistedComplex(
-        even_dim=sum(dims[q] for q in evens),
-        odd_dim=sum(dims[q] for q in odds),
+        even_dim=gram_even.shape[0],
+        odd_dim=gram_odd.shape[0],
         d_even=d_even,
         d_odd=d_odd,
-        gram_even=parity_gram(C, 0),
-        gram_odd=parity_gram(C, 1),
+        gram_even=gram_even,
+        gram_odd=gram_odd,
     )

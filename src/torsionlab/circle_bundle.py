@@ -8,7 +8,10 @@ sitting in C^even(M) + C^odd(M), odd parity in C^odd(M) + C^even(M).
 The total differential acts in blocks as
 
         [ d_H3      r^-1 F ]
-        [ r H2      -d_H3  ]      with d_H3 = delta + H3.
+        [ r H2      -d_H3  ]      with d_H3 = delta + H3,
+
+each block being one parity block of a base family as laid out by
+``chain_models.fold``, the one owner of the parity layout.
 
 The T-dual model swaps F with H2 and inverts the radius.  The duality
 map T_k(w1, w2) = ((-1)^k w2, (-1)^(k+1) w1) is a parity-shifting Gram
@@ -31,9 +34,7 @@ from .chain_models import (
     _norm,
     GradedCochainComplex,
     TwistedComplex,
-    assemble_shift_blocks,
-    parity_degrees,
-    parity_gram,
+    fold,
 )
 from .errors import (
     DualityViolation,
@@ -167,29 +168,8 @@ def minimal_model(
     return GradedCochainComplex(dims=dims, coboundary=cob, gram=None if gram is None else tuple(gram))
 
 
-def _base_blocks(b: BundleData) -> dict[str, np.ndarray]:
-    C = b.base
-    dims = C.dims
-    delta_ops = {q: C.delta(q) for q in range(C.top)}
-    h3 = {q: b.h3_op[q] for q in range(len(dims))}
-    f = {q: b.f_op[q] for q in range(len(dims))}
-    h2 = {q: b.h2_op[q] for q in range(len(dims))}
-    return {
-        "b_eo": assemble_shift_blocks(dims, delta_ops, 1, 0)
-        + assemble_shift_blocks(dims, h3, 3, 0),
-        "b_oe": assemble_shift_blocks(dims, delta_ops, 1, 1)
-        + assemble_shift_blocks(dims, h3, 3, 1),
-        "f_ee": assemble_shift_blocks(dims, f, 2, 0),
-        "f_oo": assemble_shift_blocks(dims, f, 2, 1),
-        "h2_ee": assemble_shift_blocks(dims, h2, 2, 0),
-        "h2_oo": assemble_shift_blocks(dims, h2, 2, 1),
-    }
-
-
-def _closure_residuals(blocks: dict[str, np.ndarray]) -> dict[str, float]:
-    b_eo, b_oe = blocks["b_eo"], blocks["b_oe"]
-    f_ee, f_oo = blocks["f_ee"], blocks["f_oo"]
-    h2_ee, h2_oo = blocks["h2_ee"], blocks["h2_oo"]
+def _closure_residuals(d_h3, f, h2) -> dict[str, float]:
+    (b_eo, b_oe), (f_ee, f_oo), (h2_ee, h2_oo) = d_h3, f, h2
     return {
         "dH3^2 + F.H2 (even source)": _norm(b_oe @ b_eo + f_ee @ h2_ee),
         "dH3^2 + H2.F (even source)": _norm(b_oe @ b_eo + h2_ee @ f_ee),
@@ -209,24 +189,25 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     assembled differential does not square to zero.
     """
     C = b.base
-    blocks = _base_blocks(b)
+    dims = C.dims
+    # (from even, from odd) pairs of d_H3 = delta + H3, F and H2
+    d_h3 = tuple(a + h for a, h in zip(fold(dims, C.coboundary, 1), fold(dims, b.h3_op, 3)))
+    f, h2 = fold(dims, b.f_op, 2), fold(dims, b.h2_op, 2)
+    (b_eo, b_oe), (f_ee, f_oo), (h2_ee, h2_oo) = d_h3, f, h2
+    ge, go = fold(dims, [C.gram_at(q) for q in range(len(dims))], 0)
     r = b.radius
     rinv = b.inverse_radius
 
     d_even = np.block([
-        [blocks["b_eo"], rinv * blocks["f_oo"]],
-        [r * blocks["h2_ee"], -blocks["b_oe"]],
+        [b_eo, rinv * f_oo],
+        [r * h2_ee, -b_oe],
     ])
     d_odd = np.block([
-        [blocks["b_oe"], rinv * blocks["f_ee"]],
-        [r * blocks["h2_oo"], -blocks["b_eo"]],
+        [b_oe, rinv * f_ee],
+        [r * h2_oo, -b_eo],
     ])
 
-    evens, odds = parity_degrees(len(C.dims))
-    e = sum(C.dims[q] for q in evens)
-    o = sum(C.dims[q] for q in odds)
-    ge = parity_gram(C, 0)
-    go = parity_gram(C, 1)
+    e, o = ge.shape[0], go.shape[0]
     z = np.zeros((e, o))
     try:
         return InvariantComplex(
@@ -245,7 +226,7 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
         bound = _SQUARE_ZERO_TOL * scale
         failing = {
             name: resid
-            for name, resid in _closure_residuals(blocks).items()
+            for name, resid in _closure_residuals(d_h3, f, h2).items()
             if resid > bound
         }
         detail = ", ".join(f"{k}: {v:.3e}" for k, v in failing.items()) or "radius coupling"

@@ -2,8 +2,6 @@
 
 Every error raised on a validation or contract failure derives from
 :class:`TorsionLabError`, so callers can catch one type at the boundary.
-``SpectralGapWarning`` is a warning category, not an error: it flags an
-ill-separated kernel cut, which taints a result without invalidating it.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ __all__ = [
     "NotHermitian",
     "GramNotPositive",
     "NegativeEigenvalue",
-    "SpectralGapWarning",
     "InvalidFlux",
     "ShapeMismatch",
     "ParityMismatch",
@@ -88,10 +85,6 @@ class GramNotPositive(TorsionLabError):
 
 class NegativeEigenvalue(TorsionLabError):
     """A supposedly positive semidefinite operator has a negative eigenvalue."""
-
-
-class SpectralGapWarning(UserWarning):
-    """Kernel cut is poorly separated: retained/discarded ratio below 1e3."""
 
 
 # ---- circle bundle ----

@@ -57,7 +57,7 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
             [[complex(entry[0], entry[1]) for entry in row] for row in rows],
             dtype=np.complex128,
         )
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, LookupError, ValueError) as exc:
         raise ParseError(f"malformed complex matrix: {exc}") from exc
     if out.ndim == 1:  # [] holds no row to give the column count
         out = out.reshape(0, shape[1] if shape is not None else 0)
@@ -248,28 +248,33 @@ def decode_cochain(payload: dict):
             [complex(e[0], e[1]) for e in _require(payload, "coefficients")],
             dtype=np.complex128,
         )
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, LookupError, ValueError) as exc:
         raise ParseError(f"malformed cochain coefficients: {exc}") from exc
     return Cochain(degree=degree, coefficients=coeffs)
 
 
 def decode_model(payload: dict):
     """Dispatch on the schema tag.  Simplicial models decode to a pair
-    (complex, local_system or None); everything else to a single object."""
+    (complex, local_system or None); everything else to a single object.
+    A value of the wrong type or length anywhere in the payload is a
+    ParseError."""
     if not isinstance(payload, dict):
         raise ParseError("top-level JSON value must be an object")
     schema = payload.get("schema")
-    if schema == COMPLEX_SCHEMA:
-        kind = payload.get("kind")
-        if kind == "simplicial":
-            return _decode_simplicial(payload)
-        if kind == "cochain":
-            return _decode_cochain_complex(payload)
-        raise ParseError(f"unknown complex kind {kind!r}")
-    if schema == BUNDLE_SCHEMA:
-        return _decode_bundle(payload)
-    if schema == COCHAIN_SCHEMA:
-        return decode_cochain(payload)
+    try:
+        if schema == COMPLEX_SCHEMA:
+            kind = payload.get("kind")
+            if kind == "simplicial":
+                return _decode_simplicial(payload)
+            if kind == "cochain":
+                return _decode_cochain_complex(payload)
+            raise ParseError(f"unknown complex kind {kind!r}")
+        if schema == BUNDLE_SCHEMA:
+            return _decode_bundle(payload)
+        if schema == COCHAIN_SCHEMA:
+            return decode_cochain(payload)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ParseError(f"malformed {schema} payload: {exc}") from exc
     raise ParseError(f"unknown schema {schema!r}")
 
 

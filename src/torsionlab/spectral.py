@@ -6,8 +6,8 @@ reduced to a standard Hermitian problem by Cholesky congruence: with
 G = L L*, the matrix B = L* A L^{-*} is Hermitian and shares the
 spectrum.  Kernel membership is decided by a relative threshold,
 1e-9 times the largest eigenvalue magnitude (or 1 if the spectrum
-vanishes); a cut with retained/discarded ratio under 1e3 emits a
-SpectralGapWarning rather than failing.
+vanishes); a cut with retained/discarded ratio under 1e3 is recorded as
+a warning on the result rather than failing.
 
 The arithmetic follows the input dtype: real A and G give a real
 symmetric solve in float64, and a complex A or G a Hermitian one in
@@ -19,7 +19,6 @@ eigenvectors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,6 @@ from .errors import (
     GramNotPositive,
     NegativeEigenvalue,
     NotHermitian,
-    SpectralGapWarning,
     ValidationError,
 )
 
@@ -257,20 +255,18 @@ def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:
     ratio = float(np.min(retained)) / floor
     if ratio >= GAP_RATIO:
         return ()
-    msg = (
+    return (
         f"kernel cut poorly separated: retained {float(np.min(retained)):.3e} over "
-        f"discarded {floor:.3e} gives ratio {ratio:.1f} < {GAP_RATIO:.0e}"
+        f"discarded {floor:.3e} gives ratio {ratio:.1f} < {GAP_RATIO:.0e}",
     )
-    warnings.warn(msg, SpectralGapWarning, stacklevel=3)
-    return (msg,)
 
 
 def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     """Log-domain product of the eigenvalues above the kernel cut.
 
     The empty product is 1 (log 0).  Eigenvalues below -kernel_tol raise
-    NegativeEigenvalue; a weak separation at the cut emits
-    SpectralGapWarning and is recorded on the result.
+    NegativeEigenvalue; a weak separation at the cut is recorded on the
+    result's warnings.
     """
     ev = decomposition.eigenvalues
     tol = decomposition.kernel_tol

@@ -35,7 +35,6 @@ from .errors import ParseError, ValidationError
 from .serialize import (
     REPORT_SCHEMA,
     canonical_bytes,
-    decode_cochain,
     decode_model,
     digest,
     encode_bundle,
@@ -172,10 +171,10 @@ def parse_flux(spec: str | None, C: GradedCochainComplex):
     if text in ("zero", "none", "0"):
         return None
     if _looks_like_path(text):
-        payload = load_json_file(text)
-        if payload.get("schema") != "cochain.v1":
+        flux = decode_model(load_json_file(text))
+        if not isinstance(flux, Cochain):
             raise ValidationError(f"{text} is not a cochain.v1 file")
-        return decode_cochain(payload)
+        return flux
     m = re.match(r"^top(?:\((.*)\))?$", text)
     if m is None:
         raise ValidationError(

@@ -19,11 +19,7 @@ from torsionlab import (
     validate_local_system,
 )
 from torsionlab.builders import cycle, minimal_sphere, simplex_boundary
-from torsionlab.chain_models import (
-    assemble_shift_blocks,
-    parity_degrees,
-    parity_gram,
-)
+from torsionlab.chain_models import fold
 from torsionlab.errors import (
     DuplicateSimplex,
     FluxError,
@@ -375,27 +371,34 @@ def test_pairing_requires_orientation_and_top_degree():
 # parity assembly
 # ---------------------------------------------------------------------------
 
-def test_parity_degrees_split():
-    assert parity_degrees(5) == ((0, 2, 4), (1, 3))
+def test_fold_splits_degrees_by_parity():
+    # degree q carries the 1x1 block q, so each diagonal lists its degrees
+    from_even, from_odd = fold((1,) * 5, [np.full((1, 1), float(q)) for q in range(5)], 0)
+    assert tuple(np.diag(from_even)) == (0, 2, 4)
+    assert tuple(np.diag(from_odd)) == (1, 3)
 
 
-def test_assemble_shift_blocks_places_offsets():
+def test_fold_places_offsets():
     dims = (1, 2, 1, 1)
-    ops = {0: np.full((1, 1), 5.0 + 0j)}  # degree 0 -> degree 2 (wait: shift 2)
-    out = assemble_shift_blocks(dims, ops, 2, 0)
+    ops = [np.full((1, 1), 5.0 + 0j)]  # degree 0 -> degree 2
+    out, _ = fold(dims, ops, 2)
     # even degrees: 0 (dim 1) then 2 (dim 1); block lands at rows of degree 2
     assert out.shape == (2, 2)
     assert out[1, 0] == 5.0
     assert np.count_nonzero(out) == 1
 
 
-def test_parity_gram_direct_sum():
+def test_fold_gram_direct_sum():
     C = coboundary_matrices(simplex_boundary(3))
-    ge = parity_gram(C, 0)
-    go = parity_gram(C, 1)
+    ge, go = fold(C.dims, [C.gram_at(q) for q in range(len(C.dims))], 0)
     assert ge.shape == (8, 8)
     assert go.shape == (6, 6)
     assert np.allclose(ge, np.eye(8))
+
+
+def test_fold_refuses_a_misshaped_block():
+    with pytest.raises(ValidationError, match=r"block 1->2 has shape \(1, 1\), expected \(1, 2\)"):
+        fold((1, 2, 1), [np.zeros((2, 1)), np.zeros((1, 1))], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +475,16 @@ def test_flux_components_of_same_degree_merge():
     h2 = Cochain(degree=3, coefficients=np.array([0.5 + 0j]))
     T = twisted_differential(C, [h1, h2])
     assert T.d_even[0, 0] == 1.5
+
+
+@pytest.mark.parametrize("short", [4, 1])
+def test_flux_components_of_same_degree_and_different_lengths_rejected(short):
+    # 5 and 1 would broadcast into a flux of 2 on every simplex
+    K = simplex_boundary(4)
+    h1 = Cochain(degree=3, coefficients=np.ones(K.n(3)))
+    h2 = Cochain(degree=3, coefficients=np.ones(short))
+    with pytest.raises(FluxError, match=f"degree-3 flux components have 5 and {short} coefficients"):
+        twisted_differential(K, [h1, h2])
 
 
 def test_twisted_square_zero_on_simplicial_flux():

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and argument handling of the front end."""
 
+import copy
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import torsionlab
 from torsionlab.cli import build_parser, main
@@ -220,6 +223,109 @@ def test_bad_tolerance_is_refused(tol, capsys):
 def test_positive_tolerance_runs(capsys):
     assert main(["reidemeister", "cycle(5)", "--tol", "1e-6", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_tol"] == 1e-6
+
+
+def _simplicial(**fields) -> dict:
+    return {"schema": "complex.v1", "kind": "simplicial", "top_simplices": [[0, 1], [1, 2]], **fields}
+
+
+def _bundle(base_dims=(1, 0, 1), f_op=([[[1.0, 0.0]]], [], [])) -> dict:
+    return {
+        "schema": "bundle.v1",
+        "base": {"schema": "complex.v1", "kind": "cochain", "dims": list(base_dims),
+                 "coboundary": [[], [[]]]},
+        "f_op": list(f_op),
+        "h2_op": [[[[2.0, 0.0]]], [], []],
+        "h3_op": [[], [], []],
+        "radius": 1.5,
+    }
+
+
+_FLUX = ["twisted", "simplex_boundary(4)", "--flux"]
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["reidemeister"], _simplicial(top_simplices=[[0, 0]])),
+        (["reidemeister"], _simplicial(top_simplices=[])),
+        (["reidemeister"], _simplicial(top_simplices=[[0, -1]])),
+        (["reidemeister"], _simplicial(top_simplices=[[0, 1], [1, "x"]])),
+        (["reidemeister"], _simplicial(top_simplices=5)),
+        (["reidemeister"], _simplicial(orientation=[1, "a"])),
+        (["bundle-torsion"], _bundle(f_op=([[[1.0, 0.0]]], [], [], []))),
+        (["bundle-torsion"], _bundle(base_dims=(1, "a", 1))),
+        (_FLUX, [1, 2, 3]),
+    ],
+    ids=["repeated-vertex", "no-simplex", "negative-vertex", "string-vertex",
+         "simplices-not-a-list", "string-sign", "extra-f-block", "string-dim", "flux-list"],
+)
+def test_malformed_files_are_refused(argv, payload, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
+# valid files, each with the arguments that read it
+_VALID_FILES = [
+    (["reidemeister"], _simplicial(
+        top_simplices=[[0, 1], [1, 2], [0, 2]], orientation=[1, 1, -1],
+        local_system={"rank": 1, "holonomy": [{"edge": [0, 2], "matrix": [[[0.0, 1.0]]]}]},
+    )),
+    (["twisted"], {"schema": "complex.v1", "kind": "cochain", "dims": [1, 1],
+                   "coboundary": [[[[2.0, 0.0]]]],
+                   "gram": [[[[1.0, 0.0]]], [[[2.0, 0.0]]]]}),
+    (["bundle-torsion"], _bundle()),
+    (_FLUX, {"schema": "cochain.v1", "degree": 3, "coefficients": [[1.0, 0.0]] * 5}),
+]
+
+# small integers only, so no mutation asks for a model of unbounded size
+_REPLACEMENTS = st.one_of(
+    st.integers(-2, 6), st.sampled_from([0.5, -1.0, "x", None, True, [], {}, [1], [[1]]]),
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(data, payload):
+    """Delete or replace one node; replacements are copied, since a later
+    mutation may edit them in place."""
+    paths = list(_paths(payload))[1:]
+    if not paths:
+        return copy.deepcopy(data.draw(_REPLACEMENTS))
+    *parents, key = data.draw(st.sampled_from(paths))
+    node = payload
+    for k in parents:
+        node = node[k]
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(data.draw(_REPLACEMENTS))
+    return payload
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_files_exit_0_or_2(data, capsys, tmp_path):
+    argv, payload = data.draw(st.sampled_from(_VALID_FILES))
+    payload = copy.deepcopy(payload)
+    for _ in range(data.draw(st.integers(1, 3))):
+        payload = _mutate(data, payload)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert len(_error_lines(err)) == (code == 2)
 
 
 def test_import_loads_numpy_but_not_scipy():

@@ -19,7 +19,6 @@ from torsionlab.errors import (
     GramNotPositive,
     NegativeEigenvalue,
     NotHermitian,
-    SpectralGapWarning,
     ValidationError,
 )
 from torsionlab.spectral import (
@@ -108,7 +107,7 @@ def test_kernel_split_and_gap_warning():
     assert dec.kernel_dimension == 2
     assert pd.kernel_dim == 2
     assert 3e-9 / dec.kernel_tol < GAP_RATIO
-    assert any(issubclass(w.category, SpectralGapWarning) for w in caught)
+    assert not caught  # recorded on the result, never raised as a Python warning
     assert pd.warnings and "poorly separated" in pd.warnings[0]
     assert pd.value == pytest.approx(3e-9 * 1.0, rel=1e-12)
 
