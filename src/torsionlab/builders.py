@@ -14,7 +14,12 @@ import re
 
 import numpy as np
 
-from .chain_models import GradedCochainComplex, SimplicialComplex, build_simplicial
+from .chain_models import (
+    GradedCochainComplex,
+    SimplicialComplex,
+    _refuse_oversize,
+    build_simplicial,
+)
 from .circle_bundle import hopf, minimal_model, random_bundle
 from .errors import UnknownBuilder, ValidationError
 
@@ -32,6 +37,7 @@ def cycle(n: int) -> SimplicialComplex:
     """Triangulated circle with n vertices and n edges, coherently oriented."""
     if n < 3:
         raise ValidationError(f"a triangulated circle needs >= 3 vertices, got {n}")
+    _refuse_oversize(f"cycle({n})", cells=2 * n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     orientation = {e: 1 for e in edges[:-1]}
     # closing edge runs backwards so the induced vertex signs cancel
@@ -43,6 +49,9 @@ def simplex_boundary(n: int) -> SimplicialComplex:
     """Boundary of the n-simplex: a triangulated (n-1)-sphere."""
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
+    # 2^(n+1) - 2 cells; the capped exponent keeps a huge n cheap and
+    # still counts past the limit
+    _refuse_oversize(f"simplex_boundary({n})", cells=2 ** (min(n, 64) + 1) - 2)
     verts = tuple(range(n + 1))
     faces = [verts[:i] + verts[i + 1:] for i in range(n + 1)]
     orientation = {f: (-1) ** i for i, f in enumerate(faces)}
@@ -53,6 +62,7 @@ def minimal_sphere(n: int) -> GradedCochainComplex:
     """Minimal cochain model of the n-sphere: one class in degrees 0 and n."""
     if n < 1:
         raise ValidationError(f"sphere dimension must be >= 1, got {n}")
+    _refuse_oversize(f"minimal_sphere({n})", degrees=n + 1)
     return minimal_model(1 if p in (0, n) else 0 for p in range(n + 1))
 
 

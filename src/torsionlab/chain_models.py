@@ -14,7 +14,9 @@ p-cochain f is (delta f)(v_0..v_{p+1}) = sum_i (-1)^i f(drop v_i), so the
 matrix of delta_p is the transpose of the signed boundary matrix.  With a
 local system, cochain values sit in the fiber over the smallest vertex of
 the simplex; only the drop-v_0 face term needs transport, by U(v_0,v_1)
-conjugate-transposed.  Grams default to the identity.
+conjugate-transposed.  Grams default to the identity: a graded complex's
+``gram`` and a twisted complex's parity Grams may be None, which means
+the identity, and downstream solves then factor nothing.
 
 Matrices, Grams and cochains are stored read-only, as float64 when every
 entry is exactly real and as complex128 otherwise, so a real complex is
@@ -65,6 +67,16 @@ __all__ = [
 
 _SQUARE_ZERO_TOL = 1e-12
 _ENTRY_RANGE = (1e-150, 1e150)
+# largest cell or degree count a catalog builder will build; every
+# matrix is dense, so past this a model exhausts memory or time
+MAX_MODEL_SIZE = 8192
+
+
+def _refuse_oversize(what: str, *, cells: int = 0, degrees: int = 0) -> None:
+    """Refuse a model from its closed-form size, before building it."""
+    for count, unit in ((cells, "cells"), (degrees, "degrees")):
+        if count > MAX_MODEL_SIZE:
+            raise ValidationError(f"{what} is too large to build: over {MAX_MODEL_SIZE} {unit}")
 
 
 def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
@@ -594,14 +606,19 @@ def fold(
 
 @dataclass(frozen=True, eq=False)
 class TwistedComplex:
-    """Z2-graded complex with total differentials and parity Grams."""
+    """Z2-graded complex with total differentials and parity Grams.
+
+    ``gram_even`` and ``gram_odd`` are both None (identity inner products
+    on both parities, as for a Gram-less graded complex) or both
+    Hermitian positive definite; one without the other is refused.
+    """
 
     even_dim: int
     odd_dim: int
     d_even: np.ndarray
     d_odd: np.ndarray
-    gram_even: np.ndarray
-    gram_odd: np.ndarray
+    gram_even: np.ndarray | None
+    gram_odd: np.ndarray | None
 
     def __post_init__(self) -> None:
         de = _freeze(self.d_even, "d_even (even parity)", bounded=True)
@@ -612,12 +629,15 @@ class TwistedComplex:
             raise ValidationError(f"d_odd shape {do.shape} != {(self.even_dim, self.odd_dim)}")
         object.__setattr__(self, "d_even", de)
         object.__setattr__(self, "d_odd", do)
-        ge = _freeze(self.gram_even, "Gram at even parity", bounded=True)
-        go = _freeze(self.gram_odd, "Gram at odd parity", bounded=True)
-        _gram_factor(ge, self.even_dim, "Gram at even parity")
-        _gram_factor(go, self.odd_dim, "Gram at odd parity")
-        object.__setattr__(self, "gram_even", ge)
-        object.__setattr__(self, "gram_odd", go)
+        if (self.gram_even is None) != (self.gram_odd is None):
+            raise ValidationError("parity Grams must be given both or neither")
+        if self.gram_even is not None:
+            ge = _freeze(self.gram_even, "Gram at even parity", bounded=True)
+            go = _freeze(self.gram_odd, "Gram at odd parity", bounded=True)
+            _gram_factor(ge, self.even_dim, "Gram at even parity")
+            _gram_factor(go, self.odd_dim, "Gram at odd parity")
+            object.__setattr__(self, "gram_even", ge)
+            object.__setattr__(self, "gram_odd", go)
         scale = 1.0 + _norm(de) * _norm(do)
         if _norm(do @ de) > _SQUARE_ZERO_TOL * scale or _norm(de @ do) > _SQUARE_ZERO_TOL * scale:
             raise FluxNotNilpotent("total differential does not square to zero")
@@ -723,10 +743,12 @@ def twisted_differential(
         from_even, from_odd = fold(dims, ops, h.degree)
         d_even, d_odd = d_even + from_even, d_odd + from_odd
 
-    gram_even, gram_odd = fold(dims, [C.gram_at(q) for q in range(top + 1)], 0)
+    gram_even = gram_odd = None
+    if C.gram is not None:
+        gram_even, gram_odd = fold(dims, C.gram, 0)
     return TwistedComplex(
-        even_dim=gram_even.shape[0],
-        odd_dim=gram_odd.shape[0],
+        even_dim=d_even.shape[1],
+        odd_dim=d_odd.shape[1],
         d_even=d_even,
         d_odd=d_odd,
         gram_even=gram_even,

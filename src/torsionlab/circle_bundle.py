@@ -32,6 +32,7 @@ import numpy as np
 from .chain_models import (
     _SQUARE_ZERO_TOL,
     _norm,
+    _refuse_oversize,
     GradedCochainComplex,
     TwistedComplex,
     fold,
@@ -554,6 +555,7 @@ def random_bundle(seed: int = 0, top_degree: int = 3) -> BundleData:
         raise ValidationError(f"bundle seed must be >= 0, got {seed}")
     if top_degree < 1:
         raise ValidationError(f"base top degree must be >= 1, got {top_degree}")
+    _refuse_oversize(f"random({seed},{top_degree})", degrees=top_degree + 1)
     rng = np.random.default_rng(seed)
     dims = [1] + [int(rng.integers(0, 3)) for _ in range(top_degree)]
 

@@ -160,23 +160,38 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _integer(value, what: str) -> int:
+    """An integer read from JSON: an int, or a float with no fractional
+    part.  Anything else, a bool or a string included, is a ParseError
+    rather than a silently different model."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 def _decode_local_system(payload: dict) -> LocalSystem:
-    rank = int(_require(payload, "rank"))
+    rank = _integer(_require(payload, "rank"), "local system rank")
     holonomy = {}
     for item in _require(payload, "holonomy"):
-        a, b = (int(v) for v in _require(item, "edge"))
+        a, b = (_integer(v, "holonomy edge vertex") for v in _require(item, "edge"))
         holonomy[(a, b)] = matrix_from_json(_require(item, "matrix"), (rank, rank))
     return LocalSystem(rank=rank, holonomy=holonomy)
 
 
 def _decode_simplicial(payload: dict):
-    tops = [tuple(int(v) for v in s) for s in _require(payload, "top_simplices")]
+    tops = [
+        tuple(_integer(v, "vertex id") for v in s) for s in _require(payload, "top_simplices")
+    ]
     orientation = None
     if payload.get("orientation") is not None:
         signs = payload["orientation"]
         if len(signs) != len(tops):
             raise ParseError("orientation list does not match top_simplices")
-        orientation = {tuple(sorted(s)): int(e) for s, e in zip(tops, signs)}
+        orientation = {
+            tuple(sorted(s)): _integer(e, "orientation sign") for s, e in zip(tops, signs)
+        }
     mixed = len({len(s) for s in tops}) > 1
     K = build_simplicial(tops, orientation, allow_mixed_dimension=mixed)
     if payload.get("local_system") is not None:
@@ -185,7 +200,7 @@ def _decode_simplicial(payload: dict):
 
 
 def _decode_cochain_complex(payload: dict) -> GradedCochainComplex:
-    dims = tuple(int(n) for n in _require(payload, "dims"))
+    dims = tuple(_integer(n, "dimension") for n in _require(payload, "dims"))
     cob_json = _require(payload, "coboundary")
     if len(cob_json) != max(len(dims) - 1, 0):
         raise ParseError(
@@ -242,7 +257,7 @@ def encode_cochain(c) -> dict:
 def decode_cochain(payload: dict):
     from .chain_models import Cochain
 
-    degree = int(_require(payload, "degree"))
+    degree = _integer(_require(payload, "degree"), "cochain degree")
     try:
         coeffs = np.array(
             [complex(e[0], e[1]) for e in _require(payload, "coefficients")],

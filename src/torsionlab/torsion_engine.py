@@ -12,14 +12,16 @@ of a Z2-graded complex is the parity-split analogue,
 
     log tau = (1/2) log pdet(D_even^+ D_even) - (1/2) log pdet(D_odd^+ D_odd),
 
-with adjoints taken against the parity Grams.  One block builder serves
-both: a graded complex is a chain of spaces (its degrees) and a Z2-graded
-one a cycle of two (its parities), and each adjoint and each product
-d^+ d, d d^+ is formed once per call.  Harmonic bases of the
-Laplacians ride along on the returned element, and kernel dimensions
-double as cohomology dimensions (checked against rank-nullity in the
-test suite).  Only the Laplacian solves compute eigenvectors; the
-delta^+ delta solves read eigenvalues alone.
+with adjoints taken against the parity Grams.  Grams that are None (a
+complex without explicit Grams, graded or twisted) are the identity:
+adjoints are plain conjugate transposes and the solves factor nothing.
+One block builder serves both: a graded complex is a chain of spaces
+(its degrees) and a Z2-graded one a cycle of two (its parities), and
+each adjoint and each product d^+ d, d d^+ is formed once per call.
+Harmonic bases of the Laplacians ride along on the returned element,
+and kernel dimensions double as cohomology dimensions (checked against
+rank-nullity in the test suite).  Only the Laplacian solves compute
+eigenvectors; the delta^+ delta solves read eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
 def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     """(dims, maps, grams, labels, cyclic): maps[p] leaves space p for
     space p + 1 and, when cyclic, maps[-1] enters space 0.  The spaces
-    are the degrees (Grams None without explicit Grams) or the parities."""
+    are the degrees or the parities; Grams are None without explicit
+    Grams."""
     if isinstance(C, TwistedComplex):
         labels = ("d_even (even parity)", "d_odd (odd parity)")
         return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), (C.gram_even, C.gram_odd), labels, True

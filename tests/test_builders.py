@@ -10,6 +10,7 @@ from torsionlab import (
     ValidationError,
     coboundary_matrices,
     cohomology_dimensions,
+    random_bundle,
 )
 from torsionlab.builders import (
     CATALOG,
@@ -19,6 +20,7 @@ from torsionlab.builders import (
     minimal_sphere,
     simplex_boundary,
 )
+from torsionlab.chain_models import MAX_MODEL_SIZE
 
 
 def _euler(K: SimplicialComplex) -> int:
@@ -132,3 +134,26 @@ def test_from_expression_rejects_garbage():
         from_expression("cycle(3, 4, 5)")
     with pytest.raises(ValidationError):
         from_expression("cycle(1)")
+
+
+def test_size_guard_counts_cells_and_degrees_at_the_limit():
+    assert MAX_MODEL_SIZE == 8192
+    # the largest models at the limit still build
+    assert sum(cycle(4096).f_vector) == 8192
+    assert sum(simplex_boundary(12).f_vector) == 2**13 - 2
+    assert len(minimal_sphere(8191).dims) == 8192
+    for build, arg, unit in [
+        (cycle, 4097, "cells"),
+        (simplex_boundary, 13, "cells"),
+        (minimal_sphere, 8192, "degrees"),
+        (lambda top: random_bundle(0, top), 8192, "degrees"),
+    ]:
+        with pytest.raises(ValidationError, match=f"too large to build: over 8192 {unit}"):
+            build(arg)
+
+
+def test_size_guard_refuses_huge_arguments_before_building():
+    with pytest.raises(ValidationError, match=r"cycle\(2000000000\) is too large"):
+        cycle(2_000_000_000)
+    with pytest.raises(ValidationError, match="too large"):
+        simplex_boundary(10**18)

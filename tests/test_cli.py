@@ -123,9 +123,11 @@ def _error_lines(err: str) -> list[str]:
         ["t-dual", "random(-1)"],
         ["reidemeister", "missing-model.json"],
         ["reidemeister", f"lens({10**30},1,1)"],
+        ["twisted", "cycle(1000000000)"],
+        ["twisted", "simplex_boundary(40)"],
     ],
     ids=["hopf-nan", "hopf-inf", "random-float-seed", "random-negative-seed",
-         "missing-file", "lens-overflow"],
+         "missing-file", "lens-overflow", "cycle-oversize", "simplex-boundary-oversize"],
 )
 def test_bad_model_input_is_refused(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -256,9 +258,12 @@ _FLUX = ["twisted", "simplex_boundary(4)", "--flux"]
         (["bundle-torsion"], _bundle(f_op=([[[1.0, 0.0]]], [], [], []))),
         (["bundle-torsion"], _bundle(base_dims=(1, "a", 1))),
         (_FLUX, [1, 2, 3]),
+        (["reidemeister"], _simplicial(top_simplices=[[0, 1.7], [1, 2], [0, 2]])),
+        (_FLUX, {"schema": "cochain.v1", "degree": 3.9, "coefficients": [[1.0, 0.0]] * 5}),
     ],
     ids=["repeated-vertex", "no-simplex", "negative-vertex", "string-vertex",
-         "simplices-not-a-list", "string-sign", "extra-f-block", "string-dim", "flux-list"],
+         "simplices-not-a-list", "string-sign", "extra-f-block", "string-dim", "flux-list",
+         "fractional-vertex", "fractional-flux-degree"],
 )
 def test_malformed_files_are_refused(argv, payload, capsys, tmp_path):
     path = tmp_path / "input.json"

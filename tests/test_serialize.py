@@ -202,6 +202,40 @@ def test_decode_failures():
         )
 
 
+_INTEGER_FIELDS = [
+    ("vertex id", {"schema": COMPLEX_SCHEMA, "kind": "simplicial",
+                   "top_simplices": [[0, "x"], [1, 2], [0, 2]]}),
+    ("orientation sign", {"schema": COMPLEX_SCHEMA, "kind": "simplicial",
+                          "top_simplices": [[0, 1], [1, 2], [0, 2]],
+                          "orientation": [1, 1, -1.5]}),
+    ("local system rank", {"schema": COMPLEX_SCHEMA, "kind": "simplicial",
+                           "top_simplices": [[0, 1]],
+                           "local_system": {"rank": True, "holonomy": []}}),
+    ("holonomy edge vertex", {"schema": COMPLEX_SCHEMA, "kind": "simplicial",
+                              "top_simplices": [[0, 1]],
+                              "local_system": {"rank": 1, "holonomy": [
+                                  {"edge": [0, 0.5], "matrix": [[[1.0, 0.0]]]}]}}),
+    ("dimension", {"schema": COMPLEX_SCHEMA, "kind": "cochain", "dims": [1, "1"],
+                   "coboundary": [[[[1.0, 0.0]]]]}),
+    ("cochain degree", {"schema": COCHAIN_SCHEMA, "degree": 3.9,
+                        "coefficients": [[1.0, 0.0]]}),
+]
+
+
+@pytest.mark.parametrize("what, payload", _INTEGER_FIELDS, ids=[w for w, _ in _INTEGER_FIELDS])
+def test_non_integral_integers_are_refused(what, payload):
+    with pytest.raises(ParseError, match=f"{what} must be an integer"):
+        decode_model(payload)
+
+
+def test_integral_floats_read_as_integers():
+    K, _ = decode_model({"schema": COMPLEX_SCHEMA, "kind": "simplicial",
+                         "top_simplices": [[0.0, 1], [1, 2.0], [0, 2]]})
+    assert K.simplices[1] == ((0, 1), (0, 2), (1, 2))
+    assert decode_model({"schema": COCHAIN_SCHEMA, "degree": 3.0,
+                         "coefficients": [[1.0, 0.0]]}).degree == 3
+
+
 def test_file_round_trip_and_parse_error_location(tmp_path):
     path = tmp_path / "model.json"
     payload = encode_bundle(hopf(1, 2, 1))

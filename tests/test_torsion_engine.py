@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionlab import (
     Cochain,
@@ -26,6 +28,7 @@ from torsionlab import (
     twisted_differential,
     twisted_torsion,
 )
+from torsionlab import spectral
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
 from torsionlab.errors import ValidationError
 from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement
@@ -239,6 +242,94 @@ def test_twisted_kernel_dims_match_rank_nullity():
     T = twisted_differential(C, None)
     elem = twisted_torsion(T)
     assert elem.kernel_dims == twisted_cohomology_dimensions(T)
+
+
+# ---------------------------------------------------------------------------
+# identity parity Grams: None, the same answer as explicit np.eye Grams
+# ---------------------------------------------------------------------------
+
+def _top_flux(K, c):
+    return Cochain(degree=K.dim, coefficients=c * np.ones(K.n(K.dim)))
+
+
+@pytest.mark.parametrize(
+    "K, c",
+    [(simplex_boundary(n), c) for n in (4, 6) for c in (2.0, 1.5 - 0.5j, None)]
+    + [(cycle(9), None)],
+    ids=[f"simplex_boundary({n})-{c}" for n in (4, 6) for c in ("top(2)", "top(1.5-0.5j)", "zero")]
+    + ["cycle(9)-zero"],
+)
+def test_identity_grams_as_none_match_explicit_identity_grams(K, c):
+    T = twisted_differential(K, None if c is None else _top_flux(K, c))
+    assert T.gram_even is None and T.gram_odd is None
+    twin = TwistedComplex(
+        T.even_dim, T.odd_dim, T.d_even, T.d_odd, np.eye(T.even_dim), np.eye(T.odd_dim)
+    )
+    fast, gram_path = twisted_torsion(T), twisted_torsion(twin)
+    assert abs(fast.log_scalar - gram_path.log_scalar) <= 1e-12
+    assert fast.kernel_dims == gram_path.kernel_dims
+    assert fast.warnings == gram_path.warnings
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count the Cholesky factorizations the spectral module runs."""
+    calls = []
+    factor = spectral.np.linalg.cholesky
+
+    def record(m, *args, **kwargs):
+        calls.append(m.shape)
+        return factor(m, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.np.linalg, "cholesky", record)
+    return calls
+
+
+def test_gram_less_twisted_complex_factors_nothing(factorizations):
+    K = simplex_boundary(4)
+    C = coboundary_matrices(K)
+    twisted_torsion(twisted_differential(C, _top_flux(K, 2.0)))
+    assert factorizations == []
+    weighted = C.with_gram([np.eye(n) for n in C.dims])
+    twisted_torsion(twisted_differential(weighted, _top_flux(K, 2.0)))
+    assert factorizations
+
+
+@pytest.mark.parametrize("grams", [(np.eye(1), None), (None, np.eye(1))])
+def test_one_parity_gram_without_the_other_is_refused(grams):
+    with pytest.raises(ValidationError, match="parity Grams must be given both or neither"):
+        TwistedComplex(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), *grams)
+
+
+_MODELS = st.one_of(
+    st.integers(3, 60).map(cycle),
+    st.integers(2, 6).map(simplex_boundary),
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(K=_MODELS)
+def test_zero_flux_twisted_torsion_is_graded_torsion(K):
+    C = coboundary_matrices(K)
+    assert twisted_torsion(twisted_differential(C, None)).scalar == pytest.approx(
+        reidemeister_torsion(C).scalar, rel=1e-10
+    )
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.sampled_from([4, 6]),
+    log_modulus=st.floats(math.log(0.25), math.log(4.0)),
+    phase=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, 2.0 * math.pi)),
+)
+def test_top_flux_torsion_is_the_flux_modulus(n, log_modulus, phase):
+    # real c when the phase is 0 or pi, complex otherwise
+    c = math.exp(log_modulus) * cmath.exp(1j * phase)
+    if phase in (0.0, math.pi):
+        c = c.real
+    K = simplex_boundary(n)
+    elem = twisted_torsion(twisted_differential(K, _top_flux(K, c)))
+    assert elem.scalar == pytest.approx(abs(c), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
