@@ -16,7 +16,11 @@ local system, cochain values sit in the fiber over the smallest vertex of
 the simplex; only the drop-v_0 face term needs transport, by U(v_0,v_1)
 conjugate-transposed.  Grams default to the identity: a graded complex's
 ``gram`` and a twisted complex's parity Grams may be None, which means
-the identity, and downstream solves then factor nothing.
+the identity, and downstream solves then factor nothing.  An explicit
+Gram is checked and Cholesky-factored once, by the complex that holds
+it (``spectral._gram_factor``); the complex keeps the factor next to the
+Gram, and every solve against that Gram in ``torsion_engine`` and
+``circle_bundle`` reuses it.
 
 Matrices, Grams and cochains are stored read-only, as float64 when every
 entry is exactly real and as complex128 otherwise, so a real complex is
@@ -47,7 +51,7 @@ from .errors import (
     NotTopDegree,
     ValidationError,
 )
-from .spectral import _gram_factor
+from .spectral import GramFactor, _gram_factor
 
 __all__ = [
     "SimplicialComplex",
@@ -67,8 +71,8 @@ __all__ = [
 
 _SQUARE_ZERO_TOL = 1e-12
 _ENTRY_RANGE = (1e-150, 1e150)
-# largest cell or degree count a catalog builder will build; every
-# matrix is dense, so past this a model exhausts memory or time
+# largest cell or degree count of a model, built or read from a file;
+# every matrix is dense, so past this a model exhausts memory or time
 MAX_MODEL_SIZE = 8192
 
 
@@ -216,12 +220,17 @@ def build_simplicial(
             "pass allow_mixed_dimension=True to accept"
         )
 
+    # every top is a cell, and a k-vertex top closes to 2^k - 1 of them:
+    # refuse from those counts before enumerating faces
+    _refuse_oversize("simplicial complex", cells=len(tops))
     dim = max(top_dims)
+    _refuse_oversize("simplicial complex", cells=2 ** min(dim + 1, 64) - 1)
     levels: list[set[tuple[int, ...]]] = [set() for _ in range(dim + 1)]
     for t in tops:
         d = len(t) - 1
         for p in range(d + 1):
             levels[p].update(itertools.combinations(t, p + 1))
+        _refuse_oversize("simplicial complex", cells=sum(map(len, levels)))
     simplices = tuple(tuple(sorted(level)) for level in levels)
 
     signs: tuple[int, ...] | None = None
@@ -350,9 +359,10 @@ class GradedCochainComplex:
     ``coboundary[p]`` maps degree p to degree p+1 and has shape
     (dims[p+1], dims[p]).  ``gram`` is either None (identity inner
     products throughout) or one Hermitian positive definite matrix per
-    degree.  ``simplicial`` remembers the complex a simplicial build came
-    from, which unlocks cup products; ``local_rank`` is the fiber rank of
-    the local system used during the build (1 when untwisted).
+    degree, checked and factored once, here, with the factors kept for
+    the solves.  ``simplicial`` remembers the complex a simplicial build
+    came from, which unlocks cup products; ``local_rank`` is the fiber
+    rank of the local system used during the build (1 when untwisted).
     """
 
     dims: tuple[int, ...]
@@ -360,11 +370,14 @@ class GradedCochainComplex:
     gram: tuple[np.ndarray, ...] | None = None
     simplicial: SimplicialComplex | None = field(default=None, repr=False)
     local_rank: int = 1
+    # one spectral.GramFactor per degree, or None with the identity Grams
+    _gram_factors: tuple[GramFactor, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         dims = tuple(int(n) for n in self.dims)
         if not dims or any(n < 0 for n in dims):
             raise ValidationError(f"bad dimension vector {dims}")
+        _refuse_oversize("cochain complex", cells=sum(dims), degrees=len(dims))
         object.__setattr__(self, "dims", dims)
         cob = tuple(
             _freeze(d, f"coboundary {p}", bounded=True) for p, d in enumerate(self.coboundary)
@@ -392,9 +405,11 @@ class GradedCochainComplex:
             )
             if len(grams) != len(dims):
                 raise ValidationError("need one Gram per degree")
-            for p, g in enumerate(grams):
-                _gram_factor(g, dims[p], f"Gram at degree {p}")
+            factors = tuple(
+                _gram_factor(g, dims[p], f"Gram at degree {p}") for p, g in enumerate(grams)
+            )
             object.__setattr__(self, "gram", grams)
+            object.__setattr__(self, "_gram_factors", factors)
 
     @property
     def top(self) -> int:
@@ -441,21 +456,21 @@ def coboundary_matrices(
     """Assemble the cochain complex of K, optionally twisted by a flat
     unitary local system.
 
-    The untwisted matrices are real.  Their square-zero identity is
-    checked exactly: entries are +-1 with at most dim K + 2 per row, so a
-    float64 product of two of them is an exact integer matrix.
+    The untwisted matrices are real.  Square-zero is checked once, by
+    ``GradedCochainComplex``: within ``MAX_MODEL_SIZE`` its bound is far
+    below 1, so it catches every nonzero integer residual.  A complex with
+    a local system of rank m has m x cells degrees of freedom, refused
+    past ``MAX_MODEL_SIZE`` before anything is built.
     """
     if local_system is None:
         deltas = [signed_incidence(K, p).astype(np.float64) for p in range(K.dim)]
-        for p in range(len(deltas) - 1):
-            if np.any(deltas[p + 1] @ deltas[p]):
-                raise ValidationError(f"integer coboundary fails delta^2=0 at degree {p}")
         return GradedCochainComplex(
             dims=K.f_vector,
             coboundary=tuple(deltas),
             simplicial=K,
         )
 
+    _refuse_oversize("complex with a local system", cells=local_system.rank * sum(K.f_vector))
     validate_local_system(K, local_system)
     m = local_system.rank
     dims = tuple(n * m for n in K.f_vector)
@@ -599,8 +614,9 @@ def fold(
             raise ValidationError(
                 f"block {q}->{t} has shape {block.shape}, expected {(dims[t], dims[q])}"
             )
-        r0, c0 = offset[t], offset[q]
-        out[q % 2][r0:r0 + dims[t], c0:c0 + dims[q]] += block
+        if block.size:
+            r0, c0 = offset[t], offset[q]
+            out[q % 2][r0:r0 + dims[t], c0:c0 + dims[q]] += block
     return out
 
 
@@ -610,7 +626,9 @@ class TwistedComplex:
 
     ``gram_even`` and ``gram_odd`` are both None (identity inner products
     on both parities, as for a Gram-less graded complex) or both
-    Hermitian positive definite; one without the other is refused.
+    Hermitian positive definite; one without the other is refused.  Given
+    Grams are checked and factored once, here, with the factors kept for
+    the solves.
     """
 
     even_dim: int
@@ -619,6 +637,10 @@ class TwistedComplex:
     d_odd: np.ndarray
     gram_even: np.ndarray | None
     gram_odd: np.ndarray | None
+    # spectral.GramFactor of (even, odd), or None with the identity Grams
+    _gram_factors: tuple[GramFactor, GramFactor] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         de = _freeze(self.d_even, "d_even (even parity)", bounded=True)
@@ -634,10 +656,13 @@ class TwistedComplex:
         if self.gram_even is not None:
             ge = _freeze(self.gram_even, "Gram at even parity", bounded=True)
             go = _freeze(self.gram_odd, "Gram at odd parity", bounded=True)
-            _gram_factor(ge, self.even_dim, "Gram at even parity")
-            _gram_factor(go, self.odd_dim, "Gram at odd parity")
+            factors = (
+                _gram_factor(ge, self.even_dim, "Gram at even parity"),
+                _gram_factor(go, self.odd_dim, "Gram at odd parity"),
+            )
             object.__setattr__(self, "gram_even", ge)
             object.__setattr__(self, "gram_odd", go)
+            object.__setattr__(self, "_gram_factors", factors)
         scale = 1.0 + _norm(de) * _norm(do)
         if _norm(do @ de) > _SQUARE_ZERO_TOL * scale or _norm(de @ do) > _SQUARE_ZERO_TOL * scale:
             raise FluxNotNilpotent("total differential does not square to zero")

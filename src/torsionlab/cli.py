@@ -29,6 +29,7 @@ def _style(text: str, code: str, enable: bool) -> str:
 
 def _suite_text(report) -> str:
     enable = _color_enabled()
+    seconds = report.timings.get("criterion_seconds", {})
     lines = ["torsion suite"]
     for c in report.result["criteria"]:
         tag = (
@@ -36,7 +37,10 @@ def _suite_text(report) -> str:
             if c["passed"]
             else _style("FAIL", "31", enable)
         )
-        lines.append(f"  {tag}  {c['id']:>2}  {c['title']}: {c['detail']}")
+        line = f"  {tag}  {c['id']:>2}  {c['title']}: {c['detail']}"
+        if c["id"] in seconds:
+            line += f" ({seconds[c['id']]:.2f} s)"
+        lines.append(line)
     n = len(report.result["criteria"])
     good = sum(1 for c in report.result["criteria"] if c["passed"])
     verdict = "all criteria passed" if good == n else f"{n - good} of {n} criteria failed"

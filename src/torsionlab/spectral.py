@@ -4,7 +4,11 @@ All operators here are self-adjoint with respect to a Hermitian positive
 definite Gram G.  The generalized problem A v = lambda v with V*GV = I is
 reduced to a standard Hermitian problem by Cholesky congruence: with
 G = L L*, the matrix B = L* A L^{-*} is Hermitian and shares the
-spectrum.  Kernel membership is decided by a relative threshold,
+spectrum.  The factor is formed once per Gram: ``_gram_factor`` checks a
+Gram and returns a ``GramFactor`` holding G, L and (formed on first use)
+L^{-1}.  The complexes of ``chain_models`` keep the records of the Grams
+they check, and a solve handed a record reuses its factor instead of
+refactoring G.  Kernel membership is decided by a relative threshold,
 1e-9 times the largest eigenvalue magnitude (or 1 if the spectrum
 vanishes); a cut with retained/discarded ratio under 1e3 is recorded as
 a warning on the result rather than failing.
@@ -163,8 +167,24 @@ def _largest(a: np.ndarray, name: str = "operator") -> float:
     return top
 
 
-def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> np.ndarray:
-    """Cholesky factor L of an n x n Hermitian positive definite Gram,
+@dataclass(frozen=True, eq=False)
+class GramFactor:
+    """A checked Gram with its Cholesky factor, G = L L*.
+
+    Only ``_gram_factor`` makes one, so a factor never travels without the
+    Gram it was computed from.  ``lower_inverse`` is formed on first use.
+    """
+
+    gram: np.ndarray
+    lower: np.ndarray
+
+    @cached_property
+    def lower_inverse(self) -> np.ndarray:
+        return _lower_inverse(self.lower)
+
+
+def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> GramFactor:
+    """Check an n x n Hermitian positive definite Gram and factor it,
     G = L L*: the one check of every Gram the package accepts.
 
     Raises GramNotPositive, naming ``name``, on a wrong shape, when the
@@ -174,27 +194,29 @@ def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> np.ndarray:
     if G.shape != (n, n):
         raise GramNotPositive(f"{name} has shape {G.shape}, expected {(n, n)}")
     if not n:
-        return G
+        return GramFactor(G, G)
     scale = _largest(G, name)
     if _largest(G - G.conj().T, name) > 1e-12 * max(1.0, scale):
         raise GramNotPositive(f"{name} is not Hermitian")
     try:
-        return np.linalg.cholesky(G)
+        return GramFactor(G, np.linalg.cholesky(G))
     except np.linalg.LinAlgError:
         raise GramNotPositive(f"{name} is not positive definite") from None
 
 
 def hermitian_spectrum(
     A: np.ndarray,
-    G: np.ndarray | None = None,
+    G: np.ndarray | GramFactor | None = None,
     *,
     kernel_tol: float | None = None,
     vectors: bool = True,
 ) -> SpectralDecomposition:
     """Solve A v = lambda v for a G-self-adjoint A, with V*GV = I.
 
-    Real A and G are solved in float64; a complex A or G promotes the
-    solve to complex128.  With ``vectors=False`` only the eigenvalues are
+    G is None (the identity), an array, which is checked and factored
+    here, or a ``GramFactor``, whose factor is reused as it is.  Real A
+    and G are solved in float64; a complex A or G promotes the solve to
+    complex128.  With ``vectors=False`` only the eigenvalues are
     computed and the result's ``eigenvectors`` is None.
 
     Raises NotHermitian when the largest entry of GA - A*G exceeds 1e-10
@@ -219,8 +241,10 @@ def hermitian_spectrum(
             raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
         B = A
     else:
-        G = _as_square(G, "gram")
-        L = _gram_factor(G, n)
+        factor = G if isinstance(G, GramFactor) else _gram_factor(_as_square(G, "gram"), n)
+        G = factor.gram
+        if G.shape != (n, n):
+            raise GramNotPositive(f"gram has shape {G.shape}, expected {(n, n)}")
         GA = G @ A
         resid = _largest(GA - A.conj().T @ G)
         if resid > HERMITIAN_TOL * max(1.0, _largest(GA)):
@@ -229,8 +253,8 @@ def hermitian_spectrum(
             )
         # B = L* A L^{-*}; Hermitian because GA = A*G, so its entries are
         # bounded by the spectral radius of A and overflow no sooner than A
-        Linv = _lower_inverse(L)
-        B = L.conj().T @ A @ Linv.conj().T
+        Linv = factor.lower_inverse
+        B = factor.lower.conj().T @ A @ Linv.conj().T
         B = 0.5 * (B + B.conj().T)
 
     if vectors:

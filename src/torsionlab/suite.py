@@ -4,7 +4,11 @@ Ten numbered criteria, each with a pinned tolerance, covering structural
 exactness, Hodge theory, oracle torsion values, flux scaling, the
 duality inversion theorem with its map contracts, and determinism of the
 reporting layer.  Results are deterministic: no timestamps or wall times
-enter the JSON payload (time budgets are reported as booleans).
+enter the JSON payload (time budgets are reported as booleans).  The
+seconds each criterion took, on the clock its budget runs on, ride in
+``Report.timings`` and reach only the text output: criterion 7 counts
+the fleet's construction and verification, and criterion 10 the whole
+run.
 
 ``criterion_1`` ... ``criterion_9`` each return (passed, detail, data);
 criteria 7-9 read the reports that ``fleet_reports(bundle_fleet())``
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +70,7 @@ class CriterionResult:
     passed: bool
     detail: str
     data: dict
+    seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -362,7 +367,7 @@ def _round_trip_cases() -> list[tuple[str, str, RunOptions]]:
 
 def _criterion_10(first_pass_bytes: bytes) -> tuple[bool, str, dict]:
     # identical battery bytes on a second run, then report round-trips
-    second = _battery_payload()
+    second = _battery_payload(_battery())
     identical = canonical_bytes(second) == first_pass_bytes
 
     round_trip_ok = True
@@ -407,7 +412,9 @@ def _wrap(ident: str, title: str, fn, budget: float | None = None,
         if not within:
             detail += f"; exceeded {budget:.0f} s budget"
             passed = False
-    return CriterionResult(ident=ident, title=title, passed=passed, detail=detail, data=data)
+    return CriterionResult(
+        ident=ident, title=title, passed=passed, detail=detail, data=data, seconds=elapsed
+    )
 
 
 def _battery() -> list[CriterionResult]:
@@ -436,14 +443,15 @@ def _battery() -> list[CriterionResult]:
     ]
 
 
-def _battery_payload() -> dict:
-    return {"criteria": [r.to_json() for r in _battery()]}
+def _battery_payload(results: list[CriterionResult]) -> dict:
+    return {"criteria": [r.to_json() for r in results]}
 
 
 def run_suite() -> Report:
     """Run every acceptance criterion and wrap the outcomes in a Report."""
     t0 = time.perf_counter()
-    payload = _battery_payload()
+    results = _battery()
+    payload = _battery_payload(results)
     first_bytes = canonical_bytes(payload)
     criteria = list(payload["criteria"])
 
@@ -466,5 +474,8 @@ def run_suite() -> Report:
         result={"criteria": criteria, "all_passed": all_passed},
         warnings=(),
         errors=(),
-        timings={"wall_seconds": total},
+        timings={
+            "wall_seconds": total,
+            "criterion_seconds": {r.ident: r.seconds for r in [*results, r10]},
+        },
     )

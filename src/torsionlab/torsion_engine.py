@@ -15,6 +15,8 @@ of a Z2-graded complex is the parity-split analogue,
 with adjoints taken against the parity Grams.  Grams that are None (a
 complex without explicit Grams, graded or twisted) are the identity:
 adjoints are plain conjugate transposes and the solves factor nothing.
+Explicit Grams reach the solves as the ``spectral.GramFactor`` records
+their complex made when it checked them, so no solve refactors a Gram.
 One block builder serves both: a graded complex is a chain of spaces
 (its degrees) and a Z2-graded one a cycle of two (its parities), and
 each adjoint and each product d^+ d, d d^+ is formed once per call.
@@ -136,23 +138,25 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
 def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     """(dims, maps, grams, labels, cyclic): maps[p] leaves space p for
     space p + 1 and, when cyclic, maps[-1] enters space 0.  The spaces
-    are the degrees or the parities; Grams are None without explicit
-    Grams."""
+    are the degrees or the parities; grams are the complex's GramFactor
+    records, or None without explicit Grams."""
     if isinstance(C, TwistedComplex):
         labels = ("d_even (even parity)", "d_odd (odd parity)")
-        return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), (C.gram_even, C.gram_odd), labels, True
+        grams = C._gram_factors or (None, None)
+        return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), grams, labels, True
     n = len(C.dims)
     labels = tuple(f"degree {p}" for p in range(n))
-    return C.dims, [C.delta(p) for p in range(n)], C.gram or (None,) * n, labels, False
+    return C.dims, [C.delta(p) for p in range(n)], C._gram_factors or (None,) * n, labels, False
 
 
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
-    """Per space p: (d_p^+ d_p, the Laplacian, the Gram or None).  Each
-    adjoint and each product is built, and refused if it underflowed,
-    once for both torsion sums."""
+    """Per space p: (d_p^+ d_p, the Laplacian, the GramFactor or None).
+    Each adjoint and each product is built, and refused if it
+    underflowed, once for both torsion sums."""
     dims, maps, grams, labels, cyclic = _spaces(C)
     k = len(dims)
-    adj = [gram_adjoint(d, grams[p], grams[(p + 1) % k] if cyclic or p + 1 < k else None)
+    arrays = [None if g is None else g.gram for g in grams]
+    adj = [gram_adjoint(d, arrays[p], arrays[(p + 1) % k] if cyclic or p + 1 < k else None)
            for p, d in enumerate(maps)]
     out = []
     for p, d in enumerate(maps):
@@ -167,7 +171,7 @@ def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hodge Laplacians Delta_p = delta_p^+ delta_p + delta_{p-1} delta_{p-1}^+,
     returned as (matrix, gram) pairs in degree order."""
     return [
-        (lap, np.eye(n) if gram is None else gram)
+        (lap, np.eye(n) if gram is None else gram.gram)
         for n, (_, lap, gram) in zip(C.dims, _blocks(C))
     ]
 

@@ -20,3 +20,34 @@ def eigensolves(monkeypatch):
 
         monkeypatch.setattr(spectral.np.linalg, name, record)
     return seen
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Record the shape of every Cholesky factorization the spectral
+    module runs."""
+    calls = []
+    factor = spectral.np.linalg.cholesky
+
+    def record(m, *args, **kwargs):
+        calls.append(m.shape)
+        return factor(m, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.np.linalg, "cholesky", record)
+    return calls
+
+
+@pytest.fixture
+def lower_inverses(monkeypatch):
+    """Record the Cholesky factor behind every triangular inverse the
+    spectral module forms (one entry per call; the models these fixtures
+    serve are too small for the inverse to recurse)."""
+    calls = []
+    invert = spectral._lower_inverse
+
+    def record(L):
+        calls.append(L)
+        return invert(L)
+
+    monkeypatch.setattr(spectral, "_lower_inverse", record)
+    return calls

@@ -19,7 +19,7 @@ from torsionlab import (
     validate_local_system,
 )
 from torsionlab.builders import cycle, minimal_sphere, simplex_boundary
-from torsionlab.chain_models import fold
+from torsionlab.chain_models import MAX_MODEL_SIZE, fold
 from torsionlab.errors import (
     DuplicateSimplex,
     FluxError,
@@ -495,3 +495,29 @@ def test_twisted_square_zero_on_simplicial_flux():
     T = twisted_differential(coboundary_matrices(K), h)
     assert np.linalg.norm(T.d_odd @ T.d_even) < 1e-12
     assert np.linalg.norm(T.d_even @ T.d_odd) < 1e-12
+
+
+def test_models_are_size_guarded_at_the_limit():
+    assert MAX_MODEL_SIZE == 8192
+    # a path of k edges has 2k + 1 cells
+    assert sum(build_simplicial([[i, i + 1] for i in range(4095)]).f_vector) == 8191
+    with pytest.raises(ValidationError, match="over 8192 cells"):
+        build_simplicial([[i, i + 1] for i in range(4096)])
+    # a k-vertex simplex closes to 2^k - 1 cells, refused before its faces are listed
+    assert sum(build_simplicial([range(13)]).f_vector) == 8191
+    with pytest.raises(ValidationError, match="over 8192 cells"):
+        build_simplicial([range(40)])
+    with pytest.raises(ValidationError, match="over 8192 cells"):
+        build_simplicial([[v] for v in range(8193)])
+
+    GradedCochainComplex(dims=(8192,), coboundary=())
+    with pytest.raises(ValidationError, match="over 8192 cells"):
+        GradedCochainComplex(dims=(8192, 1), coboundary=(np.zeros((1, 8192)),))
+    with pytest.raises(ValidationError, match="over 8192 degrees"):
+        GradedCochainComplex(dims=(0,) * 8193, coboundary=(np.zeros((0, 0)),) * 8192)
+
+    # rank x cells: the 7-cell triangle with a rank-1171 local system
+    triangle = build_simplicial([[0, 1, 2]])
+    with pytest.raises(ValidationError, match="local system is too large"):
+        coboundary_matrices(triangle, LocalSystem(rank=1171))
+    assert coboundary_matrices(triangle, LocalSystem(rank=2)).dims == (6, 6, 2)

@@ -5,8 +5,13 @@ is r * h2 on the single even generator pair and the odd one is f / r, so
 the twisted torsion is r^2 |h2 / f| and dualizing inverts it.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionlab import (
     BundleData,
@@ -107,6 +112,40 @@ def test_random_fleet_sample():
         rep = verify_t_duality(b)
         assert abs(rep.product_log) <= 1e-10
         assert rep.inverse_residual == 0.0
+
+
+_RADIUS = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), top=st.integers(2, 5), radius=_RADIUS)
+def test_random_bundle_torsions_are_inverse_at_any_radius(seed, top, radius):
+    b = replace(random_bundle(seed, top), radius=radius)
+    assert abs(verify_t_duality(b).product_log) <= 1e-8
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    f=st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0]),
+    h2=st.sampled_from([-2.0, 0.25, 1.0, 3.0]),
+    radius=_RADIUS,
+)
+def test_hopf_torsions_are_inverse_at_any_radius(f, h2, radius):
+    rep = verify_t_duality(hopf(f, h2, radius))
+    assert abs(rep.product_log) <= 1e-8
+    assert rep.torsion.scalar == pytest.approx(radius**2 * abs(h2 / f), rel=1e-10)
+
+
+def test_verify_factors_each_gram_once(factorizations, lower_inverses):
+    b = random_bundle(4242, 4)
+    factorizations.clear()
+    verify_t_duality(b)
+    # three invariant builds (the model, the dualization's check, the
+    # dual) factor their two parity Grams; the twelve solves factor none
+    assert len(factorizations) == 6
+    # and each of the four solved Grams is inverted once
+    assert len(lower_inverses) == 4
+    assert len({id(L) for L in lower_inverses}) == 4
 
 
 def test_random_bundle_is_deterministic():

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +21,6 @@ def test_reidemeister_text(capsys):
     assert main(["reidemeister", "cycle(5)"]) == 0
     out = capsys.readouterr().out
     assert "log tau" in out
-    import re
-
     value = float(re.search(r"^  tau = (.+)$", out, re.M).group(1))
     assert value == pytest.approx(5.0, rel=1e-9)
 
@@ -75,6 +74,30 @@ def test_suite_rejects_tol():
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--tol", "1e-6"])
     assert exc.value.code == 2
+
+
+def test_suite_text_ends_each_criterion_with_its_seconds(capsys, monkeypatch):
+    from torsionlab import suite
+
+    # two stand-in criteria keep the run short; the timing plumbing is real
+    battery = [("1", True), ("2", False)]
+    monkeypatch.setattr(suite, "_battery", lambda: [
+        suite._wrap(ident, f"stand-in {ident}", lambda ok=ok: (ok, "detail", {"x": 1}))
+        for ident, ok in battery
+    ])
+    monkeypatch.setattr(suite, "_criterion_10", lambda first: (True, "detail", {}))
+
+    assert main(["suite", "--format", "json"]) == 1
+    text = capsys.readouterr().out
+    assert "second" not in text and "timing" not in text
+    assert [c["id"] for c in json.loads(text)["result"]["criteria"]] == ["1", "2", "10"]
+
+    assert main(["suite"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    criteria = [ln for ln in lines if ln.startswith(("  PASS", "  FAIL"))]
+    assert len(criteria) == 3
+    for line in criteria:
+        assert re.search(r"\(\d+\.\d\d s\)$", line), line
 
 
 def test_verify_duality_text(capsys, monkeypatch):
@@ -272,6 +295,31 @@ def test_malformed_files_are_refused(argv, payload, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _simplicial(top_simplices=[list(range(26))]),
+        _simplicial(top_simplices=[[i, i + 1] for i in range(5000)]),
+        {"schema": "complex.v1", "kind": "cochain", "dims": [200000, 0], "coboundary": [[]]},
+        {"schema": "complex.v1", "kind": "cochain", "dims": [0] * 9000,
+         "coboundary": [[]] * 8999},
+        _simplicial(local_system={"rank": 3000, "holonomy": []}),
+        _bundle(base_dims=(200000, 0, 1)),
+    ],
+    ids=["26-vertex-simplex", "5000-edge-path", "cochain-200000-cells", "cochain-9000-degrees",
+         "rank-3000-local-system", "bundle-200000-cell-base"],
+)
+def test_oversize_files_are_refused_before_building(payload, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    command = "bundle-torsion" if payload["schema"] == "bundle.v1" else "reidemeister"
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = _error_lines(captured.err)
+    assert len(errors) == 1 and "too large to build: over 8192" in errors[0]
 
 
 # valid files, each with the arguments that read it

@@ -24,6 +24,7 @@ from torsionlab.errors import (
 from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
+    _gram_factor,
     default_kernel_tol,
     harmonic_basis_of,
     pseudodet_of,
@@ -269,3 +270,28 @@ def test_non_finite_operator_is_refused(bad):
         hermitian_spectrum(A, np.eye(2), vectors=False)
     with pytest.raises(ValidationError, match="gram has a non-finite entry"):
         hermitian_spectrum(np.eye(2), A)
+
+
+def test_a_gram_factor_solves_bit_identically_without_refactoring(factorizations, lower_inverses):
+    rng = np.random.default_rng(17)
+    n = 6
+    g = rng.standard_normal((n, n))
+    G = g @ g.T + n * np.eye(n)
+    A = np.linalg.solve(G, _random_psd(rng, n, 4))
+    direct = {vectors: hermitian_spectrum(A, G, vectors=vectors) for vectors in (True, False)}
+    assert (len(factorizations), len(lower_inverses)) == (2, 2)
+
+    factor = _gram_factor(G, n)
+    assert factor.gram is G and len(factorizations) == 3
+    for vectors in (True, False, True, False):
+        reused = hermitian_spectrum(A, factor, vectors=vectors)
+        assert np.array_equal(reused.eigenvalues, direct[vectors].eigenvalues)
+        if vectors:
+            assert np.array_equal(reused.eigenvectors, direct[vectors].eigenvectors)
+    # the record's inverse is formed on its first solve and kept
+    assert (len(factorizations), len(lower_inverses)) == (3, 3)
+
+
+def test_a_gram_factor_of_the_wrong_size_is_refused():
+    with pytest.raises(GramNotPositive, match="gram has shape"):
+        hermitian_spectrum(np.eye(3), _gram_factor(np.eye(2), 2))

@@ -28,8 +28,8 @@ from torsionlab import (
     twisted_differential,
     twisted_torsion,
 )
-from torsionlab import spectral
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
+from torsionlab.circle_bundle import build_invariant_complex, random_bundle
 from torsionlab.errors import ValidationError
 from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement
 
@@ -271,20 +271,6 @@ def test_identity_grams_as_none_match_explicit_identity_grams(K, c):
     assert fast.warnings == gram_path.warnings
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Count the Cholesky factorizations the spectral module runs."""
-    calls = []
-    factor = spectral.np.linalg.cholesky
-
-    def record(m, *args, **kwargs):
-        calls.append(m.shape)
-        return factor(m, *args, **kwargs)
-
-    monkeypatch.setattr(spectral.np.linalg, "cholesky", record)
-    return calls
-
-
 def test_gram_less_twisted_complex_factors_nothing(factorizations):
     K = simplex_boundary(4)
     C = coboundary_matrices(K)
@@ -299,6 +285,30 @@ def test_gram_less_twisted_complex_factors_nothing(factorizations):
 def test_one_parity_gram_without_the_other_is_refused(grams):
     with pytest.raises(ValidationError, match="parity Grams must be given both or neither"):
         TwistedComplex(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), *grams)
+
+
+def test_torsion_reuses_the_gram_factors_of_its_complex(factorizations, lower_inverses):
+    b = random_bundle(4242, 4)
+    ic = build_invariant_complex(b)
+    factorizations.clear()
+    twisted_torsion(ic)
+    reidemeister_torsion(b.base)
+    assert factorizations == []
+    # one triangular inverse per nonempty Gram: two parities, five degrees
+    assert b.base.dims == (1, 1, 2, 2, 2)
+    assert len(lower_inverses) == 2 + 5
+    twisted_torsion(ic)
+    reidemeister_torsion(b.base)
+    assert factorizations == [] and len(lower_inverses) == 7
+
+
+def test_public_grams_stay_plain_arrays():
+    b = random_bundle(4242, 4)
+    ic = build_invariant_complex(b)
+    for g in (*b.base.gram, ic.gram_even, ic.gram_odd):
+        assert type(g) is np.ndarray
+    for _, gram in laplacians(b.base):
+        assert type(gram) is np.ndarray
 
 
 _MODELS = st.one_of(
@@ -462,3 +472,49 @@ def test_torsion_beyond_float64_is_refused():
         reidemeister_torsion(C)
     with pytest.raises(ValidationError, match="torsion log-scalar 1036.16"):
         twisted_torsion(twisted_differential(C))
+
+
+def _random_spd(rng, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = (q * rng.uniform(0.5, 2.0, size=n)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def _basis_change(rng, n: int, kind: str) -> np.ndarray:
+    if kind == "signed permutation":
+        return np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if kind == "orthogonal":
+        return q
+    # well conditioned but not orthogonal: only the matching Gram keeps tau
+    return (q * rng.uniform(0.5, 2.0, size=n)) @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    C=st.one_of(
+        st.integers(3, 30).map(lambda n: coboundary_matrices(cycle(n))),
+        st.integers(2, 5).map(lambda n: coboundary_matrices(simplex_boundary(n))),
+        st.integers(1, 4).map(lambda k: lens(5, 1, k)),
+    ),
+    kind=st.sampled_from(["signed permutation", "orthogonal", "invertible"]),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_torsion_is_invariant_under_a_basis_change_with_the_matching_gram(C, kind, weighted, seed):
+    # delta'_p = Q_{p+1} delta_p Q_p^-1 and G'_p = Q_p^-T G_p Q_p^-1 is the
+    # same complex and the same inner products in another basis
+    rng = np.random.default_rng(seed)
+    if weighted:
+        C = C.with_gram([_random_spd(rng, n) for n in C.dims])
+    qs = [_basis_change(rng, n, kind) for n in C.dims]
+    inv = [np.linalg.inv(q) for q in qs]
+    grams = [iq.T @ C.gram_at(p) @ iq for p, iq in enumerate(inv)]
+    moved = GradedCochainComplex(
+        dims=C.dims,
+        coboundary=[qs[p + 1] @ d @ inv[p] for p, d in enumerate(C.coboundary)],
+        gram=[0.5 * (g + g.T) for g in grams],
+    )
+    before, after = reidemeister_torsion(C), reidemeister_torsion(moved)
+    assert after.kernel_dims == before.kernel_dims
+    assert abs(after.log_scalar - before.log_scalar) <= 1e-10 * max(1.0, abs(before.log_scalar))
