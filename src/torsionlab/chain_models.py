@@ -4,7 +4,9 @@ Combinatorial layer of the package: simplicial complexes closed under
 faces, signed-incidence coboundaries (optionally twisted by a unitary
 local system), Alexander-Whitney cup products, flux-twisted Z2-graded
 differentials, and evaluation against a fundamental class.  ``fold`` is
-the one owner of the Z2 parity layout: twisted differentials and the
+the one owner of the Z2 parity layout.  A graded complex lays itself out
+on the two parities once, on first use, and keeps the layout
+(``GradedCochainComplex._parity``): twisted differentials and the
 invariant complexes of ``circle_bundle`` are both assembled from it.
 
 Conventions
@@ -17,22 +19,28 @@ the simplex; only the drop-v_0 face term needs transport, by U(v_0,v_1)
 conjugate-transposed.  Grams default to the identity: a graded complex's
 ``gram`` and a twisted complex's parity Grams may be None, which means
 the identity, and downstream solves then factor nothing.  An explicit
-Gram is checked and Cholesky-factored once, by the complex that holds
-it (``spectral._gram_factor``); the complex keeps the factor next to the
-Gram, and every solve against that Gram in ``torsion_engine`` and
-``circle_bundle`` reuses it.
+Gram is checked and Cholesky-factored once, by the graded complex that
+holds it (``spectral._gram_factor``); the complex keeps the factor next
+to the Gram.  Parity Grams are direct sums of degree Grams, so their
+factors are assembled from the degree factors (``spectral._direct_sum``)
+and a twisted or invariant complex built on the base takes them as they
+are; every solve against a Gram in ``torsion_engine`` and
+``circle_bundle`` reuses its factor.
 
 Matrices, Grams and cochains are stored read-only, as float64 when every
 entry is exactly real and as complex128 otherwise, so a real complex is
-solved in real arithmetic downstream.  Non-finite entries are refused,
-and so are coboundary and Gram entries whose nonzero modulus lies
-outside [1e-150, 1e150], where squaring them leaves float64 (Grams can
-still scale a square out of range; ``torsion_engine`` refuses that).
+solved in real arithmetic downstream.  An array that already is stored
+so, and that no writable array shares, is kept without a copy.
+Non-finite entries are refused, and so are coboundary and Gram entries
+whose nonzero modulus lies outside [1e-150, 1e150], where squaring them
+leaves float64 (Grams can still scale a square out of range;
+``torsion_engine`` refuses that).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -45,13 +53,14 @@ from .errors import (
     FluxHasDegreeOne,
     FluxNotClosed,
     FluxNotNilpotent,
+    GramNotPositive,
     InconsistentDimension,
     NonFlatLocalSystem,
     NotOriented,
     NotTopDegree,
     ValidationError,
 )
-from .spectral import GramFactor, _gram_factor
+from .spectral import GramFactor, _direct_sum, _gram_factor
 
 __all__ = [
     "SimplicialComplex",
@@ -83,35 +92,50 @@ def _refuse_oversize(what: str, *, cells: int = 0, degrees: int = 0) -> None:
             raise ValidationError(f"{what} is too large to build: over {MAX_MODEL_SIZE} {unit}")
 
 
-def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
-    """Read-only copy: float64 when every entry is real, else complex128.
+def _is_frozen(a) -> bool:
+    """True for a read-only array whose memory no writable array shares:
+    every array on its base chain is read-only, and the chain ends in an
+    array that owns its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
-    Non-finite entries are refused, so nothing downstream computes with
-    them; ``bounded`` also refuses nonzero entries whose modulus lies
-    outside [1e-150, 1e150], where squaring them in a Laplacian would
-    overflow or underflow float64 into a wrong kernel.
+
+def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
+    """Read-only array: float64 when every entry is real, else complex128.
+
+    An array that already is one, C-ordered and frozen (``_is_frozen``),
+    is kept as it is; anything else is copied.  Non-finite entries are
+    refused, so nothing downstream computes with them; ``bounded`` also
+    refuses nonzero entries whose modulus lies outside [1e-150, 1e150],
+    where squaring them in a Laplacian would overflow or underflow
+    float64 into a wrong kernel.  Both scans read one array of moduli.
     """
     out = np.asarray(a)
     if out.dtype.kind != "f":
         out = out.astype(np.complex128, copy=False)
         if not out.imag.any():
             out = out.real
-    out = np.array(out, dtype=np.complex128 if out.dtype.kind == "c" else np.float64, order="C")
-    if not np.isfinite(out).all():
-        raise ValidationError(f"{what} has a non-finite entry")
-    if bounded:
-        _check_entry_range(out, what)
-    out.setflags(write=False)
+    dtype = np.complex128 if out.dtype.kind == "c" else np.float64
+    if not (out.dtype == dtype and out.flags.c_contiguous and _is_frozen(out)):
+        out = np.array(out, dtype=dtype, order="C")
+        out.setflags(write=False)
+    if out.size:
+        moduli = np.abs(out)
+        top = float(moduli.max())
+        # a complex modulus can overflow to inf from finite parts
+        if not math.isfinite(top) and not np.isfinite(out).all():
+            raise ValidationError(f"{what} has a non-finite entry")
+        if bounded:
+            _check_entry_range(moduli, top, what)
     return out
 
 
-def _check_entry_range(a: np.ndarray, what: str) -> None:
-    if not a.size:
-        return
-    moduli = np.abs(a)
+def _check_entry_range(moduli: np.ndarray, top: float, what: str) -> None:
     lo, hi = _ENTRY_RANGE
     tiny = (moduli < lo) & (moduli != 0)
-    top = float(moduli.max())
     if top <= hi and not tiny.any():
         return
     bad = top if top > hi else float(moduli[tiny].min())
@@ -415,6 +439,20 @@ class GradedCochainComplex:
     def top(self) -> int:
         return len(self.dims) - 1
 
+    @cached_property
+    def _parity(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[GramFactor, GramFactor] | None]:
+        """The complex on the Z2 grading, laid out on first use and kept:
+        the coboundary folded (from even, from odd), read-only, and the
+        (even, odd) GramFactor records assembled from the degree factors,
+        or None with the identity Grams."""
+        folded = fold(self.dims, self.coboundary, 1)
+        for a in folded:
+            a.setflags(write=False)
+        factors = self._gram_factors
+        if factors is None:
+            return folded, None
+        return folded, (_direct_sum(factors[0::2]), _direct_sum(factors[1::2]))
+
     def gram_at(self, p: int) -> np.ndarray:
         if self.gram is None:
             return np.eye(self.dims[p])
@@ -626,17 +664,19 @@ class TwistedComplex:
 
     ``gram_even`` and ``gram_odd`` are both None (identity inner products
     on both parities, as for a Gram-less graded complex) or both
-    Hermitian positive definite; one without the other is refused.  Given
-    Grams are checked and factored once, here, with the factors kept for
-    the solves.
+    Hermitian positive definite; one without the other is refused.  A
+    Gram given as an array is checked and factored once, here; one given
+    as a ``spectral.GramFactor`` record was checked where the record was
+    made and is taken with its factor.  The complex keeps the factors for
+    the solves and stores the Grams themselves in the two fields.
     """
 
     even_dim: int
     odd_dim: int
     d_even: np.ndarray
     d_odd: np.ndarray
-    gram_even: np.ndarray | None
-    gram_odd: np.ndarray | None
+    gram_even: np.ndarray | GramFactor | None
+    gram_odd: np.ndarray | GramFactor | None
     # spectral.GramFactor of (even, odd), or None with the identity Grams
     _gram_factors: tuple[GramFactor, GramFactor] | None = field(
         default=None, init=False, repr=False
@@ -654,18 +694,24 @@ class TwistedComplex:
         if (self.gram_even is None) != (self.gram_odd is None):
             raise ValidationError("parity Grams must be given both or neither")
         if self.gram_even is not None:
-            ge = _freeze(self.gram_even, "Gram at even parity", bounded=True)
-            go = _freeze(self.gram_odd, "Gram at odd parity", bounded=True)
             factors = (
-                _gram_factor(ge, self.even_dim, "Gram at even parity"),
-                _gram_factor(go, self.odd_dim, "Gram at odd parity"),
+                _parity_factor(self.gram_even, self.even_dim, "Gram at even parity"),
+                _parity_factor(self.gram_odd, self.odd_dim, "Gram at odd parity"),
             )
-            object.__setattr__(self, "gram_even", ge)
-            object.__setattr__(self, "gram_odd", go)
+            object.__setattr__(self, "gram_even", factors[0].gram)
+            object.__setattr__(self, "gram_odd", factors[1].gram)
             object.__setattr__(self, "_gram_factors", factors)
         scale = 1.0 + _norm(de) * _norm(do)
         if _norm(do @ de) > _SQUARE_ZERO_TOL * scale or _norm(de @ do) > _SQUARE_ZERO_TOL * scale:
             raise FluxNotNilpotent("total differential does not square to zero")
+
+
+def _parity_factor(g: np.ndarray | GramFactor, n: int, what: str) -> GramFactor:
+    if not isinstance(g, GramFactor):
+        return _gram_factor(_freeze(g, what, bounded=True), n, what)
+    if g.gram.shape != (n, n):
+        raise GramNotPositive(f"{what} has shape {g.gram.shape}, expected {(n, n)}")
+    return g
 
 
 def _flux_components(flux) -> list[Cochain]:
@@ -756,7 +802,7 @@ def twisted_differential(
                         f"{_norm(sq.coefficients):.3e}"
                     )
 
-    d_even, d_odd = fold(dims, C.coboundary, 1)
+    (d_even, d_odd), grams = C._parity
     for h in nontrivial:
         if K is not None:
             ops = [cup_operator(K, h, q) for q in range(top + 1 - h.degree)]
@@ -768,9 +814,7 @@ def twisted_differential(
         from_even, from_odd = fold(dims, ops, h.degree)
         d_even, d_odd = d_even + from_even, d_odd + from_odd
 
-    gram_even = gram_odd = None
-    if C.gram is not None:
-        gram_even, gram_odd = fold(dims, C.gram, 0)
+    gram_even, gram_odd = grams or (None, None)
     return TwistedComplex(
         even_dim=d_even.shape[1],
         odd_dim=d_odd.shape[1],

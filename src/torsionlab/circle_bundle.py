@@ -31,6 +31,7 @@ import numpy as np
 
 from .chain_models import (
     _SQUARE_ZERO_TOL,
+    _is_frozen,
     _norm,
     _refuse_oversize,
     GradedCochainComplex,
@@ -46,7 +47,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .spectral import hermitian_spectrum
+from .spectral import _direct_sum, _identity_factor, hermitian_spectrum
 from .torsion_engine import TorsionElement, gram_adjoint, twisted_torsion
 
 __all__ = [
@@ -82,6 +83,9 @@ def _normalize_ops(
 
     ``ops[q]`` maps degree q to q+shift; missing entries become zeros and
     blocks whose target degree overflows the grading must be empty.
+    Blocks come back read-only; frozen ones (``_is_frozen``) pass
+    through uncopied, so re-normalizing a model's own family copies
+    nothing.
     """
     top = len(dims) - 1
     if ops is None:
@@ -96,18 +100,18 @@ def _normalize_ops(
         want = (rows, dims[q])
         block = table.pop(q, None)
         if block is None:
-            out.append(np.zeros(want))
-            continue
-        block = np.asarray(block)
-        if block.size == 0:
+            block = np.zeros(want)
+            block.setflags(write=False)
+        elif block.size == 0:
             block = block.reshape(want) if block.size == want[0] * want[1] else block
         if block.shape != want:
             raise ShapeMismatch(
                 f"{name}[{q}] has shape {block.shape}, expected {want}"
             )
-        b = np.array(block)
-        b.setflags(write=False)
-        out.append(b)
+        if not _is_frozen(block):
+            block = np.array(block)
+            block.setflags(write=False)
+        out.append(block)
     for q in list(table):
         leftover = np.asarray(table[q])
         if leftover.size and np.any(leftover):
@@ -186,20 +190,25 @@ def _closure_residuals(d_h3, f, h2) -> dict[str, float]:
 def build_invariant_complex(b: BundleData) -> InvariantComplex:
     """Assemble the invariant-cochain complex of a bundle model.
 
-    Raises InvalidFlux naming the failing block identity when the
-    assembled differential does not square to zero.
+    The base's parity layout (``GradedCochainComplex._parity``) is
+    folded once per base and reused; the parity Grams are direct sums of
+    the base's checked parity Grams, so their factors are assembled from
+    the base's, not checked or factored again.  Raises InvalidFlux naming
+    the failing block identity when the assembled differential does not
+    square to zero.
     """
     C = b.base
     dims = C.dims
+    (delta_eo, delta_oe), grams = C._parity
+    h3_eo, h3_oe = fold(dims, b.h3_op, 3)
     # (from even, from odd) pairs of d_H3 = delta + H3, F and H2
-    d_h3 = tuple(a + h for a, h in zip(fold(dims, C.coboundary, 1), fold(dims, b.h3_op, 3)))
+    d_h3 = (delta_eo + h3_eo, delta_oe + h3_oe)
     f, h2 = fold(dims, b.f_op, 2), fold(dims, b.h2_op, 2)
     (b_eo, b_oe), (f_ee, f_oo), (h2_ee, h2_oo) = d_h3, f, h2
-    ge, go = fold(dims, [C.gram_at(q) for q in range(len(dims))], 0)
     r = b.radius
     rinv = b.inverse_radius
 
-    e, o = ge.shape[0], go.shape[0]
+    o, e = b_eo.shape
 
     # filled block by block: on models this small, np.block's overhead
     # would be about a third of the build
@@ -210,11 +219,16 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     d_odd = np.empty((e + o, o + e), dtype=dtype)
     d_odd[:e, :o], d_odd[:e, o:] = b_oe, rinv * f_ee
     d_odd[e:, :o], d_odd[e:, o:] = r * h2_oo, -b_eo
+    # frozen, so the complex keeps them uncopied; it still scans them,
+    # since r F and H2 / r can leave the entry range their inputs are in
+    d_even.setflags(write=False)
+    d_odd.setflags(write=False)
 
-    gram_even = np.zeros((e + o, e + o), dtype=ge.dtype)
-    gram_even[:e, :e], gram_even[e:, e:] = ge, go
-    gram_odd = np.zeros((o + e, o + e), dtype=ge.dtype)
-    gram_odd[:o, :o], gram_odd[o:, o:] = go, ge
+    if grams is None:
+        gram_even = gram_odd = _identity_factor(e + o)
+    else:
+        ge, go = grams
+        gram_even, gram_odd = _direct_sum((ge, go)), _direct_sum((go, ge))
     try:
         return InvariantComplex(
             even_dim=e + o,
@@ -329,7 +343,8 @@ class DualityReport:
 
 
 def _opnorm(a: np.ndarray) -> float:
-    if a.size == 0:
+    """Spectral norm; an exactly zero residual, the common case, needs no SVD."""
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -445,6 +460,15 @@ def verify_t_duality(
         spectral_transport_residual=transport,
         harmonic_transport_residual=harmonic,
     )
+    # a kernel cut inside one spectrum but not the other breaks the
+    # duality before the torsions are compared
+    primal, dual_swapped = tau.kernel_dims, tau_dual.kernel_dims[::-1]
+    if primal != dual_swapped:
+        cut = "default" if kernel_tol is None else repr(kernel_tol)
+        raise DualityViolation(
+            f"kernel tolerance {cut} cuts the two spectra differently: kernel dims "
+            f"(even, odd) {primal} on the model against (odd, even) {dual_swapped} on its dual"
+        )
     if abs(product_log) > tol:
         raise DualityViolation(
             f"log tau + log tau_dual = {product_log!r} exceeds {tol}; "

@@ -6,8 +6,11 @@ reduced to a standard Hermitian problem by Cholesky congruence: with
 G = L L*, the matrix B = L* A L^{-*} is Hermitian and shares the
 spectrum.  The factor is formed once per Gram: ``_gram_factor`` checks a
 Gram and returns a ``GramFactor`` holding G, L and (formed on first use)
-L^{-1}.  The complexes of ``chain_models`` keep the records of the Grams
-they check, and a solve handed a record reuses its factor instead of
+L^{-1}.  The Cholesky factor of a block-diagonal Gram is the direct sum
+of the factors of its blocks, so ``_direct_sum`` assembles the record of
+such a Gram from checked block records without checking or factoring
+again.  The complexes of ``chain_models`` keep the records of their
+Grams, and a solve handed a record reuses its factor instead of
 refactoring G.  Kernel membership is decided by a relative threshold,
 1e-9 times the largest eigenvalue magnitude (or 1 if the spectrum
 vanishes); a cut with retained/discarded ratio under 1e3 is recorded as
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -171,8 +175,10 @@ def _largest(a: np.ndarray, name: str = "operator") -> float:
 class GramFactor:
     """A checked Gram with its Cholesky factor, G = L L*.
 
-    Only ``_gram_factor`` makes one, so a factor never travels without the
-    Gram it was computed from.  ``lower_inverse`` is formed on first use.
+    ``_gram_factor`` makes one from a Gram it has checked, and
+    ``_direct_sum`` and ``_identity_factor`` assemble one from known
+    factors, so a factor never travels without its Gram.
+    ``lower_inverse`` is formed on first use.
     """
 
     gram: np.ndarray
@@ -202,6 +208,30 @@ def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> GramFactor:
         return GramFactor(G, np.linalg.cholesky(G))
     except np.linalg.LinAlgError:
         raise GramNotPositive(f"{name} is not positive definite") from None
+
+
+def _direct_sum(blocks: Sequence[GramFactor]) -> GramFactor:
+    """Record of the block-diagonal Gram with the given diagonal blocks, in
+    order.  Its Cholesky factor is the block-diagonal of the blocks'
+    factors, so nothing is checked or factored again."""
+    n = sum(f.gram.shape[0] for f in blocks)
+    gram = np.zeros((n, n), dtype=np.result_type(np.float64, *(f.gram for f in blocks)))
+    lower = np.zeros((n, n), dtype=np.result_type(np.float64, *(f.lower for f in blocks)))
+    i = 0
+    for f in blocks:
+        k = i + f.gram.shape[0]
+        gram[i:k, i:k], lower[i:k, i:k] = f.gram, f.lower
+        i = k
+    gram.setflags(write=False)
+    lower.setflags(write=False)
+    return GramFactor(gram, lower)
+
+
+def _identity_factor(n: int) -> GramFactor:
+    """Record of the n x n identity Gram, its own Cholesky factor."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return GramFactor(eye, eye)
 
 
 def hermitian_spectrum(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionlab import spectral
+from torsionlab import chain_models, circle_bundle, spectral
 
 
 @pytest.fixture
@@ -51,3 +51,29 @@ def lower_inverses(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lower_inverse", record)
     return calls
+
+
+def _count_calls(monkeypatch, fn, bindings) -> list:
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in bindings:
+        monkeypatch.setattr(module, fn.__name__, record)
+    return calls
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Record every parity fold (``chain_models.fold``), under each name
+    the package calls it by."""
+    return _count_calls(monkeypatch, chain_models.fold, (chain_models, circle_bundle))
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """Record every Gram check (``spectral._gram_factor``), under each name
+    the package calls it by."""
+    return _count_calls(monkeypatch, spectral._gram_factor, (spectral, chain_models))

@@ -1,6 +1,8 @@
 """Combinatorial layer: complexes, local systems, cup products, parity
 assembly, and flux-twisted differentials."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from torsionlab import (
     validate_local_system,
 )
 from torsionlab.builders import cycle, minimal_sphere, simplex_boundary
-from torsionlab.chain_models import MAX_MODEL_SIZE, fold
+from torsionlab.chain_models import MAX_MODEL_SIZE, _is_frozen, fold
 from torsionlab.errors import (
     DuplicateSimplex,
     FluxError,
@@ -210,6 +212,69 @@ def test_entries_at_the_range_ends_and_exact_zeros_are_accepted():
     for value in (1e150, -1e150, 1e-150, 1e-150j):
         C = GradedCochainComplex(dims=(1, 1, 1), coboundary=(np.array([[value]]), np.zeros((1, 1))))
         assert C.coboundary[0][0, 0] == value
+
+
+def _frozen(value, kind):
+    # complex128 only when the imaginary part is nonzero: a complex array
+    # with real entries is stored as float64, which needs a copy anyway
+    a = np.array([[value if kind == "real" else complex(0.0, value)]])
+    a.setflags(write=False)
+    assert _is_frozen(a) and a.dtype == (np.float64 if kind == "real" else np.complex128)
+    return a
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "value, message",
+    [(float("nan"), "non-finite entry"), (float("inf"), "non-finite entry"),
+     (1e200, "entry of modulus 1.000e+200"), (1e-200, "entry of modulus 1.000e-200")],
+)
+def test_frozen_inputs_kept_uncopied_are_still_refused(value, message, kind):
+    bad, ok = _frozen(value, kind), np.ones((1, 1))
+    message = re.escape(message)
+    with pytest.raises(ValidationError, match=f"coboundary 0 has an? {message}"):
+        GradedCochainComplex(dims=(1, 1), coboundary=(bad,))
+    with pytest.raises(ValidationError, match=f"Gram at degree 1 has an? {message}"):
+        GradedCochainComplex(dims=(1, 1), coboundary=(ok,), gram=(np.eye(1), bad))
+    with pytest.raises(ValidationError, match=rf"d_even \(even parity\) has an? {message}"):
+        TwistedComplex(1, 1, bad, np.zeros((1, 1)), ok, ok)
+    with pytest.raises(ValidationError, match=f"Gram at odd parity has an? {message}"):
+        TwistedComplex(1, 1, ok, np.zeros((1, 1)), ok, bad)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_only_frozen_inputs_are_kept_uncopied(kind):
+    frozen = _frozen(2.0, kind)
+    C = GradedCochainComplex(dims=(1, 1), coboundary=(frozen,))
+    T = TwistedComplex(1, 1, frozen, np.zeros((1, 1)), None, None)
+    assert C.coboundary[0] is frozen and T.d_even is frozen
+
+    owner = np.array(frozen)
+    view = owner.view()
+    view.setflags(write=False)
+    assert not _is_frozen(view)
+    for source in (owner, view):
+        C = GradedCochainComplex(dims=(1, 1), coboundary=(source,))
+        T = TwistedComplex(1, 1, source, np.zeros((1, 1)), None, None)
+        owner[0, 0] = 7.0
+        assert C.coboundary[0][0, 0] == frozen[0, 0]
+        assert T.d_even[0, 0] == frozen[0, 0]
+        owner[0, 0] = frozen[0, 0]
+
+
+def test_parity_gram_records_are_taken_with_their_factor(gram_checks):
+    C = GradedCochainComplex(
+        dims=(1, 1, 1), coboundary=(np.zeros((1, 1)), np.zeros((1, 1))),
+        gram=(np.eye(1), 2.0 * np.eye(1), 3.0 * np.eye(1)),
+    )
+    gram_checks.clear()
+    T = twisted_differential(C)
+    even, odd = C._parity[1]
+    assert T._gram_factors == (even, odd) and gram_checks == []
+    assert np.array_equal(T.gram_even, np.diag([1.0, 3.0]))
+    assert np.array_equal(even.lower, np.diag([1.0, np.sqrt(3.0)]))
+    with pytest.raises(GramNotPositive, match=r"Gram at odd parity has shape \(2, 2\)"):
+        TwistedComplex(2, 1, np.zeros((1, 2)), np.zeros((2, 1)), even, even)
 
 
 # ---------------------------------------------------------------------------

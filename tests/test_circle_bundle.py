@@ -33,7 +33,7 @@ from torsionlab import (
     t_dualize,
     verify_t_duality,
 )
-from torsionlab.circle_bundle import _slot_dims
+from torsionlab.circle_bundle import _opnorm, _slot_dims
 
 
 def _ladder_bundle() -> BundleData:
@@ -140,12 +140,63 @@ def test_verify_factors_each_gram_once(factorizations, lower_inverses):
     b = random_bundle(4242, 4)
     factorizations.clear()
     verify_t_duality(b)
-    # three invariant builds (the model, the dualization's check, the
-    # dual) factor their two parity Grams; the twelve solves factor none
-    assert len(factorizations) == 6
+    # the base factored its Grams when it was built; the three invariant
+    # builds assemble their parity factors from the base's, and the
+    # twelve solves reuse those
+    assert len(factorizations) == 0
     # and each of the four solved Grams is inverted once
     assert len(lower_inverses) == 4
     assert len({id(L) for L in lower_inverses}) == 4
+
+
+def test_verify_reuses_the_base_layout(folds, gram_checks):
+    b = random_bundle(4242, 4)
+    # the base checks its Grams once, when it is built
+    assert len(gram_checks) == len(b.base.dims)
+    gram_checks.clear()
+    verify_t_duality(b)
+    # the base folds its coboundary once, on first use; each of the three
+    # builds folds only H3, F and H2
+    assert len(folds) == 1 + 3 * 3
+    folds.clear()
+    verify_t_duality(b)
+    assert len(folds) == 3 * 3
+    assert gram_checks == []
+
+
+def _bundles():
+    for seed in range(100):
+        for top in (3, 4):
+            yield random_bundle(seed, top)
+    for f, h2, r in ((1.0, 2.0, 0.7), (2.0, -0.5, 1.5), (-3.0, 0.25, 4.0)):
+        yield hopf(f, h2, r)
+
+
+def test_assembled_parity_factors_equal_cholesky_bit_for_bit():
+    # the suite fleet and Hopf models: every factor assembled from block
+    # factors is the one Cholesky gives for the assembled Gram
+    checked = 0
+    for b in _bundles():
+        factors = list(b.base._parity[1] or ())
+        for ic in (build_invariant_complex(b), build_invariant_complex(t_dualize(b))):
+            factors.extend(ic._gram_factors)
+        for factor in factors:
+            L = np.linalg.cholesky(factor.gram) if factor.gram.size else factor.gram
+            assert L.dtype == factor.lower.dtype
+            assert L.tobytes() == factor.lower.tobytes()
+        checked += len(factors)
+    assert checked == 200 * 6 + 3 * 4
+
+
+def test_opnorm_is_the_spectral_norm():
+    # the max-entry norm of the first would be 4; the second tells the
+    # spectral norm from the Frobenius norm
+    assert _opnorm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(5.0, rel=1e-15)
+    assert _opnorm(np.array([[3.0, 1.0], [4.0, 0.0]])) == pytest.approx(
+        float(np.linalg.svd(np.array([[3.0, 1.0], [4.0, 0.0]]), compute_uv=False)[0]), rel=1e-15
+    )
+    assert _opnorm(np.array([[-0.0, 0.0]])) == 0.0
+    assert _opnorm(np.zeros((0, 3))) == 0.0
 
 
 def test_random_bundle_is_deterministic():

@@ -245,6 +245,17 @@ def test_bad_tolerance_is_refused(tol, capsys):
     ]
 
 
+def test_tolerance_inside_the_spectrum_is_named_not_called_a_bug(capsys):
+    # this cut leaves kernel dims (8, 9) on the model but (9, 9) on its dual
+    assert main(["verify-duality", "random(13,4)", "--tol", "7.370515102442903"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = _error_lines(captured.err)
+    assert "kernel tolerance 7.370515102442903 cuts the two spectra differently" in line
+    assert "(even, odd) (8, 9) on the model against (odd, even) (9, 9)" in line
+    assert "implementation bug" not in line
+
+
 def test_positive_tolerance_runs(capsys):
     assert main(["reidemeister", "cycle(5)", "--tol", "1e-6", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_tol"] == 1e-6
