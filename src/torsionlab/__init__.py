@@ -70,7 +70,6 @@ from .spectral import (
 from .torsion_engine import (
     TorsionElement,
     cohomology_dimensions,
-    gram_adjoint,
     laplacians,
     reidemeister_torsion,
     twisted_cohomology_dimensions,
@@ -105,7 +104,6 @@ __all__ = [
     "TorsionElement",
     "reidemeister_torsion",
     "twisted_torsion",
-    "gram_adjoint",
     "laplacians",
     "cohomology_dimensions",
     "twisted_cohomology_dimensions",

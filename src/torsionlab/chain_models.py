@@ -24,8 +24,9 @@ holds it (``spectral._gram_factor``); the complex keeps the factor next
 to the Gram.  Parity Grams are direct sums of degree Grams, so their
 factors are assembled from the degree factors (``spectral._direct_sum``)
 and a twisted or invariant complex built on the base takes them as they
-are; every solve against a Gram in ``torsion_engine`` and
-``circle_bundle`` reuses its factor.
+are.  ``torsion_engine`` and ``circle_bundle`` weight each coboundary by
+these factors (``spectral._weighted``) and solve Hermitian matrices, so
+no Gram reaches the eigensolver and this is the only Gram check.
 
 Matrices, Grams and cochains are stored read-only, as float64 when every
 entry is exactly real and as complex128 otherwise, so a real complex is

@@ -47,8 +47,8 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .spectral import _direct_sum, _identity_factor, hermitian_spectrum
-from .torsion_engine import TorsionElement, gram_adjoint, twisted_torsion
+from .spectral import _direct_sum, _identity_factor, _weighted, hermitian_spectrum
+from .torsion_engine import TorsionElement, twisted_torsion
 
 __all__ = [
     "BundleData",
@@ -416,12 +416,12 @@ def verify_t_duality(
     )
 
     # nonzero spectra of d^+d move to the opposite parity on the dual side;
-    # the solves reuse the Gram factors each complex made when it checked
-    # its Grams
+    # each is solved as w* w, w weighted by the Gram factors each complex
+    # made when it checked its Grams
     def positive(op, g_src, g_tgt):
-        a = gram_adjoint(op, g_src.gram, g_tgt.gram) @ op
+        w = _weighted(op, g_src, g_tgt)
         return hermitian_spectrum(
-            a, g_src, kernel_tol=kernel_tol, vectors=False
+            w.conj().T @ w, kernel_tol=kernel_tol, vectors=False
         ).positive_eigenvalues
 
     f_even, f_odd = ic._gram_factors

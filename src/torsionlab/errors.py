@@ -76,7 +76,7 @@ class NotTopDegree(TorsionLabError):
 # ---- spectral ----
 
 class NotHermitian(TorsionLabError):
-    """Matrix is not self-adjoint with respect to the given Gram."""
+    """Matrix handed to the eigensolver is not Hermitian."""
 
 
 class GramNotPositive(TorsionLabError):

@@ -1,26 +1,28 @@
-"""Generalized Hermitian eigensolves and log-domain pseudo-determinants.
+"""Hermitian eigensolves and log-domain pseudo-determinants.
 
-All operators here are self-adjoint with respect to a Hermitian positive
-definite Gram G.  The generalized problem A v = lambda v with V*GV = I is
-reduced to a standard Hermitian problem by Cholesky congruence: with
-G = L L*, the matrix B = L* A L^{-*} is Hermitian and shares the
-spectrum.  The factor is formed once per Gram: ``_gram_factor`` checks a
-Gram and returns a ``GramFactor`` holding G, L and (formed on first use)
+No Gram reaches the eigensolver.  Every operator in the package is
+self-adjoint for Hermitian positive definite Grams; with G_p = L_p L_p*,
+the coboundary d_p in coordinates orthonormal for them is the
+Gram-weighted coboundary w_p = L_{p+1}* d_p L_p^{-*} (``_weighted``, which
+returns d_p itself without Grams).  Then w_p* w_p and the weighted
+Laplacian w_p* w_p + w_{p-1} w_{p-1}* are Hermitian and congruent to
+d_p^+ d_p and the Hodge Laplacian, by L_p*, so they share their spectra;
+kernel vectors lift back by L_p^{-*}.  ``_gram_factor`` checks a Gram
+and returns a ``GramFactor`` holding G, L and (formed on first use)
 L^{-1}.  The Cholesky factor of a block-diagonal Gram is the direct sum
 of the factors of its blocks, so ``_direct_sum`` assembles the record of
 such a Gram from checked block records without checking or factoring
 again.  The complexes of ``chain_models`` keep the records of their
-Grams, and a solve handed a record reuses its factor instead of
-refactoring G.  Kernel membership is decided by a relative threshold,
-1e-9 times the largest eigenvalue magnitude (or 1 if the spectrum
-vanishes); a cut with retained/discarded ratio under 1e3 is recorded as
-a warning on the result rather than failing.
+Grams, and the weighting reuses their factors.  Kernel membership is
+decided by a relative threshold, 1e-9 times the largest eigenvalue
+magnitude (or 1 if the spectrum vanishes); a cut with retained/discarded
+ratio under 1e3 is recorded as a warning on the result rather than
+failing.
 
-The arithmetic follows the input dtype: real A and G give a real
-symmetric solve in float64, and a complex A or G a Hermitian one in
-complex128.  Callers that read only eigenvalues pass ``vectors=False``,
-which runs ``eigvalsh`` and leaves the decomposition without
-eigenvectors.
+The arithmetic follows the input dtype: a real A gives a real symmetric
+solve in float64, and a complex A a Hermitian one in complex128.
+Callers that read only eigenvalues pass ``vectors=False``, which runs
+``eigvalsh`` and leaves the decomposition without eigenvectors.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def default_kernel_tol(eigenvalues: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues ascending, eigenvectors G-orthonormal in columns.
+    """Eigenvalues ascending, eigenvectors orthonormal in columns.
 
     ``eigenvectors`` is None for a values-only solve.
     """
@@ -118,7 +120,7 @@ class PseudoDeterminant:
 
 @dataclass(frozen=True, eq=False)
 class HarmonicBasis:
-    """G-orthonormal basis of a Laplacian kernel."""
+    """Basis of a Laplacian kernel, orthonormal for the Gram of its space."""
 
     label: str
     vectors: np.ndarray
@@ -234,29 +236,35 @@ def _identity_factor(n: int) -> GramFactor:
     return GramFactor(eye, eye)
 
 
+def _weighted(d: np.ndarray, source: GramFactor | None, target: GramFactor | None) -> np.ndarray:
+    """The Gram-weighted coboundary w = L_t* d L_s^{-*} of d, from the
+    records of the Grams of its source and target (G = L L*; None is the
+    identity): d itself when both are None."""
+    if target is not None:
+        d = target.lower.conj().T @ d
+    if source is not None:
+        d = d @ source.lower_inverse.conj().T
+    return d
+
+
 def hermitian_spectrum(
     A: np.ndarray,
-    G: np.ndarray | GramFactor | None = None,
     *,
     kernel_tol: float | None = None,
     vectors: bool = True,
 ) -> SpectralDecomposition:
-    """Solve A v = lambda v for a G-self-adjoint A, with V*GV = I.
+    """Solve A v = lambda v for a Hermitian A, with V*V = I.
 
-    G is None (the identity), an array, which is checked and factored
-    here, or a ``GramFactor``, whose factor is reused as it is.  Real A
-    and G are solved in float64; a complex A or G promotes the solve to
-    complex128.  With ``vectors=False`` only the eigenvalues are
-    computed and the result's ``eigenvectors`` is None.
+    A real A is solved in float64 and a complex one in complex128.  With
+    ``vectors=False`` only the eigenvalues are computed and the result's
+    ``eigenvectors`` is None.
 
-    Raises NotHermitian when the largest entry of GA - A*G exceeds 1e-10
-    times that of GA (or 1), GramNotPositive when G fails Hermitian
-    positive definiteness, and ValidationError when A has a non-finite
+    Raises NotHermitian when the largest entry of A - A* exceeds 1e-10
+    times that of A (or 1), and ValidationError when A has a non-finite
     entry.
     """
     A = _as_square(A, "operator")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         ev = np.zeros(0)
         return SpectralDecomposition(
             eigenvalues=ev,
@@ -264,35 +272,14 @@ def hermitian_spectrum(
             kernel_tol=kernel_tol if kernel_tol is not None else default_kernel_tol(ev),
         )
     scale = _largest(A)  # also refuses a non-finite A
-
-    if G is None:
-        resid = _largest(A - A.conj().T)
-        if resid > HERMITIAN_TOL * max(1.0, scale):
-            raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
-        B = A
-    else:
-        factor = G if isinstance(G, GramFactor) else _gram_factor(_as_square(G, "gram"), n)
-        G = factor.gram
-        if G.shape != (n, n):
-            raise GramNotPositive(f"gram has shape {G.shape}, expected {(n, n)}")
-        GA = G @ A
-        resid = _largest(GA - A.conj().T @ G)
-        if resid > HERMITIAN_TOL * max(1.0, _largest(GA)):
-            raise NotHermitian(
-                f"operator is not self-adjoint for the given gram (residual {resid:.3e})"
-            )
-        # B = L* A L^{-*}; Hermitian because GA = A*G, so its entries are
-        # bounded by the spectral radius of A and overflow no sooner than A
-        Linv = factor.lower_inverse
-        B = factor.lower.conj().T @ A @ Linv.conj().T
-        B = 0.5 * (B + B.conj().T)
+    resid = _largest(A - A.conj().T)
+    if resid > HERMITIAN_TOL * max(1.0, scale):
+        raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
 
     if vectors:
-        w, V = np.linalg.eigh(B)
-        if G is not None:
-            V = Linv.conj().T @ V
+        w, V = np.linalg.eigh(A)
     else:
-        w, V = np.linalg.eigvalsh(B), None
+        w, V = np.linalg.eigvalsh(A), None
 
     tol = kernel_tol if kernel_tol is not None else default_kernel_tol(w)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
@@ -339,7 +326,7 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
 
 
 def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> HarmonicBasis:
-    """G-orthonormal basis of the kernel of a decomposition.
+    """Orthonormal basis of the kernel of a decomposition.
 
     Uses the same kernel mask as :func:`pseudodet_of`, so the two agree
     on the kernel dimension by construction.  Raises ValueError when the

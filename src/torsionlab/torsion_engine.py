@@ -6,24 +6,27 @@ degree from Laplacian pseudo-determinants,
     log tau = sum_p (-1)^(p+1) * (p/2) * log pdet(Delta_p),
 
 which telescopes to sum_p (-1)^p * (1/2) * log pdet(delta_p^+ delta_p);
-both sums are computed, from one build of each delta_p^+ delta_p, and
+both sums are computed, from one build of each block below, and
 compared on every call.  The twisted scalar
 of a Z2-graded complex is the parity-split analogue,
 
     log tau = (1/2) log pdet(D_even^+ D_even) - (1/2) log pdet(D_odd^+ D_odd),
 
-with adjoints taken against the parity Grams.  Grams that are None (a
-complex without explicit Grams, graded or twisted) are the identity:
-adjoints are plain conjugate transposes and the solves factor nothing.
-Explicit Grams reach the solves as the ``spectral.GramFactor`` records
-their complex made when it checked them, so no solve refactors a Gram.
-One block builder serves both: a graded complex is a chain of spaces
-(its degrees) and a Z2-graded one a cycle of two (its parities), and
-each adjoint and each product d^+ d, d d^+ is formed once per call.
-Harmonic bases of the Laplacians ride along on the returned element,
-and kernel dimensions double as cohomology dimensions (checked against
+with adjoints taken against the parity Grams.  Every solve runs on the
+Gram-weighted coboundaries w_p = L_{p+1}* d_p L_p^{-*} (G_p = L_p L_p*,
+``spectral._weighted``), formed once per call from the
+``spectral.GramFactor`` records each complex made when it checked its
+Grams: w_p* w_p and the weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*
+are Hermitian, congruent to d_p^+ d_p and the Hodge Laplacian, and no
+Gram reaches the eigensolver.  Grams that are None (a complex without
+explicit Grams, graded or twisted) are the identity, and then w_p is
+d_p itself.  One block builder serves both: a graded complex is a chain
+of spaces (its degrees) and a Z2-graded one a cycle of two (its
+parities).  Harmonic bases of the Laplacians, lifted back by L_p^{-*}
+so that they are G-orthonormal, ride along on the returned element, and
+kernel dimensions double as cohomology dimensions (checked against
 rank-nullity in the test suite).  Only the Laplacian solves compute
-eigenvectors; the delta^+ delta solves read eigenvalues alone.
+eigenvectors; the w* w solves read eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ import numpy as np
 from .chain_models import GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
+    GramFactor,
     HarmonicBasis,
+    SpectralDecomposition,
+    _weighted,
     harmonic_basis_of,
     hermitian_spectrum,
     pseudodet_of,
@@ -45,7 +51,6 @@ from .spectral import (
 __all__ = [
     "TorsionElement",
     "laplacians",
-    "gram_adjoint",
     "reidemeister_torsion",
     "twisted_torsion",
     "cohomology_dimensions",
@@ -107,26 +112,11 @@ class TorsionElement:
         }
 
 
-def gram_adjoint(
-    op: np.ndarray,
-    gram_source: np.ndarray | None,
-    gram_target: np.ndarray | None,
-) -> np.ndarray:
-    """Adjoint of op against the given inner products:
-    op^+ = G_source^{-1} op^* G_target."""
-    out = op.conj().T
-    if gram_target is not None:
-        out = out @ gram_target
-    if gram_source is not None:
-        out = np.linalg.solve(gram_source, out)
-    return out
-
-
 def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.ndarray:
-    """Pass op^+ op (or op op^+) through, refusing it when op is nonzero
-    but the product fell below the normal float64 range.  Grams can do
-    that to in-range entries, and a zero product would enlarge the
-    kernel; overflow to inf is refused by the solver."""
+    """Pass w* w (or w w*) through, refusing it when the coboundary op
+    behind w is nonzero but the product fell below the normal float64
+    range.  Grams can do that to in-range entries, and a zero product
+    would enlarge the kernel; overflow to inf is refused by the solver."""
     if square.size and float(np.abs(square).max()) < _TINY and op.any():
         raise ValidationError(
             f"{what}: the Gram-weighted square of a nonzero coboundary "
@@ -150,28 +140,42 @@ def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
 
 
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
-    """Per space p: (d_p^+ d_p, the Laplacian, the GramFactor or None).
-    Each adjoint and each product is built, and refused if it
-    underflowed, once for both torsion sums."""
+    """Per space p: (w_p* w_p, the weighted Laplacian, the GramFactor or
+    None), with w_p the Gram-weighted coboundary.  Each w_p and each
+    product is built, and refused if it underflowed, once for both
+    torsion sums; one that overflowed is refused by the solver."""
     dims, maps, grams, labels, cyclic = _spaces(C)
     k = len(dims)
-    arrays = [None if g is None else g.gram for g in grams]
-    adj = [gram_adjoint(d, arrays[p], arrays[(p + 1) % k] if cyclic or p + 1 < k else None)
-           for p, d in enumerate(maps)]
     out = []
-    for p, d in enumerate(maps):
-        lap = up = _unless_underflowed(adj[p] @ d, d, labels[p])
-        if p > 0 or cyclic:
-            lap = up + _unless_underflowed(maps[p - 1] @ adj[p - 1], maps[p - 1], labels[p - 1])
-        out.append((up, lap, grams[p]))
+    with np.errstate(over="ignore"):
+        w = [_weighted(d, grams[p], grams[(p + 1) % k] if cyclic or p + 1 < k else None)
+             for p, d in enumerate(maps)]
+        for p, wp in enumerate(w):
+            lap = up = _unless_underflowed(wp.conj().T @ wp, maps[p], labels[p])
+            if p > 0 or cyclic:
+                q = p - 1
+                lap = up + _unless_underflowed(w[q] @ w[q].conj().T, maps[q], labels[q])
+            out.append((up, lap, grams[p]))
     return out
+
+
+def _harmonic(dec: SpectralDecomposition, gram: GramFactor | None, label: str) -> HarmonicBasis:
+    """Kernel basis of a weighted Laplacian, lifted back by L^{-*} to the
+    complex's own coordinates, where it is G-orthonormal."""
+    basis = harmonic_basis_of(dec, label=label)
+    if gram is None:
+        return basis
+    return HarmonicBasis(label, gram.lower_inverse.conj().T @ basis.vectors)
 
 
 def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hodge Laplacians Delta_p = delta_p^+ delta_p + delta_{p-1} delta_{p-1}^+,
-    returned as (matrix, gram) pairs in degree order."""
+    returned as (matrix, gram) pairs in degree order.  With Grams, each
+    is the weighted Laplacian taken back by the congruence,
+    L_p^{-*} lap L_p*."""
     return [
-        (lap, np.eye(n) if gram is None else gram.gram)
+        (lap, np.eye(n)) if gram is None
+        else (gram.lower_inverse.conj().T @ lap @ gram.lower.conj().T, gram.gram)
         for n, (_, lap, gram) in zip(C.dims, _blocks(C))
     ]
 
@@ -189,17 +193,17 @@ def reidemeister_torsion(
     bases: list[HarmonicBasis] = []
     kernel_dims: list[int] = []
     for p, (_, lap, gram) in enumerate(blocks):
-        dec = hermitian_spectrum(lap, gram, kernel_tol=kernel_tol)
+        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol)
         pd = pseudodet_of(dec)
         notes.extend(pd.warnings)
         log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
-        bases.append(harmonic_basis_of(dec, label=f"H^{p}"))
+        bases.append(_harmonic(dec, gram, f"H^{p}"))
         kernel_dims.append(pd.kernel_dim)
 
     # telescoped form over delta^+ delta only; must match the weighted sum
     alt = 0.0
-    for p, (up, _, gram) in enumerate(blocks):
-        pd = pseudodet_of(hermitian_spectrum(up, gram, kernel_tol=kernel_tol, vectors=False))
+    for p, (up, _, _) in enumerate(blocks):
+        pd = pseudodet_of(hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False))
         alt += (-1.0) ** p * 0.5 * pd.log_value
     if abs(log_scalar - alt) > _CONVENTION_CHECK_TOL * max(1.0, abs(log_scalar)):
         notes.append(
@@ -222,19 +226,19 @@ def twisted_torsion(
 ) -> TorsionElement:
     """Parity-split torsion of a Z2-graded complex."""
     (sq_even, lap_even, ge), (sq_odd, lap_odd, go) = _blocks(T)
-    pd_even = pseudodet_of(hermitian_spectrum(sq_even, ge, kernel_tol=kernel_tol, vectors=False))
-    pd_odd = pseudodet_of(hermitian_spectrum(sq_odd, go, kernel_tol=kernel_tol, vectors=False))
+    pd_even = pseudodet_of(hermitian_spectrum(sq_even, kernel_tol=kernel_tol, vectors=False))
+    pd_odd = pseudodet_of(hermitian_spectrum(sq_odd, kernel_tol=kernel_tol, vectors=False))
     log_scalar = 0.5 * pd_even.log_value - 0.5 * pd_odd.log_value
 
-    dec_even = hermitian_spectrum(lap_even, ge, kernel_tol=kernel_tol)
-    dec_odd = hermitian_spectrum(lap_odd, go, kernel_tol=kernel_tol)
+    dec_even = hermitian_spectrum(lap_even, kernel_tol=kernel_tol)
+    dec_odd = hermitian_spectrum(lap_odd, kernel_tol=kernel_tol)
 
     notes = list(pd_even.warnings) + list(pd_odd.warnings)
     return TorsionElement(
         log_scalar=log_scalar,
         harmonic_bases=(
-            harmonic_basis_of(dec_even, label="even"),
-            harmonic_basis_of(dec_odd, label="odd"),
+            _harmonic(dec_even, ge, "even"),
+            _harmonic(dec_odd, go, "odd"),
         ),
         convention_tag=TWISTED_TAG,
         kernel_dims=(dec_even.kernel_dimension, dec_odd.kernel_dimension),

@@ -143,10 +143,10 @@ def test_gram_must_be_hermitian_positive():
         )
 
 
-def test_gram_check_matches_the_solver_and_names_where():
+def test_gram_check_is_by_largest_entry_and_names_where():
     # an antisymmetric part of 8e-13 passes a Frobenius-norm test but not
-    # the solver's largest-entry test, which construction applies too,
-    # naming the degree or parity
+    # the largest-entry test of the one Gram check, which names the
+    # degree or parity
     g = np.array([[1.0, 8e-13], [-8e-13, 1.0]])
     with pytest.raises(GramNotPositive, match="Gram at degree 0 is not Hermitian"):
         GradedCochainComplex(dims=(2,), coboundary=(), gram=(g,))
@@ -154,6 +154,12 @@ def test_gram_check_matches_the_solver_and_names_where():
         TwistedComplex(2, 1, np.zeros((1, 2)), np.zeros((2, 1)), g, np.eye(1))
     with pytest.raises(GramNotPositive, match=r"Gram at odd parity has shape \(1, 1\)"):
         TwistedComplex(1, 2, np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), np.eye(1))
+
+
+def test_indefinite_gram_is_refused_naming_the_degree():
+    g = np.diag([1.0, -1.0]).astype(np.complex128)
+    with pytest.raises(GramNotPositive, match="Gram at degree 1 is not positive definite"):
+        GradedCochainComplex(dims=(1, 2), coboundary=(np.ones((2, 1)),), gram=(np.eye(1), g))
 
 
 def test_exactly_real_data_is_stored_as_float64():

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import torsionlab
 from torsionlab.cli import build_parser, main
+from torsionlab.serialize import dump_json_file, encode_complex
 
 
 def test_reidemeister_text(capsys):
@@ -245,15 +247,57 @@ def test_bad_tolerance_is_refused(tol, capsys):
     ]
 
 
+def _splitting_tolerance(model: str) -> float:
+    """The first float, stepping up from just below 7.3705151024429, at
+    which the model's and its dual's copies of one eigenvalue, equal up
+    to roundoff, fall on opposite sides of the kernel cut."""
+    bundle = torsionlab.builders.from_expression(model)
+    tol = 7.37051510244288
+    for _ in range(256):
+        try:
+            torsionlab.verify_t_duality(bundle, kernel_tol=tol)
+        except torsionlab.DualityViolation as exc:
+            assert "cuts the two spectra differently" in str(exc)
+            return tol
+        tol = float(np.nextafter(tol, np.inf))
+    raise AssertionError(f"no tolerance in the window splits {model}")
+
+
 def test_tolerance_inside_the_spectrum_is_named_not_called_a_bug(capsys):
-    # this cut leaves kernel dims (8, 9) on the model but (9, 9) on its dual
-    assert main(["verify-duality", "random(13,4)", "--tol", "7.370515102442903"]) == 2
+    # the cut puts one copy of an eigenvalue in the kernel and the other
+    # outside it, so one kernel dim reads 8 on one side and 9 on the other
+    tol = _splitting_tolerance("random(13,4)")
+    assert main(["verify-duality", "random(13,4)", "--tol", repr(tol)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = _error_lines(captured.err)
-    assert "kernel tolerance 7.370515102442903 cuts the two spectra differently" in line
-    assert "(even, odd) (8, 9) on the model against (odd, even) (9, 9)" in line
+    assert f"kernel tolerance {tol!r} cuts the two spectra differently" in line
+    dims = re.search(
+        r"\(even, odd\) \((\d), (\d)\) on the model against \(odd, even\) \((\d), (\d)\)", line
+    )
+    primal, dual = dims.groups()[:2], dims.groups()[2:]
+    assert primal != dual and set(primal + dual) == {"8", "9"}
     assert "implementation bug" not in line
+
+
+def test_ill_conditioned_grams_run_with_the_rank_nullity_warning(capsys, tmp_path):
+    # Grams of condition 1e10 on cycle(6): the default cut then falls
+    # inside the nonzero spectrum, which the report says; no Gram check
+    # in the eigensolver refuses the model over roundoff
+    rng = np.random.default_rng(1)
+    C = torsionlab.coboundary_matrices(torsionlab.builders.cycle(6))
+    grams = []
+    for n in C.dims:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        g = (q * np.logspace(0, -10, n)) @ q.T
+        grams.append(0.5 * (g + g.T))
+    path = tmp_path / "model.json"
+    dump_json_file(path, encode_complex(C.with_gram(grams)))
+    assert main(["reidemeister", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["cohomology_dims"] == [1, 1]
+    assert report["result"]["torsion"]["kernel_dims"] != [1, 1]
+    assert any("disagree with rank-nullity" in w for w in report["warnings"])
 
 
 def test_positive_tolerance_runs(capsys):

@@ -11,11 +11,14 @@ The recorder compares every new report with the recorded one first and
 writes nothing, exiting 1, when anything but roundoff moved: a non-float
 field (kernel dims, warnings, conventions, digests, list lengths, keys),
 a ``log_scalar`` by more than 1e-12 absolute, or any other float by more
-than 1e-12 relative while above 1e-12 absolute.  It prints the largest
-shift per file.
+than 1e-12 relative while above 1e-12 absolute.  Numbers printed into a
+string (a criterion's ``detail``) are floats too: two strings whose text
+around the numbers is the same are compared number by number under the
+same rule.  It prints the largest shift per file.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -92,6 +95,7 @@ def test_golden_directory_has_no_strays():
 
 
 DRIFT_TOL = 1e-12
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def drift(old, new, path: str = "") -> tuple[tuple[float, str], list[str]]:
@@ -112,6 +116,12 @@ def drift(old, new, path: str = "") -> tuple[tuple[float, str], list[str]]:
         if len(old) != len(new):
             return (0.0, path), [f"{path}: length {len(old)} -> {len(new)}"]
         pairs = [(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    elif (isinstance(old, str) and isinstance(new, str) and old != new
+          and _NUMBER.split(old) == _NUMBER.split(new)):
+        pairs = [
+            (float(a), float(b), f"{path}<{i}>")
+            for i, (a, b) in enumerate(zip(_NUMBER.findall(old), _NUMBER.findall(new)))
+        ]
     else:
         same = type(old) is type(new) and old == new
         return (0.0, path), [] if same else [f"{path}: {old!r} -> {new!r}"]
@@ -144,6 +154,22 @@ def test_recorder_accepts_roundoff_and_refuses_the_rest():
     assert moved(kernel_dims=[1])[1] == [".torsion.kernel_dims: length 2 -> 1"]
     assert moved(warnings=["gap"])[1] == [".warnings: length 0 -> 1"]
     assert len(drift(old, {**old, "extra": 1})[1]) == 1
+
+    # numbers printed into a detail string are compared as floats
+    detail = {"detail": "max residual 4.085e-16 over 112 bundles (bound 1e-10)"}
+
+    def reworded(text):
+        return drift(detail, {"detail": text})
+
+    (shift, where), problems = reworded("max residual 5.085e-16 over 112 bundles (bound 1e-10)")
+    assert problems == [] and where == ".detail<0>"
+    assert shift == pytest.approx(1e-16, rel=1e-3)
+    assert len(reworded("min residual 4.085e-16 over 112 bundles (bound 1e-10)")[1]) == 1
+    assert reworded("max residual 1.000e-06 over 112 bundles (bound 1e-10)")[1] == [
+        ".detail<0>: 4.085e-16 -> 1e-06"
+    ]
+    assert len(reworded("max residual 4.085e-16 over 113 bundles (bound 1e-10)")[1]) == 1
+    assert len(reworded("max residual 4.085e-16 over 112 bundles")[1]) == 1
 
 
 def record() -> int:

@@ -1,8 +1,11 @@
-"""Gram-aware spectral decompositions and pseudo-determinants.
+"""Hermitian spectral decompositions and pseudo-determinants.
 
 The triangle Laplacian oracle is computed symbolically, independent of
 any numerics in the package.  scipy's complex Hermitian solver is the
-reference for the real-arithmetic path.
+reference for the real-arithmetic path.  No Gram reaches this layer's
+solver; Gram-weighted solves are tested through the torsion engine
+(``test_torsion_engine.py``) and Gram refusals through the complexes
+that check them (``test_chain_models.py``).
 """
 
 import warnings
@@ -16,7 +19,6 @@ from torsionlab import hermitian_spectrum
 from torsionlab.builders import cycle
 from torsionlab.chain_models import coboundary_matrices, signed_incidence
 from torsionlab.errors import (
-    GramNotPositive,
     NegativeEigenvalue,
     NotHermitian,
     ValidationError,
@@ -24,7 +26,7 @@ from torsionlab.errors import (
 from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
-    _gram_factor,
+    _lower_inverse,
     default_kernel_tol,
     harmonic_basis_of,
     pseudodet_of,
@@ -44,51 +46,6 @@ def test_triangle_laplacian_against_symbolic_charpoly():
     assert dec.kernel_dimension == 1
     pd = pseudodet_of(dec)
     assert pd.value == pytest.approx(9.0, rel=1e-12)
-
-
-def test_eigenvalues_match_scipy_generalized_solver():
-    # a G-self-adjoint operator is G^-1 H with H Hermitian; its spectrum
-    # is the generalized eigenvalue problem (H, G)
-    rng = np.random.default_rng(21)
-    n = 7
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = a + a.conj().T
-    g = rng.standard_normal((n, n))
-    G = (g @ g.T + n * np.eye(n)).astype(np.complex128)
-    A = np.linalg.solve(G, H)
-    dec = hermitian_spectrum(A, G)
-    reference = scipy.linalg.eigh(H, G, eigvals_only=True)
-    assert np.allclose(dec.eigenvalues, reference, atol=1e-10)
-
-
-def test_gram_larger_than_one_inverse_block_matches_scipy():
-    # n = 75 splits unevenly twice before the Cholesky factor's inverse
-    # reaches blocks small enough to invert directly
-    rng = np.random.default_rng(23)
-    n = 75
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = a + a.conj().T
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    G = g @ g.conj().T + n * np.eye(n)
-    dec = hermitian_spectrum(np.linalg.solve(G, H), G)
-    reference = scipy.linalg.eigh(H, G, eigvals_only=True)
-    assert np.allclose(dec.eigenvalues, reference, atol=1e-10)
-    V = dec.eigenvectors
-    assert np.allclose(V.conj().T @ G @ V, np.eye(n), atol=1e-10)
-
-
-def test_eigenvectors_are_gram_orthonormal_and_solve():
-    rng = np.random.default_rng(22)
-    n = 6
-    h = rng.standard_normal((n, n))
-    H = (h + h.T).astype(np.complex128)
-    g = rng.standard_normal((n, n))
-    G = (g @ g.T + n * np.eye(n)).astype(np.complex128)
-    A = np.linalg.solve(G, H)
-    dec = hermitian_spectrum(A, G)
-    V = dec.eigenvectors
-    assert np.allclose(V.conj().T @ G @ V, np.eye(n), atol=1e-10)
-    assert np.allclose(A @ V, V @ np.diag(dec.eigenvalues), atol=1e-8)
 
 
 def test_default_kernel_tol_is_relative():
@@ -146,29 +103,6 @@ def test_non_hermitian_rejected():
         hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
 
 
-def test_gram_hermiticity_mismatch_rejected():
-    # A is G-self-adjoint iff G A = A^+ G; break that on purpose
-    A = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=np.complex128)
-    G = np.eye(2, dtype=np.complex128)
-    with pytest.raises(NotHermitian):
-        hermitian_spectrum(A, G)
-
-
-def test_indefinite_gram_rejected():
-    A = np.eye(2, dtype=np.complex128)
-    G = np.diag([1.0, -1.0]).astype(np.complex128)
-    with pytest.raises(GramNotPositive):
-        hermitian_spectrum(A, G)
-
-
-def test_gram_checked_by_the_solver_too():
-    A = np.eye(2)
-    with pytest.raises(GramNotPositive, match="gram is not Hermitian"):
-        hermitian_spectrum(A, np.array([[1.0, 8e-13], [-8e-13, 1.0]]))
-    with pytest.raises(GramNotPositive, match=r"gram has shape \(3, 3\), expected \(2, 2\)"):
-        hermitian_spectrum(A, np.eye(3))
-
-
 def test_harmonic_basis_spans_kernel():
     C = coboundary_matrices(cycle(4))
     d0 = C.delta(0)
@@ -182,35 +116,25 @@ def test_harmonic_basis_spans_kernel():
     assert np.allclose(np.linalg.norm(v), 1.0)
 
 
-def test_harmonic_basis_gram_orthonormal():
-    rng = np.random.default_rng(40)
-    g = rng.standard_normal((4, 4))
-    G = (g @ g.T + 4 * np.eye(4)).astype(np.complex128)
-    A = np.zeros((4, 4), dtype=np.complex128)  # everything harmonic
-    dec = hermitian_spectrum(A, G)
-    hb = harmonic_basis_of(dec)
-    assert hb.dimension == 4
-    assert np.allclose(hb.vectors.conj().T @ G @ hb.vectors, np.eye(4), atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic follows the dtype; values-only solves
 # ---------------------------------------------------------------------------
 
-def test_solve_dtype_follows_operator_and_gram(eigensolves):
+def test_solve_dtype_follows_operator(eigensolves):
     A = np.diag([0.0, 1.0, 2.0])
-    G = np.diag([1.0, 2.0, 4.0])
     assert hermitian_spectrum(A).eigenvectors.dtype == np.float64
-    assert hermitian_spectrum(A, G, vectors=False).eigenvectors is None
+    assert hermitian_spectrum(A, vectors=False).eigenvectors is None
     assert hermitian_spectrum(A.astype(np.complex128)).eigenvectors.dtype == np.complex128
-    # a complex Gram promotes a real operator to a complex solve
-    assert hermitian_spectrum(A, G.astype(np.complex128)).eigenvectors.dtype == np.complex128
     assert eigensolves == [
         ("float64", "vectors"),
         ("float64", "values"),
         ("complex128", "vectors"),
-        ("complex128", "vectors"),
     ]
+
+
+def test_no_gram_is_taken():
+    with pytest.raises(TypeError):
+        hermitian_spectrum(np.eye(2), np.eye(2))
 
 
 def test_values_only_solve_has_no_kernel_vectors():
@@ -231,34 +155,26 @@ def _random_psd(rng, n, rank):
     return f.T @ f
 
 
-@pytest.mark.parametrize("with_gram", [False, True], ids=["identity", "gram"])
 @pytest.mark.parametrize("seed", range(4))
-def test_real_path_agrees_with_scipy_complex_solver(seed, with_gram):
+def test_real_path_agrees_with_scipy_complex_solver(seed):
     rng = np.random.default_rng(300 + seed)
     n, rank = 14, 9
     H = _random_psd(rng, n, rank)
-    G = None
-    if with_gram:
-        g = rng.standard_normal((n, n))
-        G = g @ g.T + n * np.eye(n)
-    A = H if G is None else np.linalg.solve(G, H)
 
-    dec = hermitian_spectrum(A, G)
-    values = hermitian_spectrum(A, G, vectors=False)
-    cast = None if G is None else G.astype(np.complex128)
-    reference = scipy.linalg.eigh(H.astype(np.complex128), cast, eigvals_only=True)
-    bound = 1e-12 * np.linalg.norm(A)
+    dec = hermitian_spectrum(H)
+    values = hermitian_spectrum(H, vectors=False)
+    reference = scipy.linalg.eigh(H.astype(np.complex128), eigvals_only=True)
+    bound = 1e-12 * np.linalg.norm(H)
     assert dec.eigenvectors.dtype == np.float64
     assert np.max(np.abs(dec.eigenvalues - reference)) <= bound
     assert np.max(np.abs(values.eigenvalues - reference)) <= bound
 
-    complex_dec = hermitian_spectrum(A.astype(np.complex128), cast)
+    complex_dec = hermitian_spectrum(H.astype(np.complex128))
     assert dec.kernel_dimension == values.kernel_dimension == complex_dec.kernel_dimension
     assert dec.kernel_dimension == n - rank
 
     V = dec.eigenvectors
-    gram = np.eye(n) if G is None else G
-    assert np.allclose(V.T @ gram @ V, np.eye(n), atol=1e-12)
+    assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -267,31 +183,25 @@ def test_non_finite_operator_is_refused(bad):
     with pytest.raises(ValidationError, match="operator has a non-finite entry"):
         hermitian_spectrum(A)
     with pytest.raises(ValidationError, match="operator has a non-finite entry"):
-        hermitian_spectrum(A, np.eye(2), vectors=False)
-    with pytest.raises(ValidationError, match="gram has a non-finite entry"):
-        hermitian_spectrum(np.eye(2), A)
+        hermitian_spectrum(A, vectors=False)
 
 
-def test_a_gram_factor_solves_bit_identically_without_refactoring(factorizations, lower_inverses):
-    rng = np.random.default_rng(17)
-    n = 6
+# ---------------------------------------------------------------------------
+# the triangular inverse behind every Gram weighting
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 5, 32, 33, 75, 130])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lower_inverse_matches_a_general_inverse(n, dtype):
+    # above 32 rows the inverse halves L, unevenly for 33 and 75, before
+    # it inverts blocks directly
+    rng = np.random.default_rng(n)
     g = rng.standard_normal((n, n))
-    G = g @ g.T + n * np.eye(n)
-    A = np.linalg.solve(G, _random_psd(rng, n, 4))
-    direct = {vectors: hermitian_spectrum(A, G, vectors=vectors) for vectors in (True, False)}
-    assert (len(factorizations), len(lower_inverses)) == (2, 2)
-
-    factor = _gram_factor(G, n)
-    assert factor.gram is G and len(factorizations) == 3
-    for vectors in (True, False, True, False):
-        reused = hermitian_spectrum(A, factor, vectors=vectors)
-        assert np.array_equal(reused.eigenvalues, direct[vectors].eigenvalues)
-        if vectors:
-            assert np.array_equal(reused.eigenvectors, direct[vectors].eigenvectors)
-    # the record's inverse is formed on its first solve and kept
-    assert (len(factorizations), len(lower_inverses)) == (3, 3)
-
-
-def test_a_gram_factor_of_the_wrong_size_is_refused():
-    with pytest.raises(GramNotPositive, match="gram has shape"):
-        hermitian_spectrum(np.eye(3), _gram_factor(np.eye(2), 2))
+    if dtype is np.complex128:
+        g = g + 1j * rng.standard_normal((n, n))
+    L = np.linalg.cholesky(g @ g.conj().T + n * np.eye(n))
+    inverse = _lower_inverse(L)
+    assert inverse.dtype == dtype
+    assert np.array_equal(np.triu(inverse, 1), np.zeros((n, n)))
+    reference = np.linalg.inv(L)
+    assert np.max(np.abs(inverse - reference)) <= 1e-13 * np.max(np.abs(reference))

@@ -9,8 +9,10 @@ Lens: four 1x1 coboundaries give the alternating product
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from torsionlab import (
     TwistedComplex,
     coboundary_matrices,
     cohomology_dimensions,
-    gram_adjoint,
+    hermitian_spectrum,
     laplacians,
     reidemeister_torsion,
     twisted_cohomology_dimensions,
@@ -31,7 +33,7 @@ from torsionlab import (
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
 from torsionlab.circle_bundle import build_invariant_complex, random_bundle
 from torsionlab.errors import ValidationError
-from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement
+from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement, _blocks
 
 
 def _cycle_pseudodet_oracle(n: int) -> float:
@@ -159,24 +161,6 @@ def test_nontrivial_character_on_cycle_is_acyclic():
 # adjoints and Laplacians
 # ---------------------------------------------------------------------------
 
-def test_gram_adjoint_is_inner_product_adjoint():
-    rng = np.random.default_rng(33)
-    n, m = 4, 6
-
-    def spd(k):
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        return (g @ g.conj().T + k * np.eye(k)).astype(np.complex128)
-
-    g_src, g_tgt = spd(n), spd(m)
-    op = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).astype(np.complex128)
-    adj = gram_adjoint(op, g_src, g_tgt)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    lhs = np.vdot(y, g_tgt @ (op @ x))
-    rhs = np.vdot(adj @ y, g_src @ x)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
 def test_laplacian_kernels_are_betti_numbers():
     C = coboundary_matrices(simplex_boundary(4))
     elem = reidemeister_torsion(C)
@@ -197,6 +181,119 @@ def test_laplacians_respect_grams():
     for (lap, gram), n in zip(laplacians(CG), CG.dims):
         # G-self-adjoint: G lap == lap^+ G
         assert np.allclose(gram @ lap, lap.conj().T @ gram, atol=1e-9)
+
+
+def test_gram_laplacians_are_killed_by_the_harmonic_bases():
+    b = random_bundle(4242, 4)
+    elem = reidemeister_torsion(b.base)
+    for (lap, gram), basis in zip(laplacians(b.base), elem.harmonic_bases):
+        V = basis.vectors
+        assert np.allclose(lap @ V, 0.0, atol=1e-10)
+        assert np.allclose(V.conj().T @ gram @ V, np.eye(V.shape[1]), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Gram-weighted solves against scipy's generalized solver and mpmath
+# ---------------------------------------------------------------------------
+
+def _spd(rng, n, complex_gram):
+    g = rng.standard_normal((n, n))
+    if complex_gram:
+        g = g + 1j * rng.standard_normal((n, n))
+    return g @ g.conj().T + n * np.eye(n)
+
+
+@pytest.mark.parametrize(
+    "n, m, rank, complex_d, complex_gram",
+    [
+        (7, 5, 5, True, True),
+        # 75 rows split unevenly twice before the Cholesky factor's
+        # inverse reaches blocks small enough to invert directly
+        (75, 60, 50, True, True),
+        (14, 10, 9, False, False),
+        # a complex Gram promotes a real coboundary to complex solves
+        (6, 4, 3, False, True),
+        # a zero coboundary: everything is harmonic
+        (4, 3, 0, False, False),
+    ],
+)
+def test_weighted_solves_match_scipy_generalized_solver(
+    n, m, rank, complex_d, complex_gram, eigensolves
+):
+    rng = np.random.default_rng(21 + n)
+    f, h = rng.standard_normal((m, rank)), rng.standard_normal((rank, n))
+    if complex_d:
+        f = f + 1j * rng.standard_normal((m, rank))
+    g0, g1 = _spd(rng, n, complex_gram), _spd(rng, m, complex_gram)
+    C = GradedCochainComplex(dims=(n, m), coboundary=(f @ h,), gram=(g0, g1))
+    d = C.coboundary[0]
+
+    # d^+ d = G_0^-1 d* G_1 d: the generalized problem (d* G_1 d, G_0)
+    reference = scipy.linalg.eigh(
+        (d.conj().T @ g1 @ d).astype(np.complex128), g0.astype(np.complex128), eigvals_only=True
+    )
+    scale = max(1.0, float(reference.max()))
+    up = _blocks(C)[0][0]
+    assert np.max(np.abs(hermitian_spectrum(up).eigenvalues - reference)) <= 1e-12 * scale
+
+    eigensolves.clear()
+    elem = reidemeister_torsion(C)
+    solve_dtype = "complex128" if complex_d or complex_gram else "float64"
+    assert [dtype for dtype, _ in eigensolves] == [solve_dtype] * 4
+    positive = reference[reference > 1e-9 * scale]
+    assert elem.log_scalar == pytest.approx(0.5 * np.sum(np.log(positive)), abs=1e-10)
+    assert elem.kernel_dims == cohomology_dimensions(C) == (n - rank, m - rank)
+
+    # harmonic bases are G-orthonormal and span ker d and ker d^+ = ker d* G_1
+    h0, h1 = (basis.vectors for basis in elem.harmonic_bases)
+    assert np.allclose(h0.conj().T @ g0 @ h0, np.eye(n - rank), atol=1e-10)
+    assert np.allclose(h1.conj().T @ g1 @ h1, np.eye(m - rank), atol=1e-10)
+    assert np.max(np.abs(d @ h0), initial=0.0) <= 1e-10 * scale
+    assert np.max(np.abs(d.conj().T @ g1 @ h1), initial=0.0) <= 1e-10 * scale
+
+
+def _conditioned_gram(rng, n, kappa):
+    """A random SPD Gram with eigenvalues log-spaced from 1 down to 1/kappa."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = (q * np.logspace(0, -np.log10(kappa), n)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def _mpmath_log_torsion(C) -> tuple[float, tuple[int, ...]]:
+    """log tau and kernel dims at 50 digits, from the Hodge Laplacians
+    G_p^-1 d_p* G_{p+1} d_p + d_{p-1} G_{p-1}^-1 d_{p-1}* G_p with explicit
+    inverses and a general eigensolver, cut like the engine: at 1e-9
+    times the largest eigenvalue modulus."""
+    with mpmath.workdps(50):
+        k = len(C.dims)
+        grams = [mpmath.matrix(g.tolist()) for g in C.gram]
+        d = [mpmath.matrix(a.tolist()) for a in C.coboundary]
+        adj = [mpmath.inverse(grams[p]) * d[p].T * grams[p + 1] for p in range(k - 1)]
+        log_tau, kernel_dims = mpmath.mpf(0), []
+        for p, n in enumerate(C.dims):
+            lap = mpmath.zeros(n, n)
+            if p < k - 1:
+                lap += adj[p] * d[p]
+            if p > 0:
+                lap += d[p - 1] * adj[p - 1]
+            ev = [mpmath.re(e) for e in mpmath.eig(lap, left=False, right=False)]
+            cut = mpmath.mpf("1e-9") * max(abs(e) for e in ev)
+            positive = [e for e in ev if e > cut]
+            kernel_dims.append(n - len(positive))
+            log_tau += (-1) ** (p + 1) * mpmath.mpf(p) / 2 * mpmath.fsum(map(mpmath.log, positive))
+        return float(log_tau), tuple(kernel_dims)
+
+
+@pytest.mark.parametrize("K", [cycle(6), simplex_boundary(3)], ids=["cycle(6)", "simplex_boundary(3)"])
+@pytest.mark.parametrize("seed", range(6))
+def test_ill_conditioned_grams_against_mpmath(K, seed):
+    rng = np.random.default_rng(seed)
+    C = coboundary_matrices(K)
+    C = C.with_gram([_conditioned_gram(rng, n, 1e6) for n in C.dims])
+    reference, kernel_dims = _mpmath_log_torsion(C)
+    elem = reidemeister_torsion(C)
+    assert abs(elem.log_scalar - reference) <= 1e-9
+    assert elem.kernel_dims == kernel_dims
 
 
 # ---------------------------------------------------------------------------
