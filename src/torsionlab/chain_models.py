@@ -24,9 +24,9 @@ holds it (``spectral._gram_factor``); the complex keeps the factor next
 to the Gram.  Parity Grams are direct sums of degree Grams, so their
 factors are assembled from the degree factors (``spectral._direct_sum``)
 and a twisted or invariant complex built on the base takes them as they
-are.  ``torsion_engine`` and ``circle_bundle`` weight each coboundary by
-these factors (``spectral._weighted``) and solve Hermitian matrices, so
-no Gram reaches the eigensolver and this is the only Gram check.
+are.  ``torsion_engine``'s one solve loop weights each coboundary by
+these factors and solves Hermitian matrices, so no Gram reaches the
+eigensolver and this is the only Gram check.
 
 Matrices, Grams and cochains are stored read-only, as float64 when every
 entry is exactly real and as complex128 otherwise, so a real complex is
@@ -357,17 +357,18 @@ class LocalSystem:
         return np.eye(self.rank) if U is None else U.conj().T
 
 
-def validate_local_system(K: SimplicialComplex, L: LocalSystem, tol: float = 1e-12) -> None:
-    """Check unitarity on every edge and flatness on every triangle."""
+def validate_local_system(K: SimplicialComplex, L: LocalSystem) -> None:
+    """Check unitarity on every edge and flatness on every triangle, to a
+    relative 1e-12."""
     eye = np.eye(L.rank)
     for edge, U in L.holonomy.items():
-        if _norm(U.conj().T @ U - eye) > tol * L.rank:
+        if _norm(U.conj().T @ U - eye) > 1e-12 * L.rank:
             raise NonFlatLocalSystem(f"holonomy on edge {edge} is not unitary")
     if K.dim >= 2:
         for a, b, c in K.simplices[2]:
             lhs = L.transport(b, c) @ L.transport(a, b)
             rhs = L.transport(a, c)
-            if _norm(lhs - rhs) > tol * max(1.0, _norm(rhs)):
+            if _norm(lhs - rhs) > 1e-12 * max(1.0, _norm(rhs)):
                 raise NonFlatLocalSystem(
                     f"holonomy fails flatness on triangle {(a, b, c)}"
                 )
@@ -516,19 +517,13 @@ def coboundary_matrices(
     dtype = np.result_type(np.float64, *local_system.holonomy.values())
     deltas = []
     for p in range(K.dim):
-        rows, cols = K.n(p + 1), K.n(p)
-        block = np.zeros((rows * m, cols * m), dtype=dtype)
-        eye = np.eye(m)
+        block = np.kron(signed_incidence(K, p), np.eye(m, dtype=dtype))
         for r, simplex in enumerate(K.simplices[p + 1]):
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1:]
-                c = K.index(p, face)
-                if i == 0:
-                    # value lives over face[0] = simplex[1]; pull back to simplex[0]
-                    T = local_system.transport(simplex[1], simplex[0])
-                else:
-                    T = eye
-                block[r * m:(r + 1) * m, c * m:(c + 1) * m] += (-1) ** i * T
+            # the drop-v_0 face's value lives over simplex[1]; pull back to simplex[0]
+            c = K.index(p, simplex[1:])
+            U = local_system.transport(simplex[1], simplex[0])
+            block[r * m:(r + 1) * m, c * m:(c + 1) * m] = U
+        block += 0.0  # kron leaves -0.0 where -1 meets a zero of I_m
         deltas.append(block)
     return GradedCochainComplex(
         dims=dims,

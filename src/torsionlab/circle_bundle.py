@@ -47,8 +47,8 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .spectral import _direct_sum, _identity_factor, _weighted, hermitian_spectrum
-from .torsion_engine import TorsionElement, twisted_torsion
+from .spectral import _direct_sum, _identity_factor, hermitian_spectrum
+from .torsion_engine import TorsionElement, _squares, twisted_torsion
 
 __all__ = [
     "BundleData",
@@ -379,14 +379,13 @@ def verify_t_duality(
     b: BundleData,
     *,
     kernel_tol: float | None = None,
-    tol: float = DUALITY_TOL,
 ) -> DualityReport:
     """Check the torsion-inversion theorem on one bundle model.
 
     Computes both torsions, the duality-map contracts (isometry,
     intertwining, exact inverse), nonzero-spectrum transport between
     parities, and the harmonic comparison through the T-image.  Raises
-    DualityViolation when |log tau + log tau_dual| exceeds ``tol``; that
+    DualityViolation when |log tau + log tau_dual| exceeds ``DUALITY_TOL``; that
     signals an implementation bug, not a mathematical failure.
     """
     ic = build_invariant_complex(b)
@@ -416,24 +415,13 @@ def verify_t_duality(
     )
 
     # nonzero spectra of d^+d move to the opposite parity on the dual side;
-    # each is solved as w* w, w weighted by the Gram factors each complex
-    # made when it checked its Grams
-    def positive(op, g_src, g_tgt):
-        w = _weighted(op, g_src, g_tgt)
-        return hermitian_spectrum(
-            w.conj().T @ w, kernel_tol=kernel_tol, vectors=False
-        ).positive_eigenvalues
-
-    f_even, f_odd = ic._gram_factors
-    fd_even, fd_odd = icd._gram_factors
-    ev_even = positive(ic.d_even, f_even, f_odd)
-    ev_odd = positive(ic.d_odd, f_odd, f_even)
-    ev_dual_even = positive(icd.d_even, fd_even, fd_odd)
-    ev_dual_odd = positive(icd.d_odd, fd_odd, fd_even)
-    transport = max(
-        _transport_residual(ev_even, ev_dual_odd),
-        _transport_residual(ev_odd, ev_dual_even),
+    # each is solved as the w* w that the torsions solve
+    ev, ev_dual = (
+        [hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False).positive_eigenvalues
+         for up in _squares(c)[1]]
+        for c in (ic, icd)
     )
+    transport = max(_transport_residual(a, b) for a, b in zip(ev, ev_dual[::-1]))
 
     harmonic = max(
         _harmonic_residual(
@@ -469,9 +457,9 @@ def verify_t_duality(
             f"kernel tolerance {cut} cuts the two spectra differently: kernel dims "
             f"(even, odd) {primal} on the model against (odd, even) {dual_swapped} on its dual"
         )
-    if abs(product_log) > tol:
+    if abs(product_log) > DUALITY_TOL:
         raise DualityViolation(
-            f"log tau + log tau_dual = {product_log!r} exceeds {tol}; "
+            f"log tau + log tau_dual = {product_log!r} exceeds {DUALITY_TOL}; "
             "this indicates an implementation bug"
         )
     return report

@@ -1,23 +1,18 @@
 """Hermitian eigensolves and log-domain pseudo-determinants.
 
-No Gram reaches the eigensolver.  Every operator in the package is
-self-adjoint for Hermitian positive definite Grams; with G_p = L_p L_p*,
-the coboundary d_p in coordinates orthonormal for them is the
-Gram-weighted coboundary w_p = L_{p+1}* d_p L_p^{-*} (``_weighted``, which
-returns d_p itself without Grams).  Then w_p* w_p and the weighted
-Laplacian w_p* w_p + w_{p-1} w_{p-1}* are Hermitian and congruent to
-d_p^+ d_p and the Hodge Laplacian, by L_p*, so they share their spectra;
-kernel vectors lift back by L_p^{-*}.  ``_gram_factor`` checks a Gram
-and returns a ``GramFactor`` holding G, L and (formed on first use)
-L^{-1}.  The Cholesky factor of a block-diagonal Gram is the direct sum
-of the factors of its blocks, so ``_direct_sum`` assembles the record of
-such a Gram from checked block records without checking or factoring
-again.  The complexes of ``chain_models`` keep the records of their
-Grams, and the weighting reuses their factors.  Kernel membership is
-decided by a relative threshold, 1e-9 times the largest eigenvalue
-magnitude (or 1 if the spectrum vanishes); a cut with retained/discarded
-ratio under 1e3 is recorded as a warning on the result rather than
-failing.
+No Gram reaches the eigensolver.  ``torsion_engine`` solves every
+operator in coordinates orthonormal for the Grams, where it is
+Hermitian; its one solve loop is the only place that weights by them.
+``_gram_factor`` checks a Gram and returns a ``GramFactor`` holding G,
+its Cholesky factor L (G = L L*) and, formed on first use, L^{-1}.  The
+Cholesky factor of a block-diagonal Gram is the direct sum of the
+factors of its blocks, so ``_direct_sum`` assembles the record of such a
+Gram from checked block records without checking or factoring again.
+The complexes of ``chain_models`` keep the records of their Grams.
+Kernel membership is decided by a relative threshold, 1e-9 times the
+largest eigenvalue magnitude (or 1 if the spectrum vanishes); a cut with
+retained/discarded ratio under 1e3 is recorded as a warning on the
+result rather than failing.
 
 The arithmetic follows the input dtype: a real A gives a real symmetric
 solve in float64, and a complex A a Hermitian one in complex128.
@@ -54,7 +49,7 @@ __all__ = [
 KERNEL_TOL_FACTOR = 1e-9
 GAP_RATIO = 1e3
 HERMITIAN_TOL = 1e-10
-_INVERSE_LEAF = 32
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def default_kernel_tol(eigenvalues: np.ndarray) -> float:
@@ -135,27 +130,6 @@ class HarmonicBasis:
         return self.vectors.shape[1]
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix.
-
-    Halves L into [[A, 0], [C, D]] until blocks have at most 32 rows,
-    where a general inverse is cheapest; the off-diagonal block of the
-    inverse is -D^-1 C A^-1.  Above a few dozen rows this is several
-    times faster than one general inverse of L.
-    """
-    n = L.shape[0]
-    if n <= _INVERSE_LEAF:
-        return np.linalg.inv(L)
-    h = n // 2
-    a = _lower_inverse(L[:h, :h])
-    d = _lower_inverse(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = a
-    out[h:, h:] = d
-    out[h:, :h] = -d @ (L[h:, :h] @ a)
-    return out
-
-
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(a)
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
@@ -188,7 +162,7 @@ class GramFactor:
 
     @cached_property
     def lower_inverse(self) -> np.ndarray:
-        return _lower_inverse(self.lower)
+        return np.linalg.inv(self.lower)
 
 
 def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> GramFactor:
@@ -234,17 +208,6 @@ def _identity_factor(n: int) -> GramFactor:
     eye = np.eye(n)
     eye.setflags(write=False)
     return GramFactor(eye, eye)
-
-
-def _weighted(d: np.ndarray, source: GramFactor | None, target: GramFactor | None) -> np.ndarray:
-    """The Gram-weighted coboundary w = L_t* d L_s^{-*} of d, from the
-    records of the Grams of its source and target (G = L L*; None is the
-    identity): d itself when both are None."""
-    if target is not None:
-        d = target.lower.conj().T @ d
-    if source is not None:
-        d = d @ source.lower_inverse.conj().T
-    return d
 
 
 def hermitian_spectrum(
@@ -302,6 +265,23 @@ def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:
     )
 
 
+def _refuse_negative(decomposition: SpectralDecomposition) -> None:
+    """Raise NegativeEigenvalue when the smallest eigenvalue lies below
+    -kernel_tol.  One within the solve's roundoff, n eps times the largest
+    eigenvalue magnitude, belongs to a positive semidefinite operator, and
+    then the message names the tolerance as the cause."""
+    ev, tol = decomposition.eigenvalues, decomposition.kernel_tol
+    if ev.size and float(ev[0]) < -tol:
+        low, roundoff = float(ev[0]), ev.size * _EPS * float(np.max(np.abs(ev)))
+        if -low > roundoff:
+            raise NegativeEigenvalue(f"eigenvalue {low:.6e} below -{tol:.3e}; operator is not psd")
+        raise NegativeEigenvalue(
+            f"eigenvalue {low:.6e} is roundoff of a positive semidefinite operator "
+            f"(n eps max|eigenvalue| = {roundoff:.3e}); kernel tolerance {tol:.3e} "
+            "is below the precision of the solve"
+        )
+
+
 def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     """Log-domain product of the eigenvalues above the kernel cut.
 
@@ -309,13 +289,9 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     NegativeEigenvalue; a weak separation at the cut is recorded on the
     result's warnings.
     """
+    _refuse_negative(decomposition)
     ev = decomposition.eigenvalues
-    tol = decomposition.kernel_tol
-    if ev.size and float(ev[0]) < -tol:
-        raise NegativeEigenvalue(
-            f"eigenvalue {float(ev[0]):.6e} below -{tol:.3e}; operator is not psd"
-        )
-    notes = _gap_warnings(ev, tol)
+    notes = _gap_warnings(ev, decomposition.kernel_tol)
     positive = decomposition.positive_eigenvalues
     logdet = float(np.sum(np.log(positive))) if positive.size else 0.0
     return PseudoDeterminant(
@@ -332,9 +308,5 @@ def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> 
     on the kernel dimension by construction.  Raises ValueError when the
     decomposition carries no eigenvectors.
     """
-    ev = decomposition.eigenvalues
-    if ev.size and float(ev[0]) < -decomposition.kernel_tol:
-        raise NegativeEigenvalue(
-            f"eigenvalue {float(ev[0]):.6e} below -{decomposition.kernel_tol:.3e}"
-        )
+    _refuse_negative(decomposition)
     return HarmonicBasis(label=label, vectors=decomposition.kernel_vectors)

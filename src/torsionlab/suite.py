@@ -269,7 +269,7 @@ def fleet_reports(fleet) -> tuple[dict[str, DualityReport], list[str]]:
     failures: list[str] = []
     for name, b in fleet:
         try:
-            reports[name] = verify_t_duality(b, tol=1e-8)
+            reports[name] = verify_t_duality(b)
         except TorsionLabError as exc:
             failures.append(f"{name}: {exc}")
     return reports, failures

@@ -6,27 +6,26 @@ degree from Laplacian pseudo-determinants,
     log tau = sum_p (-1)^(p+1) * (p/2) * log pdet(Delta_p),
 
 which telescopes to sum_p (-1)^p * (1/2) * log pdet(delta_p^+ delta_p);
-both sums are computed, from one build of each block below, and
-compared on every call.  The twisted scalar
-of a Z2-graded complex is the parity-split analogue,
+both sums are computed and compared on every call.  The twisted scalar
+of a Z2-graded complex is the same telescoped sum over its cycle of two
+spaces, the parities,
 
     log tau = (1/2) log pdet(D_even^+ D_even) - (1/2) log pdet(D_odd^+ D_odd),
 
-with adjoints taken against the parity Grams.  Every solve runs on the
-Gram-weighted coboundaries w_p = L_{p+1}* d_p L_p^{-*} (G_p = L_p L_p*,
-``spectral._weighted``), formed once per call from the
+with adjoints taken against the parity Grams.  This module is the one
+place that knows the Gram weighting.  With G_p = L_p L_p* (the
 ``spectral.GramFactor`` records each complex made when it checked its
-Grams: w_p* w_p and the weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*
-are Hermitian, congruent to d_p^+ d_p and the Hodge Laplacian, and no
-Gram reaches the eigensolver.  Grams that are None (a complex without
-explicit Grams, graded or twisted) are the identity, and then w_p is
-d_p itself.  One block builder serves both: a graded complex is a chain
-of spaces (its degrees) and a Z2-graded one a cycle of two (its
-parities).  Harmonic bases of the Laplacians, lifted back by L_p^{-*}
-so that they are G-orthonormal, ride along on the returned element, and
-kernel dimensions double as cohomology dimensions (checked against
-rank-nullity in the test suite).  Only the Laplacian solves compute
-eigenvectors; the w* w solves read eigenvalues alone.
+Grams), ``_squares`` forms each Gram-weighted coboundary
+w_p = L_{p+1}* d_p L_p^{-*} once per call, and w_p* w_p; ``_blocks``
+adds the weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are
+Hermitian and congruent to d_p^+ d_p and the Hodge Laplacian, by L_p*,
+so no Gram reaches the eigensolver.  Without Grams, w_p is d_p itself.
+A graded complex is a chain of spaces (its degrees) and a Z2-graded one
+a cycle of two, and one solve loop (``_solve``) serves both torsions:
+per space, the Laplacian with eigenvectors, then w_p* w_p for
+eigenvalues alone.  Harmonic bases of the Laplacians ride along on the
+returned element, and kernel dimensions double as cohomology dimensions
+(checked against rank-nullity in the test suite).
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ import numpy as np
 from .chain_models import GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
-    GramFactor,
     HarmonicBasis,
-    SpectralDecomposition,
-    _weighted,
+    _identity_factor,
     harmonic_basis_of,
     hermitian_spectrum,
     pseudodet_of,
@@ -128,44 +125,49 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
 def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     """(dims, maps, grams, labels, cyclic): maps[p] leaves space p for
     space p + 1 and, when cyclic, maps[-1] enters space 0.  The spaces
-    are the degrees or the parities; grams are the complex's GramFactor
-    records, or None without explicit Grams."""
+    are the degrees or the parities; grams[p] is the GramFactor record of
+    space p, or None without explicit Grams, and grams[p + 1] that of the
+    target of maps[p] (past a graded top degree, the empty identity)."""
     if isinstance(C, TwistedComplex):
         labels = ("d_even (even parity)", "d_odd (odd parity)")
         grams = C._gram_factors or (None, None)
-        return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), grams, labels, True
+        return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), grams + grams[:1], labels, True
     n = len(C.dims)
     labels = tuple(f"degree {p}" for p in range(n))
-    return C.dims, [C.delta(p) for p in range(n)], C._gram_factors or (None,) * n, labels, False
+    grams = C._gram_factors + (_identity_factor(0),) if C._gram_factors else (None,) * (n + 1)
+    return C.dims, [C.delta(p) for p in range(n)], grams, labels, False
+
+
+def _squares(C: GradedCochainComplex | TwistedComplex) -> tuple:
+    """(w, squares, spaces): per space p, the Gram-weighted coboundary
+    w_p = L_{p+1}* d_p L_p^{-*} (d_p itself without Grams) and w_p* w_p,
+    with ``_spaces(C)``.  Overflow is silenced by ``_blocks`` and refused
+    by the solver; the duality transport re-forms squares already solved."""
+    spaces = _spaces(C)
+    _, maps, grams, _, _ = spaces
+    w = [
+        d if grams[p] is None
+        else grams[p + 1].lower.conj().T @ d @ grams[p].lower_inverse.conj().T
+        for p, d in enumerate(maps)
+    ]
+    return w, [x.conj().T @ x for x in w], spaces
 
 
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
-    """Per space p: (w_p* w_p, the weighted Laplacian, the GramFactor or
-    None), with w_p the Gram-weighted coboundary.  Each w_p and each
-    product is built, and refused if it underflowed, once for both
-    torsion sums; one that overflowed is refused by the solver."""
-    dims, maps, grams, labels, cyclic = _spaces(C)
-    k = len(dims)
+    """Per space p: (w_p* w_p, the weighted Laplacian
+    w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None).  Each product is
+    built, and refused if it underflowed, once for both torsion sums; one
+    that overflowed is refused by the solver."""
     out = []
     with np.errstate(over="ignore"):
-        w = [_weighted(d, grams[p], grams[(p + 1) % k] if cyclic or p + 1 < k else None)
-             for p, d in enumerate(maps)]
-        for p, wp in enumerate(w):
-            lap = up = _unless_underflowed(wp.conj().T @ wp, maps[p], labels[p])
+        w, squares, (_, maps, grams, labels, cyclic) = _squares(C)
+        for p, up in enumerate(squares):
+            lap = up = _unless_underflowed(up, maps[p], labels[p])
             if p > 0 or cyclic:
                 q = p - 1
                 lap = up + _unless_underflowed(w[q] @ w[q].conj().T, maps[q], labels[q])
             out.append((up, lap, grams[p]))
     return out
-
-
-def _harmonic(dec: SpectralDecomposition, gram: GramFactor | None, label: str) -> HarmonicBasis:
-    """Kernel basis of a weighted Laplacian, lifted back by L^{-*} to the
-    complex's own coordinates, where it is G-orthonormal."""
-    basis = harmonic_basis_of(dec, label=label)
-    if gram is None:
-        return basis
-    return HarmonicBasis(label, gram.lower_inverse.conj().T @ basis.vectors)
 
 
 def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -180,31 +182,48 @@ def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
+def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, names):
+    """The one solve loop of both torsions.  Per space p, in order: the
+    weighted Laplacian with eigenvectors, then w_p* w_p for values only.
+    Yields, per space, the Laplacian's decomposition, its kernel basis
+    (named by ``names``, lifted back by L_p^{-*} to the complex's own
+    coordinates, where it is G-orthonormal) and the pseudo-determinant of
+    w_p* w_p."""
+    for name, (up, lap, gram) in zip(names, _blocks(C)):
+        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol)
+        basis = harmonic_basis_of(dec, label=name)
+        if gram is not None:
+            basis = HarmonicBasis(name, gram.lower_inverse.conj().T @ basis.vectors)
+        yield dec, basis, pseudodet_of(hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False))
+
+
+def _telescoped(ups) -> float:
+    """sum_p (-1)^p (1/2) log pdet(w_p* w_p), summed in degree order."""
+    total = 0.0
+    for p, pd in enumerate(ups):
+        total += (-1.0) ** p * 0.5 * pd.log_value
+    return total
+
+
 def reidemeister_torsion(
     C: GradedCochainComplex,
     *,
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Degree-weighted torsion scalar with harmonic bases per degree."""
-    blocks = _blocks(C)
-    notes: list[str] = []
-
+    names = [f"H^{p}" for p in range(len(C.dims))]
     log_scalar = 0.0
-    bases: list[HarmonicBasis] = []
-    kernel_dims: list[int] = []
-    for p, (_, lap, gram) in enumerate(blocks):
-        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol)
+    notes, bases, kernel_dims, ups = [], [], [], []
+    for p, (dec, basis, up) in enumerate(_solve(C, kernel_tol, names)):
         pd = pseudodet_of(dec)
         notes.extend(pd.warnings)
         log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
-        bases.append(_harmonic(dec, gram, f"H^{p}"))
+        bases.append(basis)
         kernel_dims.append(pd.kernel_dim)
+        ups.append(up)
 
     # telescoped form over delta^+ delta only; must match the weighted sum
-    alt = 0.0
-    for p, (up, _, _) in enumerate(blocks):
-        pd = pseudodet_of(hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False))
-        alt += (-1.0) ** p * 0.5 * pd.log_value
+    alt = _telescoped(ups)
     if abs(log_scalar - alt) > _CONVENTION_CHECK_TOL * max(1.0, abs(log_scalar)):
         notes.append(
             f"telescoping cross-check drifted: weighted {log_scalar!r} vs telescoped {alt!r}"
@@ -224,25 +243,15 @@ def twisted_torsion(
     *,
     kernel_tol: float | None = None,
 ) -> TorsionElement:
-    """Parity-split torsion of a Z2-graded complex."""
-    (sq_even, lap_even, ge), (sq_odd, lap_odd, go) = _blocks(T)
-    pd_even = pseudodet_of(hermitian_spectrum(sq_even, kernel_tol=kernel_tol, vectors=False))
-    pd_odd = pseudodet_of(hermitian_spectrum(sq_odd, kernel_tol=kernel_tol, vectors=False))
-    log_scalar = 0.5 * pd_even.log_value - 0.5 * pd_odd.log_value
-
-    dec_even = hermitian_spectrum(lap_even, kernel_tol=kernel_tol)
-    dec_odd = hermitian_spectrum(lap_odd, kernel_tol=kernel_tol)
-
-    notes = list(pd_even.warnings) + list(pd_odd.warnings)
+    """Parity-split torsion of a Z2-graded complex: the telescoped sum
+    over its cycle of two spaces."""
+    (even, even_basis, even_up), (odd, odd_basis, odd_up) = _solve(T, kernel_tol, ("even", "odd"))
     return TorsionElement(
-        log_scalar=log_scalar,
-        harmonic_bases=(
-            _harmonic(dec_even, ge, "even"),
-            _harmonic(dec_odd, go, "odd"),
-        ),
+        log_scalar=_telescoped((even_up, odd_up)),
+        harmonic_bases=(even_basis, odd_basis),
         convention_tag=TWISTED_TAG,
-        kernel_dims=(dec_even.kernel_dimension, dec_odd.kernel_dimension),
-        warnings=tuple(notes),
+        kernel_dims=(even.kernel_dimension, odd.kernel_dimension),
+        warnings=even_up.warnings + odd_up.warnings,
     )
 
 

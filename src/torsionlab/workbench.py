@@ -255,6 +255,7 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
         bundle = load_bundle(model, options)
         ic = build_invariant_complex(bundle)
         elem = twisted_torsion(ic, kernel_tol=options.kernel_tol)
+        dims = twisted_cohomology_dimensions(ic)
         result = {
             "torsion": elem.to_json(),
             "radius": bundle.radius,
@@ -265,7 +266,7 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
             "model_digest": _digest_of_model(bundle),
         }
         convention = elem.convention_tag
-        warnings = elem.warnings
+        warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, dims)
     elif command == "t-dual":
         bundle = load_bundle(model, options)
         dual = t_dualize(bundle)
@@ -281,6 +282,9 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
     elif command == "verify-duality":
         bundle = load_bundle(model, options)
         rep = verify_t_duality(bundle, kernel_tol=options.kernel_tol)
+        # T is an isomorphism of complexes onto the dual with the parities
+        # swapped, so the dual's rank-nullity dims are the model's, swapped
+        even, odd = twisted_cohomology_dimensions(build_invariant_complex(bundle))
         result = {
             **rep.to_json(),
             "tolerance": DUALITY_TOL,
@@ -288,7 +292,11 @@ def run(command: str, model: str, options: RunOptions | None = None) -> Report:
             "model_digest": _digest_of_model(bundle),
         }
         convention = rep.torsion.convention_tag
-        warnings = tuple(rep.torsion.warnings) + tuple(rep.dual_torsion.warnings)
+        warnings = (
+            tuple(rep.torsion.warnings)
+            + tuple(rep.dual_torsion.warnings)
+            + _rank_nullity_warning(rep.cohomology_dims, (even, odd, odd, even))
+        )
     elif command == "deform":
         bundle = load_bundle(model, options)
         path = gram_scale_path(bundle, degree=0, factor=2.0)

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -39,17 +41,19 @@ def factorizations(monkeypatch):
 
 @pytest.fixture
 def lower_inverses(monkeypatch):
-    """Record the Cholesky factor behind every triangular inverse the
-    spectral module forms (one entry per call; the models these fixtures
-    serve are too small for the inverse to recurse)."""
+    """Record the Cholesky factor behind every triangular inverse formed
+    (``GramFactor.lower_inverse``, one entry per formation; a formed
+    inverse is kept on its record and not formed again)."""
     calls = []
-    invert = spectral._lower_inverse
+    form = spectral.GramFactor.lower_inverse.func
 
-    def record(L):
-        calls.append(L)
-        return invert(L)
+    def record(self):
+        calls.append(self.lower)
+        return form(self)
 
-    monkeypatch.setattr(spectral, "_lower_inverse", record)
+    recorded = cached_property(record)
+    recorded.__set_name__(spectral.GramFactor, "lower_inverse")
+    monkeypatch.setattr(spectral.GramFactor, "lower_inverse", recorded)
     return calls
 
 

@@ -33,6 +33,7 @@ from torsionlab import (
     t_dualize,
     verify_t_duality,
 )
+from torsionlab import circle_bundle, torsion_engine
 from torsionlab.circle_bundle import _opnorm, _slot_dims
 
 
@@ -362,10 +363,11 @@ def test_base_must_be_graded_complex():
         BundleData(base=object(), f_op=None, h2_op=None, h3_op=None, radius=1.0)
 
 
-def test_violation_raised_when_tolerance_is_unreachable():
+def test_violation_raised_when_tolerance_is_unreachable(monkeypatch):
     # |0 + 0| > -1 always, so the negative tolerance forces the raise path
+    monkeypatch.setattr(circle_bundle, "DUALITY_TOL", -1.0)
     with pytest.raises(DualityViolation, match="log tau"):
-        verify_t_duality(hopf(1, 2, 1), tol=-1.0)
+        verify_t_duality(hopf(1, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +408,21 @@ def test_radius_path_moves_torsion_but_keeps_duality():
     assert rep.max_abs_log_drift > 0.1
     for t in (0.0, 0.5, 1.0):
         assert abs(verify_t_duality(at(t)).product_log) <= 1e-12
+
+
+def test_transport_solves_the_squares_the_torsions_solve(monkeypatch):
+    # the four transport spectra are those of the very w* w matrices the
+    # two torsions solve for their values, in the same order
+    solved = {torsion_engine: [], circle_bundle: []}
+    for module, seen in solved.items():
+        def record(A, *, _solve=module.hermitian_spectrum, _seen=seen, **kwargs):
+            if kwargs.get("vectors") is False:
+                _seen.append(A)
+            return _solve(A, **kwargs)
+
+        monkeypatch.setattr(module, "hermitian_spectrum", record)
+    verify_t_duality(random_bundle(4242, 4))
+    squares, transported = solved[torsion_engine], solved[circle_bundle]
+    assert len(squares) == len(transported) == 4
+    for a, b in zip(squares, transported):
+        assert np.array_equal(a, b)

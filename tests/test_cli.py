@@ -300,6 +300,48 @@ def test_ill_conditioned_grams_run_with_the_rank_nullity_warning(capsys, tmp_pat
     assert any("disagree with rank-nullity" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize(
+    "command, model, kernel_dims, rank_nullity",
+    [
+        ("bundle-torsion", "random(26,3)", [3, 2], [3, 3]),
+        ("verify-duality", "random(24,3)", [1, 1, 1, 1], [2, 2, 2, 2]),
+    ],
+)
+def test_bundle_commands_warn_when_the_tolerance_breaks_rank_nullity(
+    command, model, kernel_dims, rank_nullity, capsys
+):
+    def dims(tol):
+        argv = [command, model, "--format", "json"] + (["--tol", tol] if tol else [])
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        found = report["result"]["cohomology_dims"]
+        return [found[k] for k in ("even", "odd", "dual_even", "dual_odd") if k in found], [
+            w for w in report["warnings"] if "rank-nullity" in w
+        ]
+
+    # a cut below roundoff leaves harmonic lines out of the kernels
+    assert dims("1e-20") == (kernel_dims, [
+        f"kernel dims {kernel_dims} disagree with rank-nullity cohomology dims "
+        f"{rank_nullity}; the kernel tolerance may cut through the nonzero spectrum"
+    ])
+    # the default cut agrees with rank-nullity, and no warning is added
+    assert dims(None) == (rank_nullity, [])
+
+
+def test_tolerance_below_roundoff_is_named_in_the_refusal(capsys):
+    # every solved operator is positive semidefinite: a negative eigenvalue
+    # within n eps of the spectrum's size is roundoff, and the refusal says
+    # the tolerance caused it
+    assert main(["twisted", "simplex_boundary(4)", "--tol", "1e-20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        "torsion: error: eigenvalue -6.661338e-16 is roundoff of a positive semidefinite "
+        "operator (n eps max|eigenvalue| = 1.665e-14); kernel tolerance 1.000e-20 is "
+        "below the precision of the solve"
+    ]
+
+
 def test_positive_tolerance_runs(capsys):
     assert main(["reidemeister", "cycle(5)", "--tol", "1e-6", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_tol"] == 1e-6

@@ -26,7 +26,7 @@ from torsionlab.errors import (
 from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
-    _lower_inverse,
+    _gram_factor,
     default_kernel_tol,
     harmonic_basis_of,
     pseudodet_of,
@@ -94,8 +94,17 @@ def test_pseudodet_zero_matrix_is_one():
 
 
 def test_negative_eigenvalue_rejected():
-    with pytest.raises(NegativeEigenvalue):
-        pseudodet_of(hermitian_spectrum(np.diag([-1.0, 1.0]).astype(np.complex128)))
+    dec = hermitian_spectrum(np.diag([-1.0, 1.0]).astype(np.complex128))
+    not_psd = r"^eigenvalue -1.000000e\+00 below -1.000e-09; operator is not psd$"
+    for read in (pseudodet_of, harmonic_basis_of):
+        with pytest.raises(NegativeEigenvalue, match=not_psd):
+            read(dec)
+    # one within n eps of the spectrum's size is roundoff, and the
+    # tolerance is named as the cause
+    dec = hermitian_spectrum(np.diag([-1e-16, 1.0]), kernel_tol=1e-20)
+    for read in (pseudodet_of, harmonic_basis_of):
+        with pytest.raises(NegativeEigenvalue, match="is roundoff of a positive semidefinite"):
+            read(dec)
 
 
 def test_non_hermitian_rejected():
@@ -186,6 +195,7 @@ def test_non_finite_operator_is_refused(bad):
         hermitian_spectrum(A, vectors=False)
 
 
+
 # ---------------------------------------------------------------------------
 # the triangular inverse behind every Gram weighting
 # ---------------------------------------------------------------------------
@@ -193,15 +203,16 @@ def test_non_finite_operator_is_refused(bad):
 @pytest.mark.parametrize("n", [1, 5, 32, 33, 75, 130])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_lower_inverse_matches_a_general_inverse(n, dtype):
-    # above 32 rows the inverse halves L, unevenly for 33 and 75, before
-    # it inverts blocks directly
+    # a Gram record forms the inverse of its Cholesky factor once, on
+    # first use, in the factor's dtype
     rng = np.random.default_rng(n)
     g = rng.standard_normal((n, n))
     if dtype is np.complex128:
         g = g + 1j * rng.standard_normal((n, n))
-    L = np.linalg.cholesky(g @ g.conj().T + n * np.eye(n))
-    inverse = _lower_inverse(L)
+    factor = _gram_factor(g @ g.conj().T + n * np.eye(n), n)
+    inverse = factor.lower_inverse
+    assert inverse is factor.lower_inverse
     assert inverse.dtype == dtype
-    assert np.array_equal(np.triu(inverse, 1), np.zeros((n, n)))
-    reference = np.linalg.inv(L)
-    assert np.max(np.abs(inverse - reference)) <= 1e-13 * np.max(np.abs(reference))
+    scale = np.max(np.abs(inverse))
+    assert np.max(np.abs(np.triu(inverse, 1)), initial=0.0) <= 1e-15 * scale
+    assert np.max(np.abs(inverse @ factor.lower - np.eye(n))) <= 1e-13
