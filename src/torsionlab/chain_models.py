@@ -7,7 +7,9 @@ differentials, and evaluation against a fundamental class.  ``fold`` is
 the one owner of the Z2 parity layout.  A graded complex lays itself out
 on the two parities once, on first use, and keeps the layout
 (``GradedCochainComplex._parity``): twisted differentials and the
-invariant complexes of ``circle_bundle`` are both assembled from it.
+invariant complexes of ``circle_bundle`` are both assembled from it, the
+latter with the invariant parity Gram records the complex keeps next to
+it (``_invariant_grams``).
 
 Conventions
 -----------
@@ -61,7 +63,7 @@ from .errors import (
     NotTopDegree,
     ValidationError,
 )
-from .spectral import GramFactor, _direct_sum, _gram_factor
+from .spectral import GramFactor, _direct_sum, _gram_factor, _identity_factor
 
 __all__ = [
     "SimplicialComplex",
@@ -446,7 +448,8 @@ class GradedCochainComplex:
         """The complex on the Z2 grading, laid out on first use and kept:
         the coboundary folded (from even, from odd), read-only, and the
         (even, odd) GramFactor records assembled from the degree factors,
-        or None with the identity Grams."""
+        or None with the identity Grams.  ``_invariant_grams`` keeps the
+        records that the invariant complexes over this base share."""
         folded = fold(self.dims, self.coboundary, 1)
         for a in folded:
             a.setflags(write=False)
@@ -454,6 +457,21 @@ class GradedCochainComplex:
         if factors is None:
             return folded, None
         return folded, (_direct_sum(factors[0::2]), _direct_sum(factors[1::2]))
+
+    @cached_property
+    def _invariant_grams(self) -> tuple[GramFactor, GramFactor]:
+        """GramFactor records of diag(G_even, G_odd) and diag(G_odd, G_even),
+        the parity Grams of every invariant complex over this base (a
+        circle-bundle model's and its T-dual's alike), assembled on first
+        use from the ``_parity`` records and kept, so each record's
+        ``lower_inverse`` is formed once per base.  With the identity
+        Grams one identity record serves both parities."""
+        (from_even, _), grams = self._parity
+        if grams is None:
+            eye = _identity_factor(sum(from_even.shape))
+            return eye, eye
+        even, odd = grams
+        return _direct_sum((even, odd)), _direct_sum((odd, even))
 
     def gram_at(self, p: int) -> np.ndarray:
         if self.gram is None:

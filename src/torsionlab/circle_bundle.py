@@ -11,7 +11,13 @@ The total differential acts in blocks as
         [ r H2      -d_H3  ]      with d_H3 = delta + H3,
 
 each block being one parity block of a base family as laid out by
-``chain_models.fold``, the one owner of the parity layout.
+``chain_models.fold``, the one owner of the parity layout.  Each layout
+is made once and shared: a model folds its H3, F and H2 once
+(``BundleData._folds``) and hands the folds to its T-dual, and the base
+keeps its folded coboundary and the two invariant parity Gram records
+(``GradedCochainComplex._parity`` and ``_invariant_grams``) for every
+model over it.  No build, dual or torsion is cached: each build still
+assembles its differential and checks that it squares to zero.
 
 The T-dual model swaps F with H2 and inverts the radius.  The duality
 map T_k(w1, w2) = ((-1)^k w2, (-1)^(k+1) w1) is a parity-shifting Gram
@@ -25,11 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .chain_models import (
+    MAX_MODEL_SIZE,
     _SQUARE_ZERO_TOL,
     _is_frozen,
     _norm,
@@ -47,7 +55,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .spectral import _direct_sum, _identity_factor, hermitian_spectrum
+from .spectral import hermitian_spectrum
 from .torsion_engine import TorsionElement, _squares, twisted_torsion
 
 __all__ = [
@@ -84,10 +92,17 @@ def _normalize_ops(
     ``ops[q]`` maps degree q to q+shift; missing entries become zeros and
     blocks whose target degree overflows the grading must be empty.
     Blocks come back read-only; frozen ones (``_is_frozen``) pass
-    through uncopied, so re-normalizing a model's own family copies
-    nothing.
+    through uncopied.  A tuple this function returned, one frozen block
+    of the expected shape per degree, passes through as it is, so a
+    ``replace`` of a model re-normalizes its own families for free.
     """
     top = len(dims) - 1
+    wants = [(dims[q + shift] if q + shift <= top else 0, n) for q, n in enumerate(dims)]
+    if isinstance(ops, tuple) and len(ops) == len(wants) and all(
+        isinstance(block, np.ndarray) and block.shape == want and _is_frozen(block)
+        for block, want in zip(ops, wants)
+    ):
+        return ops
     if ops is None:
         table: dict[int, np.ndarray] = {}
     elif isinstance(ops, Mapping):
@@ -95,9 +110,7 @@ def _normalize_ops(
     else:
         table = {q: np.asarray(m) for q, m in enumerate(ops)}
     out = []
-    for q in range(top + 1):
-        rows = dims[q + shift] if q + shift <= top else 0
-        want = (rows, dims[q])
+    for q, want in enumerate(wants):
         block = table.pop(q, None)
         if block is None:
             block = np.zeros(want)
@@ -154,6 +167,19 @@ class BundleData:
     def inverse_radius(self) -> float:
         return self.radius_inverse if self.radius_inverse is not None else 1.0 / self.radius
 
+    @cached_property
+    def _folds(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """H3, F and H2, each laid out on the Z2 grading by ``fold``
+        (from even, from odd): folded on first use, kept read-only, and
+        handed by ``t_dualize`` to the dual with F and H2 swapped.  A
+        ``replace`` makes a new model, which folds its families again."""
+        dims = self.base.dims
+        folds = (fold(dims, self.h3_op, 3), fold(dims, self.f_op, 2), fold(dims, self.h2_op, 2))
+        for pair in folds:
+            for a in pair:
+                a.setflags(write=False)
+        return folds
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantComplex(TwistedComplex):
@@ -190,20 +216,21 @@ def _closure_residuals(d_h3, f, h2) -> dict[str, float]:
 def build_invariant_complex(b: BundleData) -> InvariantComplex:
     """Assemble the invariant-cochain complex of a bundle model.
 
-    The base's parity layout (``GradedCochainComplex._parity``) is
-    folded once per base and reused; the parity Grams are direct sums of
-    the base's checked parity Grams, so their factors are assembled from
-    the base's, not checked or factored again.  Raises InvalidFlux naming
-    the failing block identity when the assembled differential does not
-    square to zero.
+    Every build assembles the differential afresh and checks that it
+    squares to zero, from layouts made once: the base's folded
+    coboundary (``GradedCochainComplex._parity``), the model's folded
+    families (``BundleData._folds``, shared with its T-dual) and the
+    base's invariant parity Gram records
+    (``GradedCochainComplex._invariant_grams``), direct sums of its
+    checked Grams, so no Gram is checked or factored again.  Raises
+    InvalidFlux naming the failing block identity when the assembled
+    differential does not square to zero.
     """
     C = b.base
-    dims = C.dims
-    (delta_eo, delta_oe), grams = C._parity
-    h3_eo, h3_oe = fold(dims, b.h3_op, 3)
+    (delta_eo, delta_oe), _ = C._parity
+    (h3_eo, h3_oe), f, h2 = b._folds
     # (from even, from odd) pairs of d_H3 = delta + H3, F and H2
     d_h3 = (delta_eo + h3_eo, delta_oe + h3_oe)
-    f, h2 = fold(dims, b.f_op, 2), fold(dims, b.h2_op, 2)
     (b_eo, b_oe), (f_ee, f_oo), (h2_ee, h2_oo) = d_h3, f, h2
     r = b.radius
     rinv = b.inverse_radius
@@ -224,11 +251,7 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     d_even.setflags(write=False)
     d_odd.setflags(write=False)
 
-    if grams is None:
-        gram_even = gram_odd = _identity_factor(e + o)
-    else:
-        ge, go = grams
-        gram_even, gram_odd = _direct_sum((ge, go)), _direct_sum((go, ge))
+    gram_even, gram_odd = C._invariant_grams
     try:
         return InvariantComplex(
             even_dim=e + o,
@@ -265,10 +288,18 @@ def invariant_twisted_torsion(
 
 
 def t_dualize(b: BundleData) -> BundleData:
-    """Swap curvature with H2 and invert the radius; an exact involution."""
+    """Swap curvature with H2 and invert the radius; an exact involution.
+
+    The dual shares the model's base, its family blocks and their folds
+    (F and H2 swapped), so the dual and the double dual fold nothing.
+    Its invariant complex is still built, as an assertion.
+    """
+    h3, f, h2 = b._folds
     dual = replace(
         b, f_op=b.h2_op, h2_op=b.f_op, radius=b.inverse_radius, radius_inverse=b.radius
     )
+    # the cache slot of the cached_property, seeded with the model's folds
+    vars(dual)["_folds"] = (h3, h2, f)
     build_invariant_complex(dual)  # cannot fail for valid input; asserted
     return dual
 
@@ -498,9 +529,12 @@ def deformation_experiment(
     kernel_tol: float | None = None,
 ) -> DriftReport:
     """Sample a bundle path at steps+1 parameters in [0, 1] and record the
-    torsion drift relative to the start."""
+    torsion drift relative to the start.  Between 1 and ``MAX_MODEL_SIZE``
+    steps are taken; any other count is refused before the first."""
     if steps < 1:
         raise PathInvalid(f"need at least one step, got {steps}")
+    if steps > MAX_MODEL_SIZE:
+        raise PathInvalid(f"at most {MAX_MODEL_SIZE} steps, got {steps}")
     params, logs = [], []
     for i in range(steps + 1):
         t = i / steps

@@ -220,22 +220,26 @@ def hermitian_spectrum(
 
     A real A is solved in float64 and a complex one in complex128.  With
     ``vectors=False`` only the eigenvalues are computed and the result's
-    ``eigenvectors`` is None.
+    ``eigenvectors`` is None.  An exactly zero A is answered without an
+    eigensolve, with the same bits.
 
     Raises NotHermitian when the largest entry of A - A* exceeds 1e-10
     times that of A (or 1), and ValidationError when A has a non-finite
     entry.
     """
     A = _as_square(A, "operator")
-    if A.shape[0] == 0:
-        ev = np.zeros(0)
+    n = A.shape[0]
+    scale = _largest(A) if n else 0.0  # also refuses a non-finite A
+    # an exactly zero A (or an empty one) has the zero spectrum and the
+    # identity as eigenbasis, bit for bit what LAPACK returns for it
+    if scale == 0.0:
+        w = np.zeros(n)
         return SpectralDecomposition(
-            eigenvalues=ev,
-            eigenvectors=np.zeros((0, 0), dtype=A.dtype) if vectors else None,
-            kernel_tol=kernel_tol if kernel_tol is not None else default_kernel_tol(ev),
+            eigenvalues=w,
+            eigenvectors=np.eye(n, dtype=A.dtype) if vectors else None,
+            kernel_tol=kernel_tol if kernel_tol is not None else default_kernel_tol(w),
         )
-    scale = _largest(A)  # also refuses a non-finite A
-    resid = _largest(A - A.conj().T)
+    resid = _largest(A - (A.conj().T if A.dtype.kind == "c" else A.T))
     if resid > HERMITIAN_TOL * max(1.0, scale):
         raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
 
@@ -244,8 +248,10 @@ def hermitian_spectrum(
     else:
         w, V = np.linalg.eigvalsh(A), None
 
-    tol = kernel_tol if kernel_tol is not None else default_kernel_tol(w)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
+    if kernel_tol is None:
+        # default_kernel_tol(w), read off the two ends of the ascending w
+        kernel_tol = KERNEL_TOL_FACTOR * (max(-float(w[0]), float(w[-1])) or 1.0)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=kernel_tol)
 
 
 def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:
@@ -265,18 +271,32 @@ def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:
     )
 
 
-def _refuse_negative(decomposition: SpectralDecomposition) -> None:
-    """Raise NegativeEigenvalue when the smallest eigenvalue lies below
-    -kernel_tol.  One within the solve's roundoff, n eps times the largest
-    eigenvalue magnitude, belongs to a positive semidefinite operator, and
-    then the message names the tolerance as the cause."""
+def _refuse_imprecise(decomposition: SpectralDecomposition) -> None:
+    """Raise NegativeEigenvalue when the kernel cut cannot be trusted.
+
+    Every solved operator is positive semidefinite, and the solve's
+    roundoff is n eps times the largest eigenvalue magnitude.  An
+    eigenvalue below -kernel_tol and beyond that roundoff means the
+    operator is not psd.  One within it that the cut keeps as nonzero,
+    |lambda| > kernel_tol, whatever its sign, is the roundoff of a zero
+    eigenvalue, and the message names the tolerance as the cause.  The
+    default cut, 1e-9 times the largest magnitude, lies above the
+    roundoff of every model within ``MAX_MODEL_SIZE``.
+    """
     ev, tol = decomposition.eigenvalues, decomposition.kernel_tol
-    if ev.size and float(ev[0]) < -tol:
-        low, roundoff = float(ev[0]), ev.size * _EPS * float(np.max(np.abs(ev)))
-        if -low > roundoff:
-            raise NegativeEigenvalue(f"eigenvalue {low:.6e} below -{tol:.3e}; operator is not psd")
+    if not ev.size:
+        return
+    low = float(ev[0])
+    roundoff = ev.size * _EPS * max(-low, float(ev[-1]))  # ev is ascending
+    if low < -tol and -low > roundoff:
+        raise NegativeEigenvalue(f"eigenvalue {low:.6e} below -{tol:.3e}; operator is not psd")
+    if tol >= roundoff:
+        return
+    magnitude = np.abs(ev)
+    noise = ev[(magnitude > tol) & (magnitude <= roundoff)]
+    if noise.size:
         raise NegativeEigenvalue(
-            f"eigenvalue {low:.6e} is roundoff of a positive semidefinite operator "
+            f"eigenvalue {float(noise[0]):.6e} is roundoff of a positive semidefinite operator "
             f"(n eps max|eigenvalue| = {roundoff:.3e}); kernel tolerance {tol:.3e} "
             "is below the precision of the solve"
         )
@@ -285,11 +305,12 @@ def _refuse_negative(decomposition: SpectralDecomposition) -> None:
 def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     """Log-domain product of the eigenvalues above the kernel cut.
 
-    The empty product is 1 (log 0).  Eigenvalues below -kernel_tol raise
-    NegativeEigenvalue; a weak separation at the cut is recorded on the
-    result's warnings.
+    The empty product is 1 (log 0).  A negative eigenvalue beyond
+    roundoff, or roundoff kept above the cut, raises NegativeEigenvalue
+    (``_refuse_imprecise``); a weak separation at the cut is recorded on
+    the result's warnings.
     """
-    _refuse_negative(decomposition)
+    _refuse_imprecise(decomposition)
     ev = decomposition.eigenvalues
     notes = _gap_warnings(ev, decomposition.kernel_tol)
     positive = decomposition.positive_eigenvalues
@@ -308,5 +329,5 @@ def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> 
     on the kernel dimension by construction.  Raises ValueError when the
     decomposition carries no eigenvectors.
     """
-    _refuse_negative(decomposition)
+    _refuse_imprecise(decomposition)
     return HarmonicBasis(label=label, vectors=decomposition.kernel_vectors)

@@ -5,8 +5,11 @@ is r * h2 on the single even generator pair and the odd one is f / r, so
 the twisted torsion is r^2 |h2 / f| and dualizing inverts it.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,9 @@ from torsionlab import (
     verify_t_duality,
 )
 from torsionlab import circle_bundle, torsion_engine
+from torsionlab.chain_models import fold
 from torsionlab.circle_bundle import _opnorm, _slot_dims
+from torsionlab.serialize import canonical_bytes
 
 
 def _ladder_bundle() -> BundleData:
@@ -142,12 +147,13 @@ def test_verify_factors_each_gram_once(factorizations, lower_inverses):
     factorizations.clear()
     verify_t_duality(b)
     # the base factored its Grams when it was built; the three invariant
-    # builds assemble their parity factors from the base's, and the
-    # twelve solves reuse those
+    # builds take their parity factors from the base's invariant records,
+    # and the twelve solves reuse those
     assert len(factorizations) == 0
-    # and each of the four solved Grams is inverted once
-    assert len(lower_inverses) == 4
-    assert len({id(L) for L in lower_inverses}) == 4
+    # the model and its dual solve the same two parity Grams, and each
+    # is inverted once
+    assert len(lower_inverses) == 2
+    assert len({id(L) for L in lower_inverses}) == 2
 
 
 def test_verify_reuses_the_base_layout(folds, gram_checks):
@@ -156,13 +162,102 @@ def test_verify_reuses_the_base_layout(folds, gram_checks):
     assert len(gram_checks) == len(b.base.dims)
     gram_checks.clear()
     verify_t_duality(b)
-    # the base folds its coboundary once, on first use; each of the three
-    # builds folds only H3, F and H2
-    assert len(folds) == 1 + 3 * 3
+    # the base folds its coboundary once and the model its H3, F and H2
+    # once, on first use; the dual takes the model's folds
+    assert len(folds) == 1 + 3
     folds.clear()
     verify_t_duality(b)
-    assert len(folds) == 3 * 3
+    assert len(folds) == 0
     assert gram_checks == []
+
+
+def test_model_dual_and_double_dual_share_folds_and_gram_records():
+    b = random_bundle(4242, 4)
+    d = t_dualize(b)
+    dd = t_dualize(d)
+    (h3, f, h2), (d_h3, d_f, d_h2), (dd_h3, dd_f, dd_h2) = b._folds, d._folds, dd._folds
+    assert d_h3 is h3 and d_f is h2 and d_h2 is f
+    assert dd_h3 is h3 and dd_f is f and dd_h2 is h2
+    # the folds handed over are those the dual would fold itself
+    dims = d.base.dims
+    fresh = (fold(dims, d.h3_op, 3), fold(dims, d.f_op, 2), fold(dims, d.h2_op, 2))
+    for handed, own in zip(d._folds, fresh):
+        assert all(np.array_equal(x, y) for x, y in zip(handed, own))
+    records = [build_invariant_complex(m)._gram_factors for m in (b, d, dd)]
+    assert all(r[0] is records[0][0] and r[1] is records[0][1] for r in records)
+    assert records[0] == b.base._invariant_grams
+
+
+def test_cached_layouts_are_read_only():
+    for b in (random_bundle(4242, 4), hopf(1.0, 2.0, 0.7)):
+        arrays = [a for pair in b._folds for a in pair]
+        arrays += [a for factor in b.base._invariant_grams for a in (factor.gram, factor.lower)]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+def test_replace_folds_again_and_matches_a_model_built_from_scratch(folds):
+    b = random_bundle(4242, 4)
+    build_invariant_complex(b)
+    dims, grams = b.base.dims, list(b.base.gram)
+    f3, h3_half = [3.0 * m for m in b.f_op], [0.5 * m for m in b.h3_op]
+    scaled = [2.5 * g for g in grams]
+    base0 = [2.5 * grams[0]] + grams[1:]
+
+    def scratch(gram, f_op, h3_op):
+        return BundleData(minimal_model(dims, gram=gram), f_op, b.h2_op, h3_op, b.radius)
+
+    # (replaced model, the same model built from scratch, folds it takes)
+    cases = [
+        (replace(b, f_op=tuple(f3)), scratch(grams, f3, b.h3_op), 3),
+        (replace(b, h3_op=tuple(h3_half)), scratch(grams, b.f_op, h3_half), 3),
+        (replace(b, base=b.base.with_gram(scaled)), scratch(scaled, b.f_op, b.h3_op), 1 + 3),
+        (gram_scale_path(b, degree=0, factor=2.5)(1.0), scratch(base0, b.f_op, b.h3_op), 1 + 3),
+    ]
+    for changed, built, expected_folds in cases:
+        folds.clear()
+        tau = invariant_twisted_torsion(changed)
+        assert len(folds) == expected_folds
+        assert all(x is not y for x, y in zip(changed._folds, b._folds))
+        assert tau.log_scalar == invariant_twisted_torsion(built).log_scalar
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), top=st.integers(2, 5), radius=_RADIUS)
+def test_warm_and_fresh_bundles_verify_to_the_same_bytes(seed, top, radius):
+    def fresh():
+        return replace(random_bundle(seed, top), radius=radius)
+
+    warm = fresh()
+    verify_t_duality(warm)
+    t_dualize(t_dualize(warm))
+    for _ in range(2):
+        assert canonical_bytes(verify_t_duality(warm).to_json()) == canonical_bytes(
+            verify_t_duality(fresh()).to_json()
+        )
+
+
+def test_traced_verify_of_a_warm_bundle_counts_every_solve_and_build(monkeypatch):
+    # the benchmark's span tracer, loaded from its file
+    spec = importlib.util.spec_from_file_location(
+        "_bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    b = random_bundle(4242, 4)
+    verify_t_duality(b)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.reset()
+        circle_bundle.verify_t_duality(b)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["spectral.calls"] == 12
+    assert tracer.counters["circle_bundle.invariant_builds"] == 3
 
 
 def _bundles():

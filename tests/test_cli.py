@@ -116,6 +116,17 @@ def test_deform_steps_option(capsys):
     assert payload["result"]["parameters"] == [0.0, 0.5, 1.0]
 
 
+def test_deform_refuses_a_step_count_past_the_size_guard(capsys):
+    # 1e8 steps once ran until the process was killed; the count is
+    # refused before the first step
+    assert main(["deform", "hopf(1,2,1)", "--steps", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        f"torsion: error: at most {torsionlab.chain_models.MAX_MODEL_SIZE} steps, got 100000000"
+    ]
+
+
 def test_no_color_env_strips_ansi(capsys, monkeypatch):
     # piped output already disables color; the env var must force it off
     # even when stdout pretends to be a terminal
@@ -303,8 +314,8 @@ def test_ill_conditioned_grams_run_with_the_rank_nullity_warning(capsys, tmp_pat
 @pytest.mark.parametrize(
     "command, model, kernel_dims, rank_nullity",
     [
-        ("bundle-torsion", "random(26,3)", [3, 2], [3, 3]),
-        ("verify-duality", "random(24,3)", [1, 1, 1, 1], [2, 2, 2, 2]),
+        ("bundle-torsion", "random(26,3)", [5, 5], [3, 3]),
+        ("verify-duality", "random(24,3)", [4, 4, 4, 4], [2, 2, 2, 2]),
     ],
 )
 def test_bundle_commands_warn_when_the_tolerance_breaks_rank_nullity(
@@ -319,8 +330,9 @@ def test_bundle_commands_warn_when_the_tolerance_breaks_rank_nullity(
             w for w in report["warnings"] if "rank-nullity" in w
         ]
 
-    # a cut below roundoff leaves harmonic lines out of the kernels
-    assert dims("1e-20") == (kernel_dims, [
+    # a cut above the nonzero spectrum (largest eigenvalue 0.39 on
+    # random(26,3), 1.37 on random(24,3)) puts it in the kernels
+    assert dims("1.5") == (kernel_dims, [
         f"kernel dims {kernel_dims} disagree with rank-nullity cohomology dims "
         f"{rank_nullity}; the kernel tolerance may cut through the nonzero spectrum"
     ])
@@ -338,6 +350,28 @@ def test_tolerance_below_roundoff_is_named_in_the_refusal(capsys):
     assert _error_lines(captured.err) == [
         "torsion: error: eigenvalue -6.661338e-16 is roundoff of a positive semidefinite "
         "operator (n eps max|eigenvalue| = 1.665e-14); kernel tolerance 1.000e-20 is "
+        "below the precision of the solve"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, eigenvalue, roundoff",
+    [
+        (["bundle-torsion", "random(26,3)"], "2.081668e-17", "4.336e-16"),
+        (["verify-duality", "random(24,3)"], "5.551115e-17", "1.214e-15"),
+    ],
+)
+def test_roundoff_kept_above_the_cut_is_refused_whatever_its_sign(
+    argv, eigenvalue, roundoff, capsys
+):
+    # the same rule as a negative roundoff eigenvalue: a positive one that
+    # the cut keeps out of the kernel is refused, not warned about
+    assert main(argv + ["--tol", "1e-20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        f"torsion: error: eigenvalue {eigenvalue} is roundoff of a positive semidefinite "
+        f"operator (n eps max|eigenvalue| = {roundoff}); kernel tolerance 1.000e-20 is "
         "below the precision of the solve"
     ]
 

@@ -141,6 +141,40 @@ def test_solve_dtype_follows_operator(eigensolves):
     ]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_zero_operator_is_solved_without_lapack_bit_for_bit(n, dtype, eigensolves):
+    A = np.zeros((n, n), dtype=dtype)
+    dec, values = hermitian_spectrum(A), hermitian_spectrum(A, vectors=False)
+    assert eigensolves == []
+    w, V = np.linalg.eigh(A)
+    assert dec.eigenvalues.tobytes() == values.eigenvalues.tobytes() == w.tobytes()
+    assert dec.eigenvectors.dtype == V.dtype and dec.eigenvectors.tobytes() == V.tobytes()
+    assert values.eigenvectors is None
+    assert dec.kernel_tol == values.kernel_tol == KERNEL_TOL_FACTOR
+    assert dec.kernel_dimension == n
+
+
+def test_default_cut_is_the_default_kernel_tol_of_the_spectrum():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 8):
+        for shift in (-2.0, 0.0, 2.0):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for A in ((a + a.conj().T) / 2 + shift * np.eye(n), (a.real + a.real.T) / 2):
+                dec = hermitian_spectrum(A)
+                assert dec.kernel_tol == default_kernel_tol(dec.eigenvalues)
+
+
+def test_positive_roundoff_above_the_cut_is_refused():
+    # zero up to roundoff, yet kept above a cut far below the roundoff
+    dec = hermitian_spectrum(np.diag([1e-17, 1.0]), kernel_tol=1e-20)
+    for read in (pseudodet_of, harmonic_basis_of):
+        with pytest.raises(NegativeEigenvalue, match="below the precision of the solve"):
+            read(dec)
+    # the default cut puts it in the kernel
+    assert pseudodet_of(hermitian_spectrum(np.diag([1e-17, 1.0]))).kernel_dim == 1
+
+
 def test_no_gram_is_taken():
     with pytest.raises(TypeError):
         hermitian_spectrum(np.eye(2), np.eye(2))
