@@ -465,7 +465,9 @@ class GradedCochainComplex:
         circle-bundle model's and its T-dual's alike), assembled on first
         use from the ``_parity`` records and kept, so each record's
         ``lower_inverse`` is formed once per base.  With the identity
-        Grams one identity record serves both parities."""
+        Grams one identity record serves both parities.  Only
+        ``circle_bundle`` reads it; it lives here so that it is cached
+        with the ``_parity`` records it is made from."""
         (from_even, _), grams = self._parity
         if grams is None:
             eye = _identity_factor(sum(from_even.shape))

@@ -248,10 +248,8 @@ def hermitian_spectrum(
     else:
         w, V = np.linalg.eigvalsh(A), None
 
-    if kernel_tol is None:
-        # default_kernel_tol(w), read off the two ends of the ascending w
-        kernel_tol = KERNEL_TOL_FACTOR * (max(-float(w[0]), float(w[-1])) or 1.0)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=kernel_tol)
+    tol = kernel_tol if kernel_tol is not None else default_kernel_tol(w)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
 
 
 def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:

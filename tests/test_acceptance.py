@@ -49,9 +49,9 @@ def fleet():
     return bundles, reports, failures, time.perf_counter() - t0
 
 
-def test_criterion_01_square_zero():
+def test_criterion_01_square_zero(fleet):
     t0 = time.perf_counter()
-    _verdict("1", suite.criterion_1())
+    _verdict("1", suite.criterion_1(fleet[0]))
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -155,16 +155,6 @@ def test_zero_operator_is_solved_without_lapack_bit_for_bit(n, dtype, eigensolve
     assert dec.kernel_dimension == n
 
 
-def test_default_cut_is_the_default_kernel_tol_of_the_spectrum():
-    rng = np.random.default_rng(5)
-    for n in (1, 3, 8):
-        for shift in (-2.0, 0.0, 2.0):
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for A in ((a + a.conj().T) / 2 + shift * np.eye(n), (a.real + a.real.T) / 2):
-                dec = hermitian_spectrum(A)
-                assert dec.kernel_tol == default_kernel_tol(dec.eigenvalues)
-
-
 def test_positive_roundoff_above_the_cut_is_refused():
     # zero up to roundoff, yet kept above a cut far below the roundoff
     dec = hermitian_spectrum(np.diag([1e-17, 1.0]), kernel_tol=1e-20)
