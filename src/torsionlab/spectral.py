@@ -82,22 +82,19 @@ class SpectralDecomposition:
             object.__setattr__(self, "eigenvectors", vec)
 
     @cached_property
-    def _positive_mask(self) -> np.ndarray:
-        return self.eigenvalues > self.kernel_tol
-
-    @property
     def kernel_dimension(self) -> int:
-        return int(np.count_nonzero(~self._positive_mask))
+        """Eigenvalues at or below the cut, which lead the ascending spectrum."""
+        return int(np.searchsorted(self.eigenvalues, self.kernel_tol, side="right"))
 
     @property
     def positive_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[self._positive_mask]
+        return self.eigenvalues[self.kernel_dimension:]
 
     @property
     def kernel_vectors(self) -> np.ndarray:
         if self.eigenvectors is None:
             raise ValueError("decomposition was computed without eigenvectors")
-        return self.eigenvectors[:, ~self._positive_mask]
+        return self.eigenvectors[:, :self.kernel_dimension]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +249,21 @@ def hermitian_spectrum(
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
 
 
-def _gap_warnings(ev: np.ndarray, tol: float) -> tuple[str, ...]:
-    discarded = ev[~(ev > tol)]
-    retained = ev[ev > tol]
-    if discarded.size == 0 or retained.size == 0:
+def _gap_warnings(ev: np.ndarray, k: int) -> tuple[str, ...]:
+    """Warn when the smallest retained eigenvalue, ev[k], is within
+    ``GAP_RATIO`` of the largest discarded magnitude, which the ascending
+    ev[:k] holds at one of its ends."""
+    if k == 0 or k == ev.size:
         return ()
-    floor = float(np.max(np.abs(discarded)))
+    floor = max(abs(float(ev[0])), abs(float(ev[k - 1])))
     if floor == 0.0:
         return ()
-    ratio = float(np.min(retained)) / floor
+    retained = float(ev[k])
+    ratio = retained / floor
     if ratio >= GAP_RATIO:
         return ()
     return (
-        f"kernel cut poorly separated: retained {float(np.min(retained)):.3e} over "
+        f"kernel cut poorly separated: retained {retained:.3e} over "
         f"discarded {floor:.3e} gives ratio {ratio:.1f} < {GAP_RATIO:.0e}",
     )
 
@@ -309,21 +308,20 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     the result's warnings.
     """
     _refuse_imprecise(decomposition)
-    ev = decomposition.eigenvalues
-    notes = _gap_warnings(ev, decomposition.kernel_tol)
+    k = decomposition.kernel_dimension
     positive = decomposition.positive_eigenvalues
     logdet = float(np.sum(np.log(positive))) if positive.size else 0.0
     return PseudoDeterminant(
         log_value=logdet,
-        kernel_dim=decomposition.kernel_dimension,
-        warnings=notes,
+        kernel_dim=k,
+        warnings=_gap_warnings(decomposition.eigenvalues, k),
     )
 
 
 def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> HarmonicBasis:
     """Orthonormal basis of the kernel of a decomposition.
 
-    Uses the same kernel mask as :func:`pseudodet_of`, so the two agree
+    Uses the same kernel cut as :func:`pseudodet_of`, so the two agree
     on the kernel dimension by construction.  Raises ValueError when the
     decomposition carries no eigenvectors.
     """

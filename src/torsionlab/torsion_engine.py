@@ -15,23 +15,28 @@ spaces, the parities,
 with adjoints taken against the parity Grams.  This module is the one
 place that knows the Gram weighting.  With G_p = L_p L_p* (the
 ``spectral.GramFactor`` records each complex made when it checked its
-Grams), ``_squares`` forms each Gram-weighted coboundary
-w_p = L_{p+1}* d_p L_p^{-*} once per call, and w_p* w_p; ``_blocks``
-adds the weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are
-Hermitian and congruent to d_p^+ d_p and the Hodge Laplacian, by L_p*,
-so no Gram reaches the eigensolver.  Without Grams, w_p is d_p itself.
-A graded complex is a chain of spaces (its degrees) and a Z2-graded one
-a cycle of two, and one solve loop (``_solve``) serves both torsions:
-per space, the Laplacian with eigenvectors, then w_p* w_p for
-eigenvalues alone.  Harmonic bases of the Laplacians ride along on the
-returned element, and kernel dimensions double as cohomology dimensions
-(checked against rank-nullity in the test suite).
+Grams), ``_blocks`` forms each Gram-weighted coboundary
+w_p = L_{p+1}* d_p L_p^{-*} once per call, w_p* w_p and the weighted
+Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are Hermitian and congruent
+to d_p^+ d_p and the Hodge Laplacian, by L_p*, so no Gram reaches the
+eigensolver.  Without Grams, w_p is d_p itself.  A graded complex is a
+chain of spaces (its degrees) and a Z2-graded one a cycle of two, and
+one solve loop (``_solve``) serves both torsions: per space, the
+Laplacian, then w_p* w_p for eigenvalues alone.  The graded torsion
+solves its Laplacians with eigenvectors, since its weighted sum reads
+their eigenvalues and ``eigh`` gives them more accurately.  The twisted
+torsion solves them for values only and forms its harmonic bases when
+they are first read, by one more solve per parity of the Laplacians it
+kept.  It also keeps the positive spectra of its two w_p* w_p, which the
+duality transport compares.  Kernel dimensions double as cohomology
+dimensions (checked against rank-nullity in the test suite).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .errors import ValidationError
 from .spectral import (
     HarmonicBasis,
     _identity_factor,
-    harmonic_basis_of,
+    _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
 )
@@ -61,6 +66,28 @@ _TINY = np.finfo(np.float64).tiny
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
+class _FormedOnFirstRead:
+    """Descriptor of a frozen dataclass field that may be given a
+    zero-argument function in place of its value: the function runs on
+    the first read, and its value is kept in its place.  Read on the
+    class, it raises AttributeError, so the field has no default and keeps
+    its place in the positional constructor."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)
+        value = vars(obj)[self.slot]
+        if callable(value):
+            value = vars(obj)[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        vars(obj)[self.slot] = value
+
+
 @dataclass(frozen=True, eq=False)
 class TorsionElement:
     """Torsion scalar in log form, plus the harmonic data that frames it.
@@ -69,13 +96,17 @@ class TorsionElement:
     degree (graded case) or per parity (twisted case); they equal the
     corresponding cohomology dimensions.  ``warnings`` collects spectral
     gap complaints and convention cross-check failures.
+    ``harmonic_bases`` may be given as a function that forms them, run on
+    first read.  ``square_spectra`` holds, for a twisted element, the
+    positive eigenvalues of w* w per parity that the torsion solved.
     """
 
     log_scalar: float
-    harmonic_bases: tuple[HarmonicBasis, ...]
+    harmonic_bases: tuple[HarmonicBasis, ...] = _FormedOnFirstRead()
     convention_tag: str
     kernel_dims: tuple[int, ...]
     warnings: tuple[str, ...] = ()
+    square_spectra: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         # past log(float max), tau or 1/tau would read inf; NaN fails too
@@ -138,31 +169,23 @@ def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     return C.dims, [C.delta(p) for p in range(n)], grams, labels, False
 
 
-def _squares(C: GradedCochainComplex | TwistedComplex) -> tuple:
-    """(w, squares, spaces): per space p, the Gram-weighted coboundary
-    w_p = L_{p+1}* d_p L_p^{-*} (d_p itself without Grams) and w_p* w_p,
-    with ``_spaces(C)``.  Overflow is silenced by ``_blocks`` and refused
-    by the solver; the duality transport re-forms squares already solved."""
-    spaces = _spaces(C)
-    _, maps, grams, _, _ = spaces
-    w = [
-        d if grams[p] is None
-        else grams[p + 1].lower.conj().T @ d @ grams[p].lower_inverse.conj().T
-        for p, d in enumerate(maps)
-    ]
-    return w, [x.conj().T @ x for x in w], spaces
-
-
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
     """Per space p: (w_p* w_p, the weighted Laplacian
-    w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None).  Each product is
-    built, and refused if it underflowed, once for both torsion sums; one
-    that overflowed is refused by the solver."""
+    w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
+    w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary (d_p itself
+    without Grams).  Each product is built, and refused if it underflowed,
+    once for both torsion sums; one that overflowed is refused by the
+    solver."""
+    _, maps, grams, labels, cyclic = _spaces(C)
     out = []
     with np.errstate(over="ignore"):
-        w, squares, (_, maps, grams, labels, cyclic) = _squares(C)
-        for p, up in enumerate(squares):
-            lap = up = _unless_underflowed(up, maps[p], labels[p])
+        w = [
+            d if grams[p] is None
+            else grams[p + 1].lower.conj().T @ d @ grams[p].lower_inverse.conj().T
+            for p, d in enumerate(maps)
+        ]
+        for p, x in enumerate(w):
+            lap = up = _unless_underflowed(x.conj().T @ x, maps[p], labels[p])
             if p > 0 or cyclic:
                 q = p - 1
                 lap = up + _unless_underflowed(w[q] @ w[q].conj().T, maps[q], labels[q])
@@ -182,19 +205,35 @@ def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, names):
+def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):
     """The one solve loop of both torsions.  Per space p, in order: the
-    weighted Laplacian with eigenvectors, then w_p* w_p for values only.
-    Yields, per space, the Laplacian's decomposition, its kernel basis
-    (named by ``names``, lifted back by L_p^{-*} to the complex's own
-    coordinates, where it is G-orthonormal) and the pseudo-determinant of
-    w_p* w_p."""
-    for name, (up, lap, gram) in zip(names, _blocks(C)):
-        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol)
-        basis = harmonic_basis_of(dec, label=name)
-        if gram is not None:
-            basis = HarmonicBasis(name, gram.lower_inverse.conj().T @ basis.vectors)
-        yield dec, basis, pseudodet_of(hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False))
+    weighted Laplacian, with eigenvectors only when ``vectors``, then
+    w_p* w_p for values only; each cut that cannot be trusted is refused.
+    Yields, per space, the Laplacian's decomposition, the
+    pseudo-determinant of w_p* w_p and its positive eigenvalues, and the
+    (weighted Laplacian, GramFactor or None) pair that a kernel basis is
+    read from."""
+    for up, lap, gram in _blocks(C):
+        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=vectors)
+        _refuse_imprecise(dec)
+        square = hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False)
+        yield dec, pseudodet_of(square), square.positive_eigenvalues, (lap, gram)
+
+
+def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:
+    """A kernel basis of a weighted Laplacian, taken back by L_p^{-*} to
+    the complex's own coordinates, where it is G-orthonormal."""
+    return HarmonicBasis(name, vectors if gram is None else gram.lower_inverse.conj().T @ vectors)
+
+
+def _kernel_bases(names, kernel_dims, kept) -> tuple[HarmonicBasis, ...]:
+    """Per space, the eigenvectors of the kernel_dims[p] smallest
+    eigenvalues of one solve of its weighted Laplacian, lifted.  The cut
+    is the torsion's own, so each basis has its kernel's dimension."""
+    return tuple(
+        _lifted(name, hermitian_spectrum(lap).eigenvectors[:, :k], gram)
+        for name, k, (lap, gram) in zip(names, kernel_dims, kept)
+    )
 
 
 def _telescoped(ups) -> float:
@@ -211,14 +250,13 @@ def reidemeister_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Degree-weighted torsion scalar with harmonic bases per degree."""
-    names = [f"H^{p}" for p in range(len(C.dims))]
     log_scalar = 0.0
     notes, bases, kernel_dims, ups = [], [], [], []
-    for p, (dec, basis, up) in enumerate(_solve(C, kernel_tol, names)):
+    for p, (dec, up, _, (_, gram)) in enumerate(_solve(C, kernel_tol, vectors=True)):
         pd = pseudodet_of(dec)
         notes.extend(pd.warnings)
         log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
-        bases.append(basis)
+        bases.append(_lifted(f"H^{p}", dec.kernel_vectors, gram))
         kernel_dims.append(pd.kernel_dim)
         ups.append(up)
 
@@ -244,14 +282,19 @@ def twisted_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Parity-split torsion of a Z2-graded complex: the telescoped sum
-    over its cycle of two spaces."""
-    (even, even_basis, even_up), (odd, odd_basis, odd_up) = _solve(T, kernel_tol, ("even", "odd"))
+    over its cycle of two spaces.  Its Laplacians are solved for values
+    only; the harmonic bases are solved for when first read."""
+    (even, even_up, even_spectrum, even_lap), (odd, odd_up, odd_spectrum, odd_lap) = _solve(
+        T, kernel_tol, vectors=False
+    )
+    kernel_dims = (even.kernel_dimension, odd.kernel_dimension)
     return TorsionElement(
         log_scalar=_telescoped((even_up, odd_up)),
-        harmonic_bases=(even_basis, odd_basis),
+        harmonic_bases=partial(_kernel_bases, ("even", "odd"), kernel_dims, (even_lap, odd_lap)),
         convention_tag=TWISTED_TAG,
-        kernel_dims=(even.kernel_dimension, odd.kernel_dimension),
+        kernel_dims=kernel_dims,
         warnings=even_up.warnings + odd_up.warnings,
+        square_spectra=(even_spectrum, odd_spectrum),
     )
 
 

@@ -505,19 +505,18 @@ def test_radius_path_moves_torsion_but_keeps_duality():
         assert abs(verify_t_duality(at(t)).product_log) <= 1e-12
 
 
-def test_transport_solves_the_squares_the_torsions_solve(monkeypatch):
-    # the four transport spectra are those of the very w* w matrices the
-    # two torsions solve for their values, in the same order
-    solved = {torsion_engine: [], circle_bundle: []}
-    for module, seen in solved.items():
-        def record(A, *, _solve=module.hermitian_spectrum, _seen=seen, **kwargs):
-            if kwargs.get("vectors") is False:
-                _seen.append(A)
-            return _solve(A, **kwargs)
-
-        monkeypatch.setattr(module, "hermitian_spectrum", record)
-    verify_t_duality(random_bundle(4242, 4))
-    squares, transported = solved[torsion_engine], solved[circle_bundle]
-    assert len(squares) == len(transported) == 4
-    for a, b in zip(squares, transported):
-        assert np.array_equal(a, b)
+def test_transport_reads_the_spectra_the_torsions_solved(eigensolves):
+    # per torsion, the two Laplacians and the two w* w are solved for values
+    # only; the harmonic comparison then solves each element's two
+    # Laplacians with vectors, and the transport solves nothing
+    b = random_bundle(4242, 4)
+    report = verify_t_duality(b)
+    assert [kind for _, kind in eigensolves] == ["values"] * 8 + ["vectors"] * 4
+    # the transported spectra are the torsions' own, the positive spectra
+    # of the very w* w matrices a fresh solve gives
+    for elem, model in ((report.torsion, b), (report.dual_torsion, t_dualize(b))):
+        blocks = torsion_engine._blocks(build_invariant_complex(model))
+        assert len(elem.square_spectra) == len(blocks) == 2
+        for spectrum, (up, _, _) in zip(elem.square_spectra, blocks):
+            fresh = torsion_engine.hermitian_spectrum(up, vectors=False)
+            assert np.array_equal(spectrum, fresh.positive_eigenvalues)

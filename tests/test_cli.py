@@ -357,7 +357,7 @@ def test_tolerance_below_roundoff_is_named_in_the_refusal(capsys):
 @pytest.mark.parametrize(
     "argv, eigenvalue, roundoff",
     [
-        (["bundle-torsion", "random(26,3)"], "2.081668e-17", "4.336e-16"),
+        (["bundle-torsion", "random(26,3)"], "2.775558e-17", "4.336e-16"),
         (["verify-duality", "random(24,3)"], "5.551115e-17", "1.214e-15"),
     ],
 )

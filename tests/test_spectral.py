@@ -26,6 +26,7 @@ from torsionlab.errors import (
 from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
+    SpectralDecomposition,
     _gram_factor,
     default_kernel_tol,
     harmonic_basis_of,
@@ -68,6 +69,29 @@ def test_kernel_split_and_gap_warning():
     assert not caught  # recorded on the result, never raised as a Python warning
     assert pd.warnings and "poorly separated" in pd.warnings[0]
     assert pd.value == pytest.approx(3e-9 * 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_cut_is_the_mask_of_eigenvalues_at_or_below_the_tolerance(seed):
+    # the cut is read as an index into the ascending spectrum; it selects
+    # what the boolean mask ev <= tol selects, ties with the tolerance,
+    # negative roundoff and empty sides included
+    rng = np.random.default_rng(seed)
+    tol = 1e-3
+    ev = np.sort(np.concatenate([
+        rng.choice([0.0, tol, -1e-16, 1e-16], size=rng.integers(0, 4)),
+        rng.uniform(tol / 50, 1.0, size=rng.integers(0, 5)),
+    ]))
+    V = rng.standard_normal((ev.size, ev.size))
+    dec = SpectralDecomposition(eigenvalues=ev, eigenvectors=V, kernel_tol=tol)
+    kept = ev <= tol
+    assert dec.kernel_dimension == np.count_nonzero(kept)
+    assert np.array_equal(dec.positive_eigenvalues, ev[~kept])
+    assert np.array_equal(dec.kernel_vectors, V[:, kept])
+    discarded, retained = ev[kept], ev[~kept]
+    floor = float(np.max(np.abs(discarded))) if discarded.size else 0.0
+    poor = bool(retained.size) and floor > 0.0 and retained.min() / floor < GAP_RATIO
+    assert bool(pseudodet_of(dec).warnings) == poor
 
 
 def test_clean_spectrum_has_no_warning():

@@ -31,8 +31,10 @@ from torsionlab import (
     twisted_torsion,
 )
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
-from torsionlab.circle_bundle import build_invariant_complex, random_bundle
+from torsionlab.circle_bundle import build_invariant_complex, random_bundle, t_dualize
 from torsionlab.errors import ValidationError
+from torsionlab.spectral import harmonic_basis_of
+from torsionlab.suite import bundle_fleet
 from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement, _blocks
 
 
@@ -469,18 +471,71 @@ def test_lens_complex_runs_complex_solves(eigensolves):
 def test_twisted_solves_follow_the_flux_dtype(eigensolves):
     C = coboundary_matrices(simplex_boundary(4))
     ones = np.ones(C.dims[3])
-    twisted_torsion(twisted_differential(C, Cochain(degree=3, coefficients=2 * ones)))
-    assert eigensolves == [("float64", "vectors"), ("float64", "values")] * 2
+    elem = twisted_torsion(twisted_differential(C, Cochain(degree=3, coefficients=2 * ones)))
+    # per parity, the Laplacian then D^+ D, both for values only; the
+    # Laplacians are solved again, with vectors, when the bases are read
+    assert eigensolves == [("float64", "values")] * 4
+    elem.harmonic_bases
+    assert eigensolves[4:] == [("float64", "vectors")] * 2
     eigensolves.clear()
-    twisted_torsion(twisted_differential(C, Cochain(degree=3, coefficients=(1 + 1j) * ones)))
+    elem = twisted_torsion(twisted_differential(C, Cochain(degree=3, coefficients=(1 + 1j) * ones)))
     # a top-degree flux maps degree 0 to degree 3, so only D_even is complex
     # and D_odd^+ D_odd stays a real solve
     assert eigensolves == [
-        ("complex128", "vectors"),
         ("complex128", "values"),
-        ("complex128", "vectors"),
+        ("complex128", "values"),
+        ("complex128", "values"),
         ("float64", "values"),
     ]
+    elem.harmonic_bases
+    assert eigensolves[4:] == [("complex128", "vectors")] * 2
+
+
+# ---------------------------------------------------------------------------
+# twisted harmonic bases are formed when first read
+# ---------------------------------------------------------------------------
+
+def test_twisted_bases_equal_the_eager_lifted_bases_bit_for_bit():
+    # the suite fleet (the Hopf grid and the random fleet) and each dual:
+    # one vector solve per parity, cut at the torsion's kernel dimension,
+    # gives the bases an eager eigh and its own cut gave
+    for _, b in bundle_fleet():
+        for model in (b, t_dualize(b)):
+            ic = build_invariant_complex(model)
+            elem = twisted_torsion(ic)
+            blocks = _blocks(ic)
+            assert len(elem.harmonic_bases) == len(blocks) == 2
+            for basis, name, (_, lap, gram) in zip(elem.harmonic_bases, ("even", "odd"), blocks):
+                eager = harmonic_basis_of(hermitian_spectrum(lap)).vectors
+                if gram is not None:
+                    eager = gram.lower_inverse.conj().T @ eager
+                assert basis.label == name
+                assert np.array_equal(basis.vectors, eager)
+            assert tuple(basis.dimension for basis in elem.harmonic_bases) == elem.kernel_dims
+
+
+def test_unread_twisted_bases_run_no_vector_solve(eigensolves):
+    elem = twisted_torsion(build_invariant_complex(random_bundle(4242, 4)))
+    elem.to_json()
+    assert eigensolves and all(kind == "values" for _, kind in eigensolves)
+
+
+def test_twisted_bases_are_solved_once(eigensolves):
+    elem = twisted_torsion(build_invariant_complex(random_bundle(4242, 4)))
+    first = elem.harmonic_bases
+    assert elem.harmonic_bases is first
+    assert [kind for _, kind in eigensolves].count("vectors") == 2
+
+
+def test_poorly_separated_cut_gives_bases_of_the_kernel_dims():
+    # with flux 2 on the 3-sphere, D_even^+ D_even has eigenvalues 0.078
+    # and 1.59 on either side of the cut 1, which keeps the first as kernel
+    C = coboundary_matrices(simplex_boundary(4))
+    T = twisted_differential(C, Cochain(degree=3, coefficients=2 * np.ones(C.dims[3])))
+    elem = twisted_torsion(T, kernel_tol=1.0)
+    assert any("poorly separated" in w for w in elem.warnings)
+    assert elem.kernel_dims != twisted_cohomology_dimensions(T)
+    assert tuple(basis.dimension for basis in elem.harmonic_bases) == elem.kernel_dims
 
 
 def test_matrix_tree_oracle_at_benchmark_scale():
