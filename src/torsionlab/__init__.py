@@ -32,11 +32,9 @@ from .circle_bundle import (
     deformation_experiment,
     gram_scale_path,
     hopf,
-    invariant_twisted_torsion,
     minimal_model,
     random_bundle,
     t_dualize,
-    t_duality_map,
     t_duality_matrix,
     verify_t_duality,
 )
@@ -70,7 +68,6 @@ from .spectral import (
 from .torsion_engine import (
     TorsionElement,
     cohomology_dimensions,
-    laplacians,
     reidemeister_torsion,
     twisted_cohomology_dimensions,
     twisted_torsion,
@@ -104,7 +101,6 @@ __all__ = [
     "TorsionElement",
     "reidemeister_torsion",
     "twisted_torsion",
-    "laplacians",
     "cohomology_dimensions",
     "twisted_cohomology_dimensions",
     # circle bundles
@@ -114,10 +110,8 @@ __all__ = [
     "DriftReport",
     "minimal_model",
     "build_invariant_complex",
-    "invariant_twisted_torsion",
     "t_dualize",
     "t_duality_matrix",
-    "t_duality_map",
     "verify_t_duality",
     "deformation_experiment",
     "gram_scale_path",

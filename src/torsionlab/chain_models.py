@@ -785,7 +785,7 @@ def twisted_differential(
         raise ValidationError(f"cannot twist a {type(source).__name__}")
 
     components = _flux_components(flux)
-    nontrivial = [h for h in components if h.norm > 0.0]
+    nontrivial = [h for h in components if h.coefficients.any()]
     if nontrivial and C.local_rank != 1:
         raise FluxError("flux over a nontrivial local system is not supported")
 

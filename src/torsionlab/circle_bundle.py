@@ -23,8 +23,9 @@ The T-dual model swaps F with H2 and inverts the radius.  The duality
 map T_k(w1, w2) = ((-1)^k w2, (-1)^(k+1) w1) is a parity-shifting Gram
 isometry intertwining the two differentials; its sign rule is the unique
 one (up to a global sign) making the intertwining exact, and applying
-the same rule on the dual side inverts it.  Torsion scalars of a model
-and its dual multiply to 1.
+the same rule on the dual side inverts it.  T is a signed permutation,
+so these contracts hold exactly, entry for entry.  Torsion scalars of a
+model and its dual multiply to 1.
 """
 
 from __future__ import annotations
@@ -66,10 +67,8 @@ __all__ = [
     "DriftReport",
     "minimal_model",
     "build_invariant_complex",
-    "invariant_twisted_torsion",
     "t_dualize",
     "t_duality_matrix",
-    "t_duality_map",
     "verify_t_duality",
     "deformation_experiment",
     "gram_scale_path",
@@ -279,15 +278,6 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
         ) from None
 
 
-def invariant_twisted_torsion(
-    b: BundleData,
-    *,
-    kernel_tol: float | None = None,
-) -> TorsionElement:
-    """Twisted torsion of the invariant complex of a bundle model."""
-    return twisted_torsion(build_invariant_complex(b), kernel_tol=kernel_tol)
-
-
 def t_dualize(b: BundleData) -> BundleData:
     """Swap curvature with H2 and invert the radius; an exact involution.
 
@@ -328,18 +318,6 @@ def t_duality_matrix(ic: InvariantComplex, parity: int) -> np.ndarray:
     return out
 
 
-def t_duality_map(ic: InvariantComplex, x: np.ndarray, parity: int) -> np.ndarray:
-    """Apply T to a parity-k invariant cochain vector."""
-    T = t_duality_matrix(ic, parity)
-    v = np.asarray(x).reshape(-1)
-    if v.shape[0] != T.shape[1]:
-        raise ParityMismatch(
-            f"vector of length {v.shape[0]} does not live in the parity-{parity} "
-            f"space of dimension {T.shape[1]}"
-        )
-    return T @ v
-
-
 @dataclass(frozen=True, eq=False)
 class DualityReport:
     """Evidence record for one torsion-inversion check."""
@@ -348,9 +326,6 @@ class DualityReport:
     dual_torsion: TorsionElement
     product_log: float
     cohomology_dims: tuple[int, int, int, int]
-    intertwining_residual: float
-    isometry_residual: float
-    inverse_residual: float
     spectral_transport_residual: float
     harmonic_transport_residual: float
 
@@ -366,19 +341,9 @@ class DualityReport:
                 "dual_even": self.cohomology_dims[2],
                 "dual_odd": self.cohomology_dims[3],
             },
-            "intertwining_residual": self.intertwining_residual,
-            "isometry_residual": self.isometry_residual,
-            "inverse_residual": self.inverse_residual,
             "spectral_transport_residual": self.spectral_transport_residual,
             "harmonic_transport_residual": self.harmonic_transport_residual,
         }
-
-
-def _opnorm(a: np.ndarray) -> float:
-    """Spectral norm; an exactly zero residual, the common case, needs no SVD."""
-    if not a.any():
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 def _transport_residual(ev_a: np.ndarray, ev_b: np.ndarray) -> float:
@@ -414,11 +379,13 @@ def verify_t_duality(
 ) -> DualityReport:
     """Check the torsion-inversion theorem on one bundle model.
 
-    Computes both torsions, the duality-map contracts (isometry,
-    intertwining, exact inverse), nonzero-spectrum transport between
-    parities, and the harmonic comparison through the T-image.  Raises
-    DualityViolation when |log tau + log tau_dual| exceeds ``DUALITY_TOL``; that
-    signals an implementation bug, not a mathematical failure.
+    Computes both torsions, the nonzero-spectrum transport between
+    parities, and the harmonic comparison through the T-image.  The map
+    contracts of T (intertwining, Gram isometry, inverse) are exact
+    identities of the signed permutation ``t_duality_matrix`` builds, so
+    no residual of them is computed here.  Raises DualityViolation when
+    |log tau + log tau_dual| exceeds ``DUALITY_TOL``; that signals an
+    implementation bug, not a mathematical failure.
     """
     ic = build_invariant_complex(b)
     dual = t_dualize(b)
@@ -427,24 +394,6 @@ def verify_t_duality(
     tau = twisted_torsion(ic, kernel_tol=kernel_tol)
     tau_dual = twisted_torsion(icd, kernel_tol=kernel_tol)
     product_log = tau.log_scalar + tau_dual.log_scalar
-
-    t0 = t_duality_matrix(ic, 0)
-    t1 = t_duality_matrix(ic, 1)
-    t0_dual = t_duality_matrix(icd, 0)
-    t1_dual = t_duality_matrix(icd, 1)
-
-    intertwining = max(
-        _opnorm(t1 @ ic.d_even - icd.d_odd @ t0),
-        _opnorm(t0 @ ic.d_odd - icd.d_even @ t1),
-    )
-    isometry = max(
-        _opnorm(t0.conj().T @ icd.gram_odd @ t0 - ic.gram_even),
-        _opnorm(t1.conj().T @ icd.gram_even @ t1 - ic.gram_odd),
-    )
-    inverse = max(
-        _opnorm(t1_dual @ t0 - np.eye(ic.even_dim)),
-        _opnorm(t0_dual @ t1 - np.eye(ic.odd_dim)),
-    )
 
     # nonzero spectra of d^+d move to the opposite parity on the dual side;
     # each is the spectrum of a w* w that one of the torsions solved
@@ -455,11 +404,11 @@ def verify_t_duality(
 
     harmonic = max(
         _harmonic_residual(
-            t0, tau.harmonic_bases[0].vectors,
+            t_duality_matrix(ic, 0), tau.harmonic_bases[0].vectors,
             tau_dual.harmonic_bases[1].vectors, icd.gram_odd,
         ),
         _harmonic_residual(
-            t1, tau.harmonic_bases[1].vectors,
+            t_duality_matrix(ic, 1), tau.harmonic_bases[1].vectors,
             tau_dual.harmonic_bases[0].vectors, icd.gram_even,
         ),
     )
@@ -472,9 +421,6 @@ def verify_t_duality(
             tau.kernel_dims[0], tau.kernel_dims[1],
             tau_dual.kernel_dims[0], tau_dual.kernel_dims[1],
         ),
-        intertwining_residual=intertwining,
-        isometry_residual=isometry,
-        inverse_residual=inverse,
         spectral_transport_residual=transport,
         harmonic_transport_residual=harmonic,
     )
@@ -539,7 +485,7 @@ def deformation_experiment(
         t = i / steps
         try:
             bundle = path(t)
-            value = invariant_twisted_torsion(bundle, kernel_tol=kernel_tol)
+            value = twisted_torsion(build_invariant_complex(bundle), kernel_tol=kernel_tol)
         except Exception as exc:  # noqa: BLE001 - reported with the parameter
             raise PathInvalid(f"path failed at parameter {t}: {exc}") from exc
         params.append(t)

@@ -42,7 +42,6 @@ __all__ = [
     "HarmonicBasis",
     "hermitian_spectrum",
     "pseudodet_of",
-    "harmonic_basis_of",
     "default_kernel_tol",
 ]
 
@@ -316,14 +315,3 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
         kernel_dim=k,
         warnings=_gap_warnings(decomposition.eigenvalues, k),
     )
-
-
-def harmonic_basis_of(decomposition: SpectralDecomposition, label: str = "") -> HarmonicBasis:
-    """Orthonormal basis of the kernel of a decomposition.
-
-    Uses the same kernel cut as :func:`pseudodet_of`, so the two agree
-    on the kernel dimension by construction.  Raises ValueError when the
-    decomposition carries no eigenvectors.
-    """
-    _refuse_imprecise(decomposition)
-    return HarmonicBasis(label=label, vectors=decomposition.kernel_vectors)

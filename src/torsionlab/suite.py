@@ -2,9 +2,12 @@
 
 Ten numbered criteria, each with a pinned tolerance, covering structural
 exactness, Hodge theory, oracle torsion values, flux scaling, the
-duality inversion theorem with its map contracts, and determinism of the
-reporting layer.  Results are deterministic: no timestamps or wall times
-enter the JSON payload (time budgets are reported as booleans).  The
+duality inversion theorem with its nonzero-spectrum transport, and
+determinism of the reporting layer.  The duality map's own contracts
+(intertwining, Gram isometry, inverse) are exact identities of a signed
+permutation; the test suite checks them entry for entry, so no
+criterion bounds them.  Results are deterministic: no timestamps or wall
+times enter the JSON payload (time budgets are reported as booleans).  The
 seconds each criterion took, on the clock its budget runs on, ride in
 ``Report.timings`` and reach only the text output: criterion 7 counts
 the fleet's construction and verification, and criterion 10 the whole
@@ -299,31 +302,10 @@ def criterion_7(reports, failures) -> tuple[bool, str, dict]:
 
 
 def criterion_8(reports, failures) -> tuple[bool, str, dict]:
-    def peak(attr):
-        return max((getattr(r, attr) for r in reports.values()), default=0.0)
-
-    isometry = peak("isometry_residual")
-    intertwining = peak("intertwining_residual")
-    inverse = peak("inverse_residual")
-    transport = peak("spectral_transport_residual")
-    passed = (
-        not failures
-        and isometry <= 1e-12
-        and intertwining <= 1e-12
-        and inverse <= 1e-12
-        and transport <= 1e-10
-    )
-    detail = (
-        f"max residuals: isometry {isometry:.3e}, intertwining {intertwining:.3e}, "
-        f"inverse {inverse:.3e} (bounds 1e-12); spectrum transport {transport:.3e} "
-        f"(bound 1e-10)"
-    )
-    return passed, detail, {
-        "isometry": isometry,
-        "intertwining": intertwining,
-        "inverse": inverse,
-        "spectral_transport": transport,
-    }
+    transport = max((r.spectral_transport_residual for r in reports.values()), default=0.0)
+    passed = not failures and transport <= 1e-10
+    detail = f"max nonzero-spectrum transport residual {transport:.3e} (bound 1e-10)"
+    return passed, detail, {"spectral_transport": transport}
 
 
 def criterion_9(fleet, reports) -> tuple[bool, str, dict]:
@@ -444,7 +426,7 @@ def _battery() -> list[CriterionResult]:
             budget=10.0,
             since=t0,
         ),
-        _wrap("8", "duality map contracts", lambda: criterion_8(reports, failures)),
+        _wrap("8", "spectrum transport under dualization", lambda: criterion_8(reports, failures)),
         _wrap("9", "dualization is an exact involution", lambda: criterion_9(fleet, reports)),
     ]
 

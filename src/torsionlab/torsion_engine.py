@@ -52,7 +52,6 @@ from .spectral import (
 
 __all__ = [
     "TorsionElement",
-    "laplacians",
     "reidemeister_torsion",
     "twisted_torsion",
     "cohomology_dimensions",
@@ -191,18 +190,6 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
                 lap = up + _unless_underflowed(w[q] @ w[q].conj().T, maps[q], labels[q])
             out.append((up, lap, grams[p]))
     return out
-
-
-def laplacians(C: GradedCochainComplex) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hodge Laplacians Delta_p = delta_p^+ delta_p + delta_{p-1} delta_{p-1}^+,
-    returned as (matrix, gram) pairs in degree order.  With Grams, each
-    is the weighted Laplacian taken back by the congruence,
-    L_p^{-*} lap L_p*."""
-    return [
-        (lap, np.eye(n)) if gram is None
-        else (gram.lower_inverse.conj().T @ lap @ gram.lower.conj().T, gram.gram)
-        for n, (_, lap, gram) in zip(C.dims, _blocks(C))
-    ]
 
 
 def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):

@@ -349,13 +349,7 @@ def _text_lines(report: Report) -> list[str]:
         lines.append(f"  tau * tau_dual = {r['tau_times_tau_dual']!r}")
         lines.append(f"  |log tau + log tau_dual| = {abs(r['product_log'])!r}")
         lines.append(f"  tolerance: {r['tolerance']!r}")
-        for key in (
-            "intertwining_residual",
-            "isometry_residual",
-            "inverse_residual",
-            "spectral_transport_residual",
-            "harmonic_transport_residual",
-        ):
+        for key in ("spectral_transport_residual", "harmonic_transport_residual"):
             lines.append(f"  {key.replace('_', ' ')} = {r[key]!r}")
         lines.append(f"  verdict: {'pass' if r['passed'] else 'FAIL'}")
     if "max_abs_log_drift" in r:

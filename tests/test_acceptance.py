@@ -116,7 +116,7 @@ def test_criterion_07_duality_inversion(fleet):
     assert elapsed < 10.0
 
 
-def test_criterion_08_duality_map_contracts(fleet):
+def test_criterion_08_spectrum_transport(fleet):
     _, reports, failures, _ = fleet
     _verdict("8", suite.criterion_8(reports, failures))
 

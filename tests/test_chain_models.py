@@ -22,6 +22,7 @@ from torsionlab import (
 )
 from torsionlab.builders import cycle, minimal_sphere, simplex_boundary
 from torsionlab.chain_models import MAX_MODEL_SIZE, _is_frozen, fold
+from torsionlab.cli import main
 from torsionlab.errors import (
     DuplicateSimplex,
     FluxError,
@@ -483,6 +484,24 @@ def test_zero_flux_reduces_to_folded_coboundary():
     T = twisted_differential(C, None)
     assert T.even_dim == 8 and T.odd_dim == 6
     assert np.allclose(T.d_even[:, :4], C.delta(0))
+
+
+@pytest.mark.parametrize("value", [1e-155, 1e-165, 1e-170, 1e-155j, 1e-165j, 1e-170j, 0])
+def test_tiny_flux_is_refused_not_read_as_zero(value, capsys):
+    # below about 1e-162 the Frobenius norm of the flux underflows to 0,
+    # which once dropped the flux and answered for the zero flux
+    C = coboundary_matrices(simplex_boundary(4))
+    h = Cochain(degree=3, coefficients=value * np.ones(C.dims[3], dtype=np.complex128))
+    code = main(["twisted", "simplex_boundary(4)", "--flux", f"top({value!r})"])
+    if value:
+        with pytest.raises(ValidationError, match=r"d_even \(even parity\) has an entry of modulus"):
+            twisted_differential(C, h)
+        assert code == 2
+        assert "outside [1e-150, 1e+150]" in capsys.readouterr().err
+    else:
+        T, zero = twisted_differential(C, h), twisted_differential(C)
+        assert np.array_equal(T.d_even, zero.d_even) and np.array_equal(T.d_odd, zero.d_odd)
+        assert code == 0
 
 
 def test_degree_one_flux_rejected_even_when_zero():

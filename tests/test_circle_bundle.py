@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from torsionlab import (
     BundleData,
+    Cochain,
     DualityViolation,
     InvalidFlux,
     ParityMismatch,
@@ -25,21 +26,24 @@ from torsionlab import (
     ShapeMismatch,
     ValidationError,
     build_invariant_complex,
+    coboundary_matrices,
+    cup_operator,
     deformation_experiment,
     gram_scale_path,
     hopf,
-    invariant_twisted_torsion,
     minimal_model,
     random_bundle,
-    t_duality_map,
     t_duality_matrix,
     t_dualize,
+    twisted_torsion,
     verify_t_duality,
 )
 from torsionlab import circle_bundle, torsion_engine
+from torsionlab.builders import simplex_boundary
 from torsionlab.chain_models import fold
-from torsionlab.circle_bundle import _opnorm, _slot_dims
+from torsionlab.circle_bundle import _slot_dims
 from torsionlab.serialize import canonical_bytes
+from torsionlab.suite import bundle_fleet
 
 
 def _ladder_bundle() -> BundleData:
@@ -61,30 +65,46 @@ def _ladder_bundle() -> BundleData:
     )
 
 
+def _tau(b: BundleData):
+    return twisted_torsion(build_invariant_complex(b))
+
+
+def _sphere_bundle(f: float, h2: float, r: float) -> BundleData:
+    # over the boundary of the 3-simplex (S^2, where delta != 0), with F
+    # and H2 cup products by f and h2 times the indicator of one triangle
+    K = simplex_boundary(3)
+    omega = np.zeros(K.n(2))
+    omega[0] = 1.0
+    return BundleData(
+        base=coboundary_matrices(K),
+        f_op={0: cup_operator(K, Cochain(2, f * omega), 0)},
+        h2_op={0: cup_operator(K, Cochain(2, h2 * omega), 0)},
+        h3_op=None,
+        radius=r,
+    )
+
+
 # ---------------------------------------------------------------------------
 # hand-solved torsion values
 # ---------------------------------------------------------------------------
 
 def test_hopf_torsion_formula():
     for f, h2, r in [(1, 2, 1), (1, 2, 3), (2, 3, 0.5), (1, 1, 2), (3, 1, 1)]:
-        tau = invariant_twisted_torsion(hopf(f, h2, r)).scalar
+        tau = _tau(hopf(f, h2, r)).scalar
         assert tau == pytest.approx(r * r * abs(h2 / f), rel=1e-12)
 
 
 def test_hopf_unit_case_is_exact():
-    elem = invariant_twisted_torsion(hopf(1, 2, 1))
+    elem = _tau(hopf(1, 2, 1))
     assert elem.scalar == 2.0
     assert elem.kernel_dims == (0, 0)
-    dual = invariant_twisted_torsion(t_dualize(hopf(1, 2, 1)))
+    dual = _tau(t_dualize(hopf(1, 2, 1)))
     assert dual.scalar == 0.5
 
 
 def test_hopf_duality_report_is_exactly_zero():
     rep = verify_t_duality(hopf(1, 2, 1))
     assert rep.product_log == 0.0
-    assert rep.intertwining_residual == 0.0
-    assert rep.isometry_residual == 0.0
-    assert rep.inverse_residual == 0.0
     assert rep.spectral_transport_residual == 0.0
     assert rep.harmonic_transport_residual == 0.0
     assert rep.cohomology_dims == (0, 0, 0, 0)
@@ -103,9 +123,6 @@ def test_hopf_grid_products_cancel():
 def test_ladder_bundle_duality():
     rep = verify_t_duality(_ladder_bundle())
     assert abs(rep.product_log) <= 1e-12
-    assert rep.intertwining_residual <= 1e-12
-    assert rep.isometry_residual <= 1e-12
-    assert rep.inverse_residual == 0.0
     assert rep.spectral_transport_residual <= 1e-10
     assert rep.harmonic_transport_residual <= 1e-12
     # one surviving class per parity on each side
@@ -117,7 +134,6 @@ def test_random_fleet_sample():
         b = random_bundle(seed, 3 + seed % 2)
         rep = verify_t_duality(b)
         assert abs(rep.product_log) <= 1e-10
-        assert rep.inverse_residual == 0.0
 
 
 _RADIUS = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
@@ -218,10 +234,10 @@ def test_replace_folds_again_and_matches_a_model_built_from_scratch(folds):
     ]
     for changed, built, expected_folds in cases:
         folds.clear()
-        tau = invariant_twisted_torsion(changed)
+        tau = _tau(changed)
         assert len(folds) == expected_folds
         assert all(x is not y for x, y in zip(changed._folds, b._folds))
-        assert tau.log_scalar == invariant_twisted_torsion(built).log_scalar
+        assert tau.log_scalar == _tau(built).log_scalar
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -284,17 +300,6 @@ def test_assembled_parity_factors_equal_cholesky_bit_for_bit():
     assert checked == 200 * 6 + 3 * 4
 
 
-def test_opnorm_is_the_spectral_norm():
-    # the max-entry norm of the first would be 4; the second tells the
-    # spectral norm from the Frobenius norm
-    assert _opnorm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(5.0, rel=1e-15)
-    assert _opnorm(np.array([[3.0, 1.0], [4.0, 0.0]])) == pytest.approx(
-        float(np.linalg.svd(np.array([[3.0, 1.0], [4.0, 0.0]]), compute_uv=False)[0]), rel=1e-15
-    )
-    assert _opnorm(np.array([[-0.0, 0.0]])) == 0.0
-    assert _opnorm(np.zeros((0, 3))) == 0.0
-
-
 def test_random_bundle_is_deterministic():
     a, b = random_bundle(7), random_bundle(7)
     assert a.base.dims == b.base.dims
@@ -351,6 +356,23 @@ def test_sign_rule_is_the_unique_intertwiner():
     assert np.array_equal(t_duality_matrix(ic, 1), candidate(1, -1.0, 1.0))
 
 
+def test_duality_map_contracts_hold_exactly():
+    # T is a signed permutation, so it intertwines the differentials, is a
+    # Gram isometry and is inverted by the dual side's T, entry for entry
+    models = [b for _, b in bundle_fleet()] + [_ladder_bundle()]
+    models += [_sphere_bundle(*fhr) for fhr in ((1, 2, 1), (2, 3, 0.7), (3, 1, 1.3))]
+    for b in models:
+        ic, icd = build_invariant_complex(b), build_invariant_complex(t_dualize(b))
+        t0, t1 = t_duality_matrix(ic, 0), t_duality_matrix(ic, 1)
+        assert np.array_equal(t1 @ ic.d_even, icd.d_odd @ t0)
+        assert np.array_equal(t0 @ ic.d_odd, icd.d_even @ t1)
+        assert np.array_equal(t0.T @ icd.gram_odd @ t0, ic.gram_even)
+        assert np.array_equal(t1.T @ icd.gram_even @ t1, ic.gram_odd)
+        assert np.array_equal(t_duality_matrix(icd, 1) @ t0, np.eye(ic.even_dim))
+        assert np.array_equal(t_duality_matrix(icd, 0) @ t1, np.eye(ic.odd_dim))
+    assert len(models) == 112 + 1 + 3
+
+
 def test_dual_side_map_inverts_exactly():
     ic = build_invariant_complex(_ladder_bundle())
     icd = build_invariant_complex(t_dualize(_ladder_bundle()))
@@ -358,15 +380,6 @@ def test_dual_side_map_inverts_exactly():
     assert np.array_equal(s_t, np.eye(ic.even_dim))
     s_t = t_duality_matrix(icd, 0) @ t_duality_matrix(ic, 1)
     assert np.array_equal(s_t, np.eye(ic.odd_dim))
-
-
-def test_duality_map_on_vectors():
-    ic = build_invariant_complex(_ladder_bundle())
-    x = np.arange(1, ic.even_dim + 1, dtype=np.complex128)
-    y = t_duality_map(ic, x, 0)
-    assert np.array_equal(y, t_duality_matrix(ic, 0) @ x)
-    with pytest.raises(ParityMismatch):
-        t_duality_map(ic, x[:-1], 0)
 
 
 def test_parity_must_be_binary():
@@ -450,7 +463,7 @@ def test_inconsistent_radius_inverse_is_refused(inverse):
     with pytest.raises(ValidationError, match="radius_inverse"):
         BundleData(b.base, b.f_op, b.h2_op, b.h3_op, radius=2.0, radius_inverse=inverse)
     ok = BundleData(b.base, b.f_op, b.h2_op, b.h3_op, radius=2.0, radius_inverse=0.5)
-    assert invariant_twisted_torsion(ok).scalar == pytest.approx(8.0, rel=1e-12)
+    assert _tau(ok).scalar == pytest.approx(8.0, rel=1e-12)
 
 
 def test_base_must_be_graded_complex():

@@ -1,9 +1,11 @@
 """Exit codes, output formats, and argument handling of the front end."""
 
 import copy
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -520,3 +522,20 @@ def test_import_loads_numpy_but_not_scipy():
         capture_output=True, text=True, check=True,
     ).stdout
     assert "'numpy'" in out and "'scipy'" not in out
+
+
+def test_every_exported_name_resolves():
+    # the benchmark's span tracer reads each __all__ with getattr(mod, name,
+    # None), so a stale name would drop out of its tracing without an error
+    modules = [torsionlab] + [
+        importlib.import_module(f"torsionlab.{info.name}")
+        for info in pkgutil.iter_modules(torsionlab.__path__)
+    ]
+    assert len(modules) == 11
+    stale = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert stale == []
