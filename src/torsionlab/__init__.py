@@ -40,11 +40,13 @@ from .circle_bundle import (
 )
 from .errors import (
     DualityViolation,
+    DuplicateSimplex,
     FluxError,
     FluxHasDegreeOne,
     FluxNotClosed,
     FluxNotNilpotent,
     GramNotPositive,
+    InconsistentDimension,
     InvalidFlux,
     NegativeEigenvalue,
     NonFlatLocalSystem,
@@ -134,6 +136,8 @@ __all__ = [
     # errors
     "TorsionLabError",
     "ValidationError",
+    "DuplicateSimplex",
+    "InconsistentDimension",
     "NotOriented",
     "NotTopDegree",
     "NotHermitian",

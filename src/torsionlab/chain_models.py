@@ -7,9 +7,7 @@ differentials, and evaluation against a fundamental class.  ``fold`` is
 the one owner of the Z2 parity layout.  A graded complex lays itself out
 on the two parities once, on first use, and keeps the layout
 (``GradedCochainComplex._parity``): twisted differentials and the
-invariant complexes of ``circle_bundle`` are both assembled from it, the
-latter with the invariant parity Gram records the complex keeps next to
-it (``_invariant_grams``).
+invariant complexes of ``circle_bundle`` are both assembled from it.
 
 Conventions
 -----------
@@ -19,8 +17,8 @@ matrix of delta_p is the transpose of the signed boundary matrix.  With a
 local system, cochain values sit in the fiber over the smallest vertex of
 the simplex; only the drop-v_0 face term needs transport, by U(v_0,v_1)
 conjugate-transposed.  Grams default to the identity: a graded complex's
-``gram`` and a twisted complex's parity Grams may be None, which means
-the identity, and downstream solves then factor nothing.  An explicit
+``gram`` and a twisted or invariant complex's parity Grams may be None,
+which means the identity, and downstream solves then factor nothing.  An explicit
 Gram is checked and Cholesky-factored once, by the graded complex that
 holds it (``spectral._gram_factor``); the complex keeps the factor next
 to the Gram.  Parity Grams are direct sums of degree Grams, so their
@@ -63,7 +61,7 @@ from .errors import (
     NotTopDegree,
     ValidationError,
 )
-from .spectral import GramFactor, _direct_sum, _gram_factor, _identity_factor
+from .spectral import GramFactor, _direct_sum, _gram_factor
 
 __all__ = [
     "SimplicialComplex",
@@ -179,10 +177,6 @@ class SimplicialComplex:
     @property
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * n for p, n in enumerate(self.f_vector))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices[0])
 
     @cached_property
     def _index(self) -> tuple[dict[tuple[int, ...], int], ...]:
@@ -448,8 +442,7 @@ class GradedCochainComplex:
         """The complex on the Z2 grading, laid out on first use and kept:
         the coboundary folded (from even, from odd), read-only, and the
         (even, odd) GramFactor records assembled from the degree factors,
-        or None with the identity Grams.  ``_invariant_grams`` keeps the
-        records that the invariant complexes over this base share."""
+        or None with the identity Grams."""
         folded = fold(self.dims, self.coboundary, 1)
         for a in folded:
             a.setflags(write=False)
@@ -457,23 +450,6 @@ class GradedCochainComplex:
         if factors is None:
             return folded, None
         return folded, (_direct_sum(factors[0::2]), _direct_sum(factors[1::2]))
-
-    @cached_property
-    def _invariant_grams(self) -> tuple[GramFactor, GramFactor]:
-        """GramFactor records of diag(G_even, G_odd) and diag(G_odd, G_even),
-        the parity Grams of every invariant complex over this base (a
-        circle-bundle model's and its T-dual's alike), assembled on first
-        use from the ``_parity`` records and kept, so each record's
-        ``lower_inverse`` is formed once per base.  With the identity
-        Grams one identity record serves both parities.  Only
-        ``circle_bundle`` reads it; it lives here so that it is cached
-        with the ``_parity`` records it is made from."""
-        (from_even, _), grams = self._parity
-        if grams is None:
-            eye = _identity_factor(sum(from_even.shape))
-            return eye, eye
-        even, odd = grams
-        return _direct_sum((even, odd)), _direct_sum((odd, even))
 
     def gram_at(self, p: int) -> np.ndarray:
         if self.gram is None:
@@ -758,31 +734,23 @@ def _flux_components(flux) -> list[Cochain]:
     return [Cochain(degree=d, coefficients=v) for d, v in sorted(by_degree.items())]
 
 
-def twisted_differential(
-    source: SimplicialComplex | GradedCochainComplex,
-    flux=None,
-) -> TwistedComplex:
+def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
     """Deform the coboundary by odd-degree flux and fold to Z2 grading.
 
-    ``source`` is a simplicial complex (cup products via Alexander-
-    Whitney) or a graded cochain complex.  A bare complex without
-    simplicial backing uses minimal-model multiplication: the flux acts
-    on a one-dimensional degree 0 by the unit law and kills positive
-    degrees, which is the wedge-of-spheres convention.  ``flux`` is one
-    Cochain or a list of them, every component of odd degree >= 3.
+    A complex built from a simplicial complex (``C.simplicial``) takes
+    cup products by Alexander-Whitney.  A bare complex without simplicial
+    backing uses minimal-model multiplication: the flux acts on a
+    one-dimensional degree 0 by the unit law and kills positive degrees,
+    which is the wedge-of-spheres convention.  ``flux`` is one Cochain or
+    a list of them, every component of odd degree >= 3.
 
     Checks, in order: degree constraints, closedness of each component
     (FluxNotClosed), vanishing of the cup square (FluxNotNilpotent), and
     finally that the assembled total differential squares to zero.
     """
-    if isinstance(source, SimplicialComplex):
-        C = coboundary_matrices(source)
-        K: SimplicialComplex | None = source
-    elif isinstance(source, GradedCochainComplex):
-        C = source
-        K = source.simplicial
-    else:
-        raise ValidationError(f"cannot twist a {type(source).__name__}")
+    if not isinstance(C, GradedCochainComplex):
+        raise ValidationError(f"cannot twist a {type(C).__name__}")
+    K = C.simplicial
 
     components = _flux_components(flux)
     nontrivial = [h for h in components if h.coefficients.any()]

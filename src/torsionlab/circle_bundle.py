@@ -12,11 +12,11 @@ The total differential acts in blocks as
 
 each block being one parity block of a base family as laid out by
 ``chain_models.fold``, the one owner of the parity layout.  Each layout
-is made once and shared: a model folds its H3, F and H2 once
-(``BundleData._folds``) and hands the folds to its T-dual, and the base
-keeps its folded coboundary and the two invariant parity Gram records
-(``GradedCochainComplex._parity`` and ``_invariant_grams``) for every
-model over it.  No build, dual or torsion is cached: each build still
+is made once and shared: the base keeps its folded coboundary
+(``GradedCochainComplex._parity``), and a model folds its H3, F and H2
+and assembles its two invariant parity Gram records once
+(``BundleData._folds`` and ``_invariant_grams``) and hands both to its
+T-dual.  No build, dual or torsion is cached: each build still
 assembles its differential and checks that it squares to zero.
 
 The T-dual model swaps F with H2 and inverts the radius.  The duality
@@ -56,6 +56,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
+from .spectral import GramFactor, _direct_sum
 # unused here: bench/test_bench.py asserts that the span tracer wraps this binding
 from .spectral import hermitian_spectrum  # noqa: F401
 from .torsion_engine import TorsionElement, twisted_torsion
@@ -180,6 +181,20 @@ class BundleData:
                 a.setflags(write=False)
         return folds
 
+    @cached_property
+    def _invariant_grams(self) -> tuple[GramFactor, GramFactor] | tuple[None, None]:
+        """GramFactor records of diag(G_even, G_odd) and diag(G_odd, G_even),
+        the parity Grams of the invariant complexes of this model and of
+        its T-dual alike, or (None, None) over a Gram-less base: assembled
+        on first use from the base's ``_parity`` records and handed by
+        ``t_dualize`` to the dual with the folds, so each record's
+        ``lower_inverse`` is formed once per model and dual."""
+        grams = self.base._parity[1]
+        if grams is None:
+            return None, None
+        even, odd = grams
+        return _direct_sum((even, odd)), _direct_sum((odd, even))
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantComplex(TwistedComplex):
@@ -219,10 +234,10 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     Every build assembles the differential afresh and checks that it
     squares to zero, from layouts made once: the base's folded
     coboundary (``GradedCochainComplex._parity``), the model's folded
-    families (``BundleData._folds``, shared with its T-dual) and the
-    base's invariant parity Gram records
-    (``GradedCochainComplex._invariant_grams``), direct sums of its
-    checked Grams, so no Gram is checked or factored again.  Raises
+    families and invariant parity Gram records (``BundleData._folds`` and
+    ``_invariant_grams``, shared with its T-dual), the records direct
+    sums of the base's checked Grams, so no Gram is checked or factored
+    again.  Raises
     InvalidFlux naming the failing block identity when the assembled
     differential does not square to zero.
     """
@@ -251,7 +266,7 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     d_even.setflags(write=False)
     d_odd.setflags(write=False)
 
-    gram_even, gram_odd = C._invariant_grams
+    gram_even, gram_odd = b._invariant_grams
     try:
         return InvariantComplex(
             even_dim=e + o,
@@ -281,16 +296,18 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
 def t_dualize(b: BundleData) -> BundleData:
     """Swap curvature with H2 and invert the radius; an exact involution.
 
-    The dual shares the model's base, its family blocks and their folds
-    (F and H2 swapped), so the dual and the double dual fold nothing.
-    Its invariant complex is still built, as an assertion.
+    The dual shares the model's base, its family blocks, their folds
+    (F and H2 swapped) and its invariant Gram records, so the dual and
+    the double dual fold and assemble nothing.  Its invariant complex is
+    still built, as an assertion.
     """
     h3, f, h2 = b._folds
     dual = replace(
         b, f_op=b.h2_op, h2_op=b.f_op, radius=b.inverse_radius, radius_inverse=b.radius
     )
-    # the cache slot of the cached_property, seeded with the model's folds
+    # the cache slots of the cached_properties, seeded with the model's own
     vars(dual)["_folds"] = (h3, h2, f)
+    vars(dual)["_invariant_grams"] = b._invariant_grams
     build_invariant_complex(dual)  # cannot fail for valid input; asserted
     return dual
 
@@ -359,14 +376,17 @@ def _harmonic_residual(
     t_mat: np.ndarray,
     primal_vectors: np.ndarray,
     dual_vectors: np.ndarray,
-    dual_gram: np.ndarray,
+    dual_gram: np.ndarray | None,
 ) -> float:
+    """Containment and unitarity of the T-image of a harmonic basis in
+    the dual's, in the dual Gram (None for the identity)."""
     if primal_vectors.shape[1] != dual_vectors.shape[1]:
         return float("inf")
     if primal_vectors.shape[1] == 0:
         return 0.0
     image = t_mat @ primal_vectors
-    coords = dual_vectors.conj().T @ dual_gram @ image
+    adjoint = dual_vectors.conj().T
+    coords = (adjoint if dual_gram is None else adjoint @ dual_gram) @ image
     containment = float(np.linalg.norm(image - dual_vectors @ coords))
     unitary = float(np.linalg.norm(coords.conj().T @ coords - np.eye(coords.shape[1])))
     return max(containment, unitary)

@@ -14,7 +14,19 @@ import sys
 from .errors import TorsionLabError
 from .workbench import COMMANDS, RunOptions, emit, run
 
-_SUITE_BUDGET_NOTE = "suite runs pinned tolerances; --tol is not accepted there"
+# option -> RunOptions field, and the options each command reads: any
+# other option that is given is refused rather than dropped
+_OPTIONS = {"--flux": "flux", "--radius": "radius", "--tol": "kernel_tol",
+            "--seed": "seed", "--steps": "steps"}
+_READS = {
+    "reidemeister": {"--tol"},
+    "twisted": {"--flux", "--tol"},
+    "bundle-torsion": {"--radius", "--seed", "--tol"},
+    "t-dual": {"--radius", "--seed"},
+    "verify-duality": {"--radius", "--seed", "--tol"},
+    "deform": {"--radius", "--seed", "--tol", "--steps"},
+    "suite": set(),  # it runs pinned models and tolerances
+}
 
 
 def _color_enabled() -> bool:
@@ -81,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="model file (.json) or builder expression such as cycle(12), "
         "lens(5,1,2), hopf(1,2,1), random(7,3); ignored by suite",
     )
-    parser.add_argument("--flux", default="zero", help="zero, top, top(c), or a cochain.v1 file")
-    parser.add_argument("--radius", type=float, default=None, help="override the fiber radius")
-    parser.add_argument("--tol", type=_tolerance, default=None, help="kernel tolerance override")
-    parser.add_argument("--seed", type=int, default=None, help="seed for random bundle models")
-    parser.add_argument("--steps", type=int, default=8, help="steps for deformation paths")
+    parser.add_argument("--flux", help="zero (the default), top, top(c), or a cochain.v1 file")
+    parser.add_argument("--radius", type=float, help="override the fiber radius")
+    parser.add_argument("--tol", dest="kernel_tol", type=_tolerance, help="kernel tolerance override")
+    parser.add_argument("--seed", type=int, help="seed of an empty random() bundle model")
+    parser.add_argument("--steps", type=int, help="steps for deformation paths (default 8)")
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
     return parser
 
@@ -93,10 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = {flag: getattr(args, name) for flag, name in _OPTIONS.items()}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    unread = [flag for flag in given if flag not in _READS[args.command]]
+    if unread:
+        parser.error(f"{args.command} does not read {', '.join(unread)}")
 
     if args.command == "suite":
-        if args.tol is not None:
-            parser.error(_SUITE_BUDGET_NOTE)
         from .suite import run_suite
 
         report = run_suite()
@@ -109,13 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.model is None:
         parser.error(f"command {args.command!r} needs a model argument")
 
-    options = RunOptions(
-        flux=args.flux,
-        radius=args.radius,
-        kernel_tol=args.tol,
-        seed=args.seed,
-        steps=args.steps,
-    )
+    options = RunOptions(**{_OPTIONS[flag]: value for flag, value in given.items()})
     try:
         report = run(args.command, args.model, options)
     except TorsionLabError as exc:

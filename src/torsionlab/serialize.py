@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_models import (
+    Cochain,
     GradedCochainComplex,
     LocalSystem,
     SimplicialComplex,
@@ -255,8 +256,6 @@ def encode_cochain(c) -> dict:
 
 
 def decode_cochain(payload: dict):
-    from .chain_models import Cochain
-
     degree = _integer(_require(payload, "degree"), "cochain degree")
     try:
         coeffs = np.array(

@@ -101,12 +101,7 @@ class PseudoDeterminant:
     """Product of the eigenvalues above the kernel cut, held in log form."""
 
     log_value: float
-    kernel_dim: int
     warnings: tuple[str, ...] = ()
-
-    @property
-    def value(self) -> float:
-        return float(np.exp(self.log_value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +115,6 @@ class HarmonicBasis:
         v = np.asarray(self.vectors)
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
@@ -148,8 +139,9 @@ class GramFactor:
     """A checked Gram with its Cholesky factor, G = L L*.
 
     ``_gram_factor`` makes one from a Gram it has checked, and
-    ``_direct_sum`` and ``_identity_factor`` assemble one from known
-    factors, so a factor never travels without its Gram.
+    ``_direct_sum`` assembles one from known factors, so a factor never
+    travels without its Gram.  The identity Gram has no record: where a
+    record may stand, None means the identity.
     ``lower_inverse`` is formed on first use.
     """
 
@@ -197,13 +189,6 @@ def _direct_sum(blocks: Sequence[GramFactor]) -> GramFactor:
     gram.setflags(write=False)
     lower.setflags(write=False)
     return GramFactor(gram, lower)
-
-
-def _identity_factor(n: int) -> GramFactor:
-    """Record of the n x n identity Gram, its own Cholesky factor."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return GramFactor(eye, eye)
 
 
 def hermitian_spectrum(
@@ -312,6 +297,5 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     logdet = float(np.sum(np.log(positive))) if positive.size else 0.0
     return PseudoDeterminant(
         log_value=logdet,
-        kernel_dim=k,
         warnings=_gap_warnings(decomposition.eigenvalues, k),
     )

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .chain_models import GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
     HarmonicBasis,
-    _identity_factor,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -65,28 +65,6 @@ _TINY = np.finfo(np.float64).tiny
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
-class _FormedOnFirstRead:
-    """Descriptor of a frozen dataclass field that may be given a
-    zero-argument function in place of its value: the function runs on
-    the first read, and its value is kept in its place.  Read on the
-    class, it raises AttributeError, so the field has no default and keeps
-    its place in the positional constructor."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)
-        value = vars(obj)[self.slot]
-        if callable(value):
-            value = vars(obj)[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value) -> None:
-        vars(obj)[self.slot] = value
-
-
 @dataclass(frozen=True, eq=False)
 class TorsionElement:
     """Torsion scalar in log form, plus the harmonic data that frames it.
@@ -95,13 +73,15 @@ class TorsionElement:
     degree (graded case) or per parity (twisted case); they equal the
     corresponding cohomology dimensions.  ``warnings`` collects spectral
     gap complaints and convention cross-check failures.
-    ``harmonic_bases`` may be given as a function that forms them, run on
-    first read.  ``square_spectra`` holds, for a twisted element, the
-    positive eigenvalues of w* w per parity that the torsion solved.
+    ``form_bases`` is a zero-argument function that forms the harmonic
+    bases, one per degree or parity; ``harmonic_bases`` runs it on first
+    read and keeps its value.  ``square_spectra`` holds, for a twisted
+    element, the positive eigenvalues of w* w per parity that the torsion
+    solved.
     """
 
     log_scalar: float
-    harmonic_bases: tuple[HarmonicBasis, ...] = _FormedOnFirstRead()
+    form_bases: Callable[[], tuple[HarmonicBasis, ...]] = field(repr=False)
     convention_tag: str
     kernel_dims: tuple[int, ...]
     warnings: tuple[str, ...] = ()
@@ -119,15 +99,9 @@ class TorsionElement:
     def scalar(self) -> float:
         return float(np.exp(self.log_scalar))
 
-    @property
-    def inverse_scalar(self) -> float:
-        return float(np.exp(-self.log_scalar))
-
-    @property
-    def acyclic(self) -> bool:
-        """True when every kernel vanishes and the scalar is an honest
-        determinant rather than a density on harmonic lines."""
-        return all(k == 0 for k in self.kernel_dims)
+    @cached_property
+    def harmonic_bases(self) -> tuple[HarmonicBasis, ...]:
+        return self.form_bases()
 
     def to_json(self) -> dict:
         return {
@@ -156,33 +130,34 @@ def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     """(dims, maps, grams, labels, cyclic): maps[p] leaves space p for
     space p + 1 and, when cyclic, maps[-1] enters space 0.  The spaces
     are the degrees or the parities; grams[p] is the GramFactor record of
-    space p, or None without explicit Grams, and grams[p + 1] that of the
-    target of maps[p] (past a graded top degree, the empty identity)."""
+    space p, or None for the identity Gram, and grams[p + 1] that of the
+    target of maps[p] (None past a graded top degree)."""
     if isinstance(C, TwistedComplex):
         labels = ("d_even (even parity)", "d_odd (odd parity)")
         grams = C._gram_factors or (None, None)
         return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), grams + grams[:1], labels, True
     n = len(C.dims)
     labels = tuple(f"degree {p}" for p in range(n))
-    grams = C._gram_factors + (_identity_factor(0),) if C._gram_factors else (None,) * (n + 1)
+    grams = (C._gram_factors or (None,) * n) + (None,)
     return C.dims, [C.delta(p) for p in range(n)], grams, labels, False
 
 
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
     """Per space p: (w_p* w_p, the weighted Laplacian
     w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
-    w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary (d_p itself
-    without Grams).  Each product is built, and refused if it underflowed,
-    once for both torsion sums; one that overflowed is refused by the
-    solver."""
+    w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary, each side
+    weighted only when its space has a record (d_p itself without Grams).
+    Each product is built, and refused if it underflowed, once for both
+    torsion sums; one that overflowed is refused by the solver."""
     _, maps, grams, labels, cyclic = _spaces(C)
-    out = []
+    w, out = [], []
     with np.errstate(over="ignore"):
-        w = [
-            d if grams[p] is None
-            else grams[p + 1].lower.conj().T @ d @ grams[p].lower_inverse.conj().T
-            for p, d in enumerate(maps)
-        ]
+        for p, d in enumerate(maps):
+            if grams[p + 1] is not None:
+                d = grams[p + 1].lower.conj().T @ d
+            if grams[p] is not None:
+                d = d @ grams[p].lower_inverse.conj().T
+            w.append(d)
         for p, x in enumerate(w):
             lap = up = _unless_underflowed(x.conj().T @ x, maps[p], labels[p])
             if p > 0 or cyclic:
@@ -244,7 +219,7 @@ def reidemeister_torsion(
         notes.extend(pd.warnings)
         log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
         bases.append(_lifted(f"H^{p}", dec.kernel_vectors, gram))
-        kernel_dims.append(pd.kernel_dim)
+        kernel_dims.append(dec.kernel_dimension)
         ups.append(up)
 
     # telescoped form over delta^+ delta only; must match the weighted sum
@@ -256,7 +231,7 @@ def reidemeister_torsion(
 
     return TorsionElement(
         log_scalar=log_scalar,
-        harmonic_bases=tuple(bases),
+        form_bases=partial(tuple, bases),
         convention_tag=REIDEMEISTER_TAG,
         kernel_dims=tuple(kernel_dims),
         warnings=tuple(notes),
@@ -277,7 +252,7 @@ def twisted_torsion(
     kernel_dims = (even.kernel_dimension, odd.kernel_dimension)
     return TorsionElement(
         log_scalar=_telescoped((even_up, odd_up)),
-        harmonic_bases=partial(_kernel_bases, ("even", "odd"), kernel_dims, (even_lap, odd_lap)),
+        form_bases=partial(_kernel_bases, ("even", "odd"), kernel_dims, (even_lap, odd_lap)),
         convention_tag=TWISTED_TAG,
         kernel_dims=kernel_dims,
         warnings=even_up.warnings + odd_up.warnings,

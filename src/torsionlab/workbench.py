@@ -150,10 +150,12 @@ def _as_complex(obj) -> GradedCochainComplex:
 
 def load_bundle(text: str, options: RunOptions | None = None) -> BundleData:
     """Resolve a bundle reference: JSON file, ``hopf(f,h2[,r])``, or
-    ``random([seed[,top]])``; --seed fills an empty ``random()`` and
-    --radius overrides the fiber radius."""
+    ``random([seed[,top]])``.  --seed fills an empty ``random()`` and is
+    refused with any other model; --radius overrides the fiber radius."""
     options = options or RunOptions()
-    if options.seed is not None and "".join(text.split()) in ("random()", "random_bundle()"):
+    if options.seed is not None:
+        if "".join(text.split()) not in ("random()", "random_bundle()"):
+            raise ValidationError(f"--seed fills an empty random() only, not {text}")
         text = f"random({options.seed})"
     bundle = load_model(text)
     if not isinstance(bundle, BundleData):

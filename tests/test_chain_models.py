@@ -172,11 +172,15 @@ def test_exactly_real_data_is_stored_as_float64():
     complex_entry = GradedCochainComplex(dims=(1, 1), coboundary=(np.array([[2.0 + 1j]]),))
     assert complex_entry.coboundary[0].dtype == np.complex128
     assert Cochain(degree=0, coefficients=[1, 2]).coefficients.dtype == np.float64
-    T = twisted_differential(simplex_boundary(4), Cochain(degree=3, coefficients=2 * np.ones(5)))
+    T = twisted_differential(
+        coboundary_matrices(simplex_boundary(4)), Cochain(degree=3, coefficients=2 * np.ones(5))
+    )
     assert {T.d_even.dtype, T.d_odd.dtype} == {np.dtype(np.float64)}
     # a Gram-less complex twists to identity parity Grams, stored as None
     assert T.gram_even is None and T.gram_odd is None
-    T = twisted_differential(simplex_boundary(4), Cochain(degree=3, coefficients=1j * np.ones(5)))
+    T = twisted_differential(
+        coboundary_matrices(simplex_boundary(4)), Cochain(degree=3, coefficients=1j * np.ones(5))
+    )
     # the flux maps degree 0 to degree 3, so only d_even carries it
     assert (T.d_even.dtype, T.d_odd.dtype) == (np.complex128, np.float64)
 
@@ -576,7 +580,7 @@ def test_flux_components_of_same_degree_and_different_lengths_rejected(short):
     h1 = Cochain(degree=3, coefficients=np.ones(K.n(3)))
     h2 = Cochain(degree=3, coefficients=np.ones(short))
     with pytest.raises(FluxError, match=f"degree-3 flux components have 5 and {short} coefficients"):
-        twisted_differential(K, [h1, h2])
+        twisted_differential(coboundary_matrices(K), [h1, h2])
 
 
 def test_twisted_square_zero_on_simplicial_flux():

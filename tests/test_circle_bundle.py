@@ -158,6 +158,18 @@ def test_hopf_torsions_are_inverse_at_any_radius(f, h2, radius):
     assert rep.torsion.scalar == pytest.approx(radius**2 * abs(h2 / f), rel=1e-10)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the relative kernel cut (1e-9 times the largest eigenvalue) swallows the small "
+    "eigenvalue of the mixed-scale Laplacian diag((r h2)^2, (f / r)^2)",
+)
+@pytest.mark.parametrize("radius", [1e-3, 1e3])
+def test_mixed_scale_hopf_kernel_dims_match_rank_nullity(radius):
+    # rank-nullity gives (0, 0); the Laplacian kernel read today is (1, 1)
+    ic = build_invariant_complex(hopf(1, 2, radius))
+    assert twisted_torsion(ic).kernel_dims == torsion_engine.twisted_cohomology_dimensions(ic)
+
+
 def test_verify_factors_each_gram_once(factorizations, lower_inverses):
     b = random_bundle(4242, 4)
     factorizations.clear()
@@ -201,13 +213,26 @@ def test_model_dual_and_double_dual_share_folds_and_gram_records():
         assert all(np.array_equal(x, y) for x, y in zip(handed, own))
     records = [build_invariant_complex(m)._gram_factors for m in (b, d, dd)]
     assert all(r[0] is records[0][0] and r[1] is records[0][1] for r in records)
-    assert records[0] == b.base._invariant_grams
+    assert records[0] == b._invariant_grams
+
+
+def test_invariant_complexes_over_a_gram_less_base_carry_no_gram_record(lower_inverses):
+    # None is the identity Gram on invariant complexes too: a Hopf model and
+    # its dual keep no record, and a verify forms no triangular inverse
+    b = hopf(1.0, 2.0, 0.7)
+    assert b._invariant_grams == (None, None)
+    for model in (b, t_dualize(b)):
+        ic = build_invariant_complex(model)
+        assert ic._gram_factors is None and ic.gram_even is None and ic.gram_odd is None
+    verify_t_duality(b)
+    assert lower_inverses == []
 
 
 def test_cached_layouts_are_read_only():
     for b in (random_bundle(4242, 4), hopf(1.0, 2.0, 0.7)):
         arrays = [a for pair in b._folds for a in pair]
-        arrays += [a for factor in b.base._invariant_grams for a in (factor.gram, factor.lower)]
+        records = [factor for factor in b._invariant_grams if factor is not None]
+        arrays += [a for factor in records for a in (factor.gram, factor.lower)]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -291,13 +316,14 @@ def test_assembled_parity_factors_equal_cholesky_bit_for_bit():
     for b in _bundles():
         factors = list(b.base._parity[1] or ())
         for ic in (build_invariant_complex(b), build_invariant_complex(t_dualize(b))):
-            factors.extend(ic._gram_factors)
+            factors.extend(ic._gram_factors or ())
         for factor in factors:
             L = np.linalg.cholesky(factor.gram) if factor.gram.size else factor.gram
             assert L.dtype == factor.lower.dtype
             assert L.tobytes() == factor.lower.tobytes()
         checked += len(factors)
-    assert checked == 200 * 6 + 3 * 4
+    # Hopf models have a Gram-less base, so they carry no record
+    assert checked == 200 * 6
 
 
 def test_random_bundle_is_deterministic():
@@ -366,8 +392,14 @@ def test_duality_map_contracts_hold_exactly():
         t0, t1 = t_duality_matrix(ic, 0), t_duality_matrix(ic, 1)
         assert np.array_equal(t1 @ ic.d_even, icd.d_odd @ t0)
         assert np.array_equal(t0 @ ic.d_odd, icd.d_even @ t1)
-        assert np.array_equal(t0.T @ icd.gram_odd @ t0, ic.gram_even)
-        assert np.array_equal(t1.T @ icd.gram_even @ t1, ic.gram_odd)
+        # a None Gram is the identity
+        gram_even, gram_odd, dual_even, dual_odd = (
+            np.eye(n) if g is None else g
+            for g, n in ((ic.gram_even, ic.even_dim), (ic.gram_odd, ic.odd_dim),
+                         (icd.gram_even, icd.even_dim), (icd.gram_odd, icd.odd_dim))
+        )
+        assert np.array_equal(t0.T @ dual_odd @ t0, gram_even)
+        assert np.array_equal(t1.T @ dual_even @ t1, gram_odd)
         assert np.array_equal(t_duality_matrix(icd, 1) @ t0, np.eye(ic.even_dim))
         assert np.array_equal(t_duality_matrix(icd, 0) @ t1, np.eye(ic.odd_dim))
     assert len(models) == 112 + 1 + 3

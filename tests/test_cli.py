@@ -74,10 +74,42 @@ def test_unknown_command_rejected_by_parser():
     assert exc.value.code == 2
 
 
-def test_suite_rejects_tol():
+def test_suite_rejects_tol(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--tol", "1e-6"])
     assert exc.value.code == 2
+    assert "torsion: error: suite does not read --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["reidemeister", "cycle(5)", "--flux", "top"], "--flux"),
+        (["verify-duality", "random(7)", "--seed", "5"], "--seed"),
+        (["t-dual", "hopf(1,2)", "--tol", "1e-3"], "--tol"),
+        (["reidemeister", "cycle(5)", "--radius", "2"], "--radius"),
+        (["twisted", "simplex_boundary(4)", "--steps", "3"], "--steps"),
+    ],
+)
+def test_an_option_the_command_does_not_read_is_refused(argv, option, capsys):
+    # the parser refuses an option outside the command's table; load_bundle
+    # refuses a --seed that has no empty random() to fill
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "torsion: error: " in captured.err and option in captured.err
+
+
+def test_every_command_has_a_table_of_the_options_it_reads():
+    from torsionlab import cli
+    from torsionlab.workbench import COMMANDS
+
+    assert set(cli._READS) == {*COMMANDS, "suite"}
+    assert set().union(*cli._READS.values()) == set(cli._OPTIONS)
 
 
 def test_suite_text_ends_each_criterion_with_its_seconds(capsys, monkeypatch):
@@ -539,3 +571,9 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert stale == []
+
+
+def test_every_error_type_is_exported_from_the_package():
+    from torsionlab import errors
+
+    assert set(errors.__all__) <= set(torsionlab.__all__)

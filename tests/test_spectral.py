@@ -8,6 +8,7 @@ solver; Gram-weighted solves are tested through the torsion engine
 that check them (``test_chain_models.py``).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_triangle_laplacian_against_symbolic_charpoly():
     assert np.allclose(dec.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
     assert dec.kernel_dimension == 1
     pd = pseudodet_of(dec)
-    assert pd.value == pytest.approx(9.0, rel=1e-12)
+    assert math.exp(pd.log_value) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_default_kernel_tol_is_relative():
@@ -64,11 +65,10 @@ def test_kernel_split_and_gap_warning():
     # default tol is 1e-9 * spectral radius = 1e-9: two kernel modes, and
     # the smallest retained eigenvalue sits within GAP_RATIO of the cut
     assert dec.kernel_dimension == 2
-    assert pd.kernel_dim == 2
     assert 3e-9 / dec.kernel_tol < GAP_RATIO
     assert not caught  # recorded on the result, never raised as a Python warning
     assert pd.warnings and "poorly separated" in pd.warnings[0]
-    assert pd.value == pytest.approx(3e-9 * 1.0, rel=1e-12)
+    assert math.exp(pd.log_value) == pytest.approx(3e-9 * 1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -101,20 +101,21 @@ def test_clean_spectrum_has_no_warning():
         pd = pseudodet_of(hermitian_spectrum(A))
     assert not caught
     assert pd.warnings == ()
-    assert pd.value == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(pd.log_value) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_pseudodet_empty_matrix_is_one():
-    pd = pseudodet_of(hermitian_spectrum(np.zeros((0, 0), dtype=np.complex128)))
+    dec = hermitian_spectrum(np.zeros((0, 0), dtype=np.complex128))
+    pd = pseudodet_of(dec)
     assert pd.log_value == 0.0
-    assert pd.value == 1.0
-    assert pd.kernel_dim == 0
+    assert math.exp(pd.log_value) == 1.0
+    assert dec.kernel_dimension == 0
 
 
 def test_pseudodet_zero_matrix_is_one():
-    pd = pseudodet_of(hermitian_spectrum(np.zeros((3, 3), dtype=np.complex128)))
-    assert pd.value == 1.0
-    assert pd.kernel_dim == 3
+    dec = hermitian_spectrum(np.zeros((3, 3), dtype=np.complex128))
+    assert math.exp(pseudodet_of(dec).log_value) == 1.0
+    assert dec.kernel_dimension == 3
 
 
 def test_negative_eigenvalue_rejected():
@@ -185,7 +186,9 @@ def test_positive_roundoff_above_the_cut_is_refused():
         with pytest.raises(NegativeEigenvalue, match="below the precision of the solve"):
             read(dec)
     # the default cut puts it in the kernel
-    assert pseudodet_of(hermitian_spectrum(np.diag([1e-17, 1.0]))).kernel_dim == 1
+    default = hermitian_spectrum(np.diag([1e-17, 1.0]))
+    pseudodet_of(default)
+    assert default.kernel_dimension == 1
 
 
 def test_no_gram_is_taken():
@@ -197,7 +200,7 @@ def test_values_only_solve_has_no_kernel_vectors():
     dec = hermitian_spectrum(np.diag([0.0, 0.0, 5.0]), vectors=False)
     assert dec.eigenvectors is None
     assert dec.kernel_dimension == 2
-    assert pseudodet_of(dec).value == pytest.approx(5.0, rel=1e-15)
+    assert math.exp(pseudodet_of(dec).log_value) == pytest.approx(5.0, rel=1e-15)
     with pytest.raises(ValueError, match="without eigenvectors"):
         dec.kernel_vectors
     empty = hermitian_spectrum(np.zeros((0, 0)), vectors=False)
