@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="model file (.json) or builder expression such as cycle(12), "
-        "lens(5,1,2), hopf(1,2,1), random(7,3); ignored by suite",
+        "lens(5,1,2), hopf(1,2,1), random(7,3); suite takes none",
     )
     parser.add_argument("--flux", help="zero (the default), top, top(c), or a cochain.v1 file")
     parser.add_argument("--radius", type=float, help="override the fiber radius")
@@ -112,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} does not read {', '.join(unread)}")
 
     if args.command == "suite":
+        if args.model is not None:
+            parser.error("suite does not read a model")
         from .suite import run_suite
 
         report = run_suite()

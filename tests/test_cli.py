@@ -81,6 +81,18 @@ def test_suite_rejects_tol(capsys):
     assert "torsion: error: suite does not read --tol" in capsys.readouterr().err
 
 
+def test_suite_refuses_a_model(capsys, monkeypatch):
+    # the battery runs pinned models: a model given to it is refused, not
+    # dropped, before anything runs
+    monkeypatch.setattr("torsionlab.suite.run_suite", lambda: pytest.fail("suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "nope(3)", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "torsion: error: suite does not read a model" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -2,10 +2,11 @@
 
 The triangle Laplacian oracle is computed symbolically, independent of
 any numerics in the package.  scipy's complex Hermitian solver is the
-reference for the real-arithmetic path.  No Gram reaches this layer's
-solver; Gram-weighted solves are tested through the torsion engine
-(``test_torsion_engine.py``) and Gram refusals through the complexes
-that check them (``test_chain_models.py``).
+reference for the real-arithmetic path, and scipy's connected
+components the reference for the blocks a solve splits into.  No Gram
+reaches this layer's solver; Gram-weighted solves are tested through the
+torsion engine (``test_torsion_engine.py``) and Gram refusals through
+the complexes that check them (``test_chain_models.py``).
 """
 
 import math
@@ -14,11 +15,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 import sympy
 
-from torsionlab import hermitian_spectrum
-from torsionlab.builders import cycle
-from torsionlab.chain_models import coboundary_matrices, signed_incidence
+from torsionlab import hermitian_spectrum, spectral
+from torsionlab.builders import cycle, simplex_boundary
+from torsionlab.chain_models import (
+    Cochain,
+    coboundary_matrices,
+    signed_incidence,
+    twisted_differential,
+)
 from torsionlab.errors import (
     NegativeEigenvalue,
     NotHermitian,
@@ -27,12 +35,15 @@ from torsionlab.errors import (
 from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
+    SPLIT_MIN_ORDER,
     SpectralDecomposition,
+    _blocks_of,
     _gram_factor,
     _refuse_imprecise,
     default_kernel_tol,
     pseudodet_of,
 )
+from torsionlab.torsion_engine import _blocks
 
 
 def test_triangle_laplacian_against_symbolic_charpoly():
@@ -242,6 +253,213 @@ def test_non_finite_operator_is_refused(bad):
     with pytest.raises(ValidationError, match="operator has a non-finite entry"):
         hermitian_spectrum(A, vectors=False)
 
+
+
+# ---------------------------------------------------------------------------
+# solves split on the exact zero pattern
+# ---------------------------------------------------------------------------
+
+def _components(A):
+    """Block labels of A from scipy's connected components of the graph
+    of its nonzeros, an oracle that shares no code with ``_blocks_of``."""
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(A != 0), directed=True, connection="weak"
+    )
+    return labels
+
+
+def _same_partition(a, b):
+    # two labelings name the same blocks when each label of one maps to
+    # exactly one label of the other
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def _permuted_blocks(rng, dtype):
+    """A randomly permuted block-diagonal psd matrix: 1 x 1 blocks, zero
+    rows and rank-deficient dense blocks, of order at least the split
+    order."""
+    blocks = [np.array([[v]]) for v in rng.uniform(0.5, 3.0, 14)]
+    blocks += [np.zeros((1, 1))] * 5
+    for size in rng.integers(2, 13, 4):
+        f = rng.standard_normal((size - 1, size))
+        if dtype is np.complex128:
+            f = f + 1j * rng.standard_normal((size - 1, size))
+        blocks.append(f.conj().T @ f)
+    B = scipy.linalg.block_diag(*blocks).astype(dtype)
+    perm = rng.permutation(B.shape[0])
+    return B[np.ix_(perm, perm)]
+
+
+def _whole(A, vectors=True):
+    """hermitian_spectrum with the split turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SPLIT_MIN_ORDER", A.shape[0] + 1)
+        return hermitian_spectrum(A, vectors=vectors)
+
+
+def _kernel_projector(dec):
+    K = dec.kernel_vectors
+    return K @ K.conj().T
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("seed", range(6))
+def test_split_solve_matches_the_whole_solve(seed, dtype, eigensolves):
+    rng = np.random.default_rng(700 + seed)
+    A = _permuted_blocks(rng, dtype)
+    n = A.shape[0]
+    assert n >= SPLIT_MIN_ORDER
+    labels = _components(A)
+    assert _same_partition(_blocks_of(A), labels)
+    larger = int(np.sum(np.bincount(labels) > 1))
+
+    dec, values = hermitian_spectrum(A), hermitian_spectrum(A, vectors=False)
+    # one LAPACK call per block larger than 1 x 1, for vectors then values
+    assert eigensolves == [(np.dtype(dtype).name, "vectors")] * larger + [
+        (np.dtype(dtype).name, "values")
+    ] * larger
+    whole = _whole(A)
+    bound = 1e-12 * np.linalg.norm(A)
+    reference = np.linalg.eigvalsh(A)
+    for d in (dec, values):
+        assert np.all(np.diff(d.eigenvalues) >= 0.0)
+        assert np.max(np.abs(d.eigenvalues - reference)) <= bound
+        assert d.kernel_tol == pytest.approx(whole.kernel_tol, rel=1e-12)
+        assert d.kernel_dimension == whole.kernel_dimension == 5 + 4
+    assert values.eigenvectors is None
+
+    V = dec.eigenvectors
+    assert V.dtype == dtype
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(A @ V - V * dec.eigenvalues)) <= bound
+    assert np.max(np.abs(_kernel_projector(dec) - _kernel_projector(whole))) <= 1e-10
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [SPLIT_MIN_ORDER, 75])
+def test_one_block_is_solved_whole_bit_for_bit(n, dtype, dense, eigensolves):
+    # a randomly permuted path Laplacian, connected through every index
+    # (the complex one through purely imaginary entries), or a dense psd
+    # matrix
+    rng = np.random.default_rng(n)
+    if dense:
+        f = rng.standard_normal((n, n))
+        if dtype is np.complex128:
+            f = f + 1j * rng.standard_normal((n, n))
+        P = f.conj().T @ f
+    elif dtype is np.complex128:
+        P = 2.0 * np.eye(n) + 1j * (np.eye(n, k=1) - np.eye(n, k=-1))
+    else:
+        P = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    perm = rng.permutation(n)
+    A = P[np.ix_(perm, perm)].astype(dtype)
+    assert not _blocks_of(A).any()
+    dec, values = hermitian_spectrum(A), hermitian_spectrum(A, vectors=False)
+    w, V = np.linalg.eigh(A)
+    assert dec.eigenvalues.tobytes() == w.tobytes()
+    assert dec.eigenvectors.tobytes() == V.tobytes()
+    assert values.eigenvalues.tobytes() == np.linalg.eigvalsh(A).tobytes()
+    assert [kind for _, kind in eigensolves] == ["vectors", "values"] * 2
+
+
+def test_below_the_split_order_a_matrix_is_solved_whole(eigensolves):
+    A = np.diag(np.arange(1.0, SPLIT_MIN_ORDER))
+    dec = hermitian_spectrum(A, vectors=False)
+    assert eigensolves == [("float64", "values")]
+    assert dec.eigenvalues.tobytes() == np.linalg.eigvalsh(A).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("larger, smaller, lone", [(33, 30, 0), (35, 21, 7), (32, 32, 0)])
+def test_a_block_over_half_the_order_is_solved_whole(larger, smaller, lone, dtype, eigensolves):
+    # the blocks of w* w for twisted simplex_boundary(6) are [28, 35] and
+    # 7 lone + [21, 35]: one block over half the order keeps the solve
+    # whole, bit for bit; two halves are split
+    rng = np.random.default_rng(larger + smaller + lone)
+    blocks = [np.diag(rng.uniform(0.5, 3.0, lone))] if lone else []
+    for size in (larger, smaller):
+        f = rng.standard_normal((size, size))
+        if dtype is np.complex128:
+            f = f + 1j * rng.standard_normal((size, size))
+        blocks.append(f.conj().T @ f)
+    B = scipy.linalg.block_diag(*blocks).astype(dtype)
+    perm = rng.permutation(B.shape[0])
+    A = B[np.ix_(perm, perm)]
+    n = A.shape[0]
+    values = hermitian_spectrum(A, vectors=False)
+    if 2 * larger > n:
+        assert eigensolves == [(np.dtype(dtype).name, "values")]
+        assert values.eigenvalues.tobytes() == np.linalg.eigvalsh(A).tobytes()
+    else:
+        assert eigensolves == [(np.dtype(dtype).name, "values")] * 2
+        assert np.max(np.abs(values.eigenvalues - np.linalg.eigvalsh(A))) <= 1e-12 * np.linalg.norm(A)
+
+
+def test_twisted_laplacian_runs_one_lapack_call_per_block(eigensolves):
+    # after the parity fold a top-degree flux couples only degree 0 to the
+    # top degree: the order-255 parity Laplacians of simplex_boundary(8)
+    # are one block of 33 (even) or 24 (odd) among 1 x 1 blocks
+    C = coboundary_matrices(simplex_boundary(8))
+    flux = Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], 1.5 - 0.5j))
+    for (up, lap, _), larger in zip(_blocks(twisted_differential(C, flux)), ([33], [24])):
+        labels = _components(lap)
+        sizes = np.bincount(labels)
+        assert sorted(sizes[sizes > 1].tolist()) == larger
+        assert _same_partition(_blocks_of(lap), labels)
+        eigensolves.clear()
+        dec = hermitian_spectrum(lap, vectors=False)
+        assert eigensolves == [(np.dtype(lap.dtype).name, "values")]
+        reference = np.linalg.eigvalsh(lap)
+        assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-12 * np.linalg.norm(lap)
+        assert dec.kernel_dimension == _whole(lap, vectors=False).kernel_dimension
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_an_entry_on_one_side_of_the_diagonal_joins_its_indices(upper):
+    # within the Hermitian tolerance, so the operator is accepted; its two
+    # indices stay in one block either way round
+    n = SPLIT_MIN_ORDER + 8
+    A = np.diag(np.arange(1.0, n + 1.0))
+    i, j = (3, 20) if upper else (20, 3)
+    A[i, j] = 1e-12
+    labels = _blocks_of(A)
+    assert labels[i] == labels[j]
+    assert np.bincount(labels).max() == 2
+    dec = hermitian_spectrum(A, vectors=False)
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(A))) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("m", [SPLIT_MIN_ORDER // 2, 40])
+def test_two_dense_halves_are_two_blocks(m):
+    # two dense blocks of (nearly) equal order, randomly interleaved
+    rng = np.random.default_rng(m)
+    for extra in (0, 1):
+        halves = [np.ones((m, m)), np.ones((m + extra, m + extra))]
+        B = scipy.linalg.block_diag(*halves)
+        perm = rng.permutation(B.shape[0])
+        A = B[np.ix_(perm, perm)]
+        labels = _blocks_of(A)
+        assert _same_partition(labels, _components(A))
+        assert len(set(labels.tolist())) == 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_blocks_match_connected_components(seed):
+    # sparse random patterns, one-sided entries included, and a randomly
+    # permuted path, where a tree of hooks is deepest
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(SPLIT_MIN_ORDER, 400))
+    A = np.where(rng.random((n, n)) < 1.2 / n, 1.0, 0.0)
+    labels = _blocks_of(A)
+    assert _same_partition(labels, _components(A))
+    # each block is labelled by its smallest index
+    assert np.array_equal(labels[labels], labels) and np.all(labels <= np.arange(n))
+    path = np.eye(n, k=1)
+    perm = rng.permutation(n)
+    labels = _blocks_of(path[np.ix_(perm, perm)])
+    assert not labels.any()
 
 
 # ---------------------------------------------------------------------------
