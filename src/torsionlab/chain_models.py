@@ -61,7 +61,7 @@ from .errors import (
     NotTopDegree,
     ValidationError,
 )
-from .spectral import GramFactor, _direct_sum, _gram_factor
+from .spectral import GramFactor, _direct_sum, _gram_factor, _map_blocks
 
 __all__ = [
     "SimplicialComplex",
@@ -148,6 +148,17 @@ def _check_entry_range(moduli: np.ndarray, top: float, what: str) -> None:
 
 def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
+
+
+def _product_norm(a: np.ndarray, b: np.ndarray, blocks) -> float:
+    """Frobenius norm of a @ b, the square-zero residual.  ``blocks`` are
+    the bipartite components of b (``spectral._map_blocks``); with them
+    the norm is the root of sum ||a[:, R] b[R, C]||^2 over the components'
+    rows R and columns C, since b is zero outside them.  None forms the
+    whole product."""
+    if blocks is None:
+        return _norm(a @ b)
+    return math.hypot(*(_norm(a[:, rows] @ b[np.ix_(rows, cols)]) for rows, cols in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +427,7 @@ class GradedCochainComplex:
         object.__setattr__(self, "coboundary", cob)
         for p in range(len(cob) - 1):
             a, b = cob[p + 1], cob[p]
-            resid = _norm(a @ b)
+            resid = _product_norm(a, b, self._components[p])
             if resid > _SQUARE_ZERO_TOL * (1.0 + _norm(a) * _norm(b)):
                 raise ValidationError(
                     f"coboundary does not square to zero at degree {p}: residual {resid:.3e}"
@@ -436,6 +447,14 @@ class GradedCochainComplex:
     @property
     def top(self) -> int:
         return len(self.dims) - 1
+
+    @cached_property
+    def _components(self) -> tuple:
+        """Per coboundary, its bipartite components
+        (``spectral._map_blocks``), or None where it is taken whole: found
+        on first use, by the square-zero check when there are two or
+        more, and kept for the ranks and products of ``torsion_engine``."""
+        return tuple(_map_blocks(d) for d in self.coboundary)
 
     @cached_property
     def _parity(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[GramFactor, GramFactor] | None]:
@@ -673,6 +692,10 @@ class TwistedComplex:
     _gram_factors: tuple[GramFactor, GramFactor] | None = field(
         default=None, init=False, repr=False
     )
+    # the bipartite components (spectral._map_blocks) of d_even and d_odd,
+    # or None for a map taken whole: found once, for the square-zero
+    # check, and kept for the ranks and products of torsion_engine
+    _components: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
         de = _freeze(self.d_even, "d_even (even parity)", bounded=True)
@@ -693,8 +716,10 @@ class TwistedComplex:
             object.__setattr__(self, "gram_even", factors[0].gram)
             object.__setattr__(self, "gram_odd", factors[1].gram)
             object.__setattr__(self, "_gram_factors", factors)
+        even, odd = _map_blocks(de), _map_blocks(do)
+        object.__setattr__(self, "_components", (even, odd))
         scale = 1.0 + _norm(de) * _norm(do)
-        if _norm(do @ de) > _SQUARE_ZERO_TOL * scale or _norm(de @ do) > _SQUARE_ZERO_TOL * scale:
+        if max(_product_norm(do, de, even), _product_norm(de, do, odd)) > _SQUARE_ZERO_TOL * scale:
             raise FluxNotNilpotent("total differential does not square to zero")
 
 
@@ -744,7 +769,8 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
     which is the wedge-of-spheres convention.  ``flux`` is one Cochain or
     a list of them, every component of odd degree >= 3.
 
-    Checks, in order: degree constraints, closedness of each component
+    Checks, in order: degree constraints, the [1e-150, 1e150] range of
+    every nonzero flux entry (ValidationError), closedness of each component
     (FluxNotClosed), vanishing of the cup square (FluxNotNilpotent), and
     finally that the assembled total differential squares to zero.
     """
@@ -767,6 +793,8 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
             raise FluxError(
                 f"degree-{h.degree} flux has {h.coefficients.shape[0]} coefficients, expected {expected}"
             )
+        # before any norm of the flux, which would overflow or underflow
+        _freeze(h.coefficients, f"degree-{h.degree} flux", bounded=True)
 
     # closedness of each homogeneous component
     for h in nontrivial:

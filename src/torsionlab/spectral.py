@@ -29,6 +29,15 @@ reads a spectrum stays global: the kernel cut, the roundoff refusal
 spectrum, so a tolerance means what it meant for the whole matrix.  A
 matrix with a block of more than half its order (one block included),
 or of order below ``SPLIT_MIN_ORDER``, goes to LAPACK whole.
+
+A coboundary splits by the same rule on the bipartite graph of its
+nonzeros, rows on one side and columns on the other (``_map_blocks``):
+each connected component is a block of the map up to permutations of
+its rows and of its columns.  The complexes of ``chain_models`` find a
+map's components once and keep them; its square-zero residuals, and in
+``torsion_engine`` its rank and its products w* w and w w*, then run
+one dense call per component.  One union-find (``_labels``) serves
+both searches.
 """
 
 from __future__ import annotations
@@ -260,26 +269,61 @@ def hermitian_spectrum(
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
 
 
-def _blocks_of(A: np.ndarray) -> np.ndarray:
-    """Label each index of A by the smallest index joined to it through
-    A's exact nonzeros, counted on either side of the diagonal: indices
-    with one label span a diagonal block of A up to a permutation.
+def _labels(mask: np.ndarray, shift: int) -> np.ndarray:
+    """Label each node of the graph with one edge (i, j + shift) per
+    nonzero mask[i, j] by the smallest node joined to it.  With shift 0
+    a square mask's rows and columns are the same nodes; with shift
+    m = mask.shape[0] they are the m + n nodes of its bipartite graph.
 
     Union-find in whole-array rounds: every root is hooked to the
     smallest root across its edges, then pointer jumping points every
-    index at its root, until no edge joins two roots.  Hooks only lower
-    a label, so the smallest index of a block stays its root."""
-    n = A.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(A != 0), n)
-    label = np.arange(n)
-    while True:
-        a, b = label[rows], label[cols]
-        if (a == b).all():
-            return label
+    node at its root.  Hooks only lower a label, so the smallest node of
+    a component stays its root.  The search stops when every edge joins
+    two nodes of one label, so every nonzero of the mask lies inside one
+    component.  The edges are listed from the flat nonzeros, which costs
+    a tenth of a 2-D ``np.nonzero`` on an order-600 coboundary."""
+    m, n = mask.shape
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    cols += shift
+    size = max(m, n + shift)
+    label = np.arange(size)
+    a, b = rows, cols  # every node is its own root
+    while not (a == b).all():
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        # a tree of n nodes is at most n - 1 deep; each jump halves that
-        for _ in range(n.bit_length()):
+        # a tree of size nodes is at most size - 1 deep; each jump halves that
+        for _ in range(size.bit_length()):
             label = label[label]
+        a, b = label[rows], label[cols]
+    return label
+
+
+def _blocks_of(A: np.ndarray) -> np.ndarray:
+    """Label each index of A by the smallest index joined to it through
+    A's exact nonzeros, counted on either side of the diagonal: indices
+    with one label span a diagonal block of A up to a permutation."""
+    return _labels(A != 0, 0)
+
+
+def _map_blocks(d: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    """The (rows, columns) of each bipartite component of a map's exact
+    nonzeros, ascending, for the components that hold a nonzero; d is
+    their direct sum up to permutations of its rows and of its columns,
+    with zero rows and columns besides.  None where d is taken whole: by
+    ``hermitian_spectrum``'s rule, when its larger side is below
+    ``SPLIT_MIN_ORDER`` or a component spans more than half its rows or
+    half its columns (one component included)."""
+    m, n = d.shape
+    if max(m, n) < SPLIT_MIN_ORDER:
+        return None
+    label = _labels(d != 0, m)
+    # the rows and the columns of each component, counted at its root
+    rows, cols = (np.bincount(side, minlength=m + n) for side in (label[:m], label[m:]))
+    if 2 * rows.max() > m or 2 * cols.max() > n:
+        return None
+    held = np.flatnonzero(((rows > 0) & (cols > 0))[label])
+    order = held[np.argsort(label[held], kind="stable")]
+    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if order.size else []
+    return tuple((g[g < m], g[g >= m] - m) for g in groups)
 
 
 def _solve_blocks(A: np.ndarray, label: np.ndarray, vectors: bool):

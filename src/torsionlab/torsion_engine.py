@@ -30,6 +30,14 @@ they are first read, by one more solve per parity of the Laplacians it
 kept.  It also keeps the positive spectra of its two w_p* w_p, which the
 duality transport compares.  Kernel dimensions double as cohomology
 dimensions (checked against rank-nullity in the test suite).
+
+Each complex keeps the bipartite components of its maps
+(``spectral._map_blocks``), or None for a map taken whole.  Without
+Grams, w_p is d_p and its products are formed one component at a time.
+The rank-nullity dimensions stay independent of the eigensolver: they
+come from singular values of the maps themselves, one SVD per component
+under the whole matrix's ``matrix_rank`` cut.  The only piece they
+share with the solves is that exact partition.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ REIDEMEISTER_TAG = "p-weighted-v1"
 TWISTED_TAG = "parity-split-v1"
 _CONVENTION_CHECK_TOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -127,19 +136,42 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
 
 
 def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
-    """(dims, maps, grams, labels, cyclic): maps[p] leaves space p for
-    space p + 1 and, when cyclic, maps[-1] enters space 0.  The spaces
-    are the degrees or the parities; grams[p] is the GramFactor record of
-    space p, or None for the identity Gram, and grams[p + 1] that of the
-    target of maps[p] (None past a graded top degree)."""
+    """(dims, maps, grams, labels, cyclic, blocks): maps[p] leaves space p
+    for space p + 1 and, when cyclic, maps[-1] enters space 0.  The
+    spaces are the degrees or the parities; grams[p] is the GramFactor
+    record of space p, or None for the identity Gram, and grams[p + 1]
+    that of the target of maps[p] (None past a graded top degree).
+    blocks[p] are the bipartite components of maps[p] that the complex
+    keeps, or None where the map is taken whole."""
     if isinstance(C, TwistedComplex):
         labels = ("d_even (even parity)", "d_odd (odd parity)")
         grams = C._gram_factors or (None, None)
-        return (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), grams + grams[:1], labels, True
+        maps = (C.d_even, C.d_odd)
+        return (C.even_dim, C.odd_dim), maps, grams + grams[:1], labels, True, C._components
     n = len(C.dims)
     labels = tuple(f"degree {p}" for p in range(n))
     grams = (C._gram_factors or (None,) * n) + (None,)
-    return C.dims, [C.delta(p) for p in range(n)], grams, labels, False
+    # the zero-row map out of the top degree is taken whole
+    maps = [C.delta(p) for p in range(n)]
+    return C.dims, maps, grams, labels, False, C._components + (None,)
+
+
+def _square(x: np.ndarray, blocks, *, inner: bool) -> np.ndarray:
+    """x* x when ``inner``, else x x*.  With ``blocks``, the bipartite
+    components of x, it is formed one component at a time: x* x is the
+    direct sum of the blocks' products on their columns, x x* on their
+    rows, up to a permutation, and zero elsewhere.  None forms the whole
+    product."""
+    if blocks is None:
+        return x.conj().T @ x if inner else x @ x.conj().T
+    out = np.zeros((x.shape[1 if inner else 0],) * 2, dtype=x.dtype)
+    for rows, cols in blocks:
+        b = x[np.ix_(rows, cols)]
+        if inner:
+            out[np.ix_(cols, cols)] = b.conj().T @ b
+        else:
+            out[np.ix_(rows, rows)] = b @ b.conj().T
+    return out
 
 
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
@@ -147,9 +179,13 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
     w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
     w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary, each side
     weighted only when its space has a record (d_p itself without Grams).
-    Each product is built, and refused if it underflowed, once for both
-    torsion sums; one that overflowed is refused by the solver."""
-    _, maps, grams, labels, cyclic = _spaces(C)
+    Without Grams each product is formed one bipartite component of d_p
+    at a time (``_square``); with them, whole.  Each product is built, and
+    refused if it underflowed, once for both torsion sums; one that
+    overflowed is refused by the solver."""
+    _, maps, grams, labels, cyclic, blocks = _spaces(C)
+    if grams[0] is not None:
+        blocks = (None,) * len(maps)
     w, out = [], []
     with np.errstate(over="ignore"):
         for p, d in enumerate(maps):
@@ -159,10 +195,11 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
                 d = d @ grams[p].lower_inverse.conj().T
             w.append(d)
         for p, x in enumerate(w):
-            lap = up = _unless_underflowed(x.conj().T @ x, maps[p], labels[p])
+            lap = up = _unless_underflowed(_square(x, blocks[p], inner=True), maps[p], labels[p])
             if p > 0 or cyclic:
                 q = p - 1
-                lap = up + _unless_underflowed(w[q] @ w[q].conj().T, maps[q], labels[q])
+                down = _square(w[q], blocks[q], inner=False)
+                lap = up + _unless_underflowed(down, maps[q], labels[q])
             out.append((up, lap, grams[p]))
     return out
 
@@ -260,11 +297,31 @@ def twisted_torsion(
     )
 
 
+def _rank(d: np.ndarray, blocks) -> int:
+    """``np.linalg.matrix_rank(d)``: the singular values above
+    max sigma * max(M, N) * eps.  With ``blocks``, the bipartite
+    components of d, the singular values are those of the components,
+    one SVD each, and the whole-matrix cut applies to all of them
+    together; None runs one SVD of d."""
+    if not d.size:
+        return 0
+    parts = [d] if blocks is None else [d[np.ix_(rows, cols)] for rows, cols in blocks]
+    s = np.concatenate([np.zeros(0)] + [np.linalg.svd(x, compute_uv=False) for x in parts])
+    return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
+
+
 def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
     """dim - rank of the map out - rank of the map in, per space.
-    Independent of the spectral route; ranks come from SVD."""
-    dims, maps, _, _, cyclic = _spaces(C)
-    ranks = [int(np.linalg.matrix_rank(d)) if d.size else 0 for d in maps]
+
+    Independent of the spectral route: the ranks come from singular
+    values of the coboundaries themselves, not from any eigensolve or
+    Laplacian.  The one piece shared with the solves is the exact
+    partition of each map into its bipartite components, which the
+    complex keeps; a split map is ranked from its components' singular
+    values under the whole matrix's cut, so every decision is the one
+    ``matrix_rank`` makes."""
+    dims, maps, _, _, cyclic, blocks = _spaces(C)
+    ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
     return tuple(
         n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0) for p, n in enumerate(dims)
     )

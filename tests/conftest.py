@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from torsionlab import chain_models, circle_bundle, spectral
+from torsionlab import chain_models, circle_bundle, spectral, torsion_engine
 
 
 @pytest.fixture
@@ -21,6 +21,21 @@ def eigensolves(monkeypatch):
             return _solve(m, *args, **kwargs)
 
         monkeypatch.setattr(spectral.np.linalg, name, record)
+    return seen
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """Record every SVD the torsion engine runs, in call order, as
+    (shape, dtype)."""
+    seen = []
+    svd = torsion_engine.np.linalg.svd
+
+    def record(m, *args, **kwargs):
+        seen.append((m.shape, np.dtype(m.dtype).name))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(torsion_engine.np.linalg, "svd", record)
     return seen
 
 

@@ -498,7 +498,7 @@ def test_tiny_flux_is_refused_not_read_as_zero(value, capsys):
     h = Cochain(degree=3, coefficients=value * np.ones(C.dims[3], dtype=np.complex128))
     code = main(["twisted", "simplex_boundary(4)", "--flux", f"top({value!r})"])
     if value:
-        with pytest.raises(ValidationError, match=r"d_even \(even parity\) has an entry of modulus"):
+        with pytest.raises(ValidationError, match=r"degree-3 flux has an entry of modulus"):
             twisted_differential(C, h)
         assert code == 2
         assert "outside [1e-150, 1e+150]" in capsys.readouterr().err

@@ -285,6 +285,22 @@ def test_torsion_beyond_float64_is_refused(command, fmt, capsys, tmp_path):
     assert "torsion log-scalar 1036.16" in line
 
 
+@pytest.mark.parametrize("flux", ["top(1e200)", "top(1e-200j)"])
+def test_flux_whose_square_leaves_float64_is_refused_without_a_warning(flux):
+    # the refusal names the flux, and comes before any norm of it could
+    # overflow or underflow with a numpy RuntimeWarning
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "torsionlab.cli", "twisted", "simplex_boundary(4)", "--flux", flux],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("torsion: error: degree-3 flux has an entry of modulus")
+    assert "RuntimeWarning" not in run.stderr
+
+
 @pytest.mark.parametrize("entry", [1e150, 1e-150])
 def test_coboundary_at_the_range_ends_gives_log_modulus(entry, capsys, tmp_path):
     path = _write_one_by_one(tmp_path / "model.json", entry)

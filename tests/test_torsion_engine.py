@@ -13,6 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +33,18 @@ from torsionlab import (
 )
 from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
 from torsionlab.circle_bundle import build_invariant_complex, random_bundle, t_dualize
-from torsionlab.errors import ValidationError
+from torsionlab.chain_models import _product_norm
+from torsionlab.errors import FluxNotNilpotent, ValidationError
+from torsionlab.spectral import _map_blocks
 from torsionlab.suite import bundle_fleet
-from torsionlab.torsion_engine import REIDEMEISTER_TAG, TWISTED_TAG, TorsionElement, _blocks
+from torsionlab.torsion_engine import (
+    REIDEMEISTER_TAG,
+    TWISTED_TAG,
+    TorsionElement,
+    _blocks,
+    _rank,
+    _square,
+)
 
 
 def _cycle_pseudodet_oracle(n: int) -> float:
@@ -689,3 +700,206 @@ def test_torsion_is_invariant_under_a_basis_change_with_the_matching_gram(C, kin
     before, after = reidemeister_torsion(C), reidemeister_torsion(moved)
     assert after.kernel_dims == before.kernel_dims
     assert abs(after.log_scalar - before.log_scalar) <= 1e-10 * max(1.0, abs(before.log_scalar))
+
+
+# ---------------------------------------------------------------------------
+# coboundaries split on the bipartite components of their nonzeros
+# ---------------------------------------------------------------------------
+
+def _bipartite_components(d):
+    """Labels of the m + n nodes of d's bipartite graph (rows, then
+    columns) from scipy's connected components, an oracle that shares no
+    code with ``spectral._map_blocks``."""
+    adjacency = scipy.sparse.csr_matrix(d != 0)
+    graph = scipy.sparse.bmat([[None, adjacency], [adjacency.T, None]])
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+
+
+def _labels_of(blocks, m, n):
+    # a node outside every block is a zero row or column: its own label
+    labels = np.arange(m + n) + len(blocks)
+    for k, (rows, cols) in enumerate(blocks):
+        labels[rows], labels[m + cols] = k, k
+    return labels
+
+
+def _same_partition(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def _permuted_map(rng, kind, shapes, zero_rows=3, zero_cols=2):
+    """Sparse random blocks of the given shapes plus zero rows and
+    columns, rows and columns randomly permuted.  ``kind`` "imaginary"
+    gives the first block entries with a zero real part."""
+    blocks = []
+    for r, c in shapes:
+        b = rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.4)
+        if kind == "complex":
+            b = b + 1j * rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.4)
+        elif kind == "imaginary" and not blocks:
+            b = 1j * b
+        blocks.append(b)
+    B = scipy.linalg.block_diag(*blocks, np.zeros((zero_rows, zero_cols)))
+    if kind == "imaginary":
+        B = B.astype(np.complex128)
+    return B[np.ix_(rng.permutation(B.shape[0]), rng.permutation(B.shape[1]))]
+
+
+_SPLIT_SHAPES = [(12, 9), (10, 14), (8, 8), (6, 5), (1, 1)]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "imaginary"])
+@pytest.mark.parametrize("seed", range(4))
+def test_map_blocks_match_connected_components(seed, kind):
+    d = _permuted_map(np.random.default_rng(1100 + seed), kind, _SPLIT_SHAPES)
+    blocks = _map_blocks(d)
+    assert blocks is not None
+    assert _same_partition(_labels_of(blocks, *d.shape), _bipartite_components(d))
+    kept = np.zeros(d.shape, dtype=bool)
+    for rows, cols in blocks:
+        assert np.all(np.diff(rows) > 0) and np.all(np.diff(cols) > 0)
+        kept[np.ix_(rows, cols)] = True
+    assert not d[~kept].any()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "imaginary"])
+@pytest.mark.parametrize("seed", range(4))
+def test_split_rank_products_and_residuals_match_the_whole_ones(seed, kind, svds):
+    rng = np.random.default_rng(1200 + seed)
+    d = _permuted_map(rng, kind, _SPLIT_SHAPES)
+    blocks = _map_blocks(d)
+    dtype = np.dtype(d.dtype).name
+    assert _rank(d, blocks) == np.linalg.matrix_rank(d)
+    assert svds == [((rows.size, cols.size), dtype) for rows, cols in blocks]
+
+    scale = np.linalg.norm(d) ** 2
+    for inner, whole in ((True, d.conj().T @ d), (False, d @ d.conj().T)):
+        assert np.max(np.abs(_square(d, blocks, inner=inner) - whole)) <= 1e-12 * scale
+    a = rng.standard_normal((20, d.shape[0]))
+    if kind != "real":
+        a = a + 1j * rng.standard_normal(a.shape)
+    reference = np.linalg.norm(a @ d)
+    assert abs(_product_norm(a, d, blocks) - reference) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(d)
+
+
+def test_split_rank_keeps_the_whole_matrix_cut(svds):
+    # two orthogonal blocks, every singular value 1 and 1e-15: alone, each
+    # block is of full rank under its own cut, but the whole map's cut,
+    # 1 * 40 * eps, drops the small one, and so must the split rank
+    rng = np.random.default_rng(7)
+    big, small = (np.linalg.qr(rng.standard_normal((20, 20)))[0] for _ in range(2))
+    B = scipy.linalg.block_diag(big, 1e-15 * small)
+    d = B[np.ix_(rng.permutation(40), rng.permutation(40))]
+    blocks = _map_blocks(d)
+    assert len(blocks) == 2
+    assert [np.linalg.matrix_rank(d[np.ix_(rows, cols)]) for rows, cols in blocks] == [20, 20]
+    svds.clear()
+    assert _rank(d, blocks) == np.linalg.matrix_rank(d) == 20
+    assert svds == [((20, 20), "float64")] * 2
+
+
+@pytest.mark.parametrize(
+    "shapes, zero_rows",
+    [
+        ([(40, 35)], 0),  # dense: one component
+        ([(10, 8), (10, 8), (5, 6)], 3),  # larger side 28, below the split order
+        ([(20, 10), (15, 10)], 0),  # 20 of 35 rows, 10 of 20 columns
+        ([(10, 20), (10, 15)], 0),  # 10 of 20 rows, 20 of 35 columns
+    ],
+    ids=["connected", "small", "half-rows", "half-columns"],
+)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_map_kept_whole_gets_the_bytes_of_the_whole_call(shapes, zero_rows, kind, svds):
+    rng = np.random.default_rng(len(shapes) + zero_rows)
+    blocks = [rng.standard_normal(s) + (1j * rng.standard_normal(s) if kind == "complex" else 0) for s in shapes]
+    B = scipy.linalg.block_diag(*blocks, np.zeros((zero_rows, 0)))
+    d = B[np.ix_(rng.permutation(B.shape[0]), rng.permutation(B.shape[1]))]
+    C = GradedCochainComplex(dims=(d.shape[1], d.shape[0]), coboundary=(d,))
+    assert C._components == (None,)
+    (up, _, _), (_, down, _) = _blocks(C)
+    top = C.delta(1)
+    assert up.tobytes() == (d.conj().T @ d).tobytes()
+    assert down.tobytes() == ((top.conj().T @ top) + d @ d.conj().T).tobytes()
+    svds.clear()
+    ranks = np.linalg.matrix_rank(d)
+    assert cohomology_dimensions(C) == (d.shape[1] - ranks, d.shape[0] - ranks)
+    assert svds == [(d.shape, np.dtype(d.dtype).name)]
+    a = rng.standard_normal((5, d.shape[0]))
+    assert _product_norm(a, d, None) == float(np.linalg.norm(a @ d))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_with_grams_the_products_of_a_split_map_stay_whole(kind):
+    rng = np.random.default_rng(13)
+    d = _permuted_map(rng, kind, _SPLIT_SHAPES)
+    assert _map_blocks(d) is not None
+    C = GradedCochainComplex(
+        dims=(d.shape[1], d.shape[0]),
+        coboundary=(d,),
+        gram=[_random_spd(rng, n) for n in (d.shape[1], d.shape[0])],
+    )
+    f0, f1 = C._gram_factors
+    w = f1.lower.conj().T @ d @ f0.lower_inverse.conj().T
+    (up, _, _), (_, down, _) = _blocks(C)
+    top = C.delta(1)
+    assert up.tobytes() == (w.conj().T @ w).tobytes()
+    assert down.tobytes() == ((top.conj().T @ top) + w @ w.conj().T).tobytes()
+
+
+def test_two_half_blocks_split():
+    rng = np.random.default_rng(3)
+    B = scipy.linalg.block_diag(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
+    d = B[np.ix_(rng.permutation(32), rng.permutation(32))]
+    assert [(rows.size, cols.size) for rows, cols in _map_blocks(d)] == [(16, 16), (16, 16)]
+
+
+@pytest.mark.parametrize("c", [2.0, 1.5 - 0.5j, 0.75j])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_twisted_cohomology_dims_are_the_whole_matrix_answer(n, c, svds):
+    C = coboundary_matrices(simplex_boundary(n))
+    T = twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)))
+    svds.clear()
+    dims = twisted_cohomology_dimensions(T)
+    even, odd = (np.linalg.matrix_rank(d) for d in (T.d_even, T.d_odd))
+    assert dims == (T.even_dim - even - odd, T.odd_dim - odd - even) == (0, 0)
+    dtype = np.dtype(T.d_even.dtype).name
+    if n < 8:
+        # order 15 is below the split order; at order 63 a component
+        # spans 35 rows
+        assert T._components == (None, None)
+        assert svds == [(T.d_even.shape, dtype), (T.d_odd.shape, "float64")]
+    else:
+        # one SVD per component, none of the order-255 whole maps
+        shapes = [[(rows.size, cols.size) for rows, cols in b] for b in T._components]
+        assert sorted(shapes[0]) == [(45, 45), (84, 126), (126, 84)]
+        assert sorted(shapes[1]) == [(36, 84), (84, 36), (126, 126)]
+        assert svds == [(s, dtype) for s in shapes[0]] + [(s, "float64") for s in shapes[1]]
+        up, lap, _ = _blocks(T)[0]
+        assert np.max(np.abs(up - T.d_even.conj().T @ T.d_even)) <= 1e-12 * np.linalg.norm(T.d_even) ** 2
+
+
+def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
+    C = coboundary_matrices(simplex_boundary(8))
+    assert C._components == (None,) * 7
+    svds.clear()
+    assert cohomology_dimensions(C) == (1, 0, 0, 0, 0, 0, 0, 1)
+    assert svds == [(d.shape, "float64") for d in C.coboundary]
+
+
+def test_a_split_map_that_does_not_square_to_zero_is_refused():
+    C = coboundary_matrices(simplex_boundary(8))
+    T = twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], 1.5)))
+    assert None not in T._components
+    d_odd = np.array(T.d_odd)
+    i, j = np.argwhere(d_odd)[0]
+    d_odd[i, j] *= 1.5
+    with pytest.raises(FluxNotNilpotent):
+        TwistedComplex(T.even_dim, T.odd_dim, T.d_even, d_odd, None, None)
+    # the graded check runs on the components of the map applied first
+    rng = np.random.default_rng(11)
+    b = _permuted_map(rng, "real", _SPLIT_SHAPES)
+    assert _map_blocks(b) is not None
+    a = rng.standard_normal((4, b.shape[0]))
+    with pytest.raises(ValidationError, match="does not square to zero at degree 0"):
+        GradedCochainComplex(dims=(b.shape[1], b.shape[0], 4), coboundary=(b, a))
