@@ -148,13 +148,27 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _largest(a: np.ndarray, name: str = "operator") -> float:
-    """Largest entry modulus: a size that, unlike the Frobenius norm, does
-    not overflow before the entries do.  Refuses non-finite entries."""
-    top = float(np.abs(a).max())
+def _finite(top: float, name: str) -> float:
     if not math.isfinite(top):
         raise ValidationError(f"{name} has a non-finite entry; its data overflowed float64")
     return top
+
+
+def _largest(a: np.ndarray, name: str = "operator") -> float:
+    """Largest entry modulus: a size that, unlike the Frobenius norm, does
+    not overflow before the entries do.  Refuses non-finite entries."""
+    return _finite(float(np.abs(a).max()), name)
+
+
+def _hermitian_residual(A: np.ndarray) -> float:
+    """``_largest(A - A*)``, with A - A* formed in one buffer and its
+    moduli taken in place (a complex A's in one real array)."""
+    if A.dtype.kind == "c":
+        r = np.conjugate(A.T, order="C")
+        np.subtract(A, r, out=r)
+        return _finite(float(np.abs(r).max()), "operator")
+    r = A - A.T
+    return _finite(float(np.abs(r, out=r).max()), "operator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +265,7 @@ def hermitian_spectrum(
             eigenvectors=np.eye(n, dtype=A.dtype) if vectors else None,
             kernel_tol=kernel_tol if kernel_tol is not None else default_kernel_tol(w),
         )
-    resid = _largest(A - (A.conj().T if A.dtype.kind == "c" else A.T))
+    resid = _hermitian_residual(A)
     if resid > HERMITIAN_TOL * max(1.0, scale):
         raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
 
@@ -288,20 +302,33 @@ def _labels(mask: np.ndarray, shift: int) -> np.ndarray:
     size = max(m, n + shift)
     label = np.arange(size)
     a, b = rows, cols  # every node is its own root
+    # a bipartite first round hooks columns onto rows, which stay roots,
+    # so its trees are one deep already and need no jumps
+    jumps = 0 if shift else size.bit_length()
     while not (a == b).all():
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         # a tree of size nodes is at most size - 1 deep; each jump halves that
-        for _ in range(size.bit_length()):
+        for _ in range(jumps):
             label = label[label]
+        jumps = size.bit_length()
         a, b = label[rows], label[cols]
     return label
+
+
+def _nonzero(a: np.ndarray) -> np.ndarray:
+    """The mask a != 0.  A complex a is compared as its float64 pairs,
+    and each pair of flags read as one 2-byte integer, nonzero when
+    either part is: a quarter of the cost of a complex compare."""
+    if a.dtype.kind != "c":
+        return a != 0
+    return (np.ascontiguousarray(a).view(np.float64) != 0).view(np.uint16) != 0
 
 
 def _blocks_of(A: np.ndarray) -> np.ndarray:
     """Label each index of A by the smallest index joined to it through
     A's exact nonzeros, counted on either side of the diagonal: indices
     with one label span a diagonal block of A up to a permutation."""
-    return _labels(A != 0, 0)
+    return _labels(_nonzero(A), 0)
 
 
 def _map_blocks(d: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
@@ -315,7 +342,7 @@ def _map_blocks(d: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...] | No
     m, n = d.shape
     if max(m, n) < SPLIT_MIN_ORDER:
         return None
-    label = _labels(d != 0, m)
+    label = _labels(_nonzero(d), m)
     # the rows and the columns of each component, counted at its root
     rows, cols = (np.bincount(side, minlength=m + n) for side in (label[:m], label[m:]))
     if 2 * rows.max() > m or 2 * cols.max() > n:
@@ -413,6 +440,12 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     the result's warnings.
     """
     _refuse_imprecise(decomposition)
+    return _pseudodet(decomposition)
+
+
+def _pseudodet(decomposition: SpectralDecomposition) -> PseudoDeterminant:
+    """``pseudodet_of`` a decomposition that ``_refuse_imprecise`` has
+    already passed."""
     k = decomposition.kernel_dimension
     positive = decomposition.positive_eigenvalues
     logdet = float(np.sum(np.log(positive))) if positive.size else 0.0

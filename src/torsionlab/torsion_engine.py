@@ -23,12 +23,15 @@ eigensolver.  Without Grams, w_p is d_p itself.  A graded complex is a
 chain of spaces (its degrees) and a Z2-graded one a cycle of two, and
 one solve loop (``_solve``) serves both torsions: per space, the
 Laplacian, then w_p* w_p for eigenvalues alone.  The graded torsion
-solves its Laplacians with eigenvectors, since its weighted sum reads
-their eigenvalues and ``eigh`` gives them more accurately.  The twisted
-torsion solves them for values only and forms its harmonic bases when
-they are first read, by one more solve per parity of the Laplacians it
-kept.  It also keeps the positive spectra of its two w_p* w_p, which the
-duality transport compares.  Kernel dimensions double as cohomology
+solves its Laplacians of degree p >= 1 with eigenvectors, since its
+weighted sum reads their eigenvalues and ``eigh`` gives them more
+accurately, and keeps only their kernel columns.  Delta_0 has weight 0
+in that sum, so it is solved for values only, and H^0 is formed when
+the bases are first read, by one more solve of the Delta_0 it kept.  The
+twisted torsion solves its Laplacians for values only and forms its
+harmonic bases the same way, by one more solve per parity.  It also
+keeps the positive spectra of its two w_p* w_p, which the duality
+transport compares.  Kernel dimensions double as cohomology
 dimensions (checked against rank-nullity in the test suite).
 
 Each complex keeps the bipartite components of its maps
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from .chain_models import GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
     HarmonicBasis,
+    _pseudodet,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -126,8 +130,11 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
     """Pass w* w (or w w*) through, refusing it when the coboundary op
     behind w is nonzero but the product fell below the normal float64
     range.  Grams can do that to in-range entries, and a zero product
-    would enlarge the kernel; overflow to inf is refused by the solver."""
-    if square.size and float(np.abs(square).max()) < _TINY and op.any():
+    would enlarge the kernel; overflow to inf is refused by the solver.
+    An empty op (the graded top map) is tested before the square is
+    scanned; ``op.any()`` runs only on an underflowed square, since on a
+    small op it costs more than the scan."""
+    if op.size and float(np.abs(square).max()) < _TINY and op.any():
         raise ValidationError(
             f"{what}: the Gram-weighted square of a nonzero coboundary "
             "underflowed float64"
@@ -199,21 +206,31 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
             if p > 0 or cyclic:
                 q = p - 1
                 down = _square(w[q], blocks[q], inner=False)
-                lap = up + _unless_underflowed(down, maps[q], labels[q])
+                _unless_underflowed(down, maps[q], labels[q])
+                if len(x):
+                    lap = up + down
+                else:
+                    # w* w of a map with no rows (the graded top map) is
+                    # exactly zero; adding 0.0 in place gives the bytes of
+                    # up + down, where -0.0 reads +0.0
+                    down += 0.0
+                    lap = down
             out.append((up, lap, grams[p]))
     return out
 
 
-def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):
+def _solve(
+    C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: Sequence[bool]
+):
     """The one solve loop of both torsions.  Per space p, in order: the
-    weighted Laplacian, with eigenvectors only when ``vectors``, then
-    w_p* w_p for values only; each cut that cannot be trusted is refused.
-    Yields, per space, the Laplacian's decomposition, the
+    weighted Laplacian, with eigenvectors only where ``vectors[p]``, then
+    w_p* w_p for values only; each cut that cannot be trusted is refused,
+    once.  Yields, per space, the Laplacian's decomposition, the
     pseudo-determinant of w_p* w_p and its positive eigenvalues, and the
     (weighted Laplacian, GramFactor or None) pair that a kernel basis is
     read from."""
-    for up, lap, gram in _blocks(C):
-        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=vectors)
+    for (up, lap, gram), eager in zip(_blocks(C), vectors):
+        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=eager)
         _refuse_imprecise(dec)
         square = hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False)
         yield dec, pseudodet_of(square), square.positive_eigenvalues, (lap, gram)
@@ -221,8 +238,12 @@ def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, v
 
 def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:
     """A kernel basis of a weighted Laplacian, taken back by L_p^{-*} to
-    the complex's own coordinates, where it is G-orthonormal."""
-    return HarmonicBasis(name, vectors if gram is None else gram.lower_inverse.conj().T @ vectors)
+    the complex's own coordinates, where it is G-orthonormal.  Without a
+    Gram it is a copy, so the basis keeps no n x n eigenvector matrix
+    alive."""
+    if gram is None:
+        return HarmonicBasis(name, vectors.copy())
+    return HarmonicBasis(name, gram.lower_inverse.conj().T @ vectors)
 
 
 def _kernel_bases(names, kernel_dims, kept) -> tuple[HarmonicBasis, ...]:
@@ -233,6 +254,12 @@ def _kernel_bases(names, kernel_dims, kept) -> tuple[HarmonicBasis, ...]:
         _lifted(name, hermitian_spectrum(lap).eigenvectors[:, :k], gram)
         for name, k, (lap, gram) in zip(names, kernel_dims, kept)
     )
+
+
+def _graded_bases(kept, k: int, higher: tuple[HarmonicBasis, ...]) -> tuple[HarmonicBasis, ...]:
+    """H^0 from one solve of the kept Delta_0, cut at its kernel
+    dimension k, then the bases of the higher degrees."""
+    return _kernel_bases(("H^0",), (k,), (kept,)) + higher
 
 
 def _telescoped(ups) -> float:
@@ -248,14 +275,22 @@ def reidemeister_torsion(
     *,
     kernel_tol: float | None = None,
 ) -> TorsionElement:
-    """Degree-weighted torsion scalar with harmonic bases per degree."""
+    """Degree-weighted torsion scalar with harmonic bases per degree.
+
+    Delta_0 has weight 0 in the sum, so it is solved for values only and
+    H^0 is formed when the bases are first read; the other degrees are
+    solved with eigenvectors and keep only their kernel columns."""
     log_scalar = 0.0
     notes, bases, kernel_dims, ups = [], [], [], []
-    for p, (dec, up, _, (_, gram)) in enumerate(_solve(C, kernel_tol, vectors=True)):
-        pd = pseudodet_of(dec)
+    eager = [p > 0 for p in range(len(C.dims))]
+    for p, (dec, up, _, kept) in enumerate(_solve(C, kernel_tol, eager)):
+        pd = _pseudodet(dec)
         notes.extend(pd.warnings)
         log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
-        bases.append(_lifted(f"H^{p}", dec.kernel_vectors, gram))
+        if p == 0:
+            kept0 = kept
+        else:
+            bases.append(_lifted(f"H^{p}", dec.kernel_vectors, kept[1]))
         kernel_dims.append(dec.kernel_dimension)
         ups.append(up)
 
@@ -268,7 +303,7 @@ def reidemeister_torsion(
 
     return TorsionElement(
         log_scalar=log_scalar,
-        form_bases=partial(tuple, bases),
+        form_bases=partial(_graded_bases, kept0, kernel_dims[0], tuple(bases)),
         convention_tag=REIDEMEISTER_TAG,
         kernel_dims=tuple(kernel_dims),
         warnings=tuple(notes),
@@ -284,7 +319,7 @@ def twisted_torsion(
     over its cycle of two spaces.  Its Laplacians are solved for values
     only; the harmonic bases are solved for when first read."""
     (even, even_up, even_spectrum, even_lap), (odd, odd_up, odd_spectrum, odd_lap) = _solve(
-        T, kernel_tol, vectors=False
+        T, kernel_tol, (False, False)
     )
     kernel_dims = (even.kernel_dimension, odd.kernel_dimension)
     return TorsionElement(

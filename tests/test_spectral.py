@@ -10,6 +10,7 @@ the complexes that check them (``test_chain_models.py``).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,80 @@ def test_non_finite_operator_is_refused(bad):
     with pytest.raises(ValidationError, match="operator has a non-finite entry"):
         hermitian_spectrum(A, vectors=False)
 
+
+# ---------------------------------------------------------------------------
+# the Hermitian residual scan
+# ---------------------------------------------------------------------------
+
+def _symmetric(n, dtype):
+    """A Hermitian operator of order n whose largest entry is 4, with one
+    zero pair at (0, n - 1) left for a residual."""
+    rng = np.random.default_rng(n)
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    if dtype is np.complex128:
+        A = A + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    A = 0.5 * (A + A.conj().T)
+    A[0, 0] = 4.0
+    A[0, -1] = A[-1, 0] = 0.0
+    return A.astype(dtype)
+
+
+@pytest.mark.parametrize("n", [3, 10, SPLIT_MIN_ORDER + 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_residual_is_cut_at_its_tolerance(n, dtype):
+    # one entry off its mirror by exactly tol = 1e-10 * 4 is accepted, by
+    # the next float above it refused, with the residual in the message;
+    # a complex residual is along the imaginary axis, where its modulus
+    # is exact
+    tol = spectral.HERMITIAN_TOL * 4.0
+    unit = 1j if dtype is np.complex128 else 1.0
+    for upper in (True, False):
+        at = (0, n - 1) if upper else (n - 1, 0)
+        A = _symmetric(n, dtype)
+        A[at] = tol * unit
+        hermitian_spectrum(A, vectors=False)
+        A[at] = np.nextafter(tol, 1.0) * unit
+        message = f"operator is not Hermitian (residual {np.nextafter(tol, 1.0):.3e})"
+        with pytest.raises(NotHermitian, match=re.escape(message)):
+            hermitian_spectrum(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [3, SPLIT_MIN_ORDER + 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_non_finite_entry_in_one_triangle_is_refused(bad, n, dtype):
+    message = "operator has a non-finite entry; its data overflowed float64"
+    for at in ((0, n - 1), (n - 1, 0)):
+        A = _symmetric(n, dtype)
+        A[at] = bad
+        for vectors in (True, False):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                hermitian_spectrum(A, vectors=vectors)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_residual_that_overflows_is_refused_as_non_finite(dtype):
+    # each entry is finite, but A - A* reads 2e308, past the float64 range
+    A = _symmetric(4, dtype)
+    A[0, 3], A[3, 0] = 1e308, -1e308
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite entry"):
+        hermitian_spectrum(A)
+
+
+def test_complex_nonzero_mask_reads_either_part():
+    # an entry with a zero real part (0.75j) or a zero imaginary part is
+    # nonzero; 0j and -0.0 either way round are zero; a transposed view
+    # reads the same as its copy
+    values = np.array(
+        [0.75j, 2.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), np.nan, 1e-300j, 0.0]
+    )
+    rng = np.random.default_rng(3)
+    a = rng.choice(values, size=(40, 45))
+    for x in (a, a.T, a[::2, 1::3]):
+        got = spectral._nonzero(x)
+        assert got.dtype == bool and got.shape == x.shape
+        assert np.array_equal(got, x != 0)
+    assert np.array_equal(spectral._nonzero(a.real), a.real != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from torsionlab import (
     twisted_differential,
     twisted_torsion,
 )
-from torsionlab.builders import cycle, lens, minimal_sphere, simplex_boundary
+from torsionlab import spectral, torsion_engine
+from torsionlab.builders import cycle, from_expression, lens, minimal_sphere, simplex_boundary
 from torsionlab.circle_bundle import build_invariant_complex, random_bundle, t_dualize
 from torsionlab.chain_models import _product_norm
 from torsionlab.errors import FluxNotNilpotent, ValidationError
@@ -476,10 +477,11 @@ def test_top_flux_torsion_is_the_flux_modulus(n, log_modulus, phase):
 
 def test_real_complex_runs_only_real_solves(eigensolves):
     reidemeister_torsion(coboundary_matrices(cycle(9)))
-    # per degree, the Laplacian keeps its vectors for the harmonic basis
-    # and the telescoped delta^+ delta solve reads eigenvalues only; the
-    # top degree's delta^+ delta is exactly zero and needs no eigensolve
-    assert eigensolves == [("float64", "vectors"), ("float64", "values"), ("float64", "vectors")]
+    # Delta_0 has weight 0 and is solved for values only; Delta_1 keeps its
+    # vectors for the harmonic basis; the telescoped delta^+ delta solve
+    # reads eigenvalues only, and the top degree's is exactly zero and
+    # needs no eigensolve
+    assert eigensolves == [("float64", "values"), ("float64", "values"), ("float64", "vectors")]
 
 
 def test_lens_complex_runs_complex_solves(eigensolves):
@@ -487,13 +489,84 @@ def test_lens_complex_runs_complex_solves(eigensolves):
     # delta_1 is an exact zero and delta_3 the empty top map: their
     # telescoped solves are of exact zeros and need no eigensolve
     assert eigensolves == [
-        ("complex128", "vectors"),
+        ("complex128", "values"),
         ("complex128", "values"),
         ("complex128", "vectors"),
         ("complex128", "vectors"),
         ("complex128", "values"),
         ("complex128", "vectors"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# graded solves: H^0 is formed when first read, each cut checked once
+# ---------------------------------------------------------------------------
+
+def _graded_case(name):
+    if name == "lens":
+        return lens(5, 1, 2)
+    if name == "bundle base":
+        return random_bundle(4242, 4).base
+    if name == "weighted cycle(40)":
+        C = coboundary_matrices(cycle(40))
+        return C.with_gram([_random_spd(np.random.default_rng(5), n) for n in C.dims])
+    return coboundary_matrices(from_expression(name))
+
+
+@pytest.mark.parametrize("name", ["cycle(9)", "simplex_boundary(4)", "lens", "weighted cycle(40)"])
+def test_first_read_of_graded_bases_costs_one_solve(name, eigensolves):
+    elem = reidemeister_torsion(_graded_case(name))
+    solved = list(eigensolves)
+    elem.to_json()
+    assert eigensolves == solved
+    first = elem.harmonic_bases
+    assert eigensolves[len(solved):] == [(solved[0][0], "vectors")]
+    assert elem.harmonic_bases is first
+    assert len(eigensolves) == len(solved) + 1
+
+
+@pytest.mark.parametrize("expr, degrees", [("cycle(9)", 2), ("simplex_boundary(5)", 5)])
+def test_each_solve_is_checked_for_roundoff_once(expr, degrees, monkeypatch):
+    # one roundoff refusal check per solved operator: each Laplacian in
+    # the solve loop, each w* w in its pseudo-determinant
+    seen = []
+    check = spectral._refuse_imprecise
+
+    def record(dec):
+        seen.append(dec)
+        return check(dec)
+
+    monkeypatch.setattr(spectral, "_refuse_imprecise", record)
+    monkeypatch.setattr(torsion_engine, "_refuse_imprecise", record)
+    reidemeister_torsion(coboundary_matrices(from_expression(expr)))
+    assert len(seen) == len({id(dec) for dec in seen}) == 2 * degrees
+
+
+@pytest.mark.parametrize(
+    "name", ["cycle(9)", "cycle(40)", "simplex_boundary(6)", "lens", "weighted cycle(40)", "bundle base"]
+)
+def test_h0_equals_an_eager_eigh_of_delta_0_bit_for_bit(name):
+    C = _graded_case(name)
+    # the lazy H^0 and an eager vector solve of Delta_0, cut at the
+    # kernel dimension the values-only solve found, lifted by L_0^{-*}
+    elem = reidemeister_torsion(C)
+    _, lap, gram = _blocks(C)[0]
+    eager = hermitian_spectrum(lap)
+    assert eager.kernel_dimension == elem.kernel_dims[0]
+    h0 = eager.kernel_vectors
+    if gram is not None:
+        h0 = gram.lower_inverse.conj().T @ h0
+    basis = elem.harmonic_bases[0]
+    assert basis.label == "H^0"
+    assert basis.vectors.dtype == h0.dtype and basis.vectors.tobytes() == h0.tobytes()
+
+
+def test_graded_bases_keep_only_their_kernel_columns():
+    # no basis holds a view of the n x n eigenvector matrix it was cut from
+    elem = reidemeister_torsion(coboundary_matrices(simplex_boundary(5)))
+    for basis, k in zip(elem.harmonic_bases, elem.kernel_dims):
+        assert basis.vectors.shape[1] == k
+        assert basis.vectors.base is None or basis.vectors.base.size == basis.vectors.size
 
 
 def test_twisted_solves_follow_the_flux_dtype(eigensolves):
