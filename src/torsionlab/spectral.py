@@ -37,7 +37,8 @@ its rows and of its columns.  The complexes of ``chain_models`` find a
 map's components once and keep them; its square-zero residuals, and in
 ``torsion_engine`` its rank and its products w* w and w w*, then run
 one dense call per component.  One union-find (``_labels``) serves
-both searches.
+both searches, and counts the components of an oriented incidence map
+for its exact rank (``torsion_engine._incidence_rank``).
 """
 
 from __future__ import annotations

@@ -37,10 +37,14 @@ dimensions (checked against rank-nullity in the test suite).
 Each complex keeps the bipartite components of its maps
 (``spectral._map_blocks``), or None for a map taken whole.  Without
 Grams, w_p is d_p and its products are formed one component at a time.
-The rank-nullity dimensions stay independent of the eigensolver: they
-come from singular values of the maps themselves, one SVD per component
-under the whole matrix's ``matrix_rank`` cut.  The only piece they
-share with the solves is that exact partition.
+The rank-nullity dimensions stay independent of the eigensolver.  A real
+map whose every row is zero or one +1 and one -1 (the delta_0 of every
+complex without a local system, the covering graph of a permutation
+local system) is an oriented incidence map, ranked exactly by
+union-find as its columns less its connected components.  Every other
+map is ranked by singular values of the map itself, one SVD per
+component under the whole matrix's ``matrix_rank`` cut.  The only piece
+they share with the solves is that exact partition.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .chain_models import GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
     HarmonicBasis,
+    _labels,
     _pseudodet,
     _refuse_imprecise,
     hermitian_spectrum,
@@ -332,29 +337,67 @@ def twisted_torsion(
     )
 
 
+def _incidence_rank(d: np.ndarray) -> int | None:
+    """The rank of a real map whose every row is zero or one +1 and one
+    -1, or None for any other map.  Such a map is the incidence matrix of
+    an oriented multigraph on its columns, and over any field its rank is
+    the number of columns less the number of connected components
+    (Kirchhoff); the components are those of its bipartite graph
+    (``spectral._labels``) that hold a column."""
+    if d.dtype.kind != "f":
+        return None
+    mask = d != 0
+    held = np.count_nonzero(mask, axis=1)
+    if held.max(initial=0) > 2:
+        return None
+    plus, minus = (np.count_nonzero(d == v, axis=1) for v in (1, -1))
+    if not ((plus == minus) & (plus + minus == held)).all():
+        return None
+    m, n = d.shape
+    roots = np.zeros(m + n, dtype=bool)
+    roots[_labels(mask, m)[m:]] = True
+    return n - int(np.count_nonzero(roots))
+
+
 def _rank(d: np.ndarray, blocks) -> int:
-    """``np.linalg.matrix_rank(d)``: the singular values above
-    max sigma * max(M, N) * eps.  With ``blocks``, the bipartite
-    components of d, the singular values are those of the components,
-    one SVD each, and the whole-matrix cut applies to all of them
-    together; None runs one SVD of d."""
+    """``np.linalg.matrix_rank(d)``, as a Python int.
+
+    An oriented incidence map (``_incidence_rank``) is ranked exactly by
+    union-find.  That is the rank ``matrix_rank`` finds within
+    ``MAX_MODEL_SIZE`` (8192 cells): the smallest nonzero singular value
+    of a component on v vertices is sqrt(lambda_2) of its graph
+    Laplacian, at least 2/v >= 2.4e-4 by Mohar's
+    lambda_2 >= 4/(v * diam), while the cut below is at most
+    sqrt(2 * max degree) * 8192 * eps <= 128 * 8192 * eps ~ 2.3e-10.
+
+    Every other map (complex, or with any other row: a scaled row, a
+    flux term, a transport that is not a permutation) is ranked by its
+    singular values above max sigma * max(M, N) * eps.  With ``blocks``,
+    the bipartite components of d, the singular values are those of the
+    components, one SVD each, and the whole-matrix cut applies to all of
+    them together; None runs one SVD of d."""
     if not d.size:
         return 0
+    exact = _incidence_rank(d)
+    if exact is not None:
+        return exact
     parts = [d] if blocks is None else [d[np.ix_(rows, cols)] for rows, cols in blocks]
     s = np.concatenate([np.zeros(0)] + [np.linalg.svd(x, compute_uv=False) for x in parts])
     return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
 
 
 def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
-    """dim - rank of the map out - rank of the map in, per space.
+    """dim - rank of the map out - rank of the map in, per space, as
+    Python ints.
 
-    Independent of the spectral route: the ranks come from singular
-    values of the coboundaries themselves, not from any eigensolve or
-    Laplacian.  The one piece shared with the solves is the exact
-    partition of each map into its bipartite components, which the
-    complex keeps; a split map is ranked from its components' singular
-    values under the whole matrix's cut, so every decision is the one
-    ``matrix_rank`` makes."""
+    Independent of the spectral route: the ranks come from the
+    coboundaries themselves, not from any eigensolve or Laplacian.  An
+    oriented incidence map is ranked exactly by union-find; any other
+    map by its singular values.  The one piece shared with the solves is
+    the exact partition of each map into its bipartite components, which
+    the complex keeps; a split map is ranked from its components'
+    singular values under the whole matrix's cut, so every decision is
+    the one ``matrix_rank`` makes (``_rank``)."""
     dims, maps, _, _, cyclic, blocks = _spaces(C)
     ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
     return tuple(

@@ -574,6 +574,53 @@ def test_mutated_files_exit_0_or_2(data, capsys, tmp_path):
     assert len(_error_lines(err)) == (code == 2)
 
 
+def test_cohomology_dims_print_as_plain_ints_without_numpy_ma():
+    # cycle(40)'s delta_0 is ranked by union-find; its dims must print
+    # as [1, 1] in both formats, and counting them must not pull in
+    # numpy.ma (np.unique and np.isin import it on first call)
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "from torsionlab.cli import main\n"
+        "for fmt in ('text', 'json'):\n"
+        "    main(['reidemeister', 'cycle(40)', '--format', fmt])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert "  cohomology dims: [1, 1]" in out
+    assert json.loads(out[-2])["result"]["cohomology_dims"] == [1, 1]
+    assert out[-1] == "False"
+
+
+def test_mixed_scale_graded_report_carries_both_warnings(capsys, tmp_path):
+    # the wrong log tau of a mixed-scale graded complex (strict xfail
+    # test_mixed_scale_graded_torsion_is_the_per_map_sum) must not turn
+    # silent: its report names the telescoped drift and the rank-nullity
+    # disagreement
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "schema": "complex.v1", "kind": "cochain", "dims": [1, 2, 1],
+        "coboundary": [[[[2e-3, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0], [1e3, 0.0]]]],
+    }))
+    assert main(["reidemeister", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["cohomology_dims"] == [0, 0, 0]
+    assert report["result"]["torsion"]["kernel_dims"] == [0, 1, 0]
+    drift, disagreement = report["warnings"]
+    assert drift.startswith("telescoping cross-check drifted")
+    assert "telescoped -13.122363377404328" in drift
+    assert disagreement.startswith(
+        "kernel dims [0, 1, 0] disagree with rank-nullity cohomology dims [0, 0, 0]"
+    )
+    assert main(["reidemeister", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "warning: telescoping cross-check drifted" in out
+    assert "warning: kernel dims [0, 1, 0] disagree with rank-nullity" in out
+
+
 def test_import_loads_numpy_but_not_scipy():
     src = str(Path(torsionlab.__file__).resolve().parents[1])
     probe = "import sys, torsionlab; print(sorted({m.split('.')[0] for m in sys.modules}))"

@@ -957,7 +957,127 @@ def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
     assert C._components == (None,) * 7
     svds.clear()
     assert cohomology_dimensions(C) == (1, 0, 0, 0, 0, 0, 0, 1)
-    assert svds == [(d.shape, "float64") for d in C.coboundary]
+    # delta_0 (36 x 9) is an oriented incidence map, ranked by union-find;
+    # delta_1 ... delta_6 each take one whole SVD
+    assert svds == [(d.shape, "float64") for d in C.coboundary[1:]]
+
+
+# ---------------------------------------------------------------------------
+# exact ranks of oriented incidence maps
+# ---------------------------------------------------------------------------
+
+def _oriented_multigraph(rng, vertices, edges, groups, zero_rows):
+    """The edge-vertex incidence map of a random oriented multigraph:
+    each edge joins two distinct vertices of one of ``groups`` vertex
+    groups (a row of one +1 and one -1, parallel edges allowed), plus
+    zero rows; the last vertex of each group is left isolated."""
+    labels = rng.integers(groups, size=vertices)
+    d = np.zeros((edges + zero_rows, vertices))
+    for r in range(edges):
+        group = np.flatnonzero(labels == labels[rng.integers(vertices)])[:-1]
+        if group.size < 2:
+            continue
+        a, b = rng.choice(group, size=2, replace=False)
+        d[r, a], d[r, b] = 1.0, -1.0
+    return d[rng.permutation(d.shape[0])]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, groups",
+    [(12, 9, 3), (20, 30, 1), (28, 6, 4), (40, 35, 5), (60, 150, 2), (90, 40, 12)],
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_incidence_maps_are_ranked_exactly_without_an_svd(vertices, edges, groups, seed, svds):
+    d = _oriented_multigraph(np.random.default_rng(1500 + seed), vertices, edges, groups, 3)
+    rank = _rank(d, _map_blocks(d))
+    assert type(rank) is int
+    assert rank == np.linalg.matrix_rank(d)
+    assert svds == []
+
+
+def _cycle_with_holonomy(rank, U):
+    return coboundary_matrices(cycle(40), LocalSystem(rank=rank, holonomy={(0, 1): U}))
+
+
+def test_a_covering_graph_is_ranked_without_an_svd(svds):
+    # a swap holonomy makes delta_0 the incidence map of the connected
+    # double cover of the 40-cycle, an 80-cycle
+    C = _cycle_with_holonomy(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    svds.clear()
+    assert cohomology_dimensions(C) == (1, 1)
+    assert _rank(C.coboundary[0], None) == np.linalg.matrix_rank(C.coboundary[0]) == 79
+    assert svds == []
+
+
+@pytest.mark.parametrize(
+    "rank, U",
+    [(1, np.array([[-1.0]])), (2, np.array([[0.6, -0.8], [0.8, 0.6]]))],
+    ids=["u1-minus-one", "rotation"],
+)
+def test_other_holonomies_keep_their_svd(rank, U, svds):
+    C = _cycle_with_holonomy(rank, U)
+    d = C.coboundary[0]
+    svds.clear()
+    assert cohomology_dimensions(C) == (0, 0)
+    assert svds == [(d.shape, "float64")]
+    assert _rank(d, None) == np.linalg.matrix_rank(d) == 40 * rank
+
+
+def _near_misses(d):
+    """Copies of the incidence map d, each one entry or dtype away from
+    an incidence map."""
+    r = int(np.flatnonzero(d.any(axis=1))[0])
+    a, b = np.flatnonzero(d[r])
+    c = int(np.flatnonzero(d[r] == 0)[0])
+    scaled, same_sign, three, lone = d.copy(), d.copy(), d.copy(), d.copy()
+    scaled[r] *= 2.0
+    same_sign[r, [a, b]] = 1.0
+    three[r, c] = 1.0
+    lone[r, b] = 0.0
+    return {
+        "scaled-row": scaled,
+        "row-of-ones": same_sign,
+        "three-nonzeros": three,
+        "lone-entry": lone,
+        "complex": d.astype(np.complex128),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["scaled-row", "row-of-ones", "three-nonzeros", "lone-entry", "complex"]
+)
+@pytest.mark.parametrize("source", ["cycle", "multigraph"])
+def test_near_incidence_maps_keep_their_svds(source, kind, svds):
+    if source == "cycle":
+        d = coboundary_matrices(cycle(40)).coboundary[0]
+    else:
+        d = _oriented_multigraph(np.random.default_rng(1600), 90, 40, 12, 3)
+    m = _near_misses(d)[kind]
+    blocks = _map_blocks(m)
+    assert _rank(m, blocks) == np.linalg.matrix_rank(m)
+    dtype = np.dtype(m.dtype).name
+    parts = [m.shape] if blocks is None else [(rows.size, cols.size) for rows, cols in blocks]
+    assert svds == [(shape, dtype) for shape in parts]
+
+
+@pytest.mark.parametrize(
+    "dimensions, model, expected",
+    [
+        (cohomology_dimensions, lambda: coboundary_matrices(cycle(40)), (1, 1)),
+        (cohomology_dimensions, lambda: coboundary_matrices(simplex_boundary(5)), (1, 0, 0, 0, 1)),
+        (cohomology_dimensions, lambda: lens(5, 1, 2), (0, 0, 0, 0)),
+        (
+            twisted_cohomology_dimensions,
+            lambda: twisted_differential(coboundary_matrices(cycle(40))),
+            (1, 1),
+        ),
+    ],
+    ids=["cycle", "simplex", "lens", "zero-flux-cycle"],
+)
+def test_rank_nullity_answers_in_python_ints(dimensions, model, expected):
+    dims = dimensions(model())
+    assert dims == expected
+    assert all(type(k) is int for k in dims)
 
 
 def test_a_split_map_that_does_not_square_to_zero_is_refused():
