@@ -39,10 +39,8 @@ def cycle(n: int) -> SimplicialComplex:
         raise ValidationError(f"a triangulated circle needs >= 3 vertices, got {n}")
     _refuse_oversize(f"cycle({n})", cells=2 * n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    orientation = {e: 1 for e in edges[:-1]}
     # closing edge runs backwards so the induced vertex signs cancel
-    orientation[(0, n - 1)] = -1
-    return build_simplicial(edges, orientation)
+    return build_simplicial(edges, [1] * (n - 1) + [-1])
 
 
 def simplex_boundary(n: int) -> SimplicialComplex:
@@ -54,8 +52,7 @@ def simplex_boundary(n: int) -> SimplicialComplex:
     _refuse_oversize(f"simplex_boundary({n})", cells=2 ** (min(n, 64) + 1) - 2)
     verts = tuple(range(n + 1))
     faces = [verts[:i] + verts[i + 1:] for i in range(n + 1)]
-    orientation = {f: (-1) ** i for i, f in enumerate(faces)}
-    return build_simplicial(faces, orientation)
+    return build_simplicial(faces, [(-1) ** i for i in range(n + 1)])
 
 
 def minimal_sphere(n: int) -> GradedCochainComplex:

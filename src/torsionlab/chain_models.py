@@ -9,6 +9,23 @@ on the two parities once, on first use, and keeps the layout
 (``GradedCochainComplex._parity``): twisted differentials and the
 invariant complexes of ``circle_bundle`` are both assembled from it.
 
+Simplicial complexes are integer arrays.  ``build_simplicial`` ranks the
+vertex ids (any non-negative integers; ids past int64 are kept as Python
+ints in an object array) and keeps each level p as a sorted (n_p, p+1)
+array of vertex ranks.  It closes the tops from the top down: the faces
+of level p without one vertex are sorted, with the (p-1)-dimensional
+tops, into level p-1 by one integer key per row (its ranks as base-V
+digits, re-ranked before they could overflow int64), and where each face
+landed is the face table ``faces[p-1]``.  The face tables are the
+incidence: ``signed_incidence`` writes (-1)^i at them, ``cup_operator``
+follows them to front and back faces, and the local-system coboundaries
+read each simplex's front edge from them, with no per-face lookup.  A
+simplex named by vertex ids (``SimplicialComplex.index``, the edges of a
+local system's holonomy) is found by ``np.searchsorted`` on level keys:
+the index of the face without the last vertex, times V, plus that
+vertex's rank, below MAX_MODEL_SIZE^2.  The orientation check reads the
+face table of the tops.
+
 Conventions
 -----------
 Simplices are strictly increasing vertex tuples.  The coboundary of a
@@ -31,7 +48,10 @@ eigensolver and this is the only Gram check.
 Matrices, Grams and cochains are stored read-only, as float64 when every
 entry is exactly real and as complex128 otherwise, so a real complex is
 solved in real arithmetic downstream.  An array that already is stored
-so, and that no writable array shares, is kept without a copy.
+so, and that no writable array shares, is kept without a copy: the
+coboundaries of ``coboundary_matrices`` are written in their final dtype
+and frozen where they are built, and so are the parity maps that
+``twisted_differential`` adds a flux to, so none is copied again.
 Non-finite entries are refused, and so are coboundary and Gram entries
 whose nonzero modulus lies outside [1e-150, 1e150], where squaring them
 leaves float64 (Grams can still scale a square out of range;
@@ -59,6 +79,7 @@ from .errors import (
     NonFlatLocalSystem,
     NotOriented,
     NotTopDegree,
+    TorsionLabError,
     ValidationError,
 )
 from .spectral import GramFactor, _direct_sum, _gram_factor, _map_blocks
@@ -165,56 +186,225 @@ def _product_norm(a: np.ndarray, b: np.ndarray, blocks) -> float:
 # simplicial complexes
 # ---------------------------------------------------------------------------
 
+# (-1)^i, the sign of the i-th face of a simplex; within MAX_MODEL_SIZE a
+# simplex has at most 13 vertices
+_ALTERNATING = np.array([1, -1] * 7)
+# row i lists 0..k-1 without i in its first k-1 columns, for every k <= 14
+_DROP = np.arange(13) + (np.arange(13) >= np.arange(14)[:, None])
+
+
+def _integer(value, what: str, error: type[TorsionLabError] = ValidationError) -> int:
+    """The package's one integer rule, for vertex ids and signs given to
+    ``build_simplicial`` and for every integer read from a file
+    (``serialize``): a Python or numpy integer, or a float with no
+    fractional part.  A bool, any other float, a string or anything else
+    is refused with ``error`` rather than read as a different number."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _id_array(ids: list[int]) -> np.ndarray:
+    """Python ints as int64, or as objects when one lies past int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+def _locate(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each id in the increasing ``sorted_ids``, -1 where absent."""
+    if sorted_ids.dtype != ids.dtype:
+        sorted_ids, ids = sorted_ids.astype(object), ids.astype(object)
+    pos = np.searchsorted(sorted_ids, ids)
+    hit = sorted_ids[np.minimum(pos, len(sorted_ids) - 1)] == ids
+    return np.where(hit, pos, -1)
+
+
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position in ``key`` of one entry per distinct value, values
+    increasing, and for each entry the place of its value among them."""
+    order = key.argsort()
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    ordered = key[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    at = np.empty(len(key), dtype=np.intp)
+    at[order] = new.cumsum() - 1
+    return order[new], at
+
+
+def _sorted_rows(rows: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an array of vertex ranks below V, in
+    lexicographic order, and the place among them of each given row.
+
+    Rows are compared by one integer key, their digits in base V; where
+    the next digit could overflow int64 the keys so far are replaced by
+    their places among themselves, which keeps the key below 2^62.
+    """
+    key, span = rows[:, 0], V
+    for column in rows.T[1:]:
+        if span * V > 2 ** 62:
+            key, span = _distinct(key)[1], len(rows)
+        key, span = key * V + column, span * V
+    first, at = _distinct(key)
+    return rows[first], at
+
+
+def _first_repeat(inverse: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one; there must be one."""
+    repeat = np.ones(len(inverse), dtype=bool)
+    repeat[np.unique(inverse, return_index=True)[1]] = False
+    return int(np.argmax(repeat))
+
+
 @dataclass(frozen=True, eq=False)
 class SimplicialComplex:
-    """Face-closed simplicial complex on integer vertices.
+    """Face-closed simplicial complex on non-negative integer vertices.
 
-    ``simplices[p]`` lists the p-simplices in lexicographic order as
-    strictly increasing vertex tuples.  ``orientation`` optionally assigns
-    a sign in {+1, -1} to each top-dimensional simplex, in list order.
+    ``vertices`` holds the distinct vertex ids in increasing order (int64,
+    or objects when an id lies past int64); a vertex's rank is its
+    position there.  ``levels[p]`` is the (n_p, p+1) array of the
+    p-simplices as increasing vertex ranks, rows in lexicographic order.
+    ``faces[p]`` is the (n_{p+1}, p+2) array whose entry [s, i] is the
+    index in ``levels[p]`` of (p+1)-simplex s without its i-th vertex.
+    ``simplices[p]`` lists the p-simplices in the same order as strictly
+    increasing tuples of vertex ids.  ``orientation`` optionally assigns a
+    sign in {+1, -1} to each top-dimensional simplex, in list order.  All
+    arrays are read-only.
     """
 
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    vertices: np.ndarray
+    levels: tuple[np.ndarray, ...]
+    faces: tuple[np.ndarray, ...]
     orientation: tuple[int, ...] | None = None
 
     @property
     def dim(self) -> int:
-        return len(self.simplices) - 1
+        return len(self.levels) - 1
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.simplices)
+        return tuple(len(level) for level in self.levels)
 
     @property
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * n for p, n in enumerate(self.f_vector))
 
     @cached_property
-    def _index(self) -> tuple[dict[tuple[int, ...], int], ...]:
-        return tuple(
-            {simplex: i for i, simplex in enumerate(level)}
-            for level in self.simplices
+    def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(map(tuple, self.vertices[level].tolist())) for level in self.levels)
+
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, ...]:
+        """Per level, the increasing key of each simplex: a vertex's rank,
+        else the index of the face without the last vertex times V plus
+        that vertex's rank, below MAX_MODEL_SIZE^2."""
+        V = len(self.vertices)
+        return (np.arange(V),) + tuple(
+            F[:, -1] * V + level[:, -1] for F, level in zip(self.faces, self.levels[1:])
         )
 
+    def _lookup(self, p: int, ranks: np.ndarray) -> np.ndarray:
+        """Index in ``levels[p]`` of each row of vertex ranks, -1 where the
+        row is no p-simplex (a rank of -1 included)."""
+        V = len(self.vertices)
+        at = np.where((ranks < 0).any(axis=1), -1, ranks[:, 0])
+        for j in range(1, p + 1):
+            keys = self._keys[j]
+            key = at * V + ranks[:, j]  # negative, so matching nothing, after a miss
+            pos = np.searchsorted(keys, key)
+            at = np.where(keys[np.minimum(pos, len(keys) - 1)] == key, pos, -1)
+        return at
+
     def index(self, p: int, simplex: tuple[int, ...]) -> int:
-        return self._index[p][simplex]
+        """Position of a simplex, a strictly increasing tuple of vertex
+        ids, in ``simplices[p]``; KeyError when it is none of them."""
+        ranks = _locate(self.vertices, _id_array([_integer(v, "vertex id") for v in simplex]))
+        if 0 <= p <= self.dim and len(ranks) == p + 1:
+            at = int(self._lookup(p, ranks[None])[0])
+            if at >= 0:
+                return at
+        raise KeyError(simplex)
 
     def n(self, p: int) -> int:
         """Number of p-simplices; zero outside the supported range."""
         if 0 <= p <= self.dim:
-            return len(self.simplices[p])
+            return len(self.levels[p])
         return 0
 
+    def _front(self, d: int, p: int) -> np.ndarray:
+        """Index of the front p-face (first p+1 vertices) of each d-simplex."""
+        at = np.arange(self.n(d))
+        for level in range(d, p, -1):
+            at = self.faces[level - 1][at, -1]
+        return at
 
-def _normalize_simplex(raw: Iterable[int]) -> tuple[int, ...]:
-    verts = tuple(int(v) for v in raw)
-    if not verts:
-        raise ValidationError("empty simplex")
-    if any(v < 0 for v in verts):
-        raise ValidationError(f"negative vertex id in {verts}")
-    if len(set(verts)) != len(verts):
+    def _back(self, d: int, q: int) -> np.ndarray:
+        """Index of the back q-face (last q+1 vertices) of each d-simplex."""
+        at = np.arange(self.n(d))
+        for level in range(d, q, -1):
+            at = self.faces[level - 1][at, 0]
+        return at
+
+
+def _read_simplices(raw: list) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Read simplices given as vertex tuples: (ids, by size).
+
+    ``ids`` are the distinct vertex ids in increasing order (``_id_array``);
+    ``by size`` maps each simplex size k to (where, rows): the positions
+    of the size-k simplices in ``raw`` and their (n, k) vertex ranks,
+    sorted within each row.  Refuses the first simplex, in the given
+    order, with a vertex id outside the integer rule (``_integer``), no
+    vertex, a negative id or a repeated vertex.  Ids that all are Python
+    ints skip the per-id integer rule.
+    """
+    flat = list(itertools.chain.from_iterable(raw))
+    if not set(map(type, flat)) <= {int}:
+        for t, simplex in enumerate(raw):
+            try:
+                raw[t] = tuple(_integer(v, "vertex id") for v in simplex)
+            except ValidationError:
+                _read_simplices(raw[:t])  # an earlier simplex's refusal comes first
+                raise
+        flat = list(itertools.chain.from_iterable(raw))
+    flat = _id_array(flat)
+    first, ranks = _distinct(flat)
+    ids = flat[first]
+    sizes = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    if len(sizes) and (sizes == sizes[0]).all():
+        by_size = {int(sizes[0]): (np.arange(len(raw)), ranks.reshape(len(raw), -1))}
+    else:
+        starts = np.cumsum(sizes) - sizes
+        by_size = {}
+        for k in sorted(set(sizes.tolist())):
+            where = np.flatnonzero(sizes == k)
+            by_size[k] = (where, ranks[starts[where, None] + np.arange(k)])
+    bad = sizes == 0
+    negative = np.zeros(len(raw), dtype=bool)
+    for where, rows in by_size.values():
+        rows.sort(axis=1)
+        if rows.shape[1]:
+            negative[where] = ids[rows[:, 0]] < 0
+            bad[where] |= negative[where] | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if bad.any():
+        t = int(np.argmax(bad))
+        verts = tuple(raw[t])
+        if not verts:
+            raise ValidationError("empty simplex")
+        if negative[t]:
+            raise ValidationError(f"negative vertex id in {verts}")
         raise ValidationError(f"repeated vertex in simplex {verts}")
-    return tuple(sorted(verts))
+    return ids, by_size
+
+
+def _read_signs(values: Iterable) -> list[int]:
+    signs = list(values)
+    if not set(map(type, signs)) <= {int}:
+        signs = [_integer(s, "orientation sign", NotOriented) for s in signs]
+    return signs
 
 
 def build_simplicial(
@@ -228,78 +418,120 @@ def build_simplicial(
     Parameters
     ----------
     top_simplices:
-        Vertex tuples; order inside a tuple is ignored.
+        Vertex tuples; order inside a tuple is ignored.  Vertex ids are
+        non-negative integers under ``_integer``'s rule, of any size.
     orientation:
         Optional signs for the top simplices: either a mapping keyed by
-        vertex tuple or a sequence in input order.  Requires uniform top
-        dimension, and the signs must induce opposite orientations on
-        every shared codimension-1 face.
+        vertex tuple, naming each top once, or a sequence in input order.
+        Requires uniform top dimension, and the signs must induce opposite
+        orientations on every shared codimension-1 face.
     allow_mixed_dimension:
         Accept tops of different dimensions.  Off by default.
+
+    The vertex ids are ranked, and the complex is closed level by level
+    from the top down: the faces of each p-simplex without one vertex are
+    sorted, with the (p-1)-dimensional tops, into the next level, and
+    where each face landed is ``faces[p-1]``.  Every refusal names the
+    first offender in the given order.
     """
-    tops = [_normalize_simplex(t) for t in top_simplices]
-    if not tops:
+    raw = [tuple(t) for t in top_simplices]
+    ids, by_size = _read_simplices(raw)
+    if not raw:
         raise ValidationError("need at least one top simplex")
-    seen: set[tuple[int, ...]] = set()
-    for t in tops:
-        if t in seen:
-            raise DuplicateSimplex(f"top simplex {t} supplied twice")
-        seen.add(t)
-    top_dims = {len(t) - 1 for t in tops}
-    if len(top_dims) > 1 and not allow_mixed_dimension:
+    V = len(ids)
+    tops: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # dim -> (rows, place of each given top)
+    duplicates = []
+    for k, (where, rows) in by_size.items():
+        tops[k - 1] = _sorted_rows(rows, V)
+        if len(tops[k - 1][0]) < len(where):
+            duplicates.append(int(where[_first_repeat(tops[k - 1][1])]))
+    if duplicates:
+        raise DuplicateSimplex(f"top simplex {tuple(sorted(raw[min(duplicates)]))} supplied twice")
+    if len(tops) > 1 and not allow_mixed_dimension:
         raise InconsistentDimension(
-            f"top simplices of dimensions {sorted(top_dims)}; "
+            f"top simplices of dimensions {sorted(tops)}; "
             "pass allow_mixed_dimension=True to accept"
         )
 
-    # every top is a cell, and a k-vertex top closes to 2^k - 1 of them:
-    # refuse from those counts before enumerating faces
-    _refuse_oversize("simplicial complex", cells=len(tops))
-    dim = max(top_dims)
-    _refuse_oversize("simplicial complex", cells=2 ** min(dim + 1, 64) - 1)
-    levels: list[set[tuple[int, ...]]] = [set() for _ in range(dim + 1)]
-    for t in tops:
-        d = len(t) - 1
-        for p in range(d + 1):
-            levels[p].update(itertools.combinations(t, p + 1))
-        _refuse_oversize("simplicial complex", cells=sum(map(len, levels)))
-    simplices = tuple(tuple(sorted(level)) for level in levels)
+    # refuse from closed-form counts before enumerating faces: every top
+    # and every vertex is a cell, and a top of k vertices closes to 2^k - 1
+    # of them.  When the tops' faces, counted with repeats, could pass the
+    # limit: a largest top T and any other top S close to at least
+    # 2^|T| - 1 + 2^|S| - 2^|S & T| cells
+    _refuse_oversize("simplicial complex", cells=len(raw))
+    dim = max(tops)
+    _refuse_oversize("simplicial complex", cells=max(V, 2 ** min(dim + 1, 64) - 1))
+    if sum(len(rows) * (2 ** (p + 1) - 1) for p, (rows, _) in tops.items()) > MAX_MODEL_SIZE:
+        inside = np.zeros(V, dtype=bool)
+        inside[tops[dim][0][0]] = True
+        others = max((2 ** (p + 1) - 2 ** inside[rows].sum(axis=1)).max() for p, (rows, _) in tops.items())
+        _refuse_oversize("simplicial complex", cells=2 ** (dim + 1) - 1 + int(others))
 
-    signs: tuple[int, ...] | None = None
-    if orientation is not None:
-        if len(top_dims) > 1:
-            raise NotOriented("orientation requires uniform top dimension")
-        if isinstance(orientation, Mapping):
-            table = {_normalize_simplex(k): int(v) for k, v in orientation.items()}
-            if set(table) != set(tops):
-                raise NotOriented("orientation must cover exactly the top simplices")
-            signs = tuple(table[t] for t in simplices[dim])
-        else:
-            listed = tuple(int(s) for s in orientation)
-            if len(listed) != len(tops):
-                raise NotOriented("orientation must give one sign per top simplex")
-            order = {t: i for i, t in enumerate(tops)}
-            # reorder the given signs to the lexicographic top-simplex order
-            signs = tuple(listed[order[t]] for t in simplices[dim])
-        if any(s not in (-1, 1) for s in signs):
-            raise NotOriented("orientation signs must lie in {+1, -1}")
-        _check_coherent(simplices[dim], signs)
+    levels = [np.arange(V)[:, None]] + [None] * dim  # the vertices are all the ranks
+    faces = [None] * dim
+    level, cells = tops[dim][0], V
+    for p in range(dim, 0, -1):
+        levels[p] = level
+        cells += len(level)
+        _refuse_oversize("simplicial complex", cells=cells)
+        if p == 1:
+            faces[0] = level[:, ::-1].copy()
+            break
+        found = level[:, _DROP[:p + 1, :p]].reshape(-1, p)
+        if p - 1 in tops:
+            found = np.concatenate([found, tops[p - 1][0]])
+        level, at = _sorted_rows(found, V)
+        faces[p - 1] = at[:len(levels[p]) * (p + 1)].reshape(-1, p + 1)
+    for a in (ids, *levels, *faces):
+        a.setflags(write=False)
+    K = SimplicialComplex(vertices=ids, levels=tuple(levels), faces=tuple(faces))
+    if orientation is None:
+        return K
+    if len(tops) > 1:
+        raise NotOriented("orientation requires uniform top dimension")
+    if isinstance(orientation, Mapping):
+        keys = [tuple(k) for k in orientation]
+        key_ids, key_rows = _read_simplices(keys)
+        given = _read_signs(orientation.values())
+        if keys and set(key_rows) != {dim + 1}:
+            raise NotOriented("orientation must cover exactly the top simplices")
+        distinct, at = _sorted_rows(key_rows[dim + 1][1] if keys else levels[dim][:0], len(key_ids))
+        if len(distinct) < len(keys):
+            twice = tuple(sorted(keys[_first_repeat(at)]))
+            raise NotOriented(f"orientation gives two signs for top simplex {twice}")
+        distinct = _locate(ids, key_ids)[distinct]  # the ranks in K, -1 off it
+        if distinct.shape != levels[dim].shape or (distinct != levels[dim]).any():
+            raise NotOriented("orientation must cover exactly the top simplices")
+    else:
+        given = _read_signs(orientation)
+        if len(given) != len(raw):
+            raise NotOriented("orientation must give one sign per top simplex")
+        at = tops[dim][1]  # reorder the given signs to the lexicographic top order
+    if not set(given) <= {1, -1}:
+        raise NotOriented("orientation signs must lie in {+1, -1}")
+    signs = np.empty(len(given), dtype=np.int64)
+    signs[at] = given
+    _check_coherent(K, signs)
+    object.__setattr__(K, "orientation", tuple(signs.tolist()))
+    return K
 
-    return SimplicialComplex(simplices=simplices, orientation=signs)
 
-
-def _check_coherent(tops: Sequence[tuple[int, ...]], signs: Sequence[int]) -> None:
-    # each interior codim-1 face must receive cancelling induced signs
-    induced: dict[tuple[int, ...], list[int]] = {}
-    for t, s in zip(tops, signs):
-        for i in range(len(t)):
-            face = t[:i] + t[i + 1:]
-            induced.setdefault(face, []).append(s * (-1) ** i)
-    for face, contribs in induced.items():
-        if len(contribs) > 2:
-            raise NotOriented(f"face {face} shared by {len(contribs)} top simplices")
-        if len(contribs) == 2 and sum(contribs) != 0:
-            raise NotOriented(f"incoherent orientation across face {face}")
+def _check_coherent(K: SimplicialComplex, signs: np.ndarray) -> None:
+    """Each codimension-1 face of the tops must lie in at most two, with
+    cancelling induced signs s (-1)^i; the first offender is the face
+    met first, walking the tops in order and each top's faces by i."""
+    d = K.dim
+    F = K.faces[d - 1].ravel() if d else np.zeros(len(signs), dtype=np.intp)
+    count = np.bincount(F)
+    total = np.bincount(F, weights=(signs[:, None] * _ALTERNATING[:d + 1]).ravel())
+    bad = (count > 2) | ((count == 2) & (total != 0))
+    if not bad.any():
+        return
+    f = F[np.argmax(bad[F])]
+    face = tuple(K.vertices[K.levels[d - 1][f]].tolist()) if d else ()
+    if count[f] > 2:
+        raise NotOriented(f"face {face} shared by {count[f]} top simplices")
+    raise NotOriented(f"incoherent orientation across face {face}")
 
 
 def _is_connected(K: SimplicialComplex) -> bool:
@@ -331,9 +563,10 @@ def _is_connected(K: SimplicialComplex) -> bool:
 class LocalSystem:
     """Unitary local system given by edge holonomies.
 
-    ``holonomy`` maps a sorted edge (a, b) with a < b to the transport
-    matrix from the fiber at a to the fiber at b.  Missing edges default
-    to the identity.
+    ``holonomy`` maps a sorted edge (a, b) with a < b, vertex ids under
+    the integer rule (``_integer``), to the transport
+    matrix from the fiber at a to the fiber at b, and b to a by its
+    adjoint.  Missing edges default to the identity.
     """
 
     rank: int
@@ -343,7 +576,8 @@ class LocalSystem:
         if self.rank < 1:
             raise ValidationError("local system rank must be >= 1")
         frozen = {}
-        for (a, b), mat in self.holonomy.items():
+        for edge, mat in self.holonomy.items():
+            a, b = (_integer(v, "holonomy edge vertex") for v in edge)
             if not a < b:
                 raise ValidationError(f"holonomy key {(a, b)} is not a sorted edge")
             m = _freeze(mat, f"holonomy on edge {(a, b)}")
@@ -355,30 +589,40 @@ class LocalSystem:
             frozen[(a, b)] = m
         object.__setattr__(self, "holonomy", frozen)
 
-    def transport(self, a: int, b: int) -> np.ndarray:
-        """Transport matrix along the edge from vertex a to vertex b."""
-        if a < b:
-            U = self.holonomy.get((a, b))
-            return np.eye(self.rank) if U is None else U
-        U = self.holonomy.get((b, a))
-        return np.eye(self.rank) if U is None else U.conj().T
-
 
 def validate_local_system(K: SimplicialComplex, L: LocalSystem) -> None:
     """Check unitarity on every edge and flatness on every triangle, to a
     relative 1e-12."""
-    eye = np.eye(L.rank)
+    _edge_transports(K, L)
+
+
+def _edge_transports(K: SimplicialComplex, L: LocalSystem) -> np.ndarray:
+    """(n_1, m, m) array of the transports along K's edges, from the lower
+    vertex to the higher: the holonomy where L gives one, else the
+    identity; holonomies on pairs that are no edge of K are not read.
+    Refuses a holonomy that is not unitary, then the first triangle
+    (a, b, c) on which U(b, c) U(a, b) != U(a, c) (``validate_local_system``)."""
+    m = L.rank
+    eye = np.eye(m)
     for edge, U in L.holonomy.items():
-        if _norm(U.conj().T @ U - eye) > 1e-12 * L.rank:
+        if _norm(U.conj().T @ U - eye) > 1e-12 * m:
             raise NonFlatLocalSystem(f"holonomy on edge {edge} is not unitary")
+    E = np.zeros((K.n(1), m, m), dtype=np.result_type(np.float64, *L.holonomy.values()))
+    E[:, range(m), range(m)] = 1.0
+    if K.dim >= 1 and L.holonomy:
+        ends = _locate(K.vertices, _id_array(list(itertools.chain.from_iterable(L.holonomy))))
+        at = K._lookup(1, ends.reshape(-1, 2))
+        E[at[at >= 0]] = np.array(list(L.holonomy.values()))[at >= 0]
     if K.dim >= 2:
-        for a, b, c in K.simplices[2]:
-            lhs = L.transport(b, c) @ L.transport(a, b)
-            rhs = L.transport(a, c)
-            if _norm(lhs - rhs) > 1e-12 * max(1.0, _norm(rhs)):
-                raise NonFlatLocalSystem(
-                    f"holonomy fails flatness on triangle {(a, b, c)}"
-                )
+        # triangle (a, b, c) without vertex 0, 1, 2 is edge bc, ac, ab
+        bc, ac, ab = K.faces[1].T
+        lhs, rhs = E[bc] @ E[ab], E[ac]
+        scale = np.maximum(1.0, np.sqrt(np.sum(np.abs(rhs) ** 2, axis=(1, 2))))
+        bad = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=(1, 2))) > 1e-12 * scale
+        if bad.any():
+            triangle = tuple(K.vertices[K.levels[2][np.argmax(bad)]].tolist())
+            raise NonFlatLocalSystem(f"holonomy fails flatness on triangle {triangle}")
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +731,22 @@ class GradedCochainComplex:
         return replace(self, gram=tuple(gram))
 
 
+def _incidence(K: SimplicialComplex, p: int, dtype) -> np.ndarray:
+    rows, cols = K.n(p + 1), K.n(p)
+    out = np.zeros((rows, cols), dtype=dtype)
+    if rows and cols:
+        F = K.faces[p]
+        out[np.arange(rows)[:, None], F] = _ALTERNATING[:p + 2]
+    return out
+
+
 def signed_incidence(K: SimplicialComplex, p: int) -> np.ndarray:
     """Integer matrix of delta_p for trivial coefficients.
 
     Shape (n_{p+1}, n_p); entry is (-1)^i when the column simplex is the
-    i-th face of the row simplex.
+    i-th face of the row simplex (``K.faces[p]``).
     """
-    rows, cols = K.n(p + 1), K.n(p)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    if rows == 0 or cols == 0:
-        return out
-    for r, simplex in enumerate(K.simplices[p + 1]):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            out[r, K.index(p, face)] += (-1) ** i
-    return out
+    return _incidence(K, p, np.int64)
 
 
 def coboundary_matrices(
@@ -511,14 +756,18 @@ def coboundary_matrices(
     """Assemble the cochain complex of K, optionally twisted by a flat
     unitary local system.
 
-    The untwisted matrices are real.  Square-zero is checked once, by
-    ``GradedCochainComplex``: within ``MAX_MODEL_SIZE`` its bound is far
-    below 1, so it catches every nonzero integer residual.  A complex with
-    a local system of rank m has m x cells degrees of freedom, refused
-    past ``MAX_MODEL_SIZE`` before anything is built.
+    The untwisted matrices are real.  Each matrix is written in its final
+    dtype and frozen here, so ``GradedCochainComplex`` checks it without a
+    copy.  Square-zero is checked once, by ``GradedCochainComplex``:
+    within ``MAX_MODEL_SIZE`` its bound is far below 1, so it catches
+    every nonzero integer residual.  A complex with a local system of rank
+    m has m x cells degrees of freedom, refused past ``MAX_MODEL_SIZE``
+    before anything is built.
     """
     if local_system is None:
-        deltas = [signed_incidence(K, p).astype(np.float64) for p in range(K.dim)]
+        deltas = [_incidence(K, p, np.float64) for p in range(K.dim)]
+        for d in deltas:
+            d.setflags(write=False)
         return GradedCochainComplex(
             dims=K.f_vector,
             coboundary=tuple(deltas),
@@ -526,20 +775,23 @@ def coboundary_matrices(
         )
 
     _refuse_oversize("complex with a local system", cells=local_system.rank * sum(K.f_vector))
-    validate_local_system(K, local_system)
+    E = _edge_transports(K, local_system)  # validated
     m = local_system.rank
     dims = tuple(n * m for n in K.f_vector)
-    dtype = np.result_type(np.float64, *local_system.holonomy.values())
+    diag = np.arange(m)
     deltas = []
     for p in range(K.dim):
-        block = np.kron(signed_incidence(K, p), np.eye(m, dtype=dtype))
-        for r, simplex in enumerate(K.simplices[p + 1]):
-            # the drop-v_0 face's value lives over simplex[1]; pull back to simplex[0]
-            c = K.index(p, simplex[1:])
-            U = local_system.transport(simplex[1], simplex[0])
-            block[r * m:(r + 1) * m, c * m:(c + 1) * m] = U
-        block += 0.0  # kron leaves -0.0 where -1 meets a zero of I_m
-        deltas.append(block)
+        rows, cols = K.n(p + 1), K.n(p)
+        F = K.faces[p]
+        block = np.zeros((rows, m, cols, m), dtype=E.dtype)
+        # (-1)^i I_m at face i >= 1; at face 0, whose value lives over the
+        # simplex's second vertex, the transport back to the first,
+        # U(v_0, v_1)* from the simplex's front edge
+        block[np.arange(rows)[:, None, None], diag, F[:, 1:, None], diag] = _ALTERNATING[1:p + 2, None]
+        block[np.arange(rows), :, F[:, 0], :] = E[K._front(p + 1, 1)].conj().transpose(0, 2, 1)
+        block += 0.0  # no -0.0, from a conjugated imaginary part or a holonomy
+        block.setflags(write=False)
+        deltas.append(block.reshape(rows * m, cols * m))
     return GradedCochainComplex(
         dims=dims,
         coboundary=tuple(deltas),
@@ -594,7 +846,9 @@ def cup(a: Cochain, b: Cochain, K: SimplicialComplex) -> Cochain:
 
 
 def cup_operator(K: SimplicialComplex, h: Cochain, q: int) -> np.ndarray:
-    """Matrix of b -> h cup b from degree q into degree q + deg h."""
+    """Matrix of b -> h cup b from degree q into degree q + deg h: row r
+    holds h on the front p-face of d-simplex r, in the column of its back
+    q-face."""
     _check_cochain_on(K, h)
     p = h.degree
     d = p + q
@@ -602,10 +856,7 @@ def cup_operator(K: SimplicialComplex, h: Cochain, q: int) -> np.ndarray:
         return np.zeros((0, K.n(q)))
     hv = h.coefficients
     out = np.zeros((K.n(d), K.n(q)), dtype=hv.dtype)
-    for r, simplex in enumerate(K.simplices[d]):
-        front = simplex[:p + 1]
-        back = simplex[p:]
-        out[r, K.index(q, back)] += hv[K.index(p, front)]
+    out[np.arange(K.n(d)), K._back(d, q)] += hv[K._front(d, p)]
     return out
 
 
@@ -825,6 +1076,8 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
             ops = [h.coefficients.reshape(-1, 1)] if dims[0] else []
         from_even, from_odd = fold(dims, ops, h.degree)
         d_even, d_odd = d_even + from_even, d_odd + from_odd
+    for a in (d_even, d_odd):  # new sums, or the frozen layout without flux
+        a.setflags(write=False)
 
     gram_even, gram_odd = grams or (None, None)
     return TwistedComplex(

@@ -8,6 +8,7 @@ fixes key order and separators so equal payloads hash identically, and
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -22,6 +23,7 @@ from .chain_models import (
     build_simplicial,
     signed_incidence,
 )
+from .chain_models import _integer as _integer_rule
 from .circle_bundle import BundleData
 from .errors import ParseError
 
@@ -68,14 +70,13 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
 
 
 def _maximal_simplices(K: SimplicialComplex) -> list[tuple[int, ...]]:
+    """The simplices that are no face of another, level by level."""
     out = []
-    for d, level in enumerate(K.simplices):
-        higher = K.simplices[d + 1] if d + 1 < len(K.simplices) else ()
-        hsets = [set(t) for t in higher]
-        for s in level:
-            ss = set(s)
-            if not any(ss <= h for h in hsets):
-                out.append(s)
+    for p, level in enumerate(K.simplices):
+        covered = np.zeros(len(level), dtype=bool)
+        if p < K.dim:
+            covered[K.faces[p]] = True
+        out.extend(itertools.compress(level, ~covered))
     return out
 
 
@@ -87,9 +88,7 @@ def _encode_simplicial(K: SimplicialComplex) -> dict:
         "top_simplices": [list(s) for s in tops],
     }
     if K.orientation is not None and all(len(s) == K.dim + 1 for s in tops):
-        payload["orientation"] = [
-            int(K.orientation[K.index(K.dim, s)]) for s in tops
-        ]
+        payload["orientation"] = list(K.orientation)  # the tops are the top level, in order
     return payload
 
 
@@ -162,14 +161,11 @@ def _require(payload: dict, key: str):
 
 
 def _integer(value, what: str) -> int:
-    """An integer read from JSON: an int, or a float with no fractional
+    """An integer read from JSON under the package's one integer rule
+    (``chain_models._integer``): an int, or a float with no fractional
     part.  Anything else, a bool or a string included, is a ParseError
     rather than a silently different model."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParseError(f"{what} must be an integer, got {value!r}")
+    return _integer_rule(value, what, ParseError)
 
 
 def _decode_local_system(payload: dict) -> LocalSystem:
