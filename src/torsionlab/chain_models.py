@@ -889,6 +889,7 @@ def fold(
     dims: Sequence[int],
     ops: Sequence[np.ndarray],
     shift: int,
+    base: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lay a degree-homogeneous operator family out on the Z2 grading.
 
@@ -897,15 +898,20 @@ def fold(
     degree are skipped.  Returns (from_even, from_odd): the operator on
     the direct sum of the even degrees and on that of the odd degrees,
     each into the degrees of the shifted parity, every direct sum ordered
-    by increasing degree.  This is the one place the parity layout is
-    computed.
+    by increasing degree.  With ``base``, a (from_even, from_odd) pair of
+    the same layout, the blocks are added to a copy of it, in the dtype
+    of the sum, instead of to zeros.  This is the one place the parity
+    layout is computed.
     """
     offset, size = [], [0, 0]
     for q, n in enumerate(dims):
         offset.append(size[q % 2])
         size[q % 2] += n
-    dtype = np.result_type(np.float64, *ops)
-    out = tuple(np.zeros((size[(s + shift) % 2], size[s]), dtype=dtype) for s in (0, 1))
+    dtype = np.result_type(np.float64, *ops, *(base or ()))
+    if base is None:
+        out = tuple(np.zeros((size[(s + shift) % 2], size[s]), dtype=dtype) for s in (0, 1))
+    else:
+        out = tuple(np.array(b, dtype=dtype) for b in base)
     for q, block in enumerate(ops):
         t = q + shift
         if t >= len(dims):
@@ -1074,8 +1080,10 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
         else:
             # minimal-model multiplication: unit law in degree 0, zero above
             ops = [h.coefficients.reshape(-1, 1)] if dims[0] else []
-        from_even, from_odd = fold(dims, ops, h.degree)
-        d_even, d_odd = d_even + from_even, d_odd + from_odd
+        # the flux blocks (degree q to q + h.degree >= q + 3) never meet the
+        # coboundary's (q to q + 1): adding them to one copy of the layout,
+        # in the final dtype, gives the bits of the mixed-dtype sum
+        d_even, d_odd = fold(dims, ops, h.degree, base=(d_even, d_odd))
     for a in (d_even, d_odd):  # new sums, or the frozen layout without flux
         a.setflags(write=False)
 

@@ -36,7 +36,8 @@ each connected component is a block of the map up to permutations of
 its rows and of its columns.  The complexes of ``chain_models`` find a
 map's components once and keep them; its square-zero residuals, and in
 ``torsion_engine`` its rank and its products w* w and w w*, then run
-one dense call per component.  One union-find (``_labels``) serves
+one dense call per component (a whole integer map's products are summed
+from its nonzeros instead).  One union-find (``_labels``) serves
 both searches, and counts the components of an oriented incidence map
 for its exact rank (``torsion_engine._incidence_rank``).
 """

@@ -16,13 +16,17 @@ with adjoints taken against the parity Grams.  This module is the one
 place that knows the Gram weighting.  With G_p = L_p L_p* (the
 ``spectral.GramFactor`` records each complex made when it checked its
 Grams), ``_blocks`` forms each Gram-weighted coboundary
-w_p = L_{p+1}* d_p L_p^{-*} once per call, w_p* w_p and the weighted
-Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are Hermitian and congruent
+w_p = L_{p+1}* d_p L_p^{-*} once per call, w_p* w_p, w_p w_p* and the
+weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are Hermitian and congruent
 to d_p^+ d_p and the Hodge Laplacian, by L_p*, so no Gram reaches the
 eigensolver.  Without Grams, w_p is d_p itself.  A graded complex is a
 chain of spaces (its degrees) and a Z2-graded one a cycle of two, and
 one solve loop (``_solve``) serves both torsions: per space, the
-Laplacian, then w_p* w_p for eigenvalues alone.  The graded torsion
+Laplacian, then the smaller of w_p* w_p and w_p w_p* for eigenvalues
+alone.  The two share their positive spectrum, so the pseudo-determinant
+of w_p* w_p is read off either, and w_p w_p* is the down term of the
+next space's Laplacian, formed anyway; a tie keeps w_p* w_p, as on the
+square parity maps of every circle bundle.  The graded torsion
 solves its Laplacians of degree p >= 1 with eigenvectors, since its
 weighted sum reads their eigenvalues and ``eigh`` gives them more
 accurately, and keeps only their kernel columns.  Delta_0 has weight 0
@@ -37,7 +41,14 @@ dimensions (checked against rank-nullity in the test suite).
 Each complex keeps the bipartite components of its maps
 (``spectral._map_blocks``), or None for a map taken whole.  Without
 Grams, w_p is d_p and its products are formed one component at a time.
-The rank-nullity dimensions stay independent of the eigensolver.  A real
+A map taken whole from ``SPLIT_MIN_ORDER`` up whose nonzeros are
+integers of modulus at most 2^20 (every simplicial coboundary) has its
+two squares summed from the pairs of nonzeros in each row and in each
+column instead: within 8192 rows and columns every sum is an integer
+below 2^53, so the result has the bits of the dense product.  The
+underflow guard on a square reads its diagonal, which holds its
+largest modulus.  The rank-nullity dimensions stay independent of the
+eigensolver.  A real
 map whose every row is zero or one +1 and one -1 (the delta_0 of every
 complex without a local system, the covering graph of a permutation
 local system) is an oriented incidence map, ranked exactly by
@@ -59,6 +70,7 @@ import numpy as np
 from .chain_models import GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
+    SPLIT_MIN_ORDER,
     HarmonicBasis,
     _labels,
     _pseudodet,
@@ -95,7 +107,7 @@ class TorsionElement:
     bases, one per degree or parity; ``harmonic_bases`` runs it on first
     read and keeps its value.  ``square_spectra`` holds, for a twisted
     element, the positive eigenvalues of w* w per parity that the torsion
-    solved.
+    solved, read off the smaller of w* w and w w*, which share them.
     """
 
     log_scalar: float
@@ -136,10 +148,11 @@ def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.nda
     behind w is nonzero but the product fell below the normal float64
     range.  Grams can do that to in-range entries, and a zero product
     would enlarge the kernel; overflow to inf is refused by the solver.
-    An empty op (the graded top map) is tested before the square is
-    scanned; ``op.any()`` runs only on an underflowed square, since on a
-    small op it costs more than the scan."""
-    if op.size and float(np.abs(square).max()) < _TINY and op.any():
+    The square is positive semidefinite, so its largest diagonal modulus
+    is its largest entry modulus (|a_ij|^2 <= a_ii a_jj): the guard reads
+    n entries, not n^2.  An empty op (the graded top map) is tested
+    first, and ``op.any()`` runs only on an underflowed square."""
+    if op.size and float(np.abs(square.diagonal()).max()) < _TINY and op.any():
         raise ValidationError(
             f"{what}: the Gram-weighted square of a nonzero coboundary "
             "underflowed float64"
@@ -186,15 +199,89 @@ def _square(x: np.ndarray, blocks, *, inner: bool) -> np.ndarray:
     return out
 
 
+# An integer map with entries of modulus at most 2^20 and at most 8192
+# rows and columns has integer squares whose every partial sum is at most
+# 8192 * 2^40 = 2^53, so float64 sums them exactly, in any order.
+_EXACT_ENTRY = 2**20
+_EXACT_TERMS = 2**53 // _EXACT_ENTRY**2
+
+
+def _integer_nonzeros(x: np.ndarray):
+    """(rows, cols, values) of x's nonzeros in row-major order, when x is
+    real, has at most ``_EXACT_TERMS`` rows and columns, and each nonzero
+    is an integer of modulus at most ``_EXACT_ENTRY``; else None."""
+    if x.dtype.kind != "f" or max(x.shape) > _EXACT_TERMS:
+        return None
+    flat = np.flatnonzero(x != 0)
+    values = x.ravel()[flat]
+    if not np.abs(values).max(initial=0.0) <= _EXACT_ENTRY or (values != np.rint(values)).any():
+        return None
+    rows, cols = np.divmod(flat, x.shape[1])
+    return rows, cols, values
+
+
+def _pair_sums(group: np.ndarray, index: np.ndarray, values: np.ndarray, size: int):
+    """The size x size matrix whose (i, j) entry sums v_a v_b over the
+    pairs of nonzeros a, b that share a group, with index i and j; the
+    nonzeros come sorted by group.  For groups the rows of x and indices
+    its columns this is x* x, for groups its columns and indices its rows
+    x x*.  Exact for the maps ``_integer_nonzeros`` passes, so it has the
+    bits of the dense product, +0.0 where that sums to zero.  None when
+    the pairs outnumber the entries, where the dense product costs less
+    and keeps no pair list."""
+    if not group.size:
+        return np.zeros((size, size))
+    counts = np.bincount(group)
+    if int(counts @ counts) > size * size:
+        return None
+    held = counts[group]  # the nonzeros in each nonzero's group
+    first = np.cumsum(counts) - counts
+    left = np.repeat(np.arange(group.size), held)
+    offset = np.arange(left.size) - np.repeat(np.cumsum(held) - held, held)
+    right = first[group[left]] + offset
+    return np.bincount(
+        index[left] * size + index[right],
+        weights=values[left] * values[right],
+        minlength=size * size,
+    ).reshape(size, size)
+
+
+def _squares(x: np.ndarray, blocks, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x* x, x x*).  When ``exact`` allows it (a map without Grams taken
+    whole from ``SPLIT_MIN_ORDER`` up) and x passes ``_integer_nonzeros``,
+    each square is summed from the pairs of nonzeros in a row or in a
+    column (``_pair_sums``); every other square is ``_square``'s."""
+    found = _integer_nonzeros(x) if exact else None
+    if found is None:
+        return _square(x, blocks, inner=True), _square(x, blocks, inner=False)
+    rows, cols, values = found
+    m, n = x.shape
+    by_col = np.argsort(cols, kind="stable")
+    inner = _pair_sums(rows, cols, values, n)
+    outer = _pair_sums(cols[by_col], rows[by_col], values[by_col], m)
+    return (
+        _square(x, None, inner=True) if inner is None else inner,
+        _square(x, None, inner=False) if outer is None else outer,
+    )
+
+
+def _smaller(up: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """w* w, or w w* where that is of lower order."""
+    return outer if len(outer) < len(up) else up
+
+
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
-    """Per space p: (w_p* w_p, the weighted Laplacian
-    w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
+    """Per space p: (the smaller of w_p* w_p and w_p w_p*, the weighted
+    Laplacian w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
     w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary, each side
     weighted only when its space has a record (d_p itself without Grams).
-    Without Grams each product is formed one bipartite component of d_p
-    at a time (``_square``); with them, whole.  Each product is built, and
-    refused if it underflowed, once for both torsion sums; one that
-    overflowed is refused by the solver."""
+    The two squares share their positive spectrum, and w_p w_p* is the
+    down term of the next space, so the smaller square costs no product;
+    a tie keeps w_p* w_p.  Without Grams each product is formed one
+    bipartite component of d_p at a time (``_square``), and a map taken
+    whole from its integer nonzeros where it can be (``_squares``); with
+    Grams, whole.  Each product is built, and refused if it underflowed,
+    once; one that overflowed is refused by the solver."""
     _, maps, grams, labels, cyclic, blocks = _spaces(C)
     if grams[0] is not None:
         blocks = (None,) * len(maps)
@@ -206,12 +293,22 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
             if grams[p] is not None:
                 d = d @ grams[p].lower_inverse.conj().T
             w.append(d)
+
+        def squares(p: int) -> tuple[np.ndarray, np.ndarray]:
+            exact = grams[0] is None and blocks[p] is None and max(w[p].shape) >= SPLIT_MIN_ORDER
+            up, outer = _squares(w[p], blocks[p], exact)
+            return (
+                _unless_underflowed(up, maps[p], labels[p]),
+                _unless_underflowed(outer, maps[p], labels[p]),
+            )
+
+        # the down term of space 0: w_{-1} w_{-1}* on a cycle, none on a chain
+        last = squares(len(w) - 1) if cyclic else None
+        down = last[1] if cyclic else None
         for p, x in enumerate(w):
-            lap = up = _unless_underflowed(_square(x, blocks[p], inner=True), maps[p], labels[p])
+            up, outer = last if cyclic and p == len(w) - 1 else squares(p)
+            lap = up
             if p > 0 or cyclic:
-                q = p - 1
-                down = _square(w[q], blocks[q], inner=False)
-                _unless_underflowed(down, maps[q], labels[q])
                 if len(x):
                     lap = up + down
                 else:
@@ -220,7 +317,8 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
                     # up + down, where -0.0 reads +0.0
                     down += 0.0
                     lap = down
-            out.append((up, lap, grams[p]))
+            out.append((_smaller(up, outer), lap, grams[p]))
+            down = outer
     return out
 
 
@@ -229,16 +327,17 @@ def _solve(
 ):
     """The one solve loop of both torsions.  Per space p, in order: the
     weighted Laplacian, with eigenvectors only where ``vectors[p]``, then
-    w_p* w_p for values only; each cut that cannot be trusted is refused,
-    once.  Yields, per space, the Laplacian's decomposition, the
-    pseudo-determinant of w_p* w_p and its positive eigenvalues, and the
+    the smaller of w_p* w_p and w_p w_p* for values only; each cut that
+    cannot be trusted is refused, once.  Yields, per space, the
+    Laplacian's decomposition, the pseudo-determinant of w_p* w_p and its
+    positive eigenvalues, both read off that smaller square, and the
     (weighted Laplacian, GramFactor or None) pair that a kernel basis is
     read from."""
-    for (up, lap, gram), eager in zip(_blocks(C), vectors):
+    for (square, lap, gram), eager in zip(_blocks(C), vectors):
         dec = hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=eager)
         _refuse_imprecise(dec)
-        square = hermitian_spectrum(up, kernel_tol=kernel_tol, vectors=False)
-        yield dec, pseudodet_of(square), square.positive_eigenvalues, (lap, gram)
+        values = hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=False)
+        yield dec, pseudodet_of(values), values.positive_eigenvalues, (lap, gram)
 
 
 def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:

@@ -25,6 +25,22 @@ def eigensolves(monkeypatch):
 
 
 @pytest.fixture
+def eigensolve_orders(monkeypatch):
+    """Record the order of every eigensolve the spectral module runs, in
+    call order: the sibling of ``eigensolves``, which records its kind."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(spectral.np.linalg, name)
+
+        def record(m, *args, _solve=solve, **kwargs):
+            seen.append(m.shape[0])
+            return _solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.np.linalg, name, record)
+    return seen
+
+
+@pytest.fixture
 def svds(monkeypatch):
     """Record every SVD the torsion engine runs, in call order, as
     (shape, dtype)."""

@@ -474,6 +474,23 @@ def test_fold_gram_direct_sum():
     assert np.allclose(ge, np.eye(8))
 
 
+@pytest.mark.parametrize("c", [2.0, 0.5 + 0.25j, -3j])
+def test_fold_onto_a_base_has_the_bits_of_the_sum(c):
+    # the flux blocks of a twisted differential never meet the folded
+    # coboundary's, so adding them to a copy of it in the final dtype
+    # gives the bits of the mixed-dtype sum d + fold(...)
+    K = simplex_boundary(6)
+    C = coboundary_matrices(K)
+    h = Cochain(degree=5, coefficients=np.full(C.dims[5], c))
+    ops = [cup_operator(K, h, 0)]
+    base, _ = C._parity
+    for got, d, flux in zip(fold(C.dims, ops, 5, base=base), base, fold(C.dims, ops, 5)):
+        want = d + flux
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    T = twisted_differential(C, h)
+    assert T.d_even.tobytes() == (base[0] + fold(C.dims, ops, 5)[0]).tobytes()
+
+
 def test_fold_refuses_a_misshaped_block():
     with pytest.raises(ValidationError, match=r"block 1->2 has shape \(1, 1\), expected \(1, 2\)"):
         fold((1, 2, 1), [np.zeros((2, 1)), np.zeros((1, 1))], 1)

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import (
@@ -265,8 +265,12 @@ def test_weighted_solves_match_scipy_generalized_solver(
         (d.conj().T @ g1 @ d).astype(np.complex128), g0.astype(np.complex128), eigvals_only=True
     )
     scale = max(1.0, float(reference.max()))
-    up = _blocks(C)[0][0]
-    assert np.max(np.abs(hermitian_spectrum(up).eigenvalues - reference)) <= 1e-12 * scale
+    # the smaller square, w w* (order m < n), holds the same nonzero
+    # spectrum as w* w, with n - m fewer zeros
+    square = _blocks(C)[0][0]
+    assert square.shape == (m, m)
+    values = hermitian_spectrum(square).eigenvalues
+    assert np.max(np.abs(values - reference[n - m:])) <= 1e-12 * scale
 
     eigensolves.clear()
     elem = reidemeister_torsion(C)
@@ -890,9 +894,11 @@ def test_a_map_kept_whole_gets_the_bytes_of_the_whole_call(shapes, zero_rows, ki
     d = B[np.ix_(rng.permutation(B.shape[0]), rng.permutation(B.shape[1]))]
     C = GradedCochainComplex(dims=(d.shape[1], d.shape[0]), coboundary=(d,))
     assert C._components == (None,)
-    (up, _, _), (_, down, _) = _blocks(C)
+    (square, _, _), (_, down, _) = _blocks(C)
     top = C.delta(1)
-    assert up.tobytes() == (d.conj().T @ d).tobytes()
+    # the smaller of d* d and d d*; half-columns has 20 rows to 35 columns
+    smaller = d.conj().T @ d if d.shape[1] <= d.shape[0] else d @ d.conj().T
+    assert square.tobytes() == smaller.tobytes()
     assert down.tobytes() == ((top.conj().T @ top) + d @ d.conj().T).tobytes()
     svds.clear()
     ranks = np.linalg.matrix_rank(d)
@@ -960,6 +966,157 @@ def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
     # delta_0 (36 x 9) is an oriented incidence map, ranked by union-find;
     # delta_1 ... delta_6 each take one whole SVD
     assert svds == [(d.shape, "float64") for d in C.coboundary[1:]]
+
+
+# ---------------------------------------------------------------------------
+# each square is formed once, from integer nonzeros where it can be, and
+# solved on its smaller side
+# ---------------------------------------------------------------------------
+
+_BOUND = 2.0**20
+
+
+@st.composite
+def _integer_maps(draw):
+    """A sparse integer map of up to 48 x 48, zero shapes and the zero map
+    included, whose nonzeros mix small integers with +-2^20."""
+    m, n = draw(st.integers(0, 48)), draw(st.integers(0, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([1.0, -1.0, 2.0, -3.0, 12345.0, _BOUND, -_BOUND])
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 1.0]))
+    return rng.choice(pool, size=(m, n)) * (rng.random((m, n)) < density)
+
+
+def _single_nonzero(m, n, value):
+    x = np.zeros((m, n))
+    x[m // 2, n // 3] = value
+    return x
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_integer_maps())
+@example(np.zeros((0, 40)))
+@example(np.zeros((40, 0)))
+@example(np.zeros((40, 33)))
+@example(_single_nonzero(40, 33, _BOUND))
+@example(_single_nonzero(1, 40, -_BOUND))
+@example(np.full((40, 40), -_BOUND))
+def test_squares_from_integer_nonzeros_have_the_bits_of_the_dense_products(x):
+    found = torsion_engine._integer_nonzeros(x)
+    assert found is not None
+    rows, cols, values = found
+    by_col = np.argsort(cols, kind="stable")
+    # each square summed from its pairs, where they do not outnumber its
+    # entries, and as _squares returns it
+    pairs = (
+        torsion_engine._pair_sums(rows, cols, values, x.shape[1]),
+        torsion_engine._pair_sums(cols[by_col], rows[by_col], values[by_col], x.shape[0]),
+    )
+    squares = torsion_engine._squares(x, None, True)
+    for got, dense in zip(pairs + squares, (x.T @ x, x @ x.T) * 2):
+        if got is not None:
+            assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
+
+
+def _cycle_map(n):
+    return np.array(coboundary_matrices(cycle(n)).coboundary[0])
+
+
+def _dense_path_cases():
+    d = _cycle_map(40)
+    at_bound, over_bound, fraction = d.copy(), d.copy(), d.copy()
+    at_bound[0, 0] = _BOUND
+    over_bound[0, 0] = _BOUND + 1
+    fraction[0, 0] = 0.5
+    # (map, Grams, what the nonzero scan of the map answers: accepted,
+    # refused, or not run at all)
+    return {
+        "at-bound": (at_bound, None, [True]),
+        "over-bound": (over_bound, None, [False]),
+        "non-integer": (fraction, None, [False]),
+        "complex": ((1 + 1j) * d, None, [False]),
+        "split": (scipy.linalg.block_diag(_cycle_map(20), _cycle_map(20)), None, []),
+        "small": (_cycle_map(20), None, []),
+        "gram": (d, [2.0 * np.eye(40)] * 2, []),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["at-bound", "over-bound", "non-integer", "complex", "split", "small", "gram"]
+)
+def test_only_whole_integer_maps_without_grams_square_from_their_nonzeros(case, monkeypatch):
+    d, gram, scans = _dense_path_cases()[case]
+    C = GradedCochainComplex(dims=(d.shape[1], d.shape[0]), coboundary=(d,), gram=gram)
+    scanned = []
+    scan = torsion_engine._integer_nonzeros
+
+    def record(x):
+        found = scan(x)
+        scanned.append((x.shape, found is not None))
+        return found
+
+    monkeypatch.setattr(torsion_engine, "_integer_nonzeros", record)
+    (square, lap, _), (_, down, _) = _blocks(C)
+    assert [accepted for shape, accepted in scanned if shape == d.shape] == scans
+    if gram is None:
+        # both paths give the bits of the whole products
+        assert lap.tobytes() == (d.conj().T @ d).tobytes()
+        assert square.tobytes() == (d.conj().T @ d).tobytes()
+        assert down.tobytes() == (np.zeros((d.shape[0],) * 2) + d @ d.conj().T).tobytes()
+
+
+def _smaller_side_case(name):
+    rng = np.random.default_rng(31)
+    if name.startswith("weighted "):
+        C = _smaller_side_case(name[len("weighted "):])
+        return C.with_gram([_random_spd(rng, n).astype(C.coboundary[0].dtype) for n in C.dims])
+    if name == "lens":
+        return lens(7, 2, 3)
+    if name == "minimal_sphere":
+        return minimal_sphere(3)
+    return coboundary_matrices(from_expression(name))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cycle(9)", "cycle(600)"]
+    + [f"simplex_boundary({k})" for k in range(4, 11)]
+    + ["lens", "minimal_sphere"]
+    + ["weighted simplex_boundary(5)", "weighted cycle(40)", "weighted lens"],
+)
+def test_the_smaller_square_moves_only_the_telescoped_roundoff(name, monkeypatch):
+    C = _smaller_side_case(name)
+    sums = []
+    telescoped = torsion_engine._telescoped
+
+    def record(ups):
+        sums.append(telescoped(ups))
+        return sums[-1]
+
+    def larger_side(up, outer):
+        return outer if len(outer) > len(up) else up
+
+    monkeypatch.setattr(torsion_engine, "_telescoped", record)
+    smaller = reidemeister_torsion(C)
+    monkeypatch.setattr(torsion_engine, "_smaller", larger_side)
+    larger = reidemeister_torsion(C)
+    assert smaller.log_scalar.hex() == larger.log_scalar.hex()
+    assert smaller.kernel_dims == larger.kernel_dims
+    assert smaller.warnings == larger.warnings == ()
+    assert abs(sums[0] - sums[1]) <= 1e-12 * max(1.0, abs(sums[1]))
+
+
+def test_simplex_boundary_10_solves_each_square_on_its_smaller_side(
+    eigensolves, eigensolve_orders
+):
+    reidemeister_torsion(coboundary_matrices(simplex_boundary(10)))
+    # Delta_1 ... Delta_8 of the boundary of a simplex are 11 I, read off
+    # the diagonal; the other solves are Delta_0, the squares of degrees
+    # 0 to 8 and Delta_9, and the top degree's square is 0 x 0
+    assert eigensolve_orders == [11, 11, 55, 165, 330, 462, 330, 165, 55, 11, 11]
+    # degree 5's cross-check solves w w* of order 330, not w* w of order 462
+    assert eigensolve_orders[6] == 330
+    assert eigensolves == [("float64", "values")] * 10 + [("float64", "vectors")]
 
 
 # ---------------------------------------------------------------------------
