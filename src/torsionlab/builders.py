@@ -115,12 +115,11 @@ CATALOG = {
 _CALL = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*$")
 
 
-def from_expression(text: str):
-    """Build a model from call syntax like ``lens(5,1,2)``.
-
-    The builder name must be in CATALOG.  Arguments must be integers,
-    except for ``hopf``, whose arguments are finite real numbers.
-    """
+def _parse_expression(text: str):
+    """The catalog name, builder and parsed arguments of call syntax like
+    ``lens(5,1,2)``.  The name must be in CATALOG.  Arguments must be
+    integers, except for ``hopf``, whose arguments are finite real
+    numbers; an empty argument is refused, an empty list is none."""
     m = _CALL.match(text)
     if not m:
         raise UnknownBuilder(
@@ -132,15 +131,19 @@ def from_expression(text: str):
         raise UnknownBuilder(f"unknown model {name!r}; known models: {known}")
     fn, parse = CATALOG[name]
     args = []
-    for piece in argtext.split(","):
+    for piece in argtext.split(",") if argtext.strip() else ():
         piece = piece.strip()
-        if not piece:
-            continue
         try:
             args.append(parse(piece))
         except ValueError as exc:
             kind = "integers" if parse is int else "finite numbers"
             raise UnknownBuilder(f"{name} arguments must be {kind}, got {piece!r}") from exc
+    return name, fn, args
+
+
+def from_expression(text: str):
+    """Build a model from call syntax like ``lens(5,1,2)``."""
+    name, fn, args = _parse_expression(text)
     try:
         return fn(*args)
     except (TypeError, OverflowError) as exc:

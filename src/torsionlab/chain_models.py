@@ -82,7 +82,7 @@ from .errors import (
     TorsionLabError,
     ValidationError,
 )
-from .spectral import GramFactor, _direct_sum, _gram_factor, _map_blocks
+from .spectral import GramFactor, _direct_sum, _gram_factor, _labels, _map_blocks
 
 __all__ = [
     "SimplicialComplex",
@@ -535,24 +535,12 @@ def _check_coherent(K: SimplicialComplex, signs: np.ndarray) -> None:
 
 
 def _is_connected(K: SimplicialComplex) -> bool:
-    verts = K.simplices[0]
-    if len(verts) <= 1:
-        return True
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    if K.dim >= 1:
-        for a, b in K.simplices[1]:
-            ra, rb = find((a,)), find((b,))
-            if ra != rb:
-                parent[ra] = rb
-    roots = {find(v) for v in verts}
-    return len(roots) == 1
+    """True when K's edges join all its vertices: every vertex is
+    labelled 0 through the edge face table (``spectral._labels``)."""
+    if K.dim == 0:
+        return len(K.vertices) <= 1
+    F = K.faces[0]
+    return not _labels(F[:, 1], F[:, 0], len(K.vertices)).any()
 
 
 # ---------------------------------------------------------------------------

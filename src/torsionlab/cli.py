@@ -14,19 +14,11 @@ import sys
 from .errors import TorsionLabError
 from .workbench import COMMANDS, RunOptions, emit, run
 
-# option -> RunOptions field, and the options each command reads: any
-# other option that is given is refused rather than dropped
+# option -> RunOptions field; a command reads the fields its workbench
+# entry names, and any other option that is given is refused rather
+# than dropped
 _OPTIONS = {"--flux": "flux", "--radius": "radius", "--tol": "kernel_tol",
             "--seed": "seed", "--steps": "steps"}
-_READS = {
-    "reidemeister": {"--tol"},
-    "twisted": {"--flux", "--tol"},
-    "bundle-torsion": {"--radius", "--seed", "--tol"},
-    "t-dual": {"--radius", "--seed"},
-    "verify-duality": {"--radius", "--seed", "--tol"},
-    "deform": {"--radius", "--seed", "--tol", "--steps"},
-    "suite": set(),  # it runs pinned models and tolerances
-}
 
 
 def _color_enabled() -> bool:
@@ -105,9 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = {flag: getattr(args, name) for flag, name in _OPTIONS.items()}
-    given = {flag: value for flag, value in given.items() if value is not None}
-    unread = [flag for flag in given if flag not in _READS[args.command]]
+    given = {f: v for f in _OPTIONS.values() if (v := getattr(args, f)) is not None}
+    # suite runs pinned models and tolerances, so it reads none
+    reads = COMMANDS[args.command][1] if args.command in COMMANDS else ()
+    unread = [flag for flag, f in _OPTIONS.items() if f in given and f not in reads]
     if unread:
         parser.error(f"{args.command} does not read {', '.join(unread)}")
 
@@ -126,9 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.model is None:
         parser.error(f"command {args.command!r} needs a model argument")
 
-    options = RunOptions(**{_OPTIONS[flag]: value for flag, value in given.items()})
     try:
-        report = run(args.command, args.model, options)
+        report = run(args.command, args.model, RunOptions(**given))
     except TorsionLabError as exc:
         print(f"torsion: error: {exc}", file=sys.stderr)
         return 2

@@ -38,8 +38,10 @@ map's components once and keep them; its square-zero residuals, and in
 ``torsion_engine`` its rank and its products w* w and w w*, then run
 one dense call per component (a whole integer map's products are summed
 from its nonzeros instead).  One union-find (``_labels``) serves
-both searches, and counts the components of an oriented incidence map
-for its exact rank (``torsion_engine._incidence_rank``).
+both searches, counts the components of an oriented incidence map
+for its exact rank (``torsion_engine._incidence_rank``), and decides
+whether a simplicial complex's edges join its vertices
+(``chain_models._is_connected``).
 """
 
 from __future__ import annotations
@@ -285,28 +287,21 @@ def hermitian_spectrum(
     return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
 
 
-def _labels(mask: np.ndarray, shift: int) -> np.ndarray:
-    """Label each node of the graph with one edge (i, j + shift) per
-    nonzero mask[i, j] by the smallest node joined to it.  With shift 0
-    a square mask's rows and columns are the same nodes; with shift
-    m = mask.shape[0] they are the m + n nodes of its bipartite graph.
+def _labels(rows: np.ndarray, cols: np.ndarray, size: int, bipartite: bool = False) -> np.ndarray:
+    """Label each of ``size`` nodes by the smallest node joined to it
+    through the edges (rows[k], cols[k]); ``bipartite`` says that every
+    row lies below every column, as in a map's bipartite graph.
 
     Union-find in whole-array rounds: every root is hooked to the
     smallest root across its edges, then pointer jumping points every
     node at its root.  Hooks only lower a label, so the smallest node of
     a component stays its root.  The search stops when every edge joins
-    two nodes of one label, so every nonzero of the mask lies inside one
-    component.  The edges are listed from the flat nonzeros, which costs
-    a tenth of a 2-D ``np.nonzero`` on an order-600 coboundary."""
-    m, n = mask.shape
-    rows, cols = np.divmod(np.flatnonzero(mask), n)
-    cols += shift
-    size = max(m, n + shift)
+    two nodes of one label, so every edge lies inside one component."""
     label = np.arange(size)
     a, b = rows, cols  # every node is its own root
     # a bipartite first round hooks columns onto rows, which stay roots,
     # so its trees are one deep already and need no jumps
-    jumps = 0 if shift else size.bit_length()
+    jumps = 0 if bipartite else size.bit_length()
     while not (a == b).all():
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         # a tree of size nodes is at most size - 1 deep; each jump halves that
@@ -315,6 +310,18 @@ def _labels(mask: np.ndarray, shift: int) -> np.ndarray:
         jumps = size.bit_length()
         a, b = label[rows], label[cols]
     return label
+
+
+def _mask_edges(mask: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The edges (i, j + shift), one per nonzero mask[i, j], listed from
+    the flat nonzeros (a tenth of a 2-D ``np.nonzero``'s cost on an
+    order-600 coboundary), and the node count: with shift 0 a square
+    mask's rows and columns are the same nodes, with shift m the m + n
+    nodes of its bipartite graph."""
+    m, n = mask.shape
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    cols += shift
+    return rows, cols, max(m, n + shift)
 
 
 def _nonzero(a: np.ndarray) -> np.ndarray:
@@ -330,7 +337,7 @@ def _blocks_of(A: np.ndarray) -> np.ndarray:
     """Label each index of A by the smallest index joined to it through
     A's exact nonzeros, counted on either side of the diagonal: indices
     with one label span a diagonal block of A up to a permutation."""
-    return _labels(_nonzero(A), 0)
+    return _labels(*_mask_edges(_nonzero(A), 0))
 
 
 def _map_blocks(d: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
@@ -344,7 +351,7 @@ def _map_blocks(d: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...] | No
     m, n = d.shape
     if max(m, n) < SPLIT_MIN_ORDER:
         return None
-    label = _labels(_nonzero(d), m)
+    label = _labels(*_mask_edges(_nonzero(d), m), bipartite=True)
     # the rows and the columns of each component, counted at its root
     rows, cols = (np.bincount(side, minlength=m + n) for side in (label[:m], label[m:]))
     if 2 * rows.max() > m or 2 * cols.max() > n:

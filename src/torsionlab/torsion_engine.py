@@ -73,6 +73,7 @@ from .spectral import (
     SPLIT_MIN_ORDER,
     HarmonicBasis,
     _labels,
+    _mask_edges,
     _pseudodet,
     _refuse_imprecise,
     hermitian_spectrum,
@@ -454,7 +455,7 @@ def _incidence_rank(d: np.ndarray) -> int | None:
         return None
     m, n = d.shape
     roots = np.zeros(m + n, dtype=bool)
-    roots[_labels(mask, m)[m:]] = True
+    roots[_labels(*_mask_edges(mask, m), bipartite=True)[m:]] = True
     return n - int(np.count_nonzero(roots))
 
 

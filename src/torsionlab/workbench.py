@@ -7,6 +7,7 @@ encoding, so report payloads are byte-stable across runs.
 
 from __future__ import annotations
 
+import cmath
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,7 @@ from .circle_bundle import (
     t_dualize,
     verify_t_duality,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnknownBuilder, ValidationError
 from .serialize import (
     REPORT_SCHEMA,
     canonical_bytes,
@@ -59,16 +60,6 @@ __all__ = [
     "emit",
     "parse_report",
 ]
-
-COMMANDS = (
-    "reidemeister",
-    "twisted",
-    "bundle-torsion",
-    "t-dual",
-    "verify-duality",
-    "deform",
-)
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -136,13 +127,15 @@ def load_model(text: str):
     return builders.from_expression(text)
 
 
-def _as_complex(obj) -> GradedCochainComplex:
+def _load_complex(text: str):
+    """A cochain or simplicial model and its graded cochain complex."""
+    obj = load_model(text)
     if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], SimplicialComplex):
-        return coboundary_matrices(obj[0], obj[1])
+        return obj, coboundary_matrices(obj[0], obj[1])
     if isinstance(obj, SimplicialComplex):
-        return coboundary_matrices(obj)
+        return obj, coboundary_matrices(obj)
     if isinstance(obj, GradedCochainComplex):
-        return obj
+        return obj, obj
     raise ValidationError(
         f"this command needs a cochain or simplicial model, got {type(obj).__name__}"
     )
@@ -154,7 +147,12 @@ def load_bundle(text: str, options: RunOptions | None = None) -> BundleData:
     refused with any other model; --radius overrides the fiber radius."""
     options = options or RunOptions()
     if options.seed is not None:
-        if "".join(text.split()) not in ("random()", "random_bundle()"):
+        # CATALOG's entry, which a tracer rebinding module names leaves alone
+        try:
+            _, fn, args = builders._parse_expression(text)
+        except UnknownBuilder:
+            fn = None
+        if fn is not builders.CATALOG["random_bundle"][0] or args:
             raise ValidationError(f"--seed fills an empty random() only, not {text}")
         text = f"random({options.seed})"
     bundle = load_model(text)
@@ -188,6 +186,8 @@ def parse_flux(spec: str | None, C: GradedCochainComplex):
             coeff = complex(m.group(1).strip().replace(" ", ""))
         except ValueError as exc:
             raise ValidationError(f"bad flux coefficient {m.group(1)!r}") from exc
+        if not cmath.isfinite(coeff):
+            raise ValidationError(f"flux coefficient {m.group(1)!r} is not finite")
     top = C.top
     n = C.simplicial.n(top) if C.simplicial is not None else C.dims[top]
     return Cochain(degree=top, coefficients=coeff * np.ones(n, dtype=np.complex128))
@@ -217,106 +217,112 @@ def _rank_nullity_warning(kernel_dims, rank_nullity) -> tuple[str, ...]:
     )
 
 
+def _torsion_report(obj, elem, dims, shown, **extra):
+    """A torsion command's result, showing ``shown`` as its cohomology
+    dims, its convention, and its warnings: the torsion's, and a warning
+    when its kernel dims disagree with the rank-nullity ``dims``."""
+    result = {"torsion": elem.to_json(), **extra, "cohomology_dims": shown,
+              "model_digest": _digest_of_model(obj)}
+    warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, dims)
+    return result, elem.convention_tag, warnings
+
+
+def _reidemeister(model: str, options: RunOptions):
+    obj, C = _load_complex(model)
+    elem = reidemeister_torsion(C, kernel_tol=options.kernel_tol)
+    dims = cohomology_dimensions(C)
+    return _torsion_report(obj, elem, dims, list(dims))
+
+
+def _twisted(model: str, options: RunOptions):
+    obj, C = _load_complex(model)
+    T = twisted_differential(C, parse_flux(options.flux, C))
+    elem = twisted_torsion(T, kernel_tol=options.kernel_tol)
+    even, odd = twisted_cohomology_dimensions(T)
+    return _torsion_report(obj, elem, (even, odd), {"even": even, "odd": odd},
+                           flux=options.flux or "zero")
+
+
+def _bundle_torsion(model: str, options: RunOptions):
+    bundle = load_bundle(model, options)
+    ic = build_invariant_complex(bundle)
+    elem = twisted_torsion(ic, kernel_tol=options.kernel_tol)
+    even, odd = elem.kernel_dims
+    return _torsion_report(bundle, elem, twisted_cohomology_dimensions(ic),
+                           {"even": even, "odd": odd}, radius=bundle.radius)
+
+
+def _t_dual(model: str, options: RunOptions):
+    bundle = load_bundle(model, options)
+    dual = t_dualize(bundle)
+    payload = encode_bundle(dual)
+    result = {
+        "bundle": payload,
+        "radius": dual.radius,
+        "model_digest": _digest_of_model(bundle),
+        "dual_digest": digest(payload),
+    }
+    return result, None, ()
+
+
+def _verify_duality(model: str, options: RunOptions):
+    bundle = load_bundle(model, options)
+    rep = verify_t_duality(bundle, kernel_tol=options.kernel_tol)
+    # T is an isomorphism of complexes onto the dual with the parities
+    # swapped, so the dual's rank-nullity dims are the model's, swapped
+    even, odd = twisted_cohomology_dimensions(build_invariant_complex(bundle))
+    result = {
+        **rep.to_json(),
+        "tolerance": DUALITY_TOL,
+        "passed": abs(rep.product_log) <= DUALITY_TOL,
+        "model_digest": _digest_of_model(bundle),
+    }
+    warnings = (
+        tuple(rep.torsion.warnings)
+        + tuple(rep.dual_torsion.warnings)
+        + _rank_nullity_warning(rep.cohomology_dims, (even, odd, odd, even))
+    )
+    return result, rep.torsion.convention_tag, warnings
+
+
+def _deform(model: str, options: RunOptions):
+    bundle = load_bundle(model, options)
+    path = gram_scale_path(bundle, degree=0, factor=2.0)
+    drift = deformation_experiment(path, options.steps, kernel_tol=options.kernel_tol)
+    result = {
+        **drift.to_json(),
+        "path": "gram_scale(degree=0, factor=2.0)",
+        "model_digest": _digest_of_model(bundle),
+    }
+    return result, None, ()
+
+
+# name -> (runner, the RunOptions fields it reads); a runner maps a model
+# and options to the result, convention and warnings.  The runners call
+# other layers through this module's names, so a tracer that rebinds
+# those names sees the calls.
+COMMANDS = {
+    "reidemeister": (_reidemeister, frozenset({"kernel_tol"})),
+    "twisted": (_twisted, frozenset({"flux", "kernel_tol"})),
+    "bundle-torsion": (_bundle_torsion, frozenset({"radius", "seed", "kernel_tol"})),
+    "t-dual": (_t_dual, frozenset({"radius", "seed"})),
+    "verify-duality": (_verify_duality, frozenset({"radius", "seed", "kernel_tol"})),
+    "deform": (_deform, frozenset({"radius", "seed", "kernel_tol", "steps"})),
+}
+
+
 def run(command: str, model: str, options: RunOptions | None = None) -> Report:
     """Execute one workbench command and wrap the outcome in a Report.
 
     Input and model errors raise; they are the caller's problem (the CLI
     maps them to exit code 2).
     """
+    if command not in COMMANDS:
+        raise ValidationError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    runner, _ = COMMANDS[command]
     options = options or RunOptions()
     t0 = time.perf_counter()
-
-    if command == "reidemeister":
-        obj = load_model(model)
-        C = _as_complex(obj)
-        elem = reidemeister_torsion(C, kernel_tol=options.kernel_tol)
-        dims = cohomology_dimensions(C)
-        result = {
-            "torsion": elem.to_json(),
-            "cohomology_dims": list(dims),
-            "model_digest": _digest_of_model(obj),
-        }
-        convention = elem.convention_tag
-        warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, dims)
-    elif command == "twisted":
-        obj = load_model(model)
-        C = _as_complex(obj)
-        flux = parse_flux(options.flux, C)
-        T = twisted_differential(C, flux)
-        elem = twisted_torsion(T, kernel_tol=options.kernel_tol)
-        even, odd = twisted_cohomology_dimensions(T)
-        result = {
-            "torsion": elem.to_json(),
-            "flux": options.flux or "zero",
-            "cohomology_dims": {"even": even, "odd": odd},
-            "model_digest": _digest_of_model(obj),
-        }
-        convention = elem.convention_tag
-        warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, (even, odd))
-    elif command == "bundle-torsion":
-        bundle = load_bundle(model, options)
-        ic = build_invariant_complex(bundle)
-        elem = twisted_torsion(ic, kernel_tol=options.kernel_tol)
-        dims = twisted_cohomology_dimensions(ic)
-        result = {
-            "torsion": elem.to_json(),
-            "radius": bundle.radius,
-            "cohomology_dims": {
-                "even": elem.kernel_dims[0],
-                "odd": elem.kernel_dims[1],
-            },
-            "model_digest": _digest_of_model(bundle),
-        }
-        convention = elem.convention_tag
-        warnings = elem.warnings + _rank_nullity_warning(elem.kernel_dims, dims)
-    elif command == "t-dual":
-        bundle = load_bundle(model, options)
-        dual = t_dualize(bundle)
-        payload = encode_bundle(dual)
-        result = {
-            "bundle": payload,
-            "radius": dual.radius,
-            "model_digest": _digest_of_model(bundle),
-            "dual_digest": digest(payload),
-        }
-        convention = None
-        warnings = ()
-    elif command == "verify-duality":
-        bundle = load_bundle(model, options)
-        rep = verify_t_duality(bundle, kernel_tol=options.kernel_tol)
-        # T is an isomorphism of complexes onto the dual with the parities
-        # swapped, so the dual's rank-nullity dims are the model's, swapped
-        even, odd = twisted_cohomology_dimensions(build_invariant_complex(bundle))
-        result = {
-            **rep.to_json(),
-            "tolerance": DUALITY_TOL,
-            "passed": abs(rep.product_log) <= DUALITY_TOL,
-            "model_digest": _digest_of_model(bundle),
-        }
-        convention = rep.torsion.convention_tag
-        warnings = (
-            tuple(rep.torsion.warnings)
-            + tuple(rep.dual_torsion.warnings)
-            + _rank_nullity_warning(rep.cohomology_dims, (even, odd, odd, even))
-        )
-    elif command == "deform":
-        bundle = load_bundle(model, options)
-        path = gram_scale_path(bundle, degree=0, factor=2.0)
-        drift = deformation_experiment(
-            path, options.steps, kernel_tol=options.kernel_tol
-        )
-        result = {
-            **drift.to_json(),
-            "path": "gram_scale(degree=0, factor=2.0)",
-            "model_digest": _digest_of_model(bundle),
-        }
-        convention = None
-        warnings = ()
-    else:
-        raise ValidationError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
-        )
-
+    result, convention, warnings = runner(model, options)
     wall = time.perf_counter() - t0
     return Report(
         command=command,

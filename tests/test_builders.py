@@ -136,6 +136,17 @@ def test_from_expression_rejects_garbage():
         from_expression("cycle(1)")
 
 
+def test_from_expression_refuses_an_empty_argument():
+    # an empty piece is refused, not skipped: skipping it would shift the
+    # later arguments into the wrong places
+    for text in ("hopf(1,,2)", "random(,3,)", "random(,)", "cycle(5,)"):
+        with pytest.raises(UnknownBuilder, match="got ''"):
+            from_expression(text)
+    # an empty argument list is no argument at all
+    for text in ("random()", "random( )"):
+        assert from_expression(text).radius == from_expression("random(0)").radius
+
+
 def test_size_guard_counts_cells_and_degrees_at_the_limit():
     assert MAX_MODEL_SIZE == 8192
     # the largest models at the limit still build

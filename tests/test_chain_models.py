@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from torsionlab import (
     Cochain,
@@ -21,7 +23,7 @@ from torsionlab import (
     validate_local_system,
 )
 from torsionlab.builders import cycle, minimal_sphere, simplex_boundary
-from torsionlab.chain_models import MAX_MODEL_SIZE, _is_frozen, fold
+from torsionlab.chain_models import MAX_MODEL_SIZE, _is_connected, _is_frozen, fold
 from torsionlab.cli import main
 from torsionlab.errors import (
     DuplicateSimplex,
@@ -443,6 +445,30 @@ def test_pairing_requires_orientation_and_top_degree():
     low = Cochain(degree=1, coefficients=np.ones(K2.n(1), dtype=np.complex128))
     with pytest.raises(NotTopDegree):
         pair_with_fundamental_class(K2, low)
+
+
+def test_pairing_refuses_a_disconnected_complex():
+    K = build_simplicial([(0, 1, 2), (3, 4, 5)], [1, 1])
+    top = Cochain(degree=2, coefficients=np.ones(2, dtype=np.complex128))
+    with pytest.raises(NotOriented, match="connected complex"):
+        pair_with_fundamental_class(K, top)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_connectivity_agrees_with_scipy_components(seed):
+    # random graphs, lone vertices included, against scipy's components,
+    # an oracle that shares no code with spectral._labels
+    rng = np.random.default_rng(seed)
+    V = int(rng.integers(1, 40))
+    pairs = rng.integers(0, V, size=(int(rng.integers(0, 3 * V)), 2))
+    edges = sorted({(int(a), int(b)) for a, b in np.sort(pairs, axis=1) if a != b})
+    lone = [(v,) for v in range(V) if not any(v in e for e in edges)]
+    K = build_simplicial(edges + lone, allow_mixed_dimension=True)
+    graph = scipy.sparse.coo_matrix(
+        (np.ones(len(edges)), tuple(np.array(edges, dtype=int).reshape(-1, 2).T)), shape=(V, V)
+    )
+    count, _ = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    assert _is_connected(K) == (count == 1)
 
 
 # ---------------------------------------------------------------------------

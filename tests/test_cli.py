@@ -120,8 +120,23 @@ def test_every_command_has_a_table_of_the_options_it_reads():
     from torsionlab import cli
     from torsionlab.workbench import COMMANDS
 
-    assert set(cli._READS) == {*COMMANDS, "suite"}
-    assert set().union(*cli._READS.values()) == set(cli._OPTIONS)
+    actions = {a.dest: a for a in build_parser()._actions}
+    assert set(actions["command"].choices) == {*COMMANDS, "suite"}
+    assert set().union(*(reads for _, reads in COMMANDS.values())) == set(cli._OPTIONS.values())
+
+
+def test_readme_lists_the_options_each_command_reads():
+    from torsionlab import cli
+    from torsionlab.workbench import COMMANDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | options it reads |\n| --- | --- |\n")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines():
+        commands, options = row.strip("|").split("|")
+        reads = {cli._OPTIONS[flag] for flag in re.findall(r"`(--[a-z]+)`", options)}
+        listed.update(dict.fromkeys(re.findall(r"`([a-z-]+)`", commands), reads))
+    assert listed == {**{name: set(reads) for name, (_, reads) in COMMANDS.items()}, "suite": set()}
 
 
 def test_suite_text_ends_each_criterion_with_its_seconds(capsys, monkeypatch):
@@ -207,9 +222,12 @@ def _error_lines(err: str) -> list[str]:
         ["reidemeister", f"lens({10**30},1,1)"],
         ["twisted", "cycle(1000000000)"],
         ["twisted", "simplex_boundary(40)"],
+        ["bundle-torsion", "hopf(1,,2)"],
+        ["t-dual", "random(,3,)"],
     ],
     ids=["hopf-nan", "hopf-inf", "random-float-seed", "random-negative-seed",
-         "missing-file", "lens-overflow", "cycle-oversize", "simplex-boundary-oversize"],
+         "missing-file", "lens-overflow", "cycle-oversize", "simplex-boundary-oversize",
+         "hopf-empty-argument", "random-empty-arguments"],
 )
 def test_bad_model_input_is_refused(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Command layer: model resolution, flux parsing, report rendering."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +68,13 @@ def test_load_bundle_arity_and_overrides(tmp_path):
 
     b = load_bundle("hopf(1,2,3)", RunOptions(radius=7.0))
     assert b.radius == 7.0
-    assert load_bundle("random()", RunOptions(seed=4)).radius == load_bundle("random(4)").radius
+    for text in ("random()", " random( ) ", "random_bundle()"):
+        assert load_bundle(text, RunOptions(seed=4)).radius == load_bundle("random(4)").radius
+    # --seed fills only an expression that parses to random_bundle with no
+    # arguments
+    for text in ("random(,)", "random(3)", "hopf(1,2)", "mobius()", "random", "x.json"):
+        with pytest.raises(ValidationError, match=r"--seed fills an empty random\(\) only"):
+            load_bundle(text, RunOptions(seed=4))
 
     path = tmp_path / "bundle.json"
     dump_json_file(path, encode_bundle(hopf(1, 2, 2)))
@@ -102,6 +109,12 @@ def test_parse_flux_grammar(tmp_path):
         parse_flux("sideways", C)
     with pytest.raises(ValidationError, match="bad flux coefficient"):
         parse_flux("top(xyz)", C)
+    # refused before scaling, so numpy warns of no inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in ("top(1e400)", "top(inf)", "top(1e400j)", "top(nan)"):
+            with pytest.raises(ValidationError, match="is not finite"):
+                parse_flux(spec, C)
     wrong = tmp_path / "notflux.json"
     dump_json_file(wrong, encode_complex(simplex_boundary(3)))
     with pytest.raises(ValidationError, match="cochain.v1"):
@@ -112,22 +125,43 @@ def test_parse_flux_grammar(tmp_path):
 # command execution
 # ---------------------------------------------------------------------------
 
+_CASES = {
+    "reidemeister": "cycle(5)",
+    "twisted": "simplex_boundary(4)",
+    "bundle-torsion": "hopf(1,2,1)",
+    "t-dual": "hopf(1,2,3)",
+    "verify-duality": "hopf(1,2,1)",
+    "deform": "hopf(1,2,1)",
+}
+
+
 def test_every_command_produces_a_report():
-    cases = {
-        "reidemeister": "cycle(5)",
-        "twisted": "simplex_boundary(3)",
-        "bundle-torsion": "hopf(1,2,1)",
-        "t-dual": "hopf(1,2,3)",
-        "verify-duality": "hopf(1,2,1)",
-        "deform": "hopf(1,2,1)",
-    }
-    assert set(cases) == set(COMMANDS)
-    for command, model in cases.items():
+    assert set(_CASES) == set(COMMANDS)
+    for command, model in _CASES.items():
         report = run(command, model)
         assert isinstance(report, Report)
         assert report.ok
         assert "model_digest" in report.result
         assert "wall_seconds" in report.timings
+
+
+# a value away from the default for every option; each one changes the
+# result of every case that reads it
+_AWAY = {"flux": "top", "radius": 2.5, "kernel_tol": 6.0, "seed": 3, "steps": 3}
+
+
+@pytest.mark.parametrize("command", sorted(_CASES))
+def test_a_command_reads_exactly_the_options_in_its_table(command):
+    assert set(_AWAY) == set(RunOptions.__dataclass_fields__)
+    (_, reads), model = COMMANDS[command], _CASES[command]
+    plain = run(command, model)
+    ignored = run(command, model, RunOptions(**{f: v for f, v in _AWAY.items() if f not in reads}))
+    assert (ignored.result, ignored.warnings) == (plain.result, plain.warnings)
+    for field in reads:
+        base = "random()" if field == "seed" else model  # --seed fills an empty random()
+        before = run(command, base)
+        after = run(command, base, RunOptions(**{field: _AWAY[field]}))
+        assert (after.result, after.warnings) != (before.result, before.warnings), field
 
 
 def test_reidemeister_report_values():
