@@ -416,7 +416,7 @@ def verify_t_duality(
     product_log = tau.log_scalar + tau_dual.log_scalar
 
     # nonzero spectra of d^+d move to the opposite parity on the dual side;
-    # each is the spectrum of a w* w that one of the torsions solved
+    # each is the positive spectrum of a square that one torsion solved
     transport = max(
         _transport_residual(a, b)
         for a, b in zip(tau.square_spectra, tau_dual.square_spectra[::-1])

@@ -116,12 +116,6 @@ class SpectralDecomposition:
     def positive_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[self.kernel_dimension:]
 
-    @property
-    def kernel_vectors(self) -> np.ndarray:
-        if self.eigenvectors is None:
-            raise ValueError("decomposition was computed without eigenvectors")
-        return self.eigenvectors[:, :self.kernel_dimension]
-
 
 @dataclass(frozen=True, eq=False)
 class PseudoDeterminant:
@@ -449,16 +443,9 @@ def pseudodet_of(decomposition: SpectralDecomposition) -> PseudoDeterminant:
     the result's warnings.
     """
     _refuse_imprecise(decomposition)
-    return _pseudodet(decomposition)
-
-
-def _pseudodet(decomposition: SpectralDecomposition) -> PseudoDeterminant:
-    """``pseudodet_of`` a decomposition that ``_refuse_imprecise`` has
-    already passed."""
-    k = decomposition.kernel_dimension
     positive = decomposition.positive_eigenvalues
     logdet = float(np.sum(np.log(positive))) if positive.size else 0.0
     return PseudoDeterminant(
         log_value=logdet,
-        warnings=_gap_warnings(decomposition.eigenvalues, k),
+        warnings=_gap_warnings(decomposition.eigenvalues, decomposition.kernel_dimension),
     )

@@ -1,42 +1,40 @@
 """Torsion scalars of graded and Z2-graded complexes.
 
-The Reidemeister torsion of a finite complex is assembled degree by
-degree from Laplacian pseudo-determinants,
+Both torsions are one sum over the Gram-weighted coboundaries w_p,
 
-    log tau = sum_p (-1)^(p+1) * (p/2) * log pdet(Delta_p),
+    log tau = sum_p (-1)^p * (1/2) * log pdet(w_p* w_p),
 
-which telescopes to sum_p (-1)^p * (1/2) * log pdet(delta_p^+ delta_p);
-both sums are computed and compared on every call.  The twisted scalar
-of a Z2-graded complex is the same telescoped sum over its cycle of two
-spaces, the parities,
+taken over a chain of spaces (the degrees of a graded complex) or over a
+cycle of two (the parities of a Z2-graded one).  The nonzero spectrum of
+the Laplacian Delta_p is that of w_p* w_p together with that of
+w_{p-1} w_{p-1}* (Ray-Singer), so this is the telescoped form of the
+degree-weighted sum_p (-1)^(p+1) * (p/2) * log pdet(Delta_p), whose tag
+the graded torsion keeps.  Each kernel is read from the two maps that
+meet its space: dim_p - r_p - r_{p-1}, where r_p, the rank of w_p,
+counts the eigenvalues of its square above that square's own cut, so a
+Laplacian whose two maps live on scales far apart is never cut as one.
 
-    log tau = (1/2) log pdet(D_even^+ D_even) - (1/2) log pdet(D_odd^+ D_odd),
-
-with adjoints taken against the parity Grams.  This module is the one
-place that knows the Gram weighting.  With G_p = L_p L_p* (the
-``spectral.GramFactor`` records each complex made when it checked its
-Grams), ``_blocks`` forms each Gram-weighted coboundary
+This module is the one place that knows the Gram weighting.  With
+G_p = L_p L_p* (the ``spectral.GramFactor`` records each complex made
+when it checked its Grams), ``_blocks`` forms each
 w_p = L_{p+1}* d_p L_p^{-*} once per call, w_p* w_p, w_p w_p* and the
-weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are Hermitian and congruent
-to d_p^+ d_p and the Hodge Laplacian, by L_p*, so no Gram reaches the
-eigensolver.  Without Grams, w_p is d_p itself.  A graded complex is a
-chain of spaces (its degrees) and a Z2-graded one a cycle of two, and
-one solve loop (``_solve``) serves both torsions: per space, the
-Laplacian, then the smaller of w_p* w_p and w_p w_p* for eigenvalues
-alone.  The two share their positive spectrum, so the pseudo-determinant
-of w_p* w_p is read off either, and w_p w_p* is the down term of the
-next space's Laplacian, formed anyway; a tie keeps w_p* w_p, as on the
-square parity maps of every circle bundle.  The graded torsion
-solves its Laplacians of degree p >= 1 with eigenvectors, since its
-weighted sum reads their eigenvalues and ``eigh`` gives them more
-accurately, and keeps only their kernel columns.  Delta_0 has weight 0
-in that sum, so it is solved for values only, and H^0 is formed when
-the bases are first read, by one more solve of the Delta_0 it kept.  The
-twisted torsion solves its Laplacians for values only and forms its
-harmonic bases the same way, by one more solve per parity.  It also
-keeps the positive spectra of its two w_p* w_p, which the duality
-transport compares.  Kernel dimensions double as cohomology
-dimensions (checked against rank-nullity in the test suite).
+weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*.  They are Hermitian and
+congruent to d_p^+ d_p and the Hodge Laplacian, by L_p*, so no Gram
+reaches the eigensolver.  Without Grams, w_p is d_p itself.  One solve
+loop (``_solve``) serves both torsions: per space, the Laplacian for
+eigenvalues only, whose cut is checked for roundoff and which is kept
+for the harmonic bases, then one square of w_p.  With Grams that square
+is w_p w_p*, which reads ill-conditioned Grams more accurately; without
+them it is the smaller of the two, a tie keeping w_p* w_p, as on the
+square parity maps of every circle bundle.  w_p w_p* is the down term
+of the next space's Laplacian, formed anyway.  The graded torsion
+solves its squares with eigenvectors, since ``eigh`` gives their
+eigenvalues more accurately than ``eigvalsh`` on large cycles, and
+reads only the eigenvalues; the twisted torsion solves them for values
+only.  The harmonic bases of both are formed when first read, by one
+more solve of each kept Laplacian, and the squares' positive spectra
+are kept for the duality transport.  Kernel dimensions double as
+cohomology dimensions (checked against rank-nullity in the test suite).
 
 Each complex keeps the bipartite components of its maps
 (``spectral._map_blocks``), or None for a map taken whole.  Without
@@ -63,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +72,6 @@ from .spectral import (
     HarmonicBasis,
     _labels,
     _mask_edges,
-    _pseudodet,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -90,7 +87,6 @@ __all__ = [
 
 REIDEMEISTER_TAG = "p-weighted-v1"
 TWISTED_TAG = "parity-split-v1"
-_CONVENTION_CHECK_TOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
 _LOG_MAX = math.log(np.finfo(np.float64).max)
@@ -100,15 +96,16 @@ _LOG_MAX = math.log(np.finfo(np.float64).max)
 class TorsionElement:
     """Torsion scalar in log form, plus the harmonic data that frames it.
 
-    ``kernel_dims`` are the Laplacian kernel dimensions, one entry per
-    degree (graded case) or per parity (twisted case); they equal the
-    corresponding cohomology dimensions.  ``warnings`` collects spectral
-    gap complaints and convention cross-check failures.
-    ``form_bases`` is a zero-argument function that forms the harmonic
-    bases, one per degree or parity; ``harmonic_bases`` runs it on first
-    read and keeps its value.  ``square_spectra`` holds, for a twisted
-    element, the positive eigenvalues of w* w per parity that the torsion
-    solved, read off the smaller of w* w and w w*, which share them.
+    ``kernel_dims`` are the kernel dimensions, one entry per degree
+    (graded case) or per parity (twisted case): the dimension less the
+    ranks of the maps out of and into the space; they equal the
+    corresponding cohomology dimensions.  ``warnings`` collects the
+    spectral gap complaints of the maps' squares.  ``form_bases`` is a
+    zero-argument function that forms the harmonic bases, one per degree
+    or parity; ``harmonic_bases`` runs it on first read and keeps its
+    value.  ``square_spectra`` holds, per degree or parity, the positive
+    eigenvalues of w* w that the torsion solved, read off the square it
+    solved (w* w or w w*, which share them).
     """
 
     log_scalar: float
@@ -266,25 +263,29 @@ def _squares(x: np.ndarray, blocks, exact: bool) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def _smaller(up: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """w* w, or w w* where that is of lower order."""
-    return outer if len(outer) < len(up) else up
+def _solved_square(up: np.ndarray, outer: np.ndarray, weighted: bool) -> np.ndarray:
+    """The square of w_p that the torsion solves: w_p w_p* on a complex
+    with Grams, whose ill-conditioned Grams it reads more accurately than
+    w_p* w_p; without Grams the smaller of the two, a tie keeping w_p* w_p.
+    The two share their positive spectrum."""
+    return outer if weighted or len(outer) < len(up) else up
 
 
 def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
-    """Per space p: (the smaller of w_p* w_p and w_p w_p*, the weighted
-    Laplacian w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
+    """Per space p: (the square of w_p the torsion solves
+    (``_solved_square``), the weighted Laplacian
+    w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
     w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary, each side
     weighted only when its space has a record (d_p itself without Grams).
-    The two squares share their positive spectrum, and w_p w_p* is the
-    down term of the next space, so the smaller square costs no product;
-    a tie keeps w_p* w_p.  Without Grams each product is formed one
-    bipartite component of d_p at a time (``_square``), and a map taken
-    whole from its integer nonzeros where it can be (``_squares``); with
-    Grams, whole.  Each product is built, and refused if it underflowed,
-    once; one that overflowed is refused by the solver."""
+    w_p w_p* is the down term of the next space, so either square costs
+    no product.  Without Grams each product is formed one bipartite
+    component of d_p at a time (``_square``), and a map taken whole from
+    its integer nonzeros where it can be (``_squares``); with Grams,
+    whole.  Each product is built, and refused if it underflowed, once;
+    one that overflowed is refused by the solver."""
     _, maps, grams, labels, cyclic, blocks = _spaces(C)
-    if grams[0] is not None:
+    weighted = grams[0] is not None
+    if weighted:
         blocks = (None,) * len(maps)
     w, out = [], []
     with np.errstate(over="ignore"):
@@ -296,7 +297,7 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
             w.append(d)
 
         def squares(p: int) -> tuple[np.ndarray, np.ndarray]:
-            exact = grams[0] is None and blocks[p] is None and max(w[p].shape) >= SPLIT_MIN_ORDER
+            exact = not weighted and blocks[p] is None and max(w[p].shape) >= SPLIT_MIN_ORDER
             up, outer = _squares(w[p], blocks[p], exact)
             return (
                 _unless_underflowed(up, maps[p], labels[p]),
@@ -318,27 +319,22 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
                     # up + down, where -0.0 reads +0.0
                     down += 0.0
                     lap = down
-            out.append((_smaller(up, outer), lap, grams[p]))
+            out.append((_solved_square(up, outer, weighted), lap, grams[p]))
             down = outer
     return out
 
 
-def _solve(
-    C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: Sequence[bool]
-):
+def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):
     """The one solve loop of both torsions.  Per space p, in order: the
-    weighted Laplacian, with eigenvectors only where ``vectors[p]``, then
-    the smaller of w_p* w_p and w_p w_p* for values only; each cut that
-    cannot be trusted is refused, once.  Yields, per space, the
-    Laplacian's decomposition, the pseudo-determinant of w_p* w_p and its
-    positive eigenvalues, both read off that smaller square, and the
-    (weighted Laplacian, GramFactor or None) pair that a kernel basis is
-    read from."""
-    for (square, lap, gram), eager in zip(_blocks(C), vectors):
-        dec = hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=eager)
-        _refuse_imprecise(dec)
-        values = hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=False)
-        yield dec, pseudodet_of(values), values.positive_eigenvalues, (lap, gram)
+    weighted Laplacian for values only, refused when its cut cannot be
+    trusted, then the square of w_p (``_solved_square``), with
+    eigenvectors when ``vectors`` (only its eigenvalues are read; ``eigh``
+    gives them more accurately than ``eigvalsh``).  Yields, per space,
+    the square's decomposition and the (weighted Laplacian, GramFactor or
+    None) pair that a kernel basis is read from."""
+    for square, lap, gram in _blocks(C):
+        _refuse_imprecise(hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=False))
+        yield hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors), (lap, gram)
 
 
 def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:
@@ -353,26 +349,50 @@ def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:
 
 def _kernel_bases(names, kernel_dims, kept) -> tuple[HarmonicBasis, ...]:
     """Per space, the eigenvectors of the kernel_dims[p] smallest
-    eigenvalues of one solve of its weighted Laplacian, lifted.  The cut
-    is the torsion's own, so each basis has its kernel's dimension."""
+    eigenvalues of one solve of its weighted Laplacian, lifted.  Each
+    basis has the dimension of the torsion's kernel."""
     return tuple(
         _lifted(name, hermitian_spectrum(lap).eigenvectors[:, :k], gram)
         for name, k, (lap, gram) in zip(names, kernel_dims, kept)
     )
 
 
-def _graded_bases(kept, k: int, higher: tuple[HarmonicBasis, ...]) -> tuple[HarmonicBasis, ...]:
-    """H^0 from one solve of the kept Delta_0, cut at its kernel
-    dimension k, then the bases of the higher degrees."""
-    return _kernel_bases(("H^0",), (k,), (kept,)) + higher
-
-
 def _telescoped(ups) -> float:
-    """sum_p (-1)^p (1/2) log pdet(w_p* w_p), summed in degree order."""
+    """sum_p (-1)^p (1/2) log pdet(w_p* w_p), summed in space order."""
     total = 0.0
     for p, pd in enumerate(ups):
         total += (-1.0) ** p * 0.5 * pd.log_value
     return total
+
+
+def _torsion(
+    C: GradedCochainComplex | TwistedComplex,
+    kernel_tol: float | None,
+    tag: str,
+    names: tuple[str, ...],
+    vectors: bool,
+) -> TorsionElement:
+    """The body of both torsions: the telescoped sum over the squares of
+    the maps, and per space the kernel dimension dim_p - r_p - r_{p-1},
+    where r_p, the rank of w_p, counts the eigenvalues of its square above
+    that square's own cut (r_{-1} is the rank of the map into space 0 on a
+    cycle, 0 on a chain).  The harmonic bases are solved for when first
+    read."""
+    dims, *_, cyclic, _ = _spaces(C)
+    solved = list(_solve(C, kernel_tol, vectors))
+    pds = [pseudodet_of(square) for square, _ in solved]
+    ranks = [square.positive_eigenvalues.size for square, _ in solved]
+    kernel_dims = tuple(
+        n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0) for p, n in enumerate(dims)
+    )
+    return TorsionElement(
+        log_scalar=_telescoped(pds),
+        form_bases=partial(_kernel_bases, names, kernel_dims, tuple(kept for _, kept in solved)),
+        convention_tag=tag,
+        kernel_dims=kernel_dims,
+        warnings=tuple(w for pd in pds for w in pd.warnings),
+        square_spectra=tuple(square.positive_eigenvalues for square, _ in solved),
+    )
 
 
 def reidemeister_torsion(
@@ -380,39 +400,10 @@ def reidemeister_torsion(
     *,
     kernel_tol: float | None = None,
 ) -> TorsionElement:
-    """Degree-weighted torsion scalar with harmonic bases per degree.
-
-    Delta_0 has weight 0 in the sum, so it is solved for values only and
-    H^0 is formed when the bases are first read; the other degrees are
-    solved with eigenvectors and keep only their kernel columns."""
-    log_scalar = 0.0
-    notes, bases, kernel_dims, ups = [], [], [], []
-    eager = [p > 0 for p in range(len(C.dims))]
-    for p, (dec, up, _, kept) in enumerate(_solve(C, kernel_tol, eager)):
-        pd = _pseudodet(dec)
-        notes.extend(pd.warnings)
-        log_scalar += (-1.0) ** (p + 1) * (p / 2.0) * pd.log_value
-        if p == 0:
-            kept0 = kept
-        else:
-            bases.append(_lifted(f"H^{p}", dec.kernel_vectors, kept[1]))
-        kernel_dims.append(dec.kernel_dimension)
-        ups.append(up)
-
-    # telescoped form over delta^+ delta only; must match the weighted sum
-    alt = _telescoped(ups)
-    if abs(log_scalar - alt) > _CONVENTION_CHECK_TOL * max(1.0, abs(log_scalar)):
-        notes.append(
-            f"telescoping cross-check drifted: weighted {log_scalar!r} vs telescoped {alt!r}"
-        )
-
-    return TorsionElement(
-        log_scalar=log_scalar,
-        form_bases=partial(_graded_bases, kept0, kernel_dims[0], tuple(bases)),
-        convention_tag=REIDEMEISTER_TAG,
-        kernel_dims=tuple(kernel_dims),
-        warnings=tuple(notes),
-    )
+    """Graded torsion scalar with harmonic bases per degree: the
+    telescoped sum over the chain of degrees."""
+    names = tuple(f"H^{p}" for p in range(len(C.dims)))
+    return _torsion(C, kernel_tol, REIDEMEISTER_TAG, names, vectors=True)
 
 
 def twisted_torsion(
@@ -421,20 +412,8 @@ def twisted_torsion(
     kernel_tol: float | None = None,
 ) -> TorsionElement:
     """Parity-split torsion of a Z2-graded complex: the telescoped sum
-    over its cycle of two spaces.  Its Laplacians are solved for values
-    only; the harmonic bases are solved for when first read."""
-    (even, even_up, even_spectrum, even_lap), (odd, odd_up, odd_spectrum, odd_lap) = _solve(
-        T, kernel_tol, (False, False)
-    )
-    kernel_dims = (even.kernel_dimension, odd.kernel_dimension)
-    return TorsionElement(
-        log_scalar=_telescoped((even_up, odd_up)),
-        form_bases=partial(_kernel_bases, ("even", "odd"), kernel_dims, (even_lap, odd_lap)),
-        convention_tag=TWISTED_TAG,
-        kernel_dims=kernel_dims,
-        warnings=even_up.warnings + odd_up.warnings,
-        square_spectra=(even_spectrum, odd_spectrum),
-    )
+    over its cycle of two spaces."""
+    return _torsion(T, kernel_tol, TWISTED_TAG, ("even", "odd"), vectors=False)
 
 
 def _incidence_rank(d: np.ndarray) -> int | None:

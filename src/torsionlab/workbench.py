@@ -181,13 +181,17 @@ def parse_flux(spec: str | None, C: GradedCochainComplex):
             f"unknown flux spec {spec!r}; expected zero, top, or top(c)"
         )
     coeff = 1.0 + 0.0j
-    if m.group(1):
+    if m.group(1) is not None:
+        written = m.group(1).strip().replace(" ", "")
         try:
-            coeff = complex(m.group(1).strip().replace(" ", ""))
+            coeff = complex(written)
         except ValueError as exc:
             raise ValidationError(f"bad flux coefficient {m.group(1)!r}") from exc
         if not cmath.isfinite(coeff):
             raise ValidationError(f"flux coefficient {m.group(1)!r} is not finite")
+        # a nonzero digit outside the exponents, yet 0.0: it underflowed
+        if coeff == 0 and re.search(r"[1-9]", re.sub(r"[eE][+-]?\d+", "", written)):
+            raise ValidationError(f"flux coefficient {m.group(1)!r} underflows float64 to zero")
     top = C.top
     n = C.simplicial.n(top) if C.simplicial is not None else C.dims[top]
     return Cochain(degree=top, coefficients=coeff * np.ones(n, dtype=np.complex128))
@@ -206,7 +210,7 @@ def _digest_of_model(obj) -> str:
 
 
 def _rank_nullity_warning(kernel_dims, rank_nullity) -> tuple[str, ...]:
-    """A warning when the Laplacian kernel dimensions and the rank-nullity
+    """A warning when the torsion's kernel dimensions and the rank-nullity
     cohomology dimensions, two routes to the same numbers, disagree."""
     if tuple(kernel_dims) == tuple(rank_nullity):
         return ()

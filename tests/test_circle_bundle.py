@@ -159,26 +159,19 @@ def test_hopf_torsions_are_inverse_at_any_radius(f, h2, radius):
     assert rep.torsion.scalar == pytest.approx(radius**2 * abs(h2 / f), rel=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the relative kernel cut (1e-9 times the largest eigenvalue) swallows the small "
-    "eigenvalue of the mixed-scale Laplacian diag((r h2)^2, (f / r)^2)",
-)
 @pytest.mark.parametrize("radius", [1e-3, 1e3])
 def test_mixed_scale_hopf_kernel_dims_match_rank_nullity(radius):
-    # rank-nullity gives (0, 0); the Laplacian kernel read today is (1, 1)
+    # the Laplacian diag((r h2)^2, (f / r)^2) mixes scales 1e12 apart, past
+    # one relative cut; each map's square is cut on its own scale
     ic = build_invariant_complex(hopf(1, 2, radius))
-    assert twisted_torsion(ic).kernel_dims == torsion_engine.twisted_cohomology_dimensions(ic)
+    elem = twisted_torsion(ic)
+    assert elem.kernel_dims == torsion_engine.twisted_cohomology_dimensions(ic) == (0, 0)
+    assert elem.warnings == ()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the relative kernel cut (1e-9 times the largest eigenvalue) swallows the small "
-    "eigenvalue of the mixed-scale Laplacian Delta_1 = diag(4e-6, 1e6)",
-)
 def test_mixed_scale_graded_torsion_is_the_per_map_sum():
-    # acyclic, so log tau = log 2e-3 - log 1e3; today the weighted sum
-    # reads -6.907755278982137 with kernel dims (0, 1, 0)
+    # acyclic, so log tau = log 2e-3 - log 1e3, though Delta_1 =
+    # diag(4e-6, 1e6) mixes scales past one relative cut
     C = GradedCochainComplex(
         dims=(1, 2, 1),
         coboundary=(np.array([[2e-3], [0.0]]), np.array([[0.0, 1e3]])),
@@ -186,6 +179,7 @@ def test_mixed_scale_graded_torsion_is_the_per_map_sum():
     torsion = torsion_engine.reidemeister_torsion(C)
     assert torsion.log_scalar == pytest.approx(-13.122363377404328, rel=1e-12)
     assert torsion.kernel_dims == (0, 0, 0)
+    assert torsion.warnings == ()
 
 
 def test_verify_factors_each_gram_once(factorizations, lower_inverses):
@@ -569,17 +563,17 @@ def test_radius_path_moves_torsion_but_keeps_duality():
 
 
 def test_transport_reads_the_spectra_the_torsions_solved(eigensolves):
-    # per torsion, the two Laplacians and the two w* w are solved for values
-    # only; the harmonic comparison then solves each element's two
-    # Laplacians with vectors, and the transport solves nothing
+    # per torsion, the two Laplacians and the two squares w w* are solved
+    # for values only; the harmonic comparison then solves each element's
+    # two Laplacians with vectors, and the transport solves nothing
     b = random_bundle(4242, 4)
     report = verify_t_duality(b)
     assert [kind for _, kind in eigensolves] == ["values"] * 8 + ["vectors"] * 4
     # the transported spectra are the torsions' own, the positive spectra
-    # of the very w* w matrices a fresh solve gives
+    # of the very squares a fresh solve gives
     for elem, model in ((report.torsion, b), (report.dual_torsion, t_dualize(b))):
         blocks = torsion_engine._blocks(build_invariant_complex(model))
         assert len(elem.square_spectra) == len(blocks) == 2
-        for spectrum, (up, _, _) in zip(elem.square_spectra, blocks):
-            fresh = torsion_engine.hermitian_spectrum(up, vectors=False)
+        for spectrum, (square, _, _) in zip(elem.square_spectra, blocks):
+            fresh = torsion_engine.hermitian_spectrum(square, vectors=False)
             assert np.array_equal(spectrum, fresh.positive_eigenvalues)

@@ -224,10 +224,14 @@ def _error_lines(err: str) -> list[str]:
         ["twisted", "simplex_boundary(40)"],
         ["bundle-torsion", "hopf(1,,2)"],
         ["t-dual", "random(,3,)"],
+        ["twisted", "simplex_boundary(4)", "--flux", "top()"],
+        ["twisted", "simplex_boundary(4)", "--flux", "top(1e-400)"],
+        ["twisted", "simplex_boundary(4)", "--flux", "top(1e-400j)"],
     ],
     ids=["hopf-nan", "hopf-inf", "random-float-seed", "random-negative-seed",
          "missing-file", "lens-overflow", "cycle-oversize", "simplex-boundary-oversize",
-         "hopf-empty-argument", "random-empty-arguments"],
+         "hopf-empty-argument", "random-empty-arguments", "flux-empty-coefficient",
+         "flux-underflow", "flux-imaginary-underflow"],
 )
 def test_bad_model_input_is_refused(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -613,11 +617,10 @@ def test_cohomology_dims_print_as_plain_ints_without_numpy_ma():
     assert out[-1] == "False"
 
 
-def test_mixed_scale_graded_report_carries_both_warnings(capsys, tmp_path):
-    # the wrong log tau of a mixed-scale graded complex (strict xfail
-    # test_mixed_scale_graded_torsion_is_the_per_map_sum) must not turn
-    # silent: its report names the telescoped drift and the rank-nullity
-    # disagreement
+def test_mixed_scale_graded_report_reads_the_per_map_sum(capsys, tmp_path):
+    # Delta_1 = diag(4e-6, 1e6) mixes scales past one relative cut; the
+    # torsion sums and ranks each map on its own scale, so the report
+    # reads log tau = log 2e-3 - log 1e3, the acyclic kernels and no warning
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "schema": "complex.v1", "kind": "cochain", "dims": [1, 2, 1],
@@ -625,18 +628,15 @@ def test_mixed_scale_graded_report_carries_both_warnings(capsys, tmp_path):
     }))
     assert main(["reidemeister", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["result"]["cohomology_dims"] == [0, 0, 0]
-    assert report["result"]["torsion"]["kernel_dims"] == [0, 1, 0]
-    drift, disagreement = report["warnings"]
-    assert drift.startswith("telescoping cross-check drifted")
-    assert "telescoped -13.122363377404328" in drift
-    assert disagreement.startswith(
-        "kernel dims [0, 1, 0] disagree with rank-nullity cohomology dims [0, 0, 0]"
-    )
+    torsion = report["result"]["torsion"]
+    assert torsion["log_scalar"] == pytest.approx(-13.122363377404328, rel=1e-12)
+    assert torsion["log_scalar"] == pytest.approx(math.log(2e-3) - math.log(1e3), rel=1e-12)
+    assert report["result"]["cohomology_dims"] == torsion["kernel_dims"] == [0, 0, 0]
+    assert report["warnings"] == torsion["warnings"] == []
     assert main(["reidemeister", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "warning: telescoping cross-check drifted" in out
-    assert "warning: kernel dims [0, 1, 0] disagree with rank-nullity" in out
+    assert "  kernel dims = [0, 0, 0]" in out
+    assert "warning" not in out
 
 
 def test_import_loads_numpy_but_not_scipy():

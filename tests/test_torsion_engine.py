@@ -265,8 +265,8 @@ def test_weighted_solves_match_scipy_generalized_solver(
         (d.conj().T @ g1 @ d).astype(np.complex128), g0.astype(np.complex128), eigvals_only=True
     )
     scale = max(1.0, float(reference.max()))
-    # the smaller square, w w* (order m < n), holds the same nonzero
-    # spectrum as w* w, with n - m fewer zeros
+    # with Grams the torsion solves w w* (order m < n), which holds the
+    # same nonzero spectrum as w* w, with n - m fewer zeros
     square = _blocks(C)[0][0]
     assert square.shape == (m, m)
     values = hermitian_spectrum(square).eigenvalues
@@ -297,17 +297,20 @@ def _conditioned_gram(rng, n, kappa):
     return 0.5 * (g + g.T)
 
 
-def _mpmath_log_torsion(C) -> tuple[float, tuple[int, ...]]:
-    """log tau and kernel dims at 50 digits, from the Hodge Laplacians
+def _mpmath_log_torsion(C) -> tuple[float, tuple[int, ...], bool]:
+    """log tau, kernel dims and whether some cut is poorly separated, at
+    50 digits, from the Hodge Laplacians
     G_p^-1 d_p* G_{p+1} d_p + d_{p-1} G_{p-1}^-1 d_{p-1}* G_p with explicit
     inverses and a general eigensolver, cut like the engine: at 1e-9
-    times the largest eigenvalue modulus."""
+    times the largest eigenvalue modulus.  A cut is poorly separated when
+    the smallest retained eigenvalue is within 1e3 of the largest
+    discarded modulus."""
     with mpmath.workdps(50):
         k = len(C.dims)
         grams = [mpmath.matrix(g.tolist()) for g in C.gram]
         d = [mpmath.matrix(a.tolist()) for a in C.coboundary]
         adj = [mpmath.inverse(grams[p]) * d[p].T * grams[p + 1] for p in range(k - 1)]
-        log_tau, kernel_dims = mpmath.mpf(0), []
+        log_tau, kernel_dims, poor = mpmath.mpf(0), [], False
         for p, n in enumerate(C.dims):
             lap = mpmath.zeros(n, n)
             if p < k - 1:
@@ -317,9 +320,12 @@ def _mpmath_log_torsion(C) -> tuple[float, tuple[int, ...]]:
             ev = [mpmath.re(e) for e in mpmath.eig(lap, left=False, right=False)]
             cut = mpmath.mpf("1e-9") * max(abs(e) for e in ev)
             positive = [e for e in ev if e > cut]
+            discarded = [abs(e) for e in ev if e <= cut]
+            if positive and discarded:
+                poor = poor or min(positive) < spectral.GAP_RATIO * max(discarded)
             kernel_dims.append(n - len(positive))
             log_tau += (-1) ** (p + 1) * mpmath.mpf(p) / 2 * mpmath.fsum(map(mpmath.log, positive))
-        return float(log_tau), tuple(kernel_dims)
+        return float(log_tau), tuple(kernel_dims), poor
 
 
 @pytest.mark.parametrize("K", [cycle(6), simplex_boundary(3)], ids=["cycle(6)", "simplex_boundary(3)"])
@@ -328,10 +334,14 @@ def test_ill_conditioned_grams_against_mpmath(K, seed):
     rng = np.random.default_rng(seed)
     C = coboundary_matrices(K)
     C = C.with_gram([_conditioned_gram(rng, n, 1e6) for n in C.dims])
-    reference, kernel_dims = _mpmath_log_torsion(C)
+    reference, kernel_dims, poor = _mpmath_log_torsion(C)
     elem = reidemeister_torsion(C)
     assert abs(elem.log_scalar - reference) <= 1e-9
     assert elem.kernel_dims == kernel_dims
+    # no warning but a kernel cut that the reference finds poorly
+    # separated too (seed 5 on cycle(6): 3.2e-4 discarded, 3.5e-2 kept)
+    assert all(w.startswith("kernel cut poorly separated") for w in elem.warnings)
+    assert bool(elem.warnings) == poor
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +491,28 @@ def test_top_flux_torsion_is_the_flux_modulus(n, log_modulus, phase):
 
 def test_real_complex_runs_only_real_solves(eigensolves):
     reidemeister_torsion(coboundary_matrices(cycle(9)))
-    # Delta_0 has weight 0 and is solved for values only; Delta_1 keeps its
-    # vectors for the harmonic basis; the telescoped delta^+ delta solve
-    # reads eigenvalues only, and the top degree's is exactly zero and
-    # needs no eigensolve
-    assert eigensolves == [("float64", "values"), ("float64", "values"), ("float64", "vectors")]
+    # per degree, the Laplacian for values only, then the square of the
+    # map out by eigh, whose eigenvalues alone are read; the top degree's
+    # square is 0 x 0 and needs no eigensolve
+    assert eigensolves == [("float64", "values"), ("float64", "vectors"), ("float64", "values")]
 
 
 def test_lens_complex_runs_complex_solves(eigensolves):
     reidemeister_torsion(lens(5, 1, 2))
     # delta_1 is an exact zero and delta_3 the empty top map: their
-    # telescoped solves are of exact zeros and need no eigensolve
+    # squares are of exact zeros and need no eigensolve
     assert eigensolves == [
         ("complex128", "values"),
-        ("complex128", "values"),
-        ("complex128", "vectors"),
         ("complex128", "vectors"),
         ("complex128", "values"),
+        ("complex128", "values"),
         ("complex128", "vectors"),
+        ("complex128", "values"),
     ]
 
 
 # ---------------------------------------------------------------------------
-# graded solves: H^0 is formed when first read, each cut checked once
+# graded solves: the bases are formed when first read, each cut checked once
 # ---------------------------------------------------------------------------
 
 def _graded_case(name):
@@ -519,20 +528,22 @@ def _graded_case(name):
 
 @pytest.mark.parametrize("name", ["cycle(9)", "simplex_boundary(4)", "lens", "weighted cycle(40)"])
 def test_first_read_of_graded_bases_costs_one_solve(name, eigensolves):
-    elem = reidemeister_torsion(_graded_case(name))
+    # one vector solve of each degree's Laplacian, on the first read only
+    C = _graded_case(name)
+    elem = reidemeister_torsion(C)
     solved = list(eigensolves)
     elem.to_json()
     assert eigensolves == solved
     first = elem.harmonic_bases
-    assert eigensolves[len(solved):] == [(solved[0][0], "vectors")]
+    assert eigensolves[len(solved):] == [(solved[0][0], "vectors")] * len(C.dims)
     assert elem.harmonic_bases is first
-    assert len(eigensolves) == len(solved) + 1
+    assert len(eigensolves) == len(solved) + len(C.dims)
 
 
 @pytest.mark.parametrize("expr, degrees", [("cycle(9)", 2), ("simplex_boundary(5)", 5)])
 def test_each_solve_is_checked_for_roundoff_once(expr, degrees, monkeypatch):
     # one roundoff refusal check per solved operator: each Laplacian in
-    # the solve loop, each w* w in its pseudo-determinant
+    # the solve loop, each square in its pseudo-determinant
     seen = []
     check = spectral._refuse_imprecise
 
@@ -552,12 +563,12 @@ def test_each_solve_is_checked_for_roundoff_once(expr, degrees, monkeypatch):
 def test_h0_equals_an_eager_eigh_of_delta_0_bit_for_bit(name):
     C = _graded_case(name)
     # the lazy H^0 and an eager vector solve of Delta_0, cut at the
-    # kernel dimension the values-only solve found, lifted by L_0^{-*}
+    # kernel dimension the torsion found, lifted by L_0^{-*}
     elem = reidemeister_torsion(C)
     _, lap, gram = _blocks(C)[0]
     eager = hermitian_spectrum(lap)
     assert eager.kernel_dimension == elem.kernel_dims[0]
-    h0 = eager.kernel_vectors
+    h0 = eager.eigenvectors[:, :eager.kernel_dimension]
     if gram is not None:
         h0 = gram.lower_inverse.conj().T @ h0
     basis = elem.harmonic_bases[0]
@@ -611,7 +622,8 @@ def test_twisted_bases_equal_the_eager_lifted_bases_bit_for_bit():
             blocks = _blocks(ic)
             assert len(elem.harmonic_bases) == len(blocks) == 2
             for basis, name, (_, lap, gram) in zip(elem.harmonic_bases, ("even", "odd"), blocks):
-                eager = hermitian_spectrum(lap).kernel_vectors
+                dec = hermitian_spectrum(lap)
+                eager = dec.eigenvectors[:, :dec.kernel_dimension]
                 if gram is not None:
                     eager = gram.lower_inverse.conj().T @ eager
                 assert basis.label == name
@@ -641,6 +653,46 @@ def test_poorly_separated_cut_gives_bases_of_the_kernel_dims():
     assert any("poorly separated" in w for w in elem.warnings)
     assert elem.kernel_dims != twisted_cohomology_dimensions(T)
     assert tuple(basis.vectors.shape[1] for basis in elem.harmonic_bases) == elem.kernel_dims
+
+
+_SCALED = st.builds(
+    lambda m, k: m * 10.0**k,
+    st.floats(1.0, 10.0, exclude_max=True) | st.floats(-10.0, -1.0, exclude_min=True),
+    st.integers(-75, 75),
+)
+
+
+def _two_scale_complex(a: float, b: float, grams=None) -> GradedCochainComplex:
+    """dims [1, 2, 1] with delta_0 = [[a], [0]] and delta_1 = [[0, b]]:
+    acyclic, with Delta_1 = diag(a^2, b^2) on two scales."""
+    return GradedCochainComplex(
+        dims=(1, 2, 1),
+        coboundary=(np.array([[a], [0.0]]), np.array([[0.0, b]])),
+        gram=grams,
+    )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(a=_SCALED, b=_SCALED, seed=st.integers(0, 2**32 - 1))
+@example(a=2e-3, b=1e3, seed=0)
+@example(a=1e-75, b=9.99e75, seed=1)
+def test_two_scale_torsion_is_the_per_map_sum(a, b, seed):
+    # each map is summed and ranked on its own scale, however far apart
+    # the two scales of Delta_1 lie: log tau = log|a| - log|b|
+    expected = math.log(abs(a)) - math.log(abs(b))
+    scale = max(1.0, abs(math.log(abs(a))) + abs(math.log(abs(b))))
+    elem = reidemeister_torsion(_two_scale_complex(a, b))
+    assert abs(elem.log_scalar - expected) <= 1e-12 * scale
+    assert elem.kernel_dims == (0, 0, 0)
+    assert elem.warnings == ()
+    # with Grams, log tau moves by -(1/2) sum_p (-1)^p log det G_p
+    rng = np.random.default_rng(seed)
+    grams = [_random_spd(rng, n) for n in (1, 2, 1)]
+    shift = -0.5 * sum((-1) ** p * np.linalg.slogdet(g)[1] for p, g in enumerate(grams))
+    weighted = reidemeister_torsion(_two_scale_complex(a, b, grams))
+    assert abs(weighted.log_scalar - (expected + shift)) <= 1e-12 * scale
+    assert weighted.kernel_dims == (0, 0, 0)
+    assert weighted.warnings == ()
 
 
 def test_matrix_tree_oracle_at_benchmark_scale():
@@ -920,9 +972,11 @@ def test_with_grams_the_products_of_a_split_map_stay_whole(kind):
     )
     f0, f1 = C._gram_factors
     w = f1.lower.conj().T @ d @ f0.lower_inverse.conj().T
-    (up, _, _), (_, down, _) = _blocks(C)
+    (square, lap, _), (_, down, _) = _blocks(C)
     top = C.delta(1)
-    assert up.tobytes() == (w.conj().T @ w).tobytes()
+    # with Grams the torsion solves w w*, whatever the orders of the squares
+    assert square.tobytes() == (w @ w.conj().T).tobytes()
+    assert lap.tobytes() == (w.conj().T @ w).tobytes()
     assert down.tobytes() == ((top.conj().T @ top) + w @ w.conj().T).tobytes()
 
 
@@ -970,7 +1024,7 @@ def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
 
 # ---------------------------------------------------------------------------
 # each square is formed once, from integer nonzeros where it can be, and
-# solved on its smaller side
+# solved on its smaller side, or as w w* with Grams
 # ---------------------------------------------------------------------------
 
 _BOUND = 2.0**20
@@ -1085,25 +1139,21 @@ def _smaller_side_case(name):
     + ["weighted simplex_boundary(5)", "weighted cycle(40)", "weighted lens"],
 )
 def test_the_smaller_square_moves_only_the_telescoped_roundoff(name, monkeypatch):
+    # the square solved (the smaller one, or w w* with Grams) against the
+    # other one: they share their positive spectrum, so the telescoped
+    # log tau moves by roundoff only, and no rank moves
     C = _smaller_side_case(name)
-    sums = []
-    telescoped = torsion_engine._telescoped
+    solved = torsion_engine._solved_square
 
-    def record(ups):
-        sums.append(telescoped(ups))
-        return sums[-1]
+    def other_side(up, outer, weighted):
+        return up if solved(up, outer, weighted) is outer else outer
 
-    def larger_side(up, outer):
-        return outer if len(outer) > len(up) else up
-
-    monkeypatch.setattr(torsion_engine, "_telescoped", record)
-    smaller = reidemeister_torsion(C)
-    monkeypatch.setattr(torsion_engine, "_smaller", larger_side)
-    larger = reidemeister_torsion(C)
-    assert smaller.log_scalar.hex() == larger.log_scalar.hex()
-    assert smaller.kernel_dims == larger.kernel_dims
-    assert smaller.warnings == larger.warnings == ()
-    assert abs(sums[0] - sums[1]) <= 1e-12 * max(1.0, abs(sums[1]))
+    chosen = reidemeister_torsion(C)
+    monkeypatch.setattr(torsion_engine, "_solved_square", other_side)
+    other = reidemeister_torsion(C)
+    assert abs(chosen.log_scalar - other.log_scalar) <= 1e-12 * max(1.0, abs(other.log_scalar))
+    assert chosen.kernel_dims == other.kernel_dims
+    assert chosen.warnings == other.warnings == ()
 
 
 def test_simplex_boundary_10_solves_each_square_on_its_smaller_side(
@@ -1114,9 +1164,10 @@ def test_simplex_boundary_10_solves_each_square_on_its_smaller_side(
     # the diagonal; the other solves are Delta_0, the squares of degrees
     # 0 to 8 and Delta_9, and the top degree's square is 0 x 0
     assert eigensolve_orders == [11, 11, 55, 165, 330, 462, 330, 165, 55, 11, 11]
-    # degree 5's cross-check solves w w* of order 330, not w* w of order 462
+    # degree 5 solves w w* of order 330, not w* w of order 462
     assert eigensolve_orders[6] == 330
-    assert eigensolves == [("float64", "values")] * 10 + [("float64", "vectors")]
+    # the squares by eigh, the Laplacians for values only
+    assert eigensolves == [("float64", "values")] + [("float64", "vectors")] * 9 + [("float64", "values")]
 
 
 # ---------------------------------------------------------------------------

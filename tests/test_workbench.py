@@ -109,6 +109,17 @@ def test_parse_flux_grammar(tmp_path):
         parse_flux("sideways", C)
     with pytest.raises(ValidationError, match="bad flux coefficient"):
         parse_flux("top(xyz)", C)
+    # an empty coefficient is not the default one
+    for spec in ("top()", "top( )"):
+        with pytest.raises(ValidationError, match="bad flux coefficient"):
+            parse_flux(spec, C)
+    # nonzero as written, 0.0 as read; a zero written with an exponent
+    # is zero flux
+    for spec in ("top(1e-400)", "top(1e-400j)", "top(-1e-400)", "top(0+1e-400j)"):
+        with pytest.raises(ValidationError, match="underflows float64 to zero"):
+            parse_flux(spec, C)
+    for spec in ("top(0)", "top(0e5)", "top(-0.0e-5)", "top(0+0j)"):
+        assert not parse_flux(spec, C).coefficients.any()
     # refused before scaling, so numpy warns of no inf * 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
