@@ -45,15 +45,24 @@ two squares summed from the pairs of nonzeros in each row and in each
 column instead: within 8192 rows and columns every sum is an integer
 below 2^53, so the result has the bits of the dense product.  The
 underflow guard on a square reads its diagonal, which holds its
-largest modulus.  The rank-nullity dimensions stay independent of the
-eigensolver.  A real
-map whose every row is zero or one +1 and one -1 (the delta_0 of every
-complex without a local system, the covering graph of a permutation
-local system) is an oriented incidence map, ranked exactly by
-union-find as its columns less its connected components.  Every other
-map is ranked by singular values of the map itself, one SVD per
-component under the whole matrix's ``matrix_rank`` cut.  The only piece
-they share with the solves is that exact partition.
+largest modulus.
+
+The rank-nullity dimensions stay independent of the eigensolver.  The
+untwisted complex of a simplicial complex K, recognised by its maps
+being exactly K's signed incidence ((-1)^i at ``K.faces[p]``, real, no
+other nonzero; one read of each map), is ranked on the relative complex
+(K, cl st v) of a vertex's closed star, a cone and so acyclic:
+b_p(K) = b_p(K, cl st v) + [p = 0].  On a sphere that leaves one cell
+and no map.  Every other complex (a lens, a local system, a twisted or
+bundle complex) is ranked whole.  A real map whose every row is zero,
+one +1 and one -1, or a lone +1 or -1 (the delta_0 of every complex
+without a local system, the covering graph of a permutation local
+system, a relative delta_0) is an incidence map, oriented or grounded,
+ranked exactly by union-find as its columns + 1 less the components of
+its graph with a ground node.  Every other map is ranked by singular
+values of the map itself, one SVD per component under the whole
+matrix's ``matrix_rank`` cut.  The only piece they share with the
+solves is that exact partition.
 """
 
 from __future__ import annotations
@@ -65,13 +74,12 @@ from typing import Callable
 
 import numpy as np
 
-from .chain_models import GradedCochainComplex, TwistedComplex
+from .chain_models import _ALTERNATING, GradedCochainComplex, TwistedComplex
 from .errors import ValidationError
 from .spectral import (
     SPLIT_MIN_ORDER,
     HarmonicBasis,
     _labels,
-    _mask_edges,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -417,37 +425,56 @@ def twisted_torsion(
 
 
 def _incidence_rank(d: np.ndarray) -> int | None:
-    """The rank of a real map whose every row is zero or one +1 and one
-    -1, or None for any other map.  Such a map is the incidence matrix of
-    an oriented multigraph on its columns, and over any field its rank is
-    the number of columns less the number of connected components
-    (Kirchhoff); the components are those of its bipartite graph
-    (``spectral._labels``) that hold a column."""
+    """The rank of a real map whose every row is zero, one +1 and one -1,
+    or one lone +1 or -1 (a grounded row), or None for any other map.
+    Such a map is the incidence matrix of an oriented multigraph on its
+    columns and one more node, the ground, that each grounded row joins
+    to its column; the ground's column is dropped.  Over any field the
+    full incidence matrix has rank its nodes less its connected
+    components (Kirchhoff), and dropping the ground's column keeps that
+    rank, since each row sums to zero and so the ground's column is minus
+    the sum of the other columns of its component: the rank is the
+    columns + 1 less the components of the graph with the ground.  The components are those of its bipartite
+    graph (``spectral._labels``) that hold a column or the ground."""
     if d.dtype.kind != "f":
         return None
-    mask = d != 0
-    held = np.count_nonzero(mask, axis=1)
-    if held.max(initial=0) > 2:
-        return None
-    plus, minus = (np.count_nonzero(d == v, axis=1) for v in (1, -1))
-    if not ((plus == minus) & (plus + minus == held)).all():
-        return None
     m, n = d.shape
-    roots = np.zeros(m + n, dtype=bool)
-    roots[_labels(*_mask_edges(mask, m), bipartite=True)[m:]] = True
-    return n - int(np.count_nonzero(roots))
+    flat = np.flatnonzero(d != 0)  # a sixth of the cost of the float nonzeros
+    values = d.ravel()[flat]
+    rows, cols = np.divmod(flat, n)
+    held = np.bincount(rows, minlength=m)
+    if held.max(initial=0) > 2 or not (np.abs(values) == 1).all():
+        return None
+    # a row of two unit entries is one +1 and one -1 when they sum to 0
+    if np.bincount(rows, weights=values, minlength=m)[held == 2].any():
+        return None
+    grounded = np.flatnonzero(held == 1)
+    label = _labels(
+        np.concatenate([rows, grounded]),
+        np.concatenate([cols + m, np.full(grounded.size, m + n)]),
+        m + n + 1,
+        bipartite=True,
+    )
+    roots = np.zeros(m + n + 1, dtype=bool)
+    roots[label[m:]] = True
+    return n + 1 - int(np.count_nonzero(roots))
 
 
 def _rank(d: np.ndarray, blocks) -> int:
     """``np.linalg.matrix_rank(d)``, as a Python int.
 
-    An oriented incidence map (``_incidence_rank``) is ranked exactly by
-    union-find.  That is the rank ``matrix_rank`` finds within
-    ``MAX_MODEL_SIZE`` (8192 cells): the smallest nonzero singular value
-    of a component on v vertices is sqrt(lambda_2) of its graph
-    Laplacian, at least 2/v >= 2.4e-4 by Mohar's
-    lambda_2 >= 4/(v * diam), while the cut below is at most
-    sqrt(2 * max degree) * 8192 * eps <= 128 * 8192 * eps ~ 2.3e-10.
+    An incidence map, oriented or grounded (``_incidence_rank``), is
+    ranked exactly by union-find.  That is the rank ``matrix_rank`` finds
+    within ``MAX_MODEL_SIZE`` (8192 cells), while the cut below is at
+    most sqrt(2 * max degree) * 8192 * eps <= 128 * 8192 * eps ~ 2.3e-10.
+    The smallest nonzero singular value of a component on v columns
+    without the ground is sqrt(lambda_2) of its graph Laplacian, at least
+    2/v >= 2.4e-4 by Mohar's lambda_2 >= 4/(v * diam).  With the ground
+    it is the square root of the least eigenvalue of the grounded
+    Laplacian (the Laplacian less the ground's row and column), whose
+    inverse has trace the sum of the v effective resistances to the
+    ground, each at most v: so the eigenvalue is at least 1/v^2 and the
+    singular value at least 1/v >= 1.2e-4.
 
     Every other map (complex, or with any other row: a scaled row, a
     flux term, a transport that is not a permutation) is ranked by its
@@ -465,27 +492,95 @@ def _rank(d: np.ndarray, blocks) -> int:
     return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
 
 
+def _is_own_incidence(C: GradedCochainComplex) -> bool:
+    """Whether C is the untwisted complex of its simplicial complex K:
+    the dimensions are K's f-vector and every delta_p is real, holds
+    (-1)^i at each (p+1)-simplex's i-th face (``K.faces[p]``) and no
+    other nonzero.  Reads each map once, so it costs O(cells^2)."""
+    K = C.simplicial
+    if K is None or C.dims != K.f_vector:
+        return False
+    for F, d in zip(K.faces, C.coboundary):
+        if d.dtype.kind != "f" or np.count_nonzero(d != 0) != F.size:
+            return False
+        if not (d[np.arange(len(F))[:, None], F] == _ALTERNATING[:F.shape[1]]).all():
+            return False
+    return True
+
+
+def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[np.ndarray]]:
+    """(dims, maps) of the relative complex (K, cl st v) of C's
+    simplicial complex K: the cochains of K that vanish on the closed
+    star of a vertex v, the one in the most top simplices.  A p-simplex
+    stays when it does not hold v and v joined to it is no simplex of K,
+    that is, when it is not the face without v of a (p+1)-simplex that
+    holds v, which the face table ``K.faces[p]`` names.  The maps are
+    the submatrices of delta_p on the cells that stay, with the zero-row
+    map out of the top degree; since ``_is_own_incidence`` has checked delta_p against the
+    face table, they are written from it, (-1)^i at each face that
+    stays, which costs a third of copying them out of an order-600
+    delta_0.  The closed star is a cone on v, so it is acyclic and
+    b_p(K) = b_p(K, cl st v) + [p = 0]."""
+    K = C.simplicial
+    v = int(np.bincount(K.levels[-1].ravel(), minlength=len(K.vertices)).argmax())
+    holds = [level == v for level in K.levels]
+    in_star = [h.any(axis=1) for h in holds]
+    for p, F in enumerate(K.faces):
+        rows, i = np.nonzero(holds[p + 1])
+        in_star[p][F[rows, i]] = True
+    kept = [np.flatnonzero(~s) for s in in_star]
+    maps = []
+    for p, F in enumerate(K.faces):
+        place = np.full(len(K.levels[p]), -1)
+        place[kept[p]] = np.arange(len(kept[p]))
+        cols = place[F[kept[p + 1]]]  # -1 at a face in the star
+        rows, i = np.nonzero(cols >= 0)
+        d = np.zeros((len(kept[p + 1]), len(kept[p])))
+        d[rows, cols[rows, i]] = _ALTERNATING[i]
+        maps.append(d)
+    return [len(k) for k in kept], maps + [np.zeros((0, len(kept[-1])))]
+
+
 def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
     """dim - rank of the map out - rank of the map in, per space, as
     Python ints.
 
     Independent of the spectral route: the ranks come from the
-    coboundaries themselves, not from any eigensolve or Laplacian.  An
-    oriented incidence map is ranked exactly by union-find; any other
-    map by its singular values.  The one piece shared with the solves is
-    the exact partition of each map into its bipartite components, which
-    the complex keeps; a split map is ranked from its components'
-    singular values under the whole matrix's cut, so every decision is
-    the one ``matrix_rank`` makes (``_rank``)."""
-    dims, maps, _, _, cyclic, blocks = _spaces(C)
+    coboundaries themselves, not from any eigensolve or Laplacian.
+
+    A graded complex whose maps are exactly the signed incidence of its
+    simplicial complex K (``_is_own_incidence``) is ranked on the
+    relative complex (K, cl st v) instead (``_off_a_star``), by the cone
+    identity b_p(K) = b_p(K, cl st v) + [p = 0]: on a sphere that leaves
+    one cell and no map.  Every other complex (a lens, a local system, a
+    twisted or bundle complex, any hand-made map) is ranked whole.
+
+    Either way an incidence map, oriented or grounded, is ranked exactly
+    by union-find, and any other map by its singular values.  The one
+    piece shared with the solves is the exact partition of each whole
+    map into its bipartite components, which the complex keeps; a split
+    map is ranked from its components' singular values under the whole
+    matrix's cut, so every decision is the one ``matrix_rank`` makes
+    (``_rank``)."""
+    coned = isinstance(C, GradedCochainComplex) and _is_own_incidence(C)
+    if coned:
+        dims, maps = _off_a_star(C)
+        blocks, cyclic = (None,) * len(maps), False
+    else:
+        dims, maps, _, _, cyclic, blocks = _spaces(C)
     ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
     return tuple(
-        n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0) for p, n in enumerate(dims)
+        int(coned and p == 0) + n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0)
+        for p, n in enumerate(dims)
     )
 
 
 def cohomology_dimensions(C: GradedCochainComplex) -> tuple[int, ...]:
-    """Betti numbers by rank-nullity: dim ker delta_p - rank delta_{p-1}."""
+    """Betti numbers by rank-nullity: dim ker delta_p - rank delta_{p-1},
+    read for the untwisted complex of a simplicial complex K off
+    (K, cl st v) by the cone identity b_p(K) = b_p(K, cl st v) + [p = 0]
+    (``_rank_nullity``).  No eigensolve is read, so they stay an
+    independent check of the torsion's kernel dimensions."""
     return _rank_nullity(C)
 
 

@@ -17,16 +17,20 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from torsionlab import (
     Cochain,
     GradedCochainComplex,
     LocalSystem,
     TwistedComplex,
+    build_simplicial,
     coboundary_matrices,
     cohomology_dimensions,
     hermitian_spectrum,
     reidemeister_torsion,
+    signed_incidence,
     twisted_cohomology_dimensions,
     twisted_differential,
     twisted_torsion,
@@ -43,6 +47,8 @@ from torsionlab.torsion_engine import (
     TWISTED_TAG,
     TorsionElement,
     _blocks,
+    _incidence_rank,
+    _is_own_incidence,
     _rank,
     _square,
 )
@@ -1016,9 +1022,16 @@ def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
     C = coboundary_matrices(simplex_boundary(8))
     assert C._components == (None,) * 7
     svds.clear()
+    # the complex of its own simplicial complex is read off the star of a
+    # vertex, which leaves one cell and no map
     assert cohomology_dimensions(C) == (1, 0, 0, 0, 0, 0, 0, 1)
+    assert svds == []
+    # the same maps without the simplicial complex are ranked whole:
     # delta_0 (36 x 9) is an oriented incidence map, ranked by union-find;
     # delta_1 ... delta_6 each take one whole SVD
+    bare = GradedCochainComplex(dims=C.dims, coboundary=C.coboundary)
+    assert bare._components == (None,) * 7
+    assert cohomology_dimensions(bare) == (1, 0, 0, 0, 0, 0, 0, 1)
     assert svds == [(d.shape, "float64") for d in C.coboundary[1:]]
 
 
@@ -1211,6 +1224,7 @@ def test_a_covering_graph_is_ranked_without_an_svd(svds):
     # a swap holonomy makes delta_0 the incidence map of the connected
     # double cover of the 40-cycle, an 80-cycle
     C = _cycle_with_holonomy(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert not _is_own_incidence(C)
     svds.clear()
     assert cohomology_dimensions(C) == (1, 1)
     assert _rank(C.coboundary[0], None) == np.linalg.matrix_rank(C.coboundary[0]) == 79
@@ -1219,15 +1233,20 @@ def test_a_covering_graph_is_ranked_without_an_svd(svds):
 
 @pytest.mark.parametrize(
     "rank, U",
-    [(1, np.array([[-1.0]])), (2, np.array([[0.6, -0.8], [0.8, 0.6]]))],
-    ids=["u1-minus-one", "rotation"],
+    [
+        (1, np.array([[-1.0]])),
+        (2, np.array([[0.6, -0.8], [0.8, 0.6]])),
+        (1, np.array([[cmath.exp(2j)]])),
+    ],
+    ids=["u1-minus-one", "rotation", "u1-e2i"],
 )
 def test_other_holonomies_keep_their_svd(rank, U, svds):
     C = _cycle_with_holonomy(rank, U)
     d = C.coboundary[0]
+    assert not _is_own_incidence(C)
     svds.clear()
     assert cohomology_dimensions(C) == (0, 0)
-    assert svds == [(d.shape, "float64")]
+    assert svds == [(d.shape, np.dtype(d.dtype).name)]
     assert _rank(d, None) == np.linalg.matrix_rank(d) == 40 * rank
 
 
@@ -1241,18 +1260,19 @@ def _near_misses(d):
     scaled[r] *= 2.0
     same_sign[r, [a, b]] = 1.0
     three[r, c] = 1.0
-    lone[r, b] = 0.0
+    # a lone +1 or -1 is a grounded row; a lone 2 is not
+    lone[r, a], lone[r, b] = 2.0, 0.0
     return {
         "scaled-row": scaled,
         "row-of-ones": same_sign,
         "three-nonzeros": three,
-        "lone-entry": lone,
+        "lone-two": lone,
         "complex": d.astype(np.complex128),
     }
 
 
 @pytest.mark.parametrize(
-    "kind", ["scaled-row", "row-of-ones", "three-nonzeros", "lone-entry", "complex"]
+    "kind", ["scaled-row", "row-of-ones", "three-nonzeros", "lone-two", "complex"]
 )
 @pytest.mark.parametrize("source", ["cycle", "multigraph"])
 def test_near_incidence_maps_keep_their_svds(source, kind, svds):
@@ -1266,6 +1286,78 @@ def test_near_incidence_maps_keep_their_svds(source, kind, svds):
     dtype = np.dtype(m.dtype).name
     parts = [m.shape] if blocks is None else [(rows.size, cols.size) for rows, cols in blocks]
     assert svds == [(shape, dtype) for shape in parts]
+
+
+def _path(n: int) -> np.ndarray:
+    """The incidence map of a path through n columns, one -1 and one +1
+    per row."""
+    d = np.zeros((n - 1, n))
+    d[np.arange(n - 1), np.arange(n - 1)] = -1.0
+    d[np.arange(n - 1), np.arange(1, n)] = 1.0
+    return d
+
+
+def _grounded(d: np.ndarray, cols, sign: float = 1.0) -> np.ndarray:
+    """d with one more row per column in ``cols``, holding a lone
+    ``sign`` there: a row joining that column to the ground."""
+    rows = np.zeros((len(cols), d.shape[1]))
+    rows[np.arange(len(cols)), cols] = sign
+    return np.vstack([d, rows])
+
+
+def _cycle_map(n: int) -> np.ndarray:
+    d = _path(n)
+    closing = np.zeros((1, n))
+    closing[0, 0], closing[0, -1] = 1.0, -1.0
+    return np.vstack([d, closing])
+
+
+@pytest.mark.parametrize(
+    "d, rank",
+    [
+        (_grounded(_path(1), [0]), 1),
+        (_grounded(_path(5), [0]), 5),
+        (_grounded(_path(5), [0, 4], -1.0), 5),  # a cycle through the ground
+        (_grounded(_path(40), [17]), 40),
+        (_grounded(_cycle_map(3), [2]), 3),
+        (_grounded(_cycle_map(40), [0, 20], -1.0), 40),
+        (_grounded(scipy.linalg.block_diag(_path(6), _cycle_map(5)), [2]), 6 + 4),
+        (np.array([[-1.0]]), 1),
+        (np.array([[0.0, 0.0], [0.0, -1.0], [0.0, 0.0]]), 1),
+    ],
+    ids=[
+        "lone-column", "path", "path-grounded-twice", "long-path", "triangle",
+        "cycle-grounded-twice", "grounded-path-and-free-cycle", "single-minus-one",
+        "minus-one-among-zero-rows",
+    ],
+)
+def test_grounded_incidence_maps_are_ranked_exactly_without_an_svd(d, rank, svds):
+    perm = np.random.default_rng(d.size)
+    d = d[np.ix_(perm.permutation(d.shape[0]), perm.permutation(d.shape[1]))]
+    got = _rank(d, _map_blocks(d))
+    assert type(got) is int
+    assert got == np.linalg.matrix_rank(d) == rank
+    assert svds == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_submatrices_of_incidence_maps_are_ranked_exactly(seed, svds):
+    # dropping columns of an oriented incidence map leaves grounded rows
+    # where a row lost one entry and zero rows where it lost both
+    rng = np.random.default_rng(1700 + seed)
+    d = _oriented_multigraph(rng, 60, 80, 3, 2)
+    d = d[:, np.sort(rng.choice(60, size=45, replace=False))]
+    assert (np.count_nonzero(d, axis=1) == 1).any()
+    assert _rank(d, _map_blocks(d)) == np.linalg.matrix_rank(d)
+    assert svds == []
+
+
+def test_a_row_of_two_plus_ones_is_refused_among_grounded_rows(svds):
+    d = _grounded(_path(5), [0])
+    d[1] = np.abs(d[1])
+    assert _incidence_rank(d) is None
+    assert _rank(d, None) == np.linalg.matrix_rank(d)
+    assert svds == [(d.shape, "float64")]
 
 
 @pytest.mark.parametrize(
@@ -1304,3 +1396,98 @@ def test_a_split_map_that_does_not_square_to_zero_is_refused():
     a = rng.standard_normal((4, b.shape[0]))
     with pytest.raises(ValidationError, match="does not square to zero at degree 0"):
         GradedCochainComplex(dims=(b.shape[1], b.shape[0], 4), coboundary=(b, a))
+
+
+# ---------------------------------------------------------------------------
+# exact Betti numbers off the closed star of a vertex
+# ---------------------------------------------------------------------------
+
+# the 7-vertex torus and the 6-vertex real projective plane
+TORUS_7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
+]
+RP2_6 = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
+
+
+def _exact_betti(K) -> tuple[int, ...]:
+    """Betti numbers over Q from sympy's exact ranks of K's incidence."""
+    ranks = [
+        DomainMatrix.from_list(signed_incidence(K, p).tolist(), QQ).rank() for p in range(K.dim)
+    ] + [0]
+    return tuple(n - ranks[p] - (ranks[p - 1] if p else 0) for p, n in enumerate(K.f_vector))
+
+
+def _ranked_whole(C: GradedCochainComplex) -> tuple[int, ...]:
+    """C's dimensions with its maps ranked whole, without its simplicial
+    complex."""
+    return cohomology_dimensions(GradedCochainComplex(dims=C.dims, coboundary=C.coboundary))
+
+
+@st.composite
+def _complexes(draw):
+    """Complexes of dimension 0 to 3, of mixed dimension, on up to nine
+    vertices with ids far apart: lone vertices and disconnected parts
+    come with the draws."""
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=9, unique=True))
+    top = st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True)
+    tops = draw(st.lists(top.map(lambda t: tuple(sorted(t))), min_size=1, max_size=10, unique=True))
+    return build_simplicial(tops, allow_mixed_dimension=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_complexes())
+def test_betti_numbers_off_a_star_match_sympy(K):
+    C = coboundary_matrices(K)
+    assert _is_own_incidence(C)
+    exact = _exact_betti(K)
+    assert cohomology_dimensions(C) == _ranked_whole(C) == exact
+
+
+@pytest.mark.parametrize(
+    "tops, expected", [(TORUS_7, (1, 2, 1)), (RP2_6, (1, 0, 0))], ids=["torus", "rp2"]
+)
+def test_surfaces_read_their_rational_betti_numbers(tops, expected):
+    K = build_simplicial(tops)
+    C = coboundary_matrices(K)
+    assert _exact_betti(K) == expected
+    assert cohomology_dimensions(C) == _ranked_whole(C) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spheres_are_read_off_a_star_without_an_svd(n, svds):
+    C = coboundary_matrices(simplex_boundary(n))
+    svds.clear()
+    assert cohomology_dimensions(C) == (1,) + (0,) * (n - 2) + (1,)
+    assert svds == []
+    if n <= 5:
+        assert _exact_betti(C.simplicial) == cohomology_dimensions(C)
+
+
+def test_every_cycle_up_to_600_is_read_off_a_star_without_an_svd(svds):
+    for n in range(3, 601):
+        assert cohomology_dimensions(coboundary_matrices(cycle(n))) == (1, 1)
+    assert svds == []
+
+
+def test_zero_maps_on_a_simplicial_complex_read_its_f_vector():
+    K = simplex_boundary(4)
+    zero = tuple(np.zeros((K.n(p + 1), K.n(p))) for p in range(K.dim))
+    C = GradedCochainComplex(dims=K.f_vector, coboundary=zero, simplicial=K)
+    assert not _is_own_incidence(C)
+    assert cohomology_dimensions(C) == K.f_vector
+
+
+def test_a_gram_keeps_the_reading_off_a_star(svds):
+    C = coboundary_matrices(simplex_boundary(5))
+    G = C.with_gram([np.diag(np.arange(1.0, n + 1)) for n in C.dims])
+    svds.clear()
+    assert cohomology_dimensions(G) == cohomology_dimensions(C) == (1, 0, 0, 0, 1)
+    assert svds == []
+
+
+def test_a_lens_keeps_its_svds(svds):
+    assert cohomology_dimensions(lens(5, 1, 2)) == (0, 0, 0, 0)
+    assert svds == [((1, 1), "complex128")] * 2
