@@ -56,15 +56,22 @@ Non-finite entries are refused, and so are coboundary and Gram entries
 whose nonzero modulus lies outside [1e-150, 1e150], where squaring them
 leaves float64 (Grams can still scale a square out of range;
 ``torsion_engine`` refuses that).
+
+Square-zero is checked once per complex.  A graded complex that is its
+simplicial complex's own incidence reads it off the face tables, with
+no product (``_faces_commute``); every other graded complex multiplies
+its maps.  A flux twist of the former sums its check by degree block
+(``_folded_residual``); every other Z2-graded complex multiplies its two
+maps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -171,6 +178,18 @@ def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a)) if a.size else 0.0
 
 
+def _made_with(cls, known: Mapping[str, object], /, **fields):
+    """``cls(**fields)`` with the private slots ``known`` filled before its
+    ``__post_init__`` runs, which then takes them instead of finding them:
+    facts about arrays that the caller has already established.  A plain
+    constructor call or a ``dataclasses.replace`` copy starts without
+    them."""
+    made = object.__new__(cls)
+    vars(made).update(known)
+    made.__init__(**fields)
+    return made
+
+
 def _product_norm(a: np.ndarray, b: np.ndarray, blocks) -> float:
     """Frobenius norm of a @ b, the square-zero residual.  ``blocks`` are
     the bipartite components of b (``spectral._map_blocks``); with them
@@ -191,6 +210,8 @@ def _product_norm(a: np.ndarray, b: np.ndarray, blocks) -> float:
 _ALTERNATING = np.array([1, -1] * 7)
 # row i lists 0..k-1 without i in its first k-1 columns, for every k <= 14
 _DROP = np.arange(13) + (np.arange(13) >= np.arange(14)[:, None])
+# [i, j] is True for i < j: the pairs of vertices of a simplex
+_UPPER = np.triu(np.ones((14, 14), dtype=bool), 1)
 
 
 def _integer(value, what: str, error: type[TorsionLabError] = ValidationError) -> int:
@@ -657,10 +678,10 @@ class GradedCochainComplex:
                     f"coboundary {p} has shape {d.shape}, expected {(dims[p + 1], dims[p])}"
                 )
         object.__setattr__(self, "coboundary", cob)
-        for p in range(len(cob) - 1):
+        for p, resid in enumerate(self._square_residuals):
             a, b = cob[p + 1], cob[p]
-            resid = _product_norm(a, b, self._components[p])
-            if resid > _SQUARE_ZERO_TOL * (1.0 + _norm(a) * _norm(b)):
+            # an exact zero, as the face tables give, needs no norms
+            if resid and resid > _SQUARE_ZERO_TOL * (1.0 + _norm(a) * _norm(b)):
                 raise ValidationError(
                     f"coboundary does not square to zero at degree {p}: residual {resid:.3e}"
                 )
@@ -687,6 +708,41 @@ class GradedCochainComplex:
         on first use, by the square-zero check when there are two or
         more, and kept for the ranks and products of ``torsion_engine``."""
         return tuple(_map_blocks(d) for d in self.coboundary)
+
+    @cached_property
+    def _own_incidence(self) -> bool:
+        """Whether C is the untwisted complex of its simplicial complex K:
+        the dimensions are K's f-vector and every delta_p is real, holds
+        (-1)^i at each (p+1)-simplex's i-th face (``K.faces[p]``) and no
+        other nonzero.  Decided once, by reading each map, when the
+        complex is built; ``with_gram`` copies take the verdict along."""
+        K = self.simplicial
+        if K is None or self.dims != K.f_vector:
+            return False
+        for F, d in zip(K.faces, self.coboundary):
+            if d.dtype.kind != "f" or np.count_nonzero(d != 0) != F.size:
+                return False
+            if not (d[np.arange(len(F))[:, None], F] == _ALTERNATING[:F.shape[1]]).all():
+                return False
+        return True
+
+    @cached_property
+    def _square_residuals(self) -> tuple[float, ...]:
+        """Per degree p, the Frobenius norm of delta_{p+1} delta_p, found
+        when the complex is built and kept for the twisted check of
+        ``TwistedComplex``.  Maps that are their complex's own incidence
+        (``_own_incidence``) read 0.0 wherever the face tables commute
+        (``_faces_commute``), since every term of the product then
+        cancels exactly; every other residual is formed from the product
+        (``_product_norm``), one component of delta_p at a time where it
+        splits."""
+        cob = self.coboundary
+        own = self._own_incidence
+        return tuple(
+            0.0 if own and _faces_commute(self.simplicial, p)
+            else _product_norm(cob[p + 1], cob[p], self._components[p])
+            for p in range(len(cob) - 1)
+        )
 
     @cached_property
     def _parity(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[GramFactor, GramFactor] | None]:
@@ -716,7 +772,30 @@ class GradedCochainComplex:
         return self.coboundary[p]
 
     def with_gram(self, gram: Sequence[np.ndarray]) -> "GradedCochainComplex":
-        return replace(self, gram=tuple(gram))
+        """The same maps with the given Grams; the copy keeps the maps'
+        incidence verdict and square-zero residuals."""
+        return _made_with(
+            GradedCochainComplex,
+            {name: getattr(self, name) for name in ("_own_incidence", "_square_residuals")},
+            dims=self.dims,
+            coboundary=self.coboundary,
+            gram=tuple(gram),
+            simplicial=self.simplicial,
+            local_rank=self.local_rank,
+        )
+
+
+def _faces_commute(K: SimplicialComplex, p: int) -> bool:
+    """Whether dropping vertex j and then vertex i of each (p+2)-simplex
+    of K gives the face that dropping vertex i and then vertex j - 1
+    gives, for every i < j: ``faces[p][faces[p+1][:, j], i] ==
+    faces[p][faces[p+1][:, i], j-1]``.  The two paths carry the signs
+    (-1)^(i+j) and (-1)^(i+j-1), and the pairing is a bijection of the
+    terms of delta_{p+1} delta_p over K's incidence, so where it holds
+    that product is exactly zero."""
+    twice = K.faces[p][K.faces[p + 1]]  # [s, j, i]: face i of face j of s
+    i, j = np.nonzero(_UPPER[:p + 3, :p + 3])
+    return bool((twice[:, j, i] == twice[:, i, j - 1]).all())
 
 
 def _incidence(K: SimplicialComplex, p: int, dtype) -> np.ndarray:
@@ -873,6 +952,25 @@ def pair_with_fundamental_class(K: SimplicialComplex, h: Cochain):
 # Z2-graded assembly and twisted differentials
 # ---------------------------------------------------------------------------
 
+def _parity_offsets(dims: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The Z2 layout of a graded space: the row of its parity where each
+    degree starts, degrees of one parity in increasing order, and the
+    (even, odd) sizes."""
+    offset, size = [], [0, 0]
+    for q, n in enumerate(dims):
+        offset.append(size[q % 2])
+        size[q % 2] += n
+    return offset, size
+
+
+def _degree_rows(dims: Sequence[int], degrees) -> np.ndarray:
+    """The rows of the given degrees, all of one parity, in its layout."""
+    offset, _ = _parity_offsets(dims)
+    return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        np.arange(offset[q], offset[q] + dims[q]) for q in degrees
+    ])
+
+
 def fold(
     dims: Sequence[int],
     ops: Sequence[np.ndarray],
@@ -889,12 +987,9 @@ def fold(
     by increasing degree.  With ``base``, a (from_even, from_odd) pair of
     the same layout, the blocks are added to a copy of it, in the dtype
     of the sum, instead of to zeros.  This is the one place the parity
-    layout is computed.
+    layout is computed (``_parity_offsets``).
     """
-    offset, size = [], [0, 0]
-    for q, n in enumerate(dims):
-        offset.append(size[q % 2])
-        size[q % 2] += n
+    offset, size = _parity_offsets(dims)
     dtype = np.result_type(np.float64, *ops, *(base or ()))
     if base is None:
         out = tuple(np.zeros((size[(s + shift) % 2], size[s]), dtype=dtype) for s in (0, 1))
@@ -925,7 +1020,25 @@ class TwistedComplex:
     as a ``spectral.GramFactor`` record was checked where the record was
     made and is taken with its factor.  The complex keeps the factors for
     the solves and stores the Grams themselves in the two fields.
+
+    The total differential must square to zero (``FluxNotNilpotent``):
+    the Frobenius norms of d_odd d_even and d_even d_odd must stay below
+    1e-12 (1 + ||d_even|| ||d_odd||).  A complex that
+    ``twisted_differential`` folded from the own incidence of a
+    simplicial complex (``GradedCochainComplex._own_incidence``) keeps,
+    in ``_folded``, that graded complex C and the flux degree blocks
+    q -> q + deg h it added; its products are summed by degree block
+    (``_folded_residual``), and ``torsion_engine`` ranks it by block.
+    Every other complex (one built by hand, a ``dataclasses.replace``
+    copy, every invariant complex, a twist of a bare or local-system
+    complex) forms the two products, one bipartite component at a time
+    where a map splits; for an invariant complex that check is the
+    bundle-data validation behind ``InvalidFlux``.
     """
+
+    # (C, flux blocks), filled in by twisted_differential before
+    # __post_init__ runs; None for every other complex
+    _folded: ClassVar[tuple[GradedCochainComplex, tuple[tuple[int, int], ...]] | None] = None
 
     even_dim: int
     odd_dim: int
@@ -964,8 +1077,47 @@ class TwistedComplex:
         even, odd = _map_blocks(de), _map_blocks(do)
         object.__setattr__(self, "_components", (even, odd))
         scale = 1.0 + _norm(de) * _norm(do)
-        if max(_product_norm(do, de, even), _product_norm(de, do, odd)) > _SQUARE_ZERO_TOL * scale:
+        if self._folded is None:
+            resid = max(_product_norm(do, de, even), _product_norm(de, do, odd))
+        else:
+            resid = _folded_residual((de, do), *self._folded)
+        if resid > _SQUARE_ZERO_TOL * scale:
             raise FluxNotNilpotent("total differential does not square to zero")
+
+
+def _folded_residual(maps, C: GradedCochainComplex, flux: tuple[tuple[int, int], ...]) -> float:
+    """max(||d_odd d_even||, ||d_even d_odd||), summed by degree block, for
+    maps folded from the graded complex C with the flux blocks q -> q + d.
+
+    The total differential is delta + sum_d h_d with deg h_d = d odd, so
+    its square only joins degree c to c + 2 (delta delta), to c + d + 1
+    (delta h_d + h_d delta, which is (delta h_d) cup by Leibniz, zero for
+    a closed flux) and to c + d + d' (h_d h_d', which is (h_d cup h_d')
+    cup by associativity, zero when the cup square vanishes).  Every
+    other block of the square is zero with no arithmetic.  The block of
+    shift 2 is C's own delta_{c+1} delta_c, whose norm C kept when it was
+    built (``_square_residuals``).  Each block of a flux shift is one
+    product of the whole row band by the whole column band, since two
+    products can land on one block and cancel there (delta h_3 + h_3
+    delta and h_5 on shift 6 from c, say): its norm is taken after the
+    sum.  A top-degree flux has no block of shift d + 1 or 2d inside the
+    grading, so nothing is multiplied.  The square of the maps from the
+    even degrees collects the blocks from even c, that of the maps from
+    the odd degrees those from odd c."""
+    dims = C.dims
+    offset, _ = _parity_offsets(dims)
+    degrees = {t - q for q, t in flux}
+    shifts = {d + 1 for d in degrees} | {d + e for d in degrees for e in degrees}
+    norms: tuple[list[float], list[float]] = ([], [])
+    for c, resid in enumerate(C._square_residuals):
+        norms[c % 2].append(resid)
+    for shift in sorted(shifts):
+        for c in range(len(dims) - shift):
+            t = c + shift
+            a, b = maps[c % 2], maps[(c + 1) % 2]
+            block = b[offset[t]:offset[t] + dims[t]] @ a[:, offset[c]:offset[c] + dims[c]]
+            norms[c % 2].append(_norm(block))
+    return max(math.hypot(*n) for n in norms)
 
 
 def _parity_factor(g: np.ndarray | GramFactor, n: int, what: str) -> GramFactor:
@@ -1018,6 +1170,16 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
     every nonzero flux entry (ValidationError), closedness of each component
     (FluxNotClosed), vanishing of the cup square (FluxNotNilpotent), and
     finally that the assembled total differential squares to zero.
+
+    A component of degree d adds the blocks q -> q + d that hold a
+    nonzero.  When C is its simplicial complex's own incidence
+    (``GradedCochainComplex._own_incidence``) the result keeps C and
+    those blocks (``TwistedComplex._folded``): its square-zero check is
+    then summed by degree block, shift 2 read from C's kept residuals
+    and only the flux shifts d + 1 (Leibniz) and d + d' (associativity)
+    multiplied (``_folded_residual``), and ``torsion_engine`` ranks its
+    maps by block.  A twist of a bare or local-system complex keeps the
+    dense check and whole ranks.
     """
     if not isinstance(C, GradedCochainComplex):
         raise ValidationError(f"cannot twist a {type(C).__name__}")
@@ -1060,9 +1222,11 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
                     )
 
     (d_even, d_odd), grams = C._parity
+    blocks = []  # the flux degree blocks (q, q + deg h) that hold a nonzero
     for h in nontrivial:
         if K is not None:
             ops = [cup_operator(K, h, q) for q in range(top + 1 - h.degree)]
+            blocks += [(q, q + h.degree) for q, op in enumerate(ops) if op.any()]
         elif dims[0] > 1:
             raise FluxError("flux action undetermined: bare complex with dim C^0 != 1")
         else:
@@ -1076,7 +1240,7 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
         a.setflags(write=False)
 
     gram_even, gram_odd = grams or (None, None)
-    return TwistedComplex(
+    fields = dict(
         even_dim=d_even.shape[1],
         odd_dim=d_odd.shape[1],
         d_even=d_even,
@@ -1084,3 +1248,6 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
         gram_even=gram_even,
         gram_odd=gram_odd,
     )
+    if not C._own_incidence:
+        return TwistedComplex(**fields)
+    return _made_with(TwistedComplex, {"_folded": (C, tuple(blocks))}, **fields)

@@ -50,14 +50,21 @@ largest modulus.
 The rank-nullity dimensions stay independent of the eigensolver.  The
 untwisted complex of a simplicial complex K, recognised by its maps
 being exactly K's signed incidence ((-1)^i at ``K.faces[p]``, real, no
-other nonzero; one read of each map), is ranked on the relative complex
-(K, cl st v) of a vertex's closed star, a cone and so acyclic:
-b_p(K) = b_p(K, cl st v) + [p = 0].  On a sphere that leaves one cell
-and no map.  Every other complex (a lens, a local system, a twisted or
-bundle complex) is ranked whole.  A real map whose every row is zero,
-one +1 and one -1, or a lone +1 or -1 (the delta_0 of every complex
-without a local system, the covering graph of a permutation local
-system, a relative delta_0) is an incidence map, oriented or grounded,
+other nonzero; a verdict the complex reaches once, when it is built),
+is ranked on the relative complex (K, cl st v) of a vertex's closed
+star, a cone and so acyclic: b_p(K) = b_p(K, cl st v) + [p = 0].  On a
+sphere that leaves one cell and no map.  A flux twist of such a complex
+is ranked by degree block: each delta_p that no flux block meets is a
+direct summand of its folded map, ranked exactly from those Betti
+numbers, and only the coupled part, the degrees the flux blocks join
+and the delta_p that meet them, is decomposed, by one SVD under the
+whole map's cut (``_folded_ranks``).  For flux-twisted maps this is
+the rank check that stays independent of the solves.  Every other
+complex (a lens, a local system, a bundle complex, a twisted complex
+built by hand or copied) is ranked whole.  A real map whose every row
+is zero, one +1 and one -1, or a lone +1 or -1 (the delta_0 of every
+complex without a local system, the covering graph of a permutation
+local system, a relative delta_0) is an incidence map, oriented or grounded,
 ranked exactly by union-find as its columns + 1 less the components of
 its graph with a ground node.  Every other map is ranked by singular
 values of the map itself, one SVD per component under the whole
@@ -74,7 +81,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain_models import _ALTERNATING, GradedCochainComplex, TwistedComplex
+from .chain_models import _ALTERNATING, GradedCochainComplex, TwistedComplex, _degree_rows
 from .errors import ValidationError
 from .spectral import (
     SPLIT_MIN_ORDER,
@@ -492,22 +499,6 @@ def _rank(d: np.ndarray, blocks) -> int:
     return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
 
 
-def _is_own_incidence(C: GradedCochainComplex) -> bool:
-    """Whether C is the untwisted complex of its simplicial complex K:
-    the dimensions are K's f-vector and every delta_p is real, holds
-    (-1)^i at each (p+1)-simplex's i-th face (``K.faces[p]``) and no
-    other nonzero.  Reads each map once, so it costs O(cells^2)."""
-    K = C.simplicial
-    if K is None or C.dims != K.f_vector:
-        return False
-    for F, d in zip(K.faces, C.coboundary):
-        if d.dtype.kind != "f" or np.count_nonzero(d != 0) != F.size:
-            return False
-        if not (d[np.arange(len(F))[:, None], F] == _ALTERNATING[:F.shape[1]]).all():
-            return False
-    return True
-
-
 def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[np.ndarray]]:
     """(dims, maps) of the relative complex (K, cl st v) of C's
     simplicial complex K: the cochains of K that vanish on the closed
@@ -516,10 +507,10 @@ def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[np.ndarray]]:
     that is, when it is not the face without v of a (p+1)-simplex that
     holds v, which the face table ``K.faces[p]`` names.  The maps are
     the submatrices of delta_p on the cells that stay, with the zero-row
-    map out of the top degree; since ``_is_own_incidence`` has checked delta_p against the
-    face table, they are written from it, (-1)^i at each face that
-    stays, which costs a third of copying them out of an order-600
-    delta_0.  The closed star is a cone on v, so it is acyclic and
+    map out of the top degree; since C has checked delta_p against the
+    face table (``GradedCochainComplex._own_incidence``), they are
+    written from it, (-1)^i at each face that stays, which costs a third
+    of copying them out of an order-600 delta_0.  The closed star is a cone on v, so it is acyclic and
     b_p(K) = b_p(K, cl st v) + [p = 0]."""
     K = C.simplicial
     v = int(np.bincount(K.levels[-1].ravel(), minlength=len(K.vertices)).argmax())
@@ -549,11 +540,13 @@ def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
     coboundaries themselves, not from any eigensolve or Laplacian.
 
     A graded complex whose maps are exactly the signed incidence of its
-    simplicial complex K (``_is_own_incidence``) is ranked on the
-    relative complex (K, cl st v) instead (``_off_a_star``), by the cone
-    identity b_p(K) = b_p(K, cl st v) + [p = 0]: on a sphere that leaves
-    one cell and no map.  Every other complex (a lens, a local system, a
-    twisted or bundle complex, any hand-made map) is ranked whole.
+    simplicial complex K (``GradedCochainComplex._own_incidence``) is
+    ranked on the relative complex (K, cl st v) instead (``_off_a_star``),
+    by the cone identity b_p(K) = b_p(K, cl st v) + [p = 0]: on a sphere
+    that leaves one cell and no map.  A flux twist of such a complex is
+    ranked by degree block (``_folded_ranks``).  Every other complex (a
+    lens, a local system, a bundle complex, any hand-made map) is ranked
+    whole.
 
     Either way an incidence map, oriented or grounded, is ranked exactly
     by union-find, and any other map by its singular values.  The one
@@ -562,17 +555,92 @@ def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
     map is ranked from its components' singular values under the whole
     matrix's cut, so every decision is the one ``matrix_rank`` makes
     (``_rank``)."""
-    coned = isinstance(C, GradedCochainComplex) and _is_own_incidence(C)
+    coned = isinstance(C, GradedCochainComplex) and C._own_incidence
     if coned:
         dims, maps = _off_a_star(C)
         blocks, cyclic = (None,) * len(maps), False
     else:
         dims, maps, _, _, cyclic, blocks = _spaces(C)
-    ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
+    if isinstance(C, TwistedComplex) and C._folded is not None:
+        ranks = _folded_ranks(C)
+    else:
+        ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
     return tuple(
         int(coned and p == 0) + n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0)
         for p, n in enumerate(dims)
     )
+
+
+# the largest cut under which a direct summand of a folded map is ranked
+# exactly (``_folded_ranks``); past it the whole map is ranked
+_SUMMAND_CUT = 2.0**-26
+
+
+def _folded_ranks(T: TwistedComplex) -> list[int]:
+    """The ranks of (d_even, d_odd) of a flux twist of C, the complex of
+    a simplicial complex K's own incidence, read by degree block.
+
+    A folded map holds delta_p (degree p to p + 1) for every p of its
+    parity and the flux blocks q -> q + d that ``twisted_differential``
+    recorded.  A delta_p that shares neither its column degree p nor its
+    row degree p + 1 with a flux block is a direct summand: no other
+    block meets its rows or its columns.  Its rank is exact,
+    r_p = n_p - b_p - r_{p-1} from C's exact Betti numbers
+    (``_rank_nullity`` of C, read off a vertex star).  The rest, the
+    coupled part, is the submatrix on the flux blocks' degrees and those
+    of the delta_p they touch; only it is decomposed, by one SVD.
+
+    The coupled part is cut where ``matrix_rank`` cuts the whole map:
+    at s max(M, N) eps, with M x N the whole folded map's shape and s its
+    largest singular value, the coupled part's s_c or a summand's.  The
+    whole map's singular values are the coupled part's together with the
+    summands', so its ``matrix_rank`` decisions are reproduced when
+    (a) every coupled singular value lies on the same side of
+    s_c max(M, N) eps as of the whole cut.  This is checked exactly: none
+    lies above the first and at or below max(s_c, u) max(M, N) eps,
+    where u >= sqrt(||delta_p||_1 ||delta_p||_inf) =
+    sqrt((p + 2) * the most cofaces of a p-simplex) bounds every
+    summand's largest singular value; and
+    (b) every nonzero singular value of a summand lies above the whole
+    cut, so that ``matrix_rank`` counts r_p of them.  The summands are
+    integer maps, and (b) is taken to hold while max(s_c, u) max(M, N)
+    eps stays below 2^-26.
+    Where either fails the map is ranked whole (``_rank``): a flux large
+    enough to lift the whole cut over a summand's singular values keeps
+    the whole map's answer.  A summand with a nonzero singular value
+    below 2^-26 would be counted here where the whole map's cut might
+    drop it; that is the one decision this path assumes rather than
+    re-derives."""
+    C, flux = T._folded
+    K, top = C.simplicial, C.top
+    coupled = {p for q, t in flux for p in (q, t - 1)}
+    summands = [p for p in range(top) if p not in coupled]
+    exact = [0] * top
+    if summands:
+        betti, r = _rank_nullity(C), 0
+        for p in range(top):
+            r = exact[p] = C.dims[p] - betti[p] - r
+    ranks = []
+    for s, (d, blocks) in enumerate(zip((T.d_even, T.d_odd), T._components)):
+        pairs = [(q, t) for q, t in flux if q % 2 == s] + [(p, p + 1) for p in coupled if p % 2 == s]
+        part = d[np.ix_(
+            _degree_rows(C.dims, sorted({t for _, t in pairs})),
+            _degree_rows(C.dims, sorted({q for q, _ in pairs})),
+        )] if pairs else d[:0, :0]
+        sv = np.linalg.svd(part, compute_uv=False) if part.size else np.zeros(0)
+        mine = [p for p in summands if p % 2 == s]
+        u = max(
+            (math.sqrt((p + 2) * np.bincount(K.faces[p].ravel(), minlength=1).max()) for p in mine),
+            default=0.0,
+        )
+        size = max(d.shape) * _EPS
+        lo = sv.max(initial=0.0) * size
+        hi = max(sv.max(initial=0.0), u) * size
+        if hi < _SUMMAND_CUT and not ((sv > lo) & (sv <= hi)).any():
+            ranks.append(int(np.count_nonzero(sv > lo)) + sum(exact[p] for p in mine))
+        else:
+            ranks.append(_rank(d, blocks))
+    return ranks
 
 
 def cohomology_dimensions(C: GradedCochainComplex) -> tuple[int, ...]:

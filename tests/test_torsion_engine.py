@@ -7,6 +7,7 @@ Lens: four 1x1 coboundaries give the alternating product
 """
 
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -35,10 +36,16 @@ from torsionlab import (
     twisted_differential,
     twisted_torsion,
 )
-from torsionlab import spectral, torsion_engine
+from torsionlab import chain_models, spectral, torsion_engine
 from torsionlab.builders import cycle, from_expression, lens, minimal_sphere, simplex_boundary
 from torsionlab.circle_bundle import build_invariant_complex, random_bundle, t_dualize
-from torsionlab.chain_models import _product_norm
+from torsionlab.chain_models import (
+    SimplicialComplex,
+    _faces_commute,
+    _folded_residual,
+    _made_with,
+    _product_norm,
+)
 from torsionlab.errors import FluxNotNilpotent, ValidationError
 from torsionlab.spectral import _map_blocks
 from torsionlab.suite import bundle_fleet
@@ -48,7 +55,6 @@ from torsionlab.torsion_engine import (
     TorsionElement,
     _blocks,
     _incidence_rank,
-    _is_own_incidence,
     _rank,
     _square,
 )
@@ -1003,17 +1009,22 @@ def test_twisted_cohomology_dims_are_the_whole_matrix_answer(n, c, svds):
     even, odd = (np.linalg.matrix_rank(d) for d in (T.d_even, T.d_odd))
     assert dims == (T.even_dim - even - odd, T.odd_dim - odd - even) == (0, 0)
     dtype = np.dtype(T.d_even.dtype).name
+    # one SVD, of the coupled part of d_even: degrees 1 and top by 0 and
+    # top - 1, where the flux block 0 -> top meets delta_0 and
+    # delta_{top-1}; every other delta_p is a direct summand, ranked from
+    # C's exact Betti numbers
+    coupled = {4: 15, 6: 28, 8: 45}[n]
+    assert C.dims[1] + C.dims[C.top] == C.dims[0] + C.dims[C.top - 1] == coupled
+    assert svds == [((coupled, coupled), dtype)]
     if n < 8:
         # order 15 is below the split order; at order 63 a component
         # spans 35 rows
         assert T._components == (None, None)
-        assert svds == [(T.d_even.shape, dtype), (T.d_odd.shape, "float64")]
     else:
-        # one SVD per component, none of the order-255 whole maps
+        # the solves still split the order-255 maps into components
         shapes = [[(rows.size, cols.size) for rows, cols in b] for b in T._components]
         assert sorted(shapes[0]) == [(45, 45), (84, 126), (126, 84)]
         assert sorted(shapes[1]) == [(36, 84), (84, 36), (126, 126)]
-        assert svds == [(s, dtype) for s in shapes[0]] + [(s, "float64") for s in shapes[1]]
         up, lap, _ = _blocks(T)[0]
         assert np.max(np.abs(up - T.d_even.conj().T @ T.d_even)) <= 1e-12 * np.linalg.norm(T.d_even) ** 2
 
@@ -1224,7 +1235,7 @@ def test_a_covering_graph_is_ranked_without_an_svd(svds):
     # a swap holonomy makes delta_0 the incidence map of the connected
     # double cover of the 40-cycle, an 80-cycle
     C = _cycle_with_holonomy(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not _is_own_incidence(C)
+    assert not C._own_incidence
     svds.clear()
     assert cohomology_dimensions(C) == (1, 1)
     assert _rank(C.coboundary[0], None) == np.linalg.matrix_rank(C.coboundary[0]) == 79
@@ -1243,7 +1254,7 @@ def test_a_covering_graph_is_ranked_without_an_svd(svds):
 def test_other_holonomies_keep_their_svd(rank, U, svds):
     C = _cycle_with_holonomy(rank, U)
     d = C.coboundary[0]
-    assert not _is_own_incidence(C)
+    assert not C._own_incidence
     svds.clear()
     assert cohomology_dimensions(C) == (0, 0)
     assert svds == [(d.shape, np.dtype(d.dtype).name)]
@@ -1441,7 +1452,7 @@ def _complexes(draw):
 @given(_complexes())
 def test_betti_numbers_off_a_star_match_sympy(K):
     C = coboundary_matrices(K)
-    assert _is_own_incidence(C)
+    assert C._own_incidence
     exact = _exact_betti(K)
     assert cohomology_dimensions(C) == _ranked_whole(C) == exact
 
@@ -1476,7 +1487,7 @@ def test_zero_maps_on_a_simplicial_complex_read_its_f_vector():
     K = simplex_boundary(4)
     zero = tuple(np.zeros((K.n(p + 1), K.n(p))) for p in range(K.dim))
     C = GradedCochainComplex(dims=K.f_vector, coboundary=zero, simplicial=K)
-    assert not _is_own_incidence(C)
+    assert not C._own_incidence
     assert cohomology_dimensions(C) == K.f_vector
 
 
@@ -1491,3 +1502,210 @@ def test_a_gram_keeps_the_reading_off_a_star(svds):
 def test_a_lens_keeps_its_svds(svds):
     assert cohomology_dimensions(lens(5, 1, 2)) == (0, 0, 0, 0)
     assert svds == [((1, 1), "complex128")] * 2
+
+
+# ---------------------------------------------------------------------------
+# flux twists of a simplicial complex: square-zero and ranks by degree block
+# ---------------------------------------------------------------------------
+
+
+def _whole_answer(T):
+    """Rank-nullity of T from ``matrix_rank`` of its whole folded maps, or
+    None when a singular value of either map lies within 5% of that map's
+    cut, a decision roundoff can flip between any two SVDs."""
+    ranks = []
+    for d in (T.d_even, T.d_odd):
+        s = np.linalg.svd(d, compute_uv=False) if d.size else np.zeros(0)
+        cut = s.max(initial=0.0) * max(d.shape) * np.finfo(np.float64).eps
+        if cut > 0 and (np.abs(s - cut) <= 0.05 * cut).any():
+            return None
+        ranks.append(int(np.linalg.matrix_rank(d)) if d.size else 0)
+    e, o = ranks
+    return (T.even_dim - e - o, T.odd_dim - e - o)
+
+
+def _boundary_flux(C, B):
+    """The closed degree-3 flux delta_2 B of a 2-cochain B."""
+    return Cochain(degree=3, coefficients=C.coboundary[2] @ B)
+
+
+# the flux's singular values cross the cut near modulus 1e-13, and the
+# cut crosses the summands' singular values (all 3) near 1e13
+_MODULI = st.one_of(st.floats(-140.0, 140.0), st.floats(-15.0, -11.0), st.floats(11.0, 15.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    exponent=_MODULI,
+    phase=st.sampled_from([None, 0.0, 0.7, math.pi / 2, 2.5]),
+)
+@example(n=8, exponent=-140.0, phase=None)
+@example(n=8, exponent=140.0, phase=0.7)
+@example(n=6, exponent=-13.0, phase=None)
+@example(n=8, exponent=13.0, phase=2.5)
+@example(n=4, exponent=0.0, phase=math.pi / 2)
+def test_block_ranks_of_a_top_flux_are_the_whole_matrix_answer(n, exponent, phase):
+    C = coboundary_matrices(simplex_boundary(n))
+    c = 10.0**exponent * (1.0 if phase is None else cmath.exp(1j * phase))
+    T = twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)))
+    assert T._folded == (C, ((0, C.top),))
+    whole = _whole_answer(T)
+    if whole is not None:
+        assert twisted_cohomology_dimensions(T) == whole
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-6.0, 6.0))
+def test_block_ranks_and_residual_of_a_degree_three_flux(seed, exponent):
+    # delta B on S^5 adds the blocks 0 -> 3, 1 -> 4 and 2 -> 5, so its
+    # square has blocks of shift 2 and 4, and every delta_p is coupled
+    C = coboundary_matrices(simplex_boundary(6))
+    B = 10.0**exponent * np.random.default_rng(seed).standard_normal(C.dims[2])
+    T = twisted_differential(C, _boundary_flux(C, B))
+    assert T._folded == (C, ((0, 3), (1, 4), (2, 5)))
+    whole = _whole_answer(T)
+    if whole is not None:
+        assert twisted_cohomology_dimensions(T) == whole
+    dense = max(_product_norm(T.d_odd, T.d_even, None), _product_norm(T.d_even, T.d_odd, None))
+    scale = 1.0 + np.linalg.norm(T.d_even) * np.linalg.norm(T.d_odd)
+    assert abs(_folded_residual((T.d_even, T.d_odd), *T._folded) - dense) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("model", [lambda: simplex_boundary(6), lambda: cycle(40)], ids=["s5", "cycle"])
+def test_a_zero_flux_is_ranked_from_the_betti_numbers_alone(model, svds):
+    C = coboundary_matrices(model())
+    T = twisted_differential(C)
+    assert T._folded == (C, ())
+    svds.clear()
+    betti = cohomology_dimensions(C)
+    dims = twisted_cohomology_dimensions(T)
+    assert svds == []
+    assert dims == (sum(betti[0::2]), sum(betti[1::2])) == _whole_answer(T)
+
+
+def test_a_coupled_value_between_the_cuts_sends_the_map_whole(svds):
+    # on S^5 the coupled part of d_even has largest singular value
+    # sqrt(7), and its summand delta_2 is bounded by u = sqrt(4 * 4) = 4;
+    # a top flux c gives the coupled singular value c / 7, which for
+    # c = 3.2e-13 lies between sqrt(7) * 63 eps and 4 * 63 eps, where the
+    # whole map's cut could fall on either side of it
+    C = coboundary_matrices(simplex_boundary(6))
+    T = twisted_differential(C, Cochain(degree=5, coefficients=np.full(C.dims[5], 3.2e-13)))
+    eps = np.finfo(np.float64).eps
+    assert math.sqrt(7) * 63 * eps < 3.2e-13 / 7 <= 4 * 63 * eps
+    svds.clear()
+    dims = twisted_cohomology_dimensions(T)
+    assert svds == [((28, 28), "float64"), (T.d_even.shape, "float64")]
+    assert dims == _whole_answer(T)
+
+
+def test_a_top_flux_square_multiplies_nothing():
+    # shifts top + 1 and 2 top lie past the grading, and the blocks of
+    # shift 2 are C's own residuals, exactly 0.0 on an incidence
+    C = coboundary_matrices(simplex_boundary(8))
+    assert C._square_residuals == (0.0,) * 6
+    assert _folded_residual((None, None), C, ((0, C.top),)) == 0.0
+
+
+def test_the_blockwise_check_refuses_a_broken_flux_block():
+    C = coboundary_matrices(simplex_boundary(6))
+    B = np.random.default_rng(4).standard_normal(C.dims[2])
+    T = twisted_differential(C, _boundary_flux(C, B))
+    d_even = np.array(T.d_even)
+    d_even[C.dims[1], 0] += 1.0  # the first row of degree 3 in the odd layout, column of vertex 0
+    fields = dict(
+        even_dim=T.even_dim, odd_dim=T.odd_dim, d_even=d_even, d_odd=T.d_odd, gram_even=None, gram_odd=None
+    )
+    with pytest.raises(FluxNotNilpotent):
+        _made_with(TwistedComplex, {"_folded": T._folded}, **fields)
+    with pytest.raises(FluxNotNilpotent):
+        TwistedComplex(**fields)
+
+
+def test_copies_and_other_complexes_keep_the_whole_path(svds):
+    C = coboundary_matrices(simplex_boundary(6))
+    T = twisted_differential(C, Cochain(degree=5, coefficients=np.full(C.dims[5], 2.0)))
+    copy = dataclasses.replace(T)
+    assert copy._folded is None
+    svds.clear()
+    assert twisted_cohomology_dimensions(copy) == twisted_cohomology_dimensions(T) == (0, 0)
+    assert svds == [(T.d_even.shape, "float64"), (T.d_odd.shape, "float64"), ((28, 28), "float64")]
+    # a bare minimal model and a local system: nothing is recorded
+    bare = twisted_differential(minimal_sphere(5), Cochain(degree=5, coefficients=np.array([2.0])))
+    assert bare._folded is None
+    assert twisted_cohomology_dimensions(bare) == _whole_answer(bare) == (0, 0)
+    local = twisted_differential(_cycle_with_holonomy(1, np.array([[-1.0]])))
+    assert local._folded is None
+    # the invariant complex of a bundle is built plainly
+    assert build_invariant_complex(random_bundle(3, 4))._folded is None
+
+
+def test_a_gram_twist_is_ranked_by_block(svds):
+    C = coboundary_matrices(simplex_boundary(6))
+    G = C.with_gram([np.diag(np.arange(1.0, n + 1)) for n in C.dims])
+    T = twisted_differential(G, Cochain(degree=5, coefficients=np.full(C.dims[5], 1.5 - 0.5j)))
+    assert T._folded[0] is G and G._own_incidence
+    svds.clear()
+    assert twisted_cohomology_dimensions(T) == (0, 0)
+    assert svds == [((28, 28), "complex128")]
+
+
+def test_a_nonzero_cup_square_is_still_refused():
+    C = coboundary_matrices(simplex_boundary(8))
+    B = np.random.default_rng(2).standard_normal(C.dims[2])
+    with pytest.raises(FluxNotNilpotent, match="cup square in degree 6"):
+        twisted_differential(C, _boundary_flux(C, B))
+
+
+# ---------------------------------------------------------------------------
+# the incidence verdict, decided once, and square-zero from the face tables
+# ---------------------------------------------------------------------------
+
+
+def test_the_incidence_verdict_is_kept_by_gram_copies(monkeypatch):
+    C = coboundary_matrices(simplex_boundary(5))
+    assert vars(C)["_own_incidence"] is True
+    # a copy with Grams neither reads the maps nor multiplies them again
+    monkeypatch.setattr(chain_models, "_faces_commute", None)
+    monkeypatch.setattr(chain_models, "_product_norm", None)
+    G = C.with_gram([np.eye(n) for n in C.dims])
+    assert G._own_incidence and G._square_residuals is C._square_residuals
+    assert all(a is b for a, b in zip(G.coboundary, C.coboundary)) and G.simplicial is C.simplicial
+
+
+def test_a_hand_made_map_on_a_simplicial_complex_reads_false():
+    K = simplex_boundary(5)
+    C = coboundary_matrices(K)
+    flipped = (-C.coboundary[0],) + C.coboundary[1:]
+    H = GradedCochainComplex(dims=C.dims, coboundary=flipped, simplicial=K)
+    assert not H._own_incidence
+    assert H._square_residuals == tuple(
+        _product_norm(a, b, None) for a, b in zip(flipped[1:], flipped)
+    )
+    assert cohomology_dimensions(H) == cohomology_dimensions(C)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_complexes())
+def test_incidence_residuals_read_the_face_tables(K):
+    C = coboundary_matrices(K)
+    assert C._own_incidence
+    assert C._square_residuals == (0.0,) * max(K.dim - 1, 0)
+    assert all(_faces_commute(K, p) for p in range(K.dim - 1))
+    dense = tuple(_product_norm(a, b, None) for a, b in zip(C.coboundary[1:], C.coboundary))
+    assert dense == C._square_residuals
+
+
+def test_face_tables_that_do_not_commute_are_multiplied_and_refused():
+    K = simplex_boundary(4)
+    faces = list(K.faces)
+    swapped = np.array(faces[1])
+    swapped[0, [0, 1]] = swapped[0, [1, 0]]  # triangle 0 lists two edges in the wrong order
+    swapped.setflags(write=False)
+    faces[1] = swapped
+    broken = SimplicialComplex(vertices=K.vertices, levels=K.levels, faces=tuple(faces))
+    maps = tuple(signed_incidence(broken, p) for p in range(broken.dim))
+    assert not _faces_commute(broken, 0)
+    with pytest.raises(ValidationError, match="does not square to zero at degree 0"):
+        GradedCochainComplex(dims=broken.f_vector, coboundary=maps, simplicial=broken)
