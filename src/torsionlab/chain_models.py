@@ -555,13 +555,15 @@ def _check_coherent(K: SimplicialComplex, signs: np.ndarray) -> None:
     raise NotOriented(f"incoherent orientation across face {face}")
 
 
-def _is_connected(K: SimplicialComplex) -> bool:
-    """True when K's edges join all its vertices: every vertex is
-    labelled 0 through the edge face table (``spectral._labels``)."""
+def _betti_zero(K: SimplicialComplex) -> int:
+    """b_0(K), the number of components of K's edge face table: the
+    vertices that ``spectral._labels`` labels by themselves, each the
+    smallest vertex of its component."""
+    n = len(K.vertices)
     if K.dim == 0:
-        return len(K.vertices) <= 1
+        return n
     F = K.faces[0]
-    return not _labels(F[:, 1], F[:, 0], len(K.vertices)).any()
+    return int(np.count_nonzero(_labels(F[:, 1], F[:, 0], n) == np.arange(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +938,7 @@ def pair_with_fundamental_class(K: SimplicialComplex, h: Cochain):
     """
     if K.orientation is None:
         raise NotOriented("complex carries no orientation")
-    if not _is_connected(K):
+    if _betti_zero(K) != 1:
         raise NotOriented("fundamental class needs a connected complex")
     if h.degree != K.dim:
         raise NotTopDegree(f"cochain degree {h.degree}, complex dimension {K.dim}")
@@ -971,12 +973,7 @@ def _degree_rows(dims: Sequence[int], degrees) -> np.ndarray:
     ])
 
 
-def fold(
-    dims: Sequence[int],
-    ops: Sequence[np.ndarray],
-    shift: int,
-    base: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def fold(dims: Sequence[int], ops: Sequence[np.ndarray], shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Lay a degree-homogeneous operator family out on the Z2 grading.
 
     ``ops[q]`` maps degree q to degree q+shift and must have shape
@@ -984,17 +981,12 @@ def fold(
     degree are skipped.  Returns (from_even, from_odd): the operator on
     the direct sum of the even degrees and on that of the odd degrees,
     each into the degrees of the shifted parity, every direct sum ordered
-    by increasing degree.  With ``base``, a (from_even, from_odd) pair of
-    the same layout, the blocks are added to a copy of it, in the dtype
-    of the sum, instead of to zeros.  This is the one place the parity
-    layout is computed (``_parity_offsets``).
+    by increasing degree.  This is the one place the parity layout is
+    computed (``_parity_offsets``).
     """
     offset, size = _parity_offsets(dims)
-    dtype = np.result_type(np.float64, *ops, *(base or ()))
-    if base is None:
-        out = tuple(np.zeros((size[(s + shift) % 2], size[s]), dtype=dtype) for s in (0, 1))
-    else:
-        out = tuple(np.array(b, dtype=dtype) for b in base)
+    dtype = np.result_type(np.float64, *ops)
+    out = tuple(np.zeros((size[(s + shift) % 2], size[s]), dtype=dtype) for s in (0, 1))
     for q, block in enumerate(ops):
         t = q + shift
         if t >= len(dims):
@@ -1232,10 +1224,14 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
         else:
             # minimal-model multiplication: unit law in degree 0, zero above
             ops = [h.coefficients.reshape(-1, 1)] if dims[0] else []
-        # the flux blocks (degree q to q + h.degree >= q + 3) never meet the
-        # coboundary's (q to q + 1): adding them to one copy of the layout,
-        # in the final dtype, gives the bits of the mixed-dtype sum
-        d_even, d_odd = fold(dims, ops, h.degree, base=(d_even, d_odd))
+        # each fold is added only to the parity map it reaches, the parity
+        # of the degrees its nonzero blocks leave; the other stays the
+        # frozen layout, in its own dtype
+        folded = fold(dims, ops, h.degree)
+        d_even, d_odd = (
+            d + f if any(op.any() for op in ops[s::2]) else d
+            for s, (d, f) in enumerate(zip((d_even, d_odd), folded))
+        )
     for a in (d_even, d_odd):  # new sums, or the frozen layout without flux
         a.setflags(write=False)
 

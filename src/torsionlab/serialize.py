@@ -21,7 +21,6 @@ from .chain_models import (
     LocalSystem,
     SimplicialComplex,
     build_simplicial,
-    signed_incidence,
 )
 from .chain_models import _integer as _integer_rule
 from .circle_bundle import BundleData
@@ -116,14 +115,9 @@ def _encode_cochain_complex(C: GradedCochainComplex) -> dict:
 
 def _is_plain_simplicial(C: GradedCochainComplex) -> bool:
     """True when C is exactly the untwisted, identity-Gram cochain complex
-    of its simplicial backing, so the simplicial form loses nothing."""
-    K = C.simplicial
-    return (
-        K is not None
-        and C.gram is None
-        and C.local_rank == 1
-        and all(np.array_equal(C.delta(p), signed_incidence(K, p)) for p in range(K.dim))
-    )
+    of its simplicial backing (``GradedCochainComplex._own_incidence``),
+    so the simplicial form loses nothing."""
+    return C.gram is None and C._own_incidence
 
 
 def encode_complex(model, local_system: LocalSystem | None = None) -> dict:

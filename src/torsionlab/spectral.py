@@ -38,10 +38,8 @@ map's components once and keep them; its square-zero residuals, and in
 ``torsion_engine`` its rank and its products w* w and w w*, then run
 one dense call per component (a whole integer map's products are summed
 from its nonzeros instead).  One union-find (``_labels``) serves
-both searches, counts the components of an oriented or grounded
-incidence map for its exact rank (``torsion_engine._incidence_rank``),
-and decides whether a simplicial complex's edges join its vertices
-(``chain_models._is_connected``).
+both searches and counts the components of a simplicial complex's edge
+table, its b_0 (``chain_models._betti_zero``).
 """
 
 from __future__ import annotations

@@ -52,24 +52,21 @@ untwisted complex of a simplicial complex K, recognised by its maps
 being exactly K's signed incidence ((-1)^i at ``K.faces[p]``, real, no
 other nonzero; a verdict the complex reaches once, when it is built),
 is ranked on the relative complex (K, cl st v) of a vertex's closed
-star, a cone and so acyclic: b_p(K) = b_p(K, cl st v) + [p = 0].  On a
-sphere that leaves one cell and no map.  A flux twist of such a complex
-is ranked by degree block: each delta_p that no flux block meets is a
-direct summand of its folded map, ranked exactly from those Betti
-numbers, and only the coupled part, the degrees the flux blocks join
-and the delta_p that meet them, is decomposed, by one SVD under the
-whole map's cut (``_folded_ranks``).  For flux-twisted maps this is
-the rank check that stays independent of the solves.  Every other
-complex (a lens, a local system, a bundle complex, a twisted complex
-built by hand or copied) is ranked whole.  A real map whose every row
-is zero, one +1 and one -1, or a lone +1 or -1 (the delta_0 of every
-complex without a local system, the covering graph of a permutation
-local system, a relative delta_0) is an incidence map, oriented or grounded,
-ranked exactly by union-find as its columns + 1 less the components of
-its graph with a ground node.  Every other map is ranked by singular
-values of the map itself, one SVD per component under the whole
-matrix's ``matrix_rank`` cut.  The only piece they share with the
-solves is that exact partition.
+star, a cone and so acyclic: b_p(K) = b_p(K, cl st v) + [p = 0].  Its
+relative delta_0 is never written: its rank is n_0 - (b_0(K) - 1), with
+b_0(K) the components of K's edge table.  On a sphere that leaves one
+cell and no map.  A flux twist of such a complex is ranked by degree
+block: each delta_p that no flux block meets is a direct summand of its
+folded map, ranked exactly from those Betti numbers, and only the
+coupled part, the degrees the flux blocks join and the delta_p that
+meet them, is decomposed, by one SVD under the whole map's cut
+(``_folded_ranks``).  For flux-twisted maps this is the rank check that
+stays independent of the solves.  Every other map (a relative delta_p
+with p >= 1, and every map of a lens, a local system, a bundle complex
+or a complex built by hand or copied) is ranked by singular values of
+the map itself, one SVD per component under the whole matrix's
+``matrix_rank`` cut.  The only piece they share with the solves is that
+exact partition.
 """
 
 from __future__ import annotations
@@ -81,12 +78,17 @@ from typing import Callable
 
 import numpy as np
 
-from .chain_models import _ALTERNATING, GradedCochainComplex, TwistedComplex, _degree_rows
+from .chain_models import (
+    _ALTERNATING,
+    GradedCochainComplex,
+    TwistedComplex,
+    _betti_zero,
+    _degree_rows,
+)
 from .errors import ValidationError
 from .spectral import (
     SPLIT_MIN_ORDER,
     HarmonicBasis,
-    _labels,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -431,87 +433,36 @@ def twisted_torsion(
     return _torsion(T, kernel_tol, TWISTED_TAG, ("even", "odd"), vectors=False)
 
 
-def _incidence_rank(d: np.ndarray) -> int | None:
-    """The rank of a real map whose every row is zero, one +1 and one -1,
-    or one lone +1 or -1 (a grounded row), or None for any other map.
-    Such a map is the incidence matrix of an oriented multigraph on its
-    columns and one more node, the ground, that each grounded row joins
-    to its column; the ground's column is dropped.  Over any field the
-    full incidence matrix has rank its nodes less its connected
-    components (Kirchhoff), and dropping the ground's column keeps that
-    rank, since each row sums to zero and so the ground's column is minus
-    the sum of the other columns of its component: the rank is the
-    columns + 1 less the components of the graph with the ground.  The components are those of its bipartite
-    graph (``spectral._labels``) that hold a column or the ground."""
-    if d.dtype.kind != "f":
-        return None
-    m, n = d.shape
-    flat = np.flatnonzero(d != 0)  # a sixth of the cost of the float nonzeros
-    values = d.ravel()[flat]
-    rows, cols = np.divmod(flat, n)
-    held = np.bincount(rows, minlength=m)
-    if held.max(initial=0) > 2 or not (np.abs(values) == 1).all():
-        return None
-    # a row of two unit entries is one +1 and one -1 when they sum to 0
-    if np.bincount(rows, weights=values, minlength=m)[held == 2].any():
-        return None
-    grounded = np.flatnonzero(held == 1)
-    label = _labels(
-        np.concatenate([rows, grounded]),
-        np.concatenate([cols + m, np.full(grounded.size, m + n)]),
-        m + n + 1,
-        bipartite=True,
-    )
-    roots = np.zeros(m + n + 1, dtype=bool)
-    roots[label[m:]] = True
-    return n + 1 - int(np.count_nonzero(roots))
-
-
 def _rank(d: np.ndarray, blocks) -> int:
-    """``np.linalg.matrix_rank(d)``, as a Python int.
-
-    An incidence map, oriented or grounded (``_incidence_rank``), is
-    ranked exactly by union-find.  That is the rank ``matrix_rank`` finds
-    within ``MAX_MODEL_SIZE`` (8192 cells), while the cut below is at
-    most sqrt(2 * max degree) * 8192 * eps <= 128 * 8192 * eps ~ 2.3e-10.
-    The smallest nonzero singular value of a component on v columns
-    without the ground is sqrt(lambda_2) of its graph Laplacian, at least
-    2/v >= 2.4e-4 by Mohar's lambda_2 >= 4/(v * diam).  With the ground
-    it is the square root of the least eigenvalue of the grounded
-    Laplacian (the Laplacian less the ground's row and column), whose
-    inverse has trace the sum of the v effective resistances to the
-    ground, each at most v: so the eigenvalue is at least 1/v^2 and the
-    singular value at least 1/v >= 1.2e-4.
-
-    Every other map (complex, or with any other row: a scaled row, a
-    flux term, a transport that is not a permutation) is ranked by its
-    singular values above max sigma * max(M, N) * eps.  With ``blocks``,
-    the bipartite components of d, the singular values are those of the
+    """``np.linalg.matrix_rank(d)``, as a Python int: the singular values
+    of d above max sigma * max(M, N) * eps.  With ``blocks``, the
+    bipartite components of d, the singular values are those of the
     components, one SVD each, and the whole-matrix cut applies to all of
     them together; None runs one SVD of d."""
     if not d.size:
         return 0
-    exact = _incidence_rank(d)
-    if exact is not None:
-        return exact
     parts = [d] if blocks is None else [d[np.ix_(rows, cols)] for rows, cols in blocks]
     s = np.concatenate([np.zeros(0)] + [np.linalg.svd(x, compute_uv=False) for x in parts])
     return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
 
 
-def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[np.ndarray]]:
-    """(dims, maps) of the relative complex (K, cl st v) of C's
-    simplicial complex K: the cochains of K that vanish on the closed
+def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[int]]:
+    """(dims, ranks of the maps) of the relative complex (K, cl st v) of
+    C's simplicial complex K: the cochains of K that vanish on the closed
     star of a vertex v, the one in the most top simplices.  A p-simplex
     stays when it does not hold v and v joined to it is no simplex of K,
     that is, when it is not the face without v of a (p+1)-simplex that
-    holds v, which the face table ``K.faces[p]`` names.  The maps are
-    the submatrices of delta_p on the cells that stay, with the zero-row
-    map out of the top degree; since C has checked delta_p against the
-    face table (``GradedCochainComplex._own_incidence``), they are
-    written from it, (-1)^i at each face that stays, which costs a third
-    of copying them out of an order-600 delta_0.  The closed star is a cone on v, so it is acyclic and
-    b_p(K) = b_p(K, cl st v) + [p = 0]."""
+    holds v, which the face table ``K.faces[p]`` names.
+
+    The closed star is a cone on v, so it is connected and acyclic and
+    b_p(K) = b_p(K, cl st v) + [p = 0].  At p = 0 that gives the rank of
+    the relative delta_0 as n_0 - (b_0(K) - 1), with b_0(K) the
+    components of K's edge table (``chain_models._betti_zero``), so that
+    map is never written.  Each delta_p with p >= 1 is the submatrix of
+    delta_p on the cells that stay; since C has checked delta_p against
+    the face table (``GradedCochainComplex._own_incidence``), it is
+    written from it, (-1)^i at each face that stays, and ranked by
+    ``_rank``.  The map out of the top degree has no rows."""
     K = C.simplicial
     v = int(np.bincount(K.levels[-1].ravel(), minlength=len(K.vertices)).argmax())
     holds = [level == v for level in K.levels]
@@ -520,16 +471,17 @@ def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[np.ndarray]]:
         rows, i = np.nonzero(holds[p + 1])
         in_star[p][F[rows, i]] = True
     kept = [np.flatnonzero(~s) for s in in_star]
-    maps = []
-    for p, F in enumerate(K.faces):
+    ranks = [len(kept[0]) - (_betti_zero(K) - 1)]
+    for p in range(1, K.dim):
         place = np.full(len(K.levels[p]), -1)
         place[kept[p]] = np.arange(len(kept[p]))
-        cols = place[F[kept[p + 1]]]  # -1 at a face in the star
+        cols = place[K.faces[p][kept[p + 1]]]  # -1 at a face in the star
         rows, i = np.nonzero(cols >= 0)
         d = np.zeros((len(kept[p + 1]), len(kept[p])))
         d[rows, cols[rows, i]] = _ALTERNATING[i]
-        maps.append(d)
-    return [len(k) for k in kept], maps + [np.zeros((0, len(kept[-1])))]
+        ranks.append(_rank(d, None))
+    # on a 0-complex delta_0 is the top map, and its rank above reads 0
+    return [len(k) for k in kept], ranks + [0] * (K.dim > 0)
 
 
 def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
@@ -548,23 +500,22 @@ def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
     lens, a local system, a bundle complex, any hand-made map) is ranked
     whole.
 
-    Either way an incidence map, oriented or grounded, is ranked exactly
-    by union-find, and any other map by its singular values.  The one
-    piece shared with the solves is the exact partition of each whole
-    map into its bipartite components, which the complex keeps; a split
-    map is ranked from its components' singular values under the whole
-    matrix's cut, so every decision is the one ``matrix_rank`` makes
-    (``_rank``)."""
+    Every map that is written out, relative or whole, is ranked by its
+    singular values (``_rank``).  The one piece shared with the solves is
+    the exact partition of each whole map into its bipartite components,
+    which the complex keeps; a split map is ranked from its components'
+    singular values under the whole matrix's cut, so every decision is
+    the one ``matrix_rank`` makes."""
     coned = isinstance(C, GradedCochainComplex) and C._own_incidence
     if coned:
-        dims, maps = _off_a_star(C)
-        blocks, cyclic = (None,) * len(maps), False
+        dims, ranks = _off_a_star(C)
+        cyclic = False
     else:
         dims, maps, _, _, cyclic, blocks = _spaces(C)
-    if isinstance(C, TwistedComplex) and C._folded is not None:
-        ranks = _folded_ranks(C)
-    else:
-        ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
+        if isinstance(C, TwistedComplex) and C._folded is not None:
+            ranks = _folded_ranks(C)
+        else:
+            ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
     return tuple(
         int(coned and p == 0) + n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0)
         for p, n in enumerate(dims)

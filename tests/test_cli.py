@@ -597,7 +597,7 @@ def test_mutated_files_exit_0_or_2(data, capsys, tmp_path):
 
 
 def test_cohomology_dims_print_as_plain_ints_without_numpy_ma():
-    # cycle(40)'s delta_0 is ranked by union-find; its dims must print
+    # cycle(40)'s b_0 is counted by union-find on its edges; its dims print
     # as [1, 1] in both formats, and counting them must not pull in
     # numpy.ma (np.unique and np.isin import it on first call)
     src = str(Path(torsionlab.__file__).resolve().parents[1])

@@ -15,7 +15,7 @@ from torsionlab import (
     reidemeister_torsion,
 )
 from torsionlab.builders import cycle, lens, simplex_boundary
-from torsionlab.chain_models import build_simplicial
+from torsionlab.chain_models import GradedCochainComplex, build_simplicial
 from torsionlab.serialize import (
     BUNDLE_SCHEMA,
     COCHAIN_SCHEMA,
@@ -120,6 +120,14 @@ def test_simplicial_backref_encodes_as_simplicial():
     C = coboundary_matrices(cycle(4))
     payload = encode_complex(C)
     assert payload["kind"] == "simplicial"
+    # the form is kept exactly when the maps are K's signed incidence: a
+    # trivial holonomy keeps it, a sign holonomy or negated maps do not
+    K = C.simplicial
+    trivial = coboundary_matrices(K, LocalSystem(rank=1, holonomy={(0, 1): np.eye(1)}))
+    assert encode_complex(trivial) == payload
+    sign = coboundary_matrices(K, LocalSystem(rank=1, holonomy={(0, 1): -np.eye(1)}))
+    negated = GradedCochainComplex(dims=C.dims, coboundary=tuple(-d for d in C.coboundary), simplicial=K)
+    assert [encode_complex(M)["kind"] for M in (sign, negated)] == ["cochain", "cochain"]
 
 
 def test_twisted_or_weighted_simplicial_complexes_keep_their_data():

@@ -54,7 +54,6 @@ from torsionlab.torsion_engine import (
     TWISTED_TAG,
     TorsionElement,
     _blocks,
-    _incidence_rank,
     _rank,
     _square,
 )
@@ -1038,12 +1037,11 @@ def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
     assert cohomology_dimensions(C) == (1, 0, 0, 0, 0, 0, 0, 1)
     assert svds == []
     # the same maps without the simplicial complex are ranked whole:
-    # delta_0 (36 x 9) is an oriented incidence map, ranked by union-find;
-    # delta_1 ... delta_6 each take one whole SVD
+    # delta_0 (36 x 9) ... delta_6 each take one whole SVD
     bare = GradedCochainComplex(dims=C.dims, coboundary=C.coboundary)
     assert bare._components == (None,) * 7
     assert cohomology_dimensions(bare) == (1, 0, 0, 0, 0, 0, 0, 1)
-    assert svds == [(d.shape, "float64") for d in C.coboundary[1:]]
+    assert svds == [(d.shape, "float64") for d in C.coboundary]
 
 
 # ---------------------------------------------------------------------------
@@ -1195,7 +1193,7 @@ def test_simplex_boundary_10_solves_each_square_on_its_smaller_side(
 
 
 # ---------------------------------------------------------------------------
-# exact ranks of oriented incidence maps
+# incidence maps: exact ranks off the edge table, one SVD per component
 # ---------------------------------------------------------------------------
 
 def _oriented_multigraph(rng, vertices, edges, groups, zero_rows):
@@ -1214,6 +1212,50 @@ def _oriented_multigraph(rng, vertices, edges, groups, zero_rows):
     return d[rng.permutation(d.shape[0])]
 
 
+def _graph_rank(d: np.ndarray) -> int:
+    """The rank of an incidence map d, oriented (rows of one +1 and one
+    -1) or grounded (rows of a lone +1 or -1), read exactly with no SVD.
+    Its columns and one ground node are the vertices of a graph, each
+    nonzero row an edge, a lone entry joining its column to the ground.
+    The graph's full incidence matrix has rank its vertices less b_0
+    (Kirchhoff), and dropping the ground's column keeps that rank, since
+    every row sums to zero.  b_0 is ``cohomology_dimensions`` of the
+    graph's own 1-complex, which reads it off the edge table."""
+    n = d.shape[1]
+    edges = set()
+    for row in d:
+        (cols,) = np.nonzero(row)
+        assert sorted(row[cols]) in ([], [-1.0], [1.0], [-1.0, 1.0])
+        if cols.size:
+            edges.add((int(cols[0]), int(cols[1]) if cols.size == 2 else n))
+    lone = [(v,) for v in range(n + 1) if not any(v in e for e in edges)]
+    C = coboundary_matrices(build_simplicial(sorted(edges) + lone, allow_mixed_dimension=True))
+    assert C._own_incidence
+    return n + 1 - cohomology_dimensions(C)[0]
+
+
+def _svd_shapes(d: np.ndarray, blocks) -> list:
+    """The (shape, dtype) of each SVD ``_rank(d, blocks)`` runs: one per
+    component, or one of d taken whole."""
+    parts = [d.shape] if blocks is None else [(rows.size, cols.size) for rows, cols in blocks]
+    return [(shape, np.dtype(d.dtype).name) for shape in parts]
+
+
+def _ranked_both_ways(d: np.ndarray, svds) -> int:
+    """The rank of an incidence map, read off its graph with no SVD
+    (``_graph_rank``), and checked against ``_rank``'s SVDs and
+    ``matrix_rank``."""
+    svds.clear()
+    exact = _graph_rank(d)
+    assert svds == []
+    blocks = _map_blocks(d)
+    got = _rank(d, blocks)
+    assert type(got) is int
+    assert got == np.linalg.matrix_rank(d) == exact
+    assert svds == _svd_shapes(d, blocks)
+    return got
+
+
 @pytest.mark.parametrize(
     "vertices, edges, groups",
     [(12, 9, 3), (20, 30, 1), (28, 6, 4), (40, 35, 5), (60, 150, 2), (90, 40, 12)],
@@ -1221,25 +1263,24 @@ def _oriented_multigraph(rng, vertices, edges, groups, zero_rows):
 @pytest.mark.parametrize("seed", range(8))
 def test_incidence_maps_are_ranked_exactly_without_an_svd(vertices, edges, groups, seed, svds):
     d = _oriented_multigraph(np.random.default_rng(1500 + seed), vertices, edges, groups, 3)
-    rank = _rank(d, _map_blocks(d))
-    assert type(rank) is int
-    assert rank == np.linalg.matrix_rank(d)
-    assert svds == []
+    _ranked_both_ways(d, svds)
 
 
 def _cycle_with_holonomy(rank, U):
     return coboundary_matrices(cycle(40), LocalSystem(rank=rank, holonomy={(0, 1): U}))
 
 
-def test_a_covering_graph_is_ranked_without_an_svd(svds):
+def test_a_covering_graph_takes_one_svd(svds):
     # a swap holonomy makes delta_0 the incidence map of the connected
-    # double cover of the 40-cycle, an 80-cycle
+    # double cover of the 40-cycle, an 80-cycle; the local-system complex
+    # is not its own incidence, so delta_0 takes its SVD
     C = _cycle_with_holonomy(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    d = C.coboundary[0]
     assert not C._own_incidence
+    assert _ranked_both_ways(d, svds) == 79
     svds.clear()
     assert cohomology_dimensions(C) == (1, 1)
-    assert _rank(C.coboundary[0], None) == np.linalg.matrix_rank(C.coboundary[0]) == 79
-    assert svds == []
+    assert svds == _svd_shapes(d, C._components[0])
 
 
 @pytest.mark.parametrize(
@@ -1271,7 +1312,8 @@ def _near_misses(d):
     scaled[r] *= 2.0
     same_sign[r, [a, b]] = 1.0
     three[r, c] = 1.0
-    # a lone +1 or -1 is a grounded row; a lone 2 is not
+    # a lone +1 or -1 would join its column to a ground node; a lone 2
+    # joins nothing
     lone[r, a], lone[r, b] = 2.0, 0.0
     return {
         "scaled-row": scaled,
@@ -1294,9 +1336,7 @@ def test_near_incidence_maps_keep_their_svds(source, kind, svds):
     m = _near_misses(d)[kind]
     blocks = _map_blocks(m)
     assert _rank(m, blocks) == np.linalg.matrix_rank(m)
-    dtype = np.dtype(m.dtype).name
-    parts = [m.shape] if blocks is None else [(rows.size, cols.size) for rows, cols in blocks]
-    assert svds == [(shape, dtype) for shape in parts]
+    assert svds == _svd_shapes(m, blocks)
 
 
 def _path(n: int) -> np.ndarray:
@@ -1345,10 +1385,7 @@ def _cycle_map(n: int) -> np.ndarray:
 def test_grounded_incidence_maps_are_ranked_exactly_without_an_svd(d, rank, svds):
     perm = np.random.default_rng(d.size)
     d = d[np.ix_(perm.permutation(d.shape[0]), perm.permutation(d.shape[1]))]
-    got = _rank(d, _map_blocks(d))
-    assert type(got) is int
-    assert got == np.linalg.matrix_rank(d) == rank
-    assert svds == []
+    assert _ranked_both_ways(d, svds) == rank
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1359,16 +1396,7 @@ def test_submatrices_of_incidence_maps_are_ranked_exactly(seed, svds):
     d = _oriented_multigraph(rng, 60, 80, 3, 2)
     d = d[:, np.sort(rng.choice(60, size=45, replace=False))]
     assert (np.count_nonzero(d, axis=1) == 1).any()
-    assert _rank(d, _map_blocks(d)) == np.linalg.matrix_rank(d)
-    assert svds == []
-
-
-def test_a_row_of_two_plus_ones_is_refused_among_grounded_rows(svds):
-    d = _grounded(_path(5), [0])
-    d[1] = np.abs(d[1])
-    assert _incidence_rank(d) is None
-    assert _rank(d, None) == np.linalg.matrix_rank(d)
-    assert svds == [(d.shape, "float64")]
+    _ranked_both_ways(d, svds)
 
 
 @pytest.mark.parametrize(
@@ -1500,8 +1528,9 @@ def test_a_gram_keeps_the_reading_off_a_star(svds):
 
 
 def test_a_lens_keeps_its_svds(svds):
+    # delta_0 and delta_2 are complex units; delta_1 is a real zero
     assert cohomology_dimensions(lens(5, 1, 2)) == (0, 0, 0, 0)
-    assert svds == [((1, 1), "complex128")] * 2
+    assert svds == [((1, 1), "complex128"), ((1, 1), "float64"), ((1, 1), "complex128")]
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,21 @@ def test_kernel_dims_disagreeing_with_rank_nullity_warn(tmp_path):
         "cohomology dims [0, 0]; the kernel tolerance may cut through the nonzero spectrum"
     ]
 
+    # an exact degree-3 flux delta B on S^5 at the default tolerance: the
+    # Alexander-Whitney twist couples H^0 to H^5 at order |B|^2, which the
+    # whole map's SVD cut keeps and the squares' eigenvalue cut drops
+    C = coboundary_matrices(simplex_boundary(6))
+    B = 1e-4 * np.random.default_rng(152).standard_normal(C.dims[2])
+    flux = tmp_path / "boundary.json"
+    dump_json_file(flux, encode_cochain(Cochain(degree=3, coefficients=C.coboundary[2] @ B)))
+    report = run("twisted", "simplex_boundary(6)", RunOptions(flux=str(flux)))
+    assert report.result["torsion"]["kernel_dims"] == [1, 1]
+    assert report.result["cohomology_dims"] == {"even": 0, "odd": 0}
+    assert report.warnings == (
+        "kernel dims [1, 1] disagree with rank-nullity cohomology dims [0, 0]; "
+        "the kernel tolerance may cut through the nonzero spectrum",
+    )
+
 
 def test_verify_duality_report_passes():
     report = run("verify-duality", "hopf(1,2,1)")
