@@ -3,8 +3,9 @@
 Combinatorial layer of the package: simplicial complexes closed under
 faces, signed-incidence coboundaries (optionally twisted by a unitary
 local system), Alexander-Whitney cup products, flux-twisted Z2-graded
-differentials, and evaluation against a fundamental class.  ``fold`` is
-the one owner of the Z2 parity layout.  A graded complex lays itself out
+differentials, and evaluation against a fundamental class.
+``_parity_offsets`` is the one owner of the Z2 parity layout, and
+``fold`` lays a degree family out on it.  A graded complex lays itself out
 on the two parities once, on first use, and keeps the layout
 (``GradedCochainComplex._parity``): twisted differentials and the
 invariant complexes of ``circle_bundle`` are both assembled from it.
@@ -747,6 +748,16 @@ class GradedCochainComplex:
         )
 
     @cached_property
+    def _betti(self) -> tuple[int, ...]:
+        """The cohomology dimensions by rank-nullity
+        (``torsion_engine._rank_nullity``), as Python ints: read on first
+        use and kept, so ``cohomology_dimensions`` and the block ranks of
+        every flux twist of the complex read them once."""
+        from .torsion_engine import _rank_nullity  # it imports this module
+
+        return _rank_nullity(self)
+
+    @cached_property
     def _parity(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[GramFactor, GramFactor] | None]:
         """The complex on the Z2 grading, laid out on first use and kept:
         the coboundary folded (from even, from odd), read-only, and the
@@ -981,8 +992,8 @@ def fold(dims: Sequence[int], ops: Sequence[np.ndarray], shift: int) -> tuple[np
     degree are skipped.  Returns (from_even, from_odd): the operator on
     the direct sum of the even degrees and on that of the odd degrees,
     each into the degrees of the shifted parity, every direct sum ordered
-    by increasing degree.  This is the one place the parity layout is
-    computed (``_parity_offsets``).
+    by increasing degree, at the offsets of ``_parity_offsets``, where
+    ``twisted_differential`` also places its flux blocks.
     """
     offset, size = _parity_offsets(dims)
     dtype = np.result_type(np.float64, *ops)
@@ -1213,26 +1224,33 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
                         f"{_norm(sq.coefficients):.3e}"
                     )
 
-    (d_even, d_odd), grams = C._parity
+    layout, grams = C._parity
+    maps = list(layout)
+    offset, _ = _parity_offsets(dims)
     blocks = []  # the flux degree blocks (q, q + deg h) that hold a nonzero
     for h in nontrivial:
         if K is not None:
             ops = [cup_operator(K, h, q) for q in range(top + 1 - h.degree)]
-            blocks += [(q, q + h.degree) for q, op in enumerate(ops) if op.any()]
         elif dims[0] > 1:
             raise FluxError("flux action undetermined: bare complex with dim C^0 != 1")
         else:
             # minimal-model multiplication: unit law in degree 0, zero above
             ops = [h.coefficients.reshape(-1, 1)] if dims[0] else []
-        # each fold is added only to the parity map it reaches, the parity
-        # of the degrees its nonzero blocks leave; the other stays the
-        # frozen layout, in its own dtype
-        folded = fold(dims, ops, h.degree)
-        d_even, d_odd = (
-            d + f if any(op.any() for op in ops[s::2]) else d
-            for s, (d, f) in enumerate(zip((d_even, d_odd), folded))
-        )
-    for a in (d_even, d_odd):  # new sums, or the frozen layout without flux
+        # each nonzero block is added into one copy of the parity map it
+        # reaches, the parity of the degree it leaves, where the layout
+        # holds zeros; a map no block reaches stays the frozen layout, in
+        # its own dtype
+        for q, op in enumerate(ops):
+            if not op.any():
+                continue
+            t, s = q + h.degree, q % 2
+            dtype = np.result_type(maps[s], op)
+            if maps[s] is layout[s] or maps[s].dtype != dtype:
+                maps[s] = maps[s].astype(dtype)
+            maps[s][offset[t]:offset[t] + dims[t], offset[q]:offset[q] + dims[q]] += op
+            blocks.append((q, t))
+    d_even, d_odd = maps
+    for a in maps:  # new copies, or the frozen layout without flux
         a.setflags(write=False)
 
     gram_even, gram_odd = grams or (None, None)

@@ -163,6 +163,12 @@ class BundleData:
         inv = self.radius_inverse
         if inv is not None and not abs(r * inv - 1.0) <= 4 * _EPS:  # NaN fails too
             raise ValidationError(f"radius_inverse {inv!r} is not the inverse of radius {r!r}")
+        # the invariant complex scales F by 1/r, and the T-dual's radius is 1/r
+        if not math.isfinite(self.inverse_radius):
+            raise ValidationError(
+                f"fiber radius {r!r} has no finite inverse: inverse radius 1/r = "
+                f"{self.inverse_radius!r} overflows float64"
+            )
 
     @property
     def inverse_radius(self) -> float:
@@ -256,11 +262,14 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     # would be about a third of the build
     dtype = np.result_type(b_eo, f_ee, h2_ee)
     d_even = np.empty((o + e, e + o), dtype=dtype)
-    d_even[:o, :e], d_even[:o, e:] = b_eo, rinv * f_oo
-    d_even[o:, :e], d_even[o:, e:] = r * h2_ee, -b_oe
     d_odd = np.empty((e + o, o + e), dtype=dtype)
-    d_odd[:e, :o], d_odd[:e, o:] = b_oe, rinv * f_ee
-    d_odd[e:, :o], d_odd[e:, o:] = r * h2_oo, -b_eo
+    # r and 1/r are finite, so a scaled entry that overflows is inf, which
+    # the complex's entry check refuses
+    with np.errstate(over="ignore"):
+        d_even[:o, :e], d_even[:o, e:] = b_eo, rinv * f_oo
+        d_even[o:, :e], d_even[o:, e:] = r * h2_ee, -b_oe
+        d_odd[:e, :o], d_odd[:e, o:] = b_oe, rinv * f_ee
+        d_odd[e:, :o], d_odd[e:, o:] = r * h2_oo, -b_eo
     # frozen, so the complex keeps them uncopied; it still scans them,
     # since r F and H2 / r can leave the entry range their inputs are in
     d_even.setflags(write=False)

@@ -15,9 +15,15 @@ retained/discarded ratio under 1e3 is recorded as a warning on the
 result rather than failing.
 
 The arithmetic follows the input dtype: a real A gives a real symmetric
-solve in float64, and a complex A a Hermitian one in complex128.
-Callers that read only eigenvalues pass ``vectors=False``, which runs
-``eigvalsh`` and leaves the decomposition without eigenvectors.
+solve in float64, and a complex A a Hermitian one in complex128, except
+that a diagonal block of a split complex A whose imaginary part is
+exactly zero is solved in float64.  Callers that read only eigenvalues
+pass ``vectors=False``, which runs ``eigvalsh`` and leaves the
+decomposition without eigenvectors.  The scans before a solve form no
+n x n temporary: a real A's scale is its max and min, and its Hermitian
+residual the max of A - A^T, formed ``_SLICE_ROWS`` rows at a time, as
+are a complex A's moduli.  The default cut is read off the two ends of
+the ascending spectrum.
 
 A solve splits on the exact zero pattern of A: the indices joined
 through its nonzero entries, on either side of the diagonal, form a
@@ -37,7 +43,11 @@ its rows and of its columns.  The complexes of ``chain_models`` find a
 map's components once and keep them; its square-zero residuals, and in
 ``torsion_engine`` its rank and its products w* w and w w*, then run
 one dense call per component (a whole integer map's products are summed
-from its nonzeros instead).  One union-find (``_labels``) serves
+from its nonzeros instead).  A split map's torsion square is the direct
+sum of each component's smaller product, laid out block after block and
+solved by the same rule: the odd square of the twisted
+``simplex_boundary(8)``, 36 + 36 + 126, keeps a block over half its
+order and goes to LAPACK whole.  One union-find (``_labels``) serves
 both searches and counts the components of a simplicial complex's edge
 table, its b_0 (``chain_models._betti_zero``).
 """
@@ -80,9 +90,7 @@ def default_kernel_tol(eigenvalues: np.ndarray) -> float:
     """Relative kernel threshold: 1e-9 times the spectral radius, or 1e-9
     outright when the spectrum is identically zero."""
     scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    if scale == 0.0:
-        scale = 1.0
-    return KERNEL_TOL_FACTOR * scale
+    return KERNEL_TOL_FACTOR * (scale or 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,21 +158,50 @@ def _finite(top: float, name: str) -> float:
     return top
 
 
+# The scans of a complex operator's moduli, and of any operator's
+# A - A*, take this many rows at a time, so no n x n temporary is formed.
+# They reduce by np.maximum/np.minimum.reduce, without the Python wrapper
+# of ndarray.max, a visible share of a scan on a bundle's tiny operators.
+_SLICE_ROWS = 64
+
+
+def _sliced_max(n: int, part) -> float:
+    """The largest entry of part(s) over the slices s of ``_SLICE_ROWS``
+    of n rows.  NaN propagates."""
+    top = -math.inf
+    for i in range(0, n, _SLICE_ROWS):
+        m = float(np.maximum.reduce(part(slice(i, i + _SLICE_ROWS)), axis=None))
+        if m != m:
+            return m
+        top = max(top, m)
+    return top
+
+
 def _largest(a: np.ndarray, name: str = "operator") -> float:
     """Largest entry modulus: a size that, unlike the Frobenius norm, does
-    not overflow before the entries do.  Refuses non-finite entries."""
-    return _finite(float(np.abs(a).max()), name)
+    not overflow before the entries do.  Refuses non-finite entries.  A
+    real a's is read from its max and min (NaN propagates through both),
+    a complex a's moduli a slice of rows at a time."""
+    if a.dtype.kind == "c":
+        return _finite(_sliced_max(len(a), lambda s: np.abs(a[s])), name)
+    top, bottom = np.maximum.reduce(a, axis=None), np.minimum.reduce(a, axis=None)
+    return _finite(max(float(top), -float(bottom)), name)
+
+
+def _skew(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows - cols*, with cols* copied contiguous and rows subtracted in
+    place: a slice of rows of A - A*, given the same slice of A's columns.
+    A complex residual is returned as its moduli."""
+    r = np.conjugate(cols.T, order="C")
+    np.subtract(rows, r, out=r)
+    return np.abs(r) if r.dtype.kind == "c" else r
 
 
 def _hermitian_residual(A: np.ndarray) -> float:
-    """``_largest(A - A*)``, with A - A* formed in one buffer and its
-    moduli taken in place (a complex A's in one real array)."""
-    if A.dtype.kind == "c":
-        r = np.conjugate(A.T, order="C")
-        np.subtract(A, r, out=r)
-        return _finite(float(np.abs(r).max()), "operator")
-    r = A - A.T
-    return _finite(float(np.abs(r, out=r).max()), "operator")
+    """``_largest(A - A*)``, a slice of rows at a time.  A real A - A^T is
+    antisymmetric to the bit, since a - b rounds to -(b - a), so its
+    largest modulus is its max, with no moduli formed."""
+    return _finite(_sliced_max(len(A), lambda s: _skew(A[s], A[:, s])), "operator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,10 +269,11 @@ def hermitian_spectrum(
 ) -> SpectralDecomposition:
     """Solve A v = lambda v for a Hermitian A, with V*V = I.
 
-    A real A is solved in float64 and a complex one in complex128.  With
-    ``vectors=False`` only the eigenvalues are computed and the result's
-    ``eigenvectors`` is None.  An exactly zero A is answered without an
-    eigensolve, with the same bits.
+    A real A is solved in float64 and a complex one in complex128, except
+    that a diagonal block with zero imaginary part of a split complex A
+    is solved in float64.  With ``vectors=False`` only the eigenvalues
+    are computed and the result's ``eigenvectors`` is None.  An exactly
+    zero A is answered without an eigensolve, with the same bits.
 
     From order ``SPLIT_MIN_ORDER`` up, A is solved one diagonal block of
     its exact zero pattern at a time (``_blocks_of``) when no block is
@@ -259,7 +297,8 @@ def hermitian_spectrum(
         return SpectralDecomposition(
             eigenvalues=w,
             eigenvectors=np.eye(n, dtype=A.dtype) if vectors else None,
-            kernel_tol=kernel_tol if kernel_tol is not None else default_kernel_tol(w),
+            # default_kernel_tol of the zero spectrum
+            kernel_tol=kernel_tol if kernel_tol is not None else KERNEL_TOL_FACTOR,
         )
     resid = _hermitian_residual(A)
     if resid > HERMITIAN_TOL * max(1.0, scale):
@@ -275,8 +314,11 @@ def hermitian_spectrum(
     else:
         w, V = np.linalg.eigvalsh(A), None
 
-    tol = kernel_tol if kernel_tol is not None else default_kernel_tol(w)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=tol)
+    if kernel_tol is None:
+        # default_kernel_tol(w): the ascending w has its largest modulus
+        # at one of its ends, so no second reduction over it
+        kernel_tol = KERNEL_TOL_FACTOR * (max(abs(float(w[0])), abs(float(w[-1]))) or 1.0)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, kernel_tol=kernel_tol)
 
 
 def _labels(rows: np.ndarray, cols: np.ndarray, size: int, bipartite: bool = False) -> np.ndarray:
@@ -374,6 +416,8 @@ def _solve_blocks(A: np.ndarray, label: np.ndarray, vectors: bool):
         at = slice(k, k + idx.size)
         k += idx.size
         block = A.take(idx, 0).take(idx, 1)
+        if block.dtype.kind == "c" and not block.imag.any():
+            block = np.ascontiguousarray(block.real)
         if vectors:
             w[at], V[idx, at] = np.linalg.eigh(block)
         else:

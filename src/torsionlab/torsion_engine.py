@@ -38,14 +38,24 @@ cohomology dimensions (checked against rank-nullity in the test suite).
 
 Each complex keeps the bipartite components of its maps
 (``spectral._map_blocks``), or None for a map taken whole.  Without
-Grams, w_p is d_p and its products are formed one component at a time.
-A map taken whole from ``SPLIT_MIN_ORDER`` up whose nonzeros are
-integers of modulus at most 2^20 (every simplicial coboundary) has its
-two squares summed from the pairs of nonzeros in each row and in each
-column instead: within 8192 rows and columns every sum is an integer
-below 2^53, so the result has the bits of the dense product.  The
-underflow guard on a square reads its diagonal, which holds its
-largest modulus.
+Grams, w_p is d_p, and a map kept as components is handled one
+component b = d_p[rows, cols] at a time (``_split_squares``).  b is
+taken in its own dtype: float64 when its entries are real, even inside
+a complex128 map.  b* b and b b* are formed once and added straight
+into the one n x n Laplacian of each space they reach (``_laplacian``),
+and the square solved is the direct sum of each component's smaller
+product, a tie keeping b* b: on the twisted ``simplex_boundary(8)`` that
+is order 45 + 84 + 84 (even) and 36 + 36 + 126 (odd) in place of 255.
+A block of it that is real is solved in float64 (``spectral``), and a
+map with no nonzero has an empty square.  A map taken whole (with
+Grams, below ``SPLIT_MIN_ORDER``, or with a component over half) keeps
+its n x n products and their bits.  One from ``SPLIT_MIN_ORDER`` up
+whose nonzeros are integers of modulus at most 2^20 (every simplicial
+coboundary) has its two squares summed from the pairs of nonzeros in
+each row and in each column instead: within 8192 rows and columns every
+sum is an integer below 2^53, so the result has the bits of the dense
+product.  The underflow guard on a square reads its diagonal, which
+holds its largest modulus.
 
 The rank-nullity dimensions stay independent of the eigensolver.  The
 untwisted complex of a simplicial complex K, recognised by its maps
@@ -122,7 +132,9 @@ class TorsionElement:
     or parity; ``harmonic_bases`` runs it on first read and keeps its
     value.  ``square_spectra`` holds, per degree or parity, the positive
     eigenvalues of w* w that the torsion solved, read off the square it
-    solved (w* w or w w*, which share them).
+    solved (w* w or w w*, which share them; for a map kept as bipartite
+    components, the direct sum of each component's smaller product, each
+    block solved in float64 where it is real).
     """
 
     log_scalar: float
@@ -196,24 +208,6 @@ def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     return C.dims, maps, grams, labels, False, C._components + (None,)
 
 
-def _square(x: np.ndarray, blocks, *, inner: bool) -> np.ndarray:
-    """x* x when ``inner``, else x x*.  With ``blocks``, the bipartite
-    components of x, it is formed one component at a time: x* x is the
-    direct sum of the blocks' products on their columns, x x* on their
-    rows, up to a permutation, and zero elsewhere.  None forms the whole
-    product."""
-    if blocks is None:
-        return x.conj().T @ x if inner else x @ x.conj().T
-    out = np.zeros((x.shape[1 if inner else 0],) * 2, dtype=x.dtype)
-    for rows, cols in blocks:
-        b = x[np.ix_(rows, cols)]
-        if inner:
-            out[np.ix_(cols, cols)] = b.conj().T @ b
-        else:
-            out[np.ix_(rows, rows)] = b @ b.conj().T
-    return out
-
-
 # An integer map with entries of modulus at most 2^20 and at most 8192
 # rows and columns has integer squares whose every partial sum is at most
 # 8192 * 2^40 = 2^53, so float64 sums them exactly, in any order.
@@ -261,23 +255,93 @@ def _pair_sums(group: np.ndarray, index: np.ndarray, values: np.ndarray, size: i
     ).reshape(size, size)
 
 
-def _squares(x: np.ndarray, blocks, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x* x, x x*).  When ``exact`` allows it (a map without Grams taken
-    whole from ``SPLIT_MIN_ORDER`` up) and x passes ``_integer_nonzeros``,
-    each square is summed from the pairs of nonzeros in a row or in a
-    column (``_pair_sums``); every other square is ``_square``'s."""
+def _squares(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x* x, x x*) of a map taken whole.  When ``exact`` allows it (a map
+    without Grams from ``SPLIT_MIN_ORDER`` up) and x passes
+    ``_integer_nonzeros``, each square is summed from the pairs of
+    nonzeros in a row or in a column (``_pair_sums``); every other square
+    is the dense product."""
     found = _integer_nonzeros(x) if exact else None
-    if found is None:
-        return _square(x, blocks, inner=True), _square(x, blocks, inner=False)
-    rows, cols, values = found
-    m, n = x.shape
-    by_col = np.argsort(cols, kind="stable")
-    inner = _pair_sums(rows, cols, values, n)
-    outer = _pair_sums(cols[by_col], rows[by_col], values[by_col], m)
+    inner = outer = None
+    if found is not None:
+        rows, cols, values = found
+        by_col = np.argsort(cols, kind="stable")
+        inner = _pair_sums(rows, cols, values, x.shape[1])
+        outer = _pair_sums(cols[by_col], rows[by_col], values[by_col], x.shape[0])
     return (
-        _square(x, None, inner=True) if inner is None else inner,
-        _square(x, None, inner=False) if outer is None else outer,
+        x.conj().T @ x if inner is None else inner,
+        x @ x.conj().T if outer is None else outer,
     )
+
+
+def _dtype_of(arrays: list[np.ndarray]):
+    """complex128 when one of the arrays is complex, else float64."""
+    return np.complex128 if any(a.dtype.kind == "c" for a in arrays) else np.float64
+
+
+def _diagonal_sum(squares: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of the given squares, in order."""
+    n = sum(len(s) for s in squares)
+    out = np.zeros((n, n), dtype=_dtype_of(squares))
+    i = 0
+    for s in squares:
+        k = i + len(s)
+        out[i:k, i:k] = s
+        i = k
+    return out
+
+
+def _split_squares(x: np.ndarray, blocks, what: str) -> tuple[list, list, list]:
+    """The products of a map its complex keeps as bipartite components:
+    (cols, b* b) and (rows, b b*) per component b = x[rows, cols], and
+    each component's smaller product, a tie keeping b* b, whose direct sum
+    (``_diagonal_sum``) is the square solved.  Each b is taken in its own
+    dtype, float64 when its entries are real even inside a complex map,
+    and each product is formed once and refused if it underflowed.  A map
+    with no nonzero has no component and an empty square."""
+    inner, outer, solved = [], [], []
+    for rows, cols in blocks:
+        b = x[np.ix_(rows, cols)]
+        if b.dtype.kind == "c" and not b.imag.any():
+            b = np.ascontiguousarray(b.real)
+        bh = b.conj().T
+        up = _unless_underflowed(bh @ b, b, what)
+        down = _unless_underflowed(b @ bh, b, what)
+        inner.append((cols, up))
+        outer.append((rows, down))
+        solved.append(down if rows.size < cols.size else up)
+    return inner, outer, solved
+
+
+def _laplacian(n: int, up, down) -> np.ndarray:
+    """up + down, the weighted Laplacian of an order-n space (down None on
+    a chain's first space).  Each term is a whole n x n product, or the
+    (indices, product) pieces of a split map's products, written where
+    they land on one n x n zero: the first split term's disjoint pieces
+    are assigned, the other term's added.  Whole terms keep the bytes of
+    their sum, and a whole term beside only zero maps is itself."""
+    terms = [up] if down is None else [up, down]
+    whole = [t for t in terms if isinstance(t, np.ndarray)]
+    if len(whole) == len(terms):
+        return up if down is None else up + down
+    # a split term leaves at most one whole term
+    split = [t for t in terms if not isinstance(t, np.ndarray)]
+    if not any(split):  # the products of zero maps
+        return whole[0] if whole else np.zeros((n, n))
+    dtype = _dtype_of(whole + [s for t in split for _, s in t])
+    lap = np.array(whole[0], dtype=dtype) if whole else np.zeros((n, n), dtype=dtype)
+    flat = lap.reshape(-1)
+    for k, pieces in enumerate(split):
+        # one map's components are disjoint, so the first term's pieces
+        # land on zeros
+        assign = not (k or whole)
+        for idx, s in pieces:
+            at = (idx[:, None] * n + idx).ravel()
+            if assign:
+                flat[at] = s.ravel()
+            else:
+                flat[at] += s.ravel()
+    return lap
 
 
 def _solved_square(up: np.ndarray, outer: np.ndarray, weighted: bool) -> np.ndarray:
@@ -288,19 +352,27 @@ def _solved_square(up: np.ndarray, outer: np.ndarray, weighted: bool) -> np.ndar
     return outer if weighted or len(outer) < len(up) else up
 
 
-def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
-    """Per space p: (the square of w_p the torsion solves
-    (``_solved_square``), the weighted Laplacian
-    w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or None), where
-    w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted coboundary, each side
-    weighted only when its space has a record (d_p itself without Grams).
-    w_p w_p* is the down term of the next space, so either square costs
-    no product.  Without Grams each product is formed one bipartite
-    component of d_p at a time (``_square``), and a map taken whole from
-    its integer nonzeros where it can be (``_squares``); with Grams,
-    whole.  Each product is built, and refused if it underflowed, once;
-    one that overflowed is refused by the solver."""
-    _, maps, grams, labels, cyclic, blocks = _spaces(C)
+def _blocks(C: GradedCochainComplex | TwistedComplex):
+    """Per space p, in order: (the square of w_p the torsion solves, the
+    weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or
+    None), where w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted
+    coboundary, each side weighted only when its space has a record (d_p
+    itself without Grams).  w_p w_p* is the down term of the next space,
+    so no square costs a product of its own.
+
+    A map taken whole (with Grams, below ``SPLIT_MIN_ORDER``, or with a
+    component over half) has its two products formed whole, from its
+    integer nonzeros where it can (``_squares``), and its solved square
+    is one of them (``_solved_square``).  A map without Grams that its
+    complex keeps as bipartite components is handled one component at a
+    time (``_split_squares``): each component's products are added
+    straight into the Laplacians they reach (``_laplacian``), and the
+    solved square is the direct sum of each component's smaller product,
+    in float64 where the component is real, laid out only when its space
+    is reached, so a solve loop holds one such square at a time.  Each
+    product is built, and refused if it underflowed, once; one that
+    overflowed is refused by the solver."""
+    dims, maps, grams, labels, cyclic, blocks = _spaces(C)
     weighted = grams[0] is not None
     if weighted:
         blocks = (None,) * len(maps)
@@ -313,45 +385,47 @@ def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
                 d = d @ grams[p].lower_inverse.conj().T
             w.append(d)
 
-        def squares(p: int) -> tuple[np.ndarray, np.ndarray]:
-            exact = not weighted and blocks[p] is None and max(w[p].shape) >= SPLIT_MIN_ORDER
-            up, outer = _squares(w[p], blocks[p], exact)
-            return (
-                _unless_underflowed(up, maps[p], labels[p]),
-                _unless_underflowed(outer, maps[p], labels[p]),
-            )
+        def products(p: int) -> tuple:
+            """(w_p* w_p, w_p w_p*, the square solved or its pieces)."""
+            if blocks[p] is not None:
+                return _split_squares(w[p], blocks[p], labels[p])
+            exact = not weighted and max(w[p].shape) >= SPLIT_MIN_ORDER
+            up, outer = (_unless_underflowed(s, maps[p], labels[p]) for s in _squares(w[p], exact))
+            return up, outer, _solved_square(up, outer, weighted)
 
         # the down term of space 0: w_{-1} w_{-1}* on a cycle, none on a chain
-        last = squares(len(w) - 1) if cyclic else None
+        last = products(len(w) - 1) if cyclic else None
         down = last[1] if cyclic else None
         for p, x in enumerate(w):
-            up, outer = last if cyclic and p == len(w) - 1 else squares(p)
-            lap = up
-            if p > 0 or cyclic:
-                if len(x):
-                    lap = up + down
-                else:
-                    # w* w of a map with no rows (the graded top map) is
-                    # exactly zero; adding 0.0 in place gives the bytes of
-                    # up + down, where -0.0 reads +0.0
-                    down += 0.0
-                    lap = down
-            out.append((_solved_square(up, outer, weighted), lap, grams[p]))
+            up, outer, square = last if cyclic and p == len(w) - 1 else products(p)
+            if not len(x) and isinstance(down, np.ndarray):
+                # w* w of a map with no rows (the graded top map) is
+                # exactly zero; adding 0.0 in place gives the bytes of
+                # up + down, where -0.0 reads +0.0
+                down += 0.0
+                lap = down
+            else:
+                lap = _laplacian(dims[p], up, down)
+            out.append((square, lap, grams[p]))
             down = outer
-    return out
+    for square, lap, gram in out:
+        yield (square if isinstance(square, np.ndarray) else _diagonal_sum(square)), lap, gram
 
 
 def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):
     """The one solve loop of both torsions.  Per space p, in order: the
     weighted Laplacian for values only, refused when its cut cannot be
-    trusted, then the square of w_p (``_solved_square``), with
-    eigenvectors when ``vectors`` (only its eigenvalues are read; ``eigh``
-    gives them more accurately than ``eigvalsh``).  Yields, per space,
-    the square's decomposition and the (weighted Laplacian, GramFactor or
-    None) pair that a kernel basis is read from."""
+    trusted, then the square of w_p, with eigenvectors when ``vectors``
+    (only its eigenvalues are read; ``eigh`` gives them more accurately
+    than ``eigvalsh``); a split map's square is dropped once solved.
+    Yields, per space, the square's decomposition and the (weighted
+    Laplacian, GramFactor or None) pair that a kernel basis is read
+    from."""
     for square, lap, gram in _blocks(C):
         _refuse_imprecise(hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=False))
-        yield hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors), (lap, gram)
+        solved = hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors)
+        del square
+        yield solved, (lap, gram)
 
 
 def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:
@@ -537,9 +611,10 @@ def _folded_ranks(T: TwistedComplex) -> list[int]:
     row degree p + 1 with a flux block is a direct summand: no other
     block meets its rows or its columns.  Its rank is exact,
     r_p = n_p - b_p - r_{p-1} from C's exact Betti numbers
-    (``_rank_nullity`` of C, read off a vertex star).  The rest, the
-    coupled part, is the submatrix on the flux blocks' degrees and those
-    of the delta_p they touch; only it is decomposed, by one SVD.
+    (``_rank_nullity`` of C, read off a vertex star once and kept by C).
+    The rest, the coupled part, is the submatrix on the flux blocks'
+    degrees and those of the delta_p they touch; only it is decomposed,
+    by one SVD.
 
     The coupled part is cut where ``matrix_rank`` cuts the whole map:
     at s max(M, N) eps, with M x N the whole folded map's shape and s its
@@ -568,7 +643,7 @@ def _folded_ranks(T: TwistedComplex) -> list[int]:
     summands = [p for p in range(top) if p not in coupled]
     exact = [0] * top
     if summands:
-        betti, r = _rank_nullity(C), 0
+        betti, r = C._betti, 0
         for p in range(top):
             r = exact[p] = C.dims[p] - betti[p] - r
     ranks = []
@@ -599,8 +674,9 @@ def cohomology_dimensions(C: GradedCochainComplex) -> tuple[int, ...]:
     read for the untwisted complex of a simplicial complex K off
     (K, cl st v) by the cone identity b_p(K) = b_p(K, cl st v) + [p = 0]
     (``_rank_nullity``).  No eigensolve is read, so they stay an
-    independent check of the torsion's kernel dimensions."""
-    return _rank_nullity(C)
+    independent check of the torsion's kernel dimensions.  The complex
+    keeps them (``GradedCochainComplex._betti``)."""
+    return C._betti
 
 
 def twisted_cohomology_dimensions(T: TwistedComplex) -> tuple[int, int]:

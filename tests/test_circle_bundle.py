@@ -500,7 +500,18 @@ def test_radius_must_be_positive_and_finite():
             BundleData(base=base, f_op=None, h2_op=None, h3_op=None, radius=r)
 
 
-@pytest.mark.parametrize("inverse", [3.0, 0.0, -1.0, -0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("r", [5e-324, 1e-310, 5.5e-309])
+def test_a_radius_without_a_finite_inverse_is_refused(r):
+    # 1/r overflows to inf: the T-dual's radius and the 1/r F block of
+    # the invariant complex would not be floats
+    base = minimal_model((1, 0, 1))
+    with pytest.raises(ValidationError, match=r"inverse radius 1/r = inf"):
+        BundleData(base=base, f_op=None, h2_op=None, h3_op=None, radius=r)
+    # a radius whose inverse is finite is kept
+    assert BundleData(base=base, f_op=None, h2_op=None, h3_op=None, radius=1e-308).inverse_radius == 1e308
+
+
+@pytest.mark.parametrize("inverse",[3.0, 0.0, -1.0, -0.5, float("inf"), float("nan")])
 def test_inconsistent_radius_inverse_is_refused(inverse):
     # radius_inverse=3 with radius 2 once gave tau = 4/3 instead of 8
     b = hopf(1, 2, 2)
@@ -572,7 +583,7 @@ def test_transport_reads_the_spectra_the_torsions_solved(eigensolves):
     # the transported spectra are the torsions' own, the positive spectra
     # of the very squares a fresh solve gives
     for elem, model in ((report.torsion, b), (report.dual_torsion, t_dualize(b))):
-        blocks = torsion_engine._blocks(build_invariant_complex(model))
+        blocks = list(torsion_engine._blocks(build_invariant_complex(model)))
         assert len(elem.square_spectra) == len(blocks) == 2
         for spectrum, (square, _, _) in zip(elem.square_spectra, blocks):
             fresh = torsion_engine.hermitian_spectrum(square, vectors=False)

@@ -323,6 +323,31 @@ def test_flux_whose_square_leaves_float64_is_refused_without_a_warning(flux):
     assert "RuntimeWarning" not in run.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bundle-torsion", "hopf(1,2)", "--radius", "5e-324"], "inverse radius 1/r = inf"),
+        (["verify-duality", "hopf(1,2,5e-324)"], "inverse radius 1/r = inf"),
+        (["t-dual", "hopf(1,2,5e-324)"], "inverse radius 1/r = inf"),
+        (["bundle-torsion", "hopf(2,1,1e-308)"], "outside [1e-150, 1e+150]"),
+        (["bundle-torsion", "hopf(1,3,1e308)"], "non-finite entry"),
+    ],
+)
+def test_extreme_fiber_radii_are_refused_without_a_warning(argv, message):
+    # a radius whose inverse overflows is refused when the model is built;
+    # a finite r whose scaled F or H2 overflows reaches the entry check
+    # as inf, with no numpy RuntimeWarning printed first
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "torsionlab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("torsion: error:") and message in line
+
+
 @pytest.mark.parametrize("entry", [1e150, 1e-150])
 def test_coboundary_at_the_range_ends_gives_log_modulus(entry, capsys, tmp_path):
     path = _write_one_by_one(tmp_path / "model.json", entry)

@@ -68,6 +68,70 @@ def test_default_kernel_tol_is_relative():
     assert default_kernel_tol(np.array([])) == KERNEL_TOL_FACTOR
 
 
+def _operator(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    A = a @ a.conj().T
+    # negative-dominated: the largest modulus is the most negative end
+    return A - 3.0 * np.abs(A).max() * np.eye(n) if kind == "negative" else A
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "negative", "zero"])
+@pytest.mark.parametrize("orders", [(5,), (40,), (12, 11, 13)])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_the_default_cut_is_default_kernel_tol_bit_for_bit(
+    kind, orders, vectors, eigensolves, eigensolve_orders
+):
+    # read off the two ends of the ascending spectrum, whole or merged
+    # from blocks, it is the reduction over the whole spectrum.  Three
+    # blocks, each at most half of their order 36 >= SPLIT_MIN_ORDER, are
+    # solved one at a time; a complex operator's last block is real, and
+    # solved in float64
+    last = "real" if kind == "complex" else kind
+    kinds = [kind] * (len(orders) - 1) + [last]
+    A = scipy.linalg.block_diag(*(_operator(k, m) for k, m in zip(kinds, orders)))
+    dec = hermitian_spectrum(A, vectors=vectors)
+    assert np.all(np.diff(dec.eigenvalues) >= 0)
+    assert dec.kernel_tol.hex() == default_kernel_tol(dec.eigenvalues).hex()
+    if kind == "negative":
+        assert abs(dec.eigenvalues[0]) > abs(dec.eigenvalues[-1])
+    if kind == "zero":
+        assert eigensolves == []
+    elif len(orders) > 1:
+        assert sorted(eigensolve_orders) == sorted(orders)
+        dtypes = ["complex128", "complex128", "float64"] if kind == "complex" else ["float64"] * 3
+        assert [dtype for dtype, _ in eigensolves] == dtypes
+    else:
+        assert eigensolve_orders == list(orders)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_sliced_scans_refuse_a_non_finite_entry_anywhere(bad, dtype):
+    # three slices of rows, the last one short: first, last and boundary
+    # rows and columns, above and below the diagonal
+    if dtype is np.float64 and isinstance(bad, complex):
+        return
+    n = 2 * spectral._SLICE_ROWS + 7
+    edges = [0, spectral._SLICE_ROWS - 1, spectral._SLICE_ROWS, 2 * spectral._SLICE_ROWS, n - 1]
+    message = "operator has a non-finite entry"
+    for i in edges:
+        for j in edges:
+            A = _symmetric(n, dtype)
+            A[i, j] = bad
+            # an inf on the diagonal leaves inf - inf = NaN in A - A*
+            with np.errstate(invalid="ignore"):
+                for scan in (spectral._largest, spectral._hermitian_residual):
+                    with pytest.raises(ValidationError, match=message):
+                        scan(A)
+            with pytest.raises(ValidationError, match=message):
+                hermitian_spectrum(A, vectors=False)
+
+
 def test_kernel_split_and_gap_warning():
     A = np.diag([0.0, 9e-10, 3e-9, 1.0]).astype(np.complex128)
     with warnings.catch_warnings(record=True) as caught:

@@ -8,6 +8,7 @@ Lens: four 1x1 coboundaries give the alternating product
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -55,7 +56,6 @@ from torsionlab.torsion_engine import (
     TorsionElement,
     _blocks,
     _rank,
-    _square,
 )
 
 
@@ -278,7 +278,7 @@ def test_weighted_solves_match_scipy_generalized_solver(
     scale = max(1.0, float(reference.max()))
     # with Grams the torsion solves w w* (order m < n), which holds the
     # same nonzero spectrum as w* w, with n - m fewer zeros
-    square = _blocks(C)[0][0]
+    square = list(_blocks(C))[0][0]
     assert square.shape == (m, m)
     values = hermitian_spectrum(square).eigenvalues
     assert np.max(np.abs(values - reference[n - m:])) <= 1e-12 * scale
@@ -576,7 +576,7 @@ def test_h0_equals_an_eager_eigh_of_delta_0_bit_for_bit(name):
     # the lazy H^0 and an eager vector solve of Delta_0, cut at the
     # kernel dimension the torsion found, lifted by L_0^{-*}
     elem = reidemeister_torsion(C)
-    _, lap, gram = _blocks(C)[0]
+    _, lap, gram = list(_blocks(C))[0]
     eager = hermitian_spectrum(lap)
     assert eager.kernel_dimension == elem.kernel_dims[0]
     h0 = eager.eigenvectors[:, :eager.kernel_dimension]
@@ -630,7 +630,7 @@ def test_twisted_bases_equal_the_eager_lifted_bases_bit_for_bit():
         for model in (b, t_dualize(b)):
             ic = build_invariant_complex(model)
             elem = twisted_torsion(ic)
-            blocks = _blocks(ic)
+            blocks = list(_blocks(ic))
             assert len(elem.harmonic_bases) == len(blocks) == 2
             for basis, name, (_, lap, gram) in zip(elem.harmonic_bases, ("even", "odd"), blocks):
                 dec = hermitian_spectrum(lap)
@@ -914,8 +914,13 @@ def test_split_rank_products_and_residuals_match_the_whole_ones(seed, kind, svds
     assert svds == [((rows.size, cols.size), dtype) for rows, cols in blocks]
 
     scale = np.linalg.norm(d) ** 2
-    for inner, whole in ((True, d.conj().T @ d), (False, d @ d.conj().T)):
-        assert np.max(np.abs(_square(d, blocks, inner=inner) - whole)) <= 1e-12 * scale
+    # the component products land in the Laplacians: d* d in degree 0's,
+    # d d* in degree 1's, whose up term (the top map's) is zero
+    C = GradedCochainComplex(dims=(d.shape[1], d.shape[0]), coboundary=(d,))
+    assert C._components[0] is not None
+    laps = [lap for _, lap, _ in _blocks(C)]
+    for lap, whole in zip(laps, (d.conj().T @ d, d @ d.conj().T)):
+        assert np.max(np.abs(lap - whole)) <= 1e-12 * scale
     a = rng.standard_normal((20, d.shape[0]))
     if kind != "real":
         a = a + 1j * rng.standard_normal(a.shape)
@@ -1024,8 +1029,129 @@ def test_twisted_cohomology_dims_are_the_whole_matrix_answer(n, c, svds):
         shapes = [[(rows.size, cols.size) for rows, cols in b] for b in T._components]
         assert sorted(shapes[0]) == [(45, 45), (84, 126), (126, 84)]
         assert sorted(shapes[1]) == [(36, 84), (84, 36), (126, 126)]
-        up, lap, _ = _blocks(T)[0]
-        assert np.max(np.abs(up - T.d_even.conj().T @ T.d_even)) <= 1e-12 * np.linalg.norm(T.d_even) ** 2
+        # the solved square is the direct sum of each component's smaller
+        # product, a tie keeping b* b: the block of w* w on its columns or
+        # of w w* on its rows, of order 45 + 84 + 84, not 255
+        square, lap, _ = list(_blocks(T))[0]
+        w = T.d_even
+        inner, outer = w.conj().T @ w, w @ w.conj().T
+        tol = 1e-12 * np.linalg.norm(w) ** 2
+        assert square.shape == (213, 213)
+        at = 0
+        for rows, cols in T._components[0]:
+            side, whole = (rows, outer) if rows.size < cols.size else (cols, inner)
+            k = at + side.size
+            assert np.max(np.abs(square[at:k, at:k] - whole[np.ix_(side, side)])) <= tol
+            assert not square[at:k, k:].any() and not square[k:, at:k].any()
+            at = k
+        # and w* w lands whole in the Laplacian, beside d_odd d_odd*
+        down = T.d_odd @ T.d_odd.conj().T
+        assert np.max(np.abs(lap - inner - down)) <= tol + 1e-12 * np.linalg.norm(T.d_odd) ** 2
+
+
+def _taken_whole(T: TwistedComplex) -> TwistedComplex:
+    """A copy of T whose two maps are taken whole: the reference layout,
+    whose products are n x n and whose squares the solver splits."""
+    whole = dataclasses.replace(T)
+    object.__setattr__(whole, "_components", (None, None))
+    return whole
+
+
+def _assert_the_whole_answer(T: TwistedComplex) -> None:
+    got, whole = twisted_torsion(T), twisted_torsion(_taken_whole(T))
+    assert abs(got.log_scalar - whole.log_scalar) <= 1e-12 * max(1.0, abs(whole.log_scalar))
+    assert got.kernel_dims == whole.kernel_dims
+    assert got.warnings == whole.warnings
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.sampled_from([7, 8]),
+    kind=st.sampled_from(["real", "complex", "zero"]),
+    log_modulus=st.floats(math.log(0.25), math.log(4.0)),
+    phase=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_twists_solve_as_the_whole_matrices(n, kind, log_modulus, phase, seed):
+    # S^7 takes a top-degree flux, whose maps split; the top degree of S^6
+    # is even, so it takes an exact flux in degree 5, whose maps are whole
+    C = coboundary_matrices(simplex_boundary(n))
+    c = math.exp(log_modulus) * (cmath.exp(1j * phase) if kind == "complex" else 1.0)
+    if C.top % 2:
+        h = Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c))
+    else:
+        b = np.random.default_rng(seed).standard_normal(C.dims[4])
+        h = Cochain(degree=5, coefficients=c * (C.delta(4) @ b))
+    T = twisted_differential(C, None if kind == "zero" else h)
+    assert (T._components[0] is not None) == (n == 8)
+    _assert_the_whole_answer(T)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(st.integers(64, 200))
+def test_zero_flux_cycles_solve_as_the_whole_matrices(n):
+    # d_odd is the zero map: no component, and an empty square
+    T = twisted_differential(coboundary_matrices(cycle(n)))
+    assert T._components == (None, ())
+    _assert_the_whole_answer(T)
+    square, lap, _ = list(_blocks(T))[1]
+    assert square.shape == (0, 0)
+    assert lap.tobytes() == (T.d_even @ T.d_even.T).tobytes()
+
+
+@pytest.mark.parametrize("c", [2.0, 1.5 - 0.5j])
+def test_a_split_twist_solves_its_real_components_in_float64(c, eigensolves, monkeypatch):
+    solved = []
+    solve = torsion_engine.hermitian_spectrum
+
+    def record(A, **kwargs):
+        solved.append(A.shape[0])
+        return solve(A, **kwargs)
+
+    monkeypatch.setattr(torsion_engine, "hermitian_spectrum", record)
+    C = coboundary_matrices(simplex_boundary(8))
+    T = twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)))
+    twisted_torsion(T)
+    # per parity the Laplacian, of order 255, then the direct sum of each
+    # component's smaller product: 45 + 84 + 84 even, 36 + 36 + 126 odd
+    assert solved == [255, 213, 255, 198]
+    # a complex flux makes the component it sits in complex, with the
+    # Laplacian blocks it reaches (33 even, 24 odd); the two components
+    # of order 84 beside it are real and solved in float64
+    flux = "complex128" if isinstance(c, complex) else "float64"
+    assert eigensolves == [
+        (flux, "values"),  # even Laplacian: one block of 33, the rest 1 x 1
+        (flux, "values"),  # the component that holds the flux, order 45
+        ("float64", "values"),
+        ("float64", "values"),
+        (flux, "values"),  # odd Laplacian: one block of 24
+        ("float64", "values"),  # the odd square, all real, solved whole
+    ]
+
+
+def test_a_complex_keeps_its_betti_numbers(svds):
+    # two disjoint 3-spheres: off a vertex star the other sphere keeps its
+    # maps, which take SVDs, once per complex
+    K = build_simplicial([s for v in (0, 5) for s in itertools.combinations(range(v, v + 5), 4)])
+    C = coboundary_matrices(K)
+    twists = [
+        twisted_differential(C, Cochain(degree=3, coefficients=np.full(C.dims[3], c)))
+        for c in (2.0, 0.5j)
+    ]
+    svds.clear()
+    betti = cohomology_dimensions(C)
+    assert betti == (2, 0, 0, 2) and svds
+    svds.clear()
+    assert cohomology_dimensions(C) is betti
+    assert svds == []
+    # each twist decomposes only its coupled parts: degrees 0 and 3 with
+    # the delta_0 and delta_2 they touch; delta_1 is ranked from C's kept
+    # Betti numbers, with no SVD
+    for T in twists:
+        whole = _whole_answer(T)
+        svds.clear()
+        assert twisted_cohomology_dimensions(T) == whole == (0, 0)
+        assert [shape for shape, _ in svds] == [(C.dims[1] + C.dims[3], C.dims[0] + C.dims[2])]
 
 
 def test_graded_simplex_maps_are_connected_and_ranked_whole(svds):
@@ -1088,7 +1214,7 @@ def test_squares_from_integer_nonzeros_have_the_bits_of_the_dense_products(x):
         torsion_engine._pair_sums(rows, cols, values, x.shape[1]),
         torsion_engine._pair_sums(cols[by_col], rows[by_col], values[by_col], x.shape[0]),
     )
-    squares = torsion_engine._squares(x, None, True)
+    squares = torsion_engine._squares(x, True)
     for got, dense in zip(pairs + squares, (x.T @ x, x @ x.T) * 2):
         if got is not None:
             assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
