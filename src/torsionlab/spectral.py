@@ -40,15 +40,11 @@ A coboundary splits by the same rule on the bipartite graph of its
 nonzeros, rows on one side and columns on the other (``_map_blocks``):
 each connected component is a block of the map up to permutations of
 its rows and of its columns.  The complexes of ``chain_models`` find a
-map's components once and keep them; its square-zero residuals, and in
-``torsion_engine`` its rank and its products w* w and w w*, then run
-one dense call per component (a whole integer map's products are summed
-from its nonzeros instead).  A split map's torsion square is the direct
-sum of each component's smaller product, laid out block after block and
-solved by the same rule: the odd square of the twisted
-``simplex_boundary(8)``, 36 + 36 + 126, keeps a block over half its
-order and goes to LAPACK whole.  One union-find (``_labels``) serves
-both searches and counts the components of a simplicial complex's edge
+map's components once and keep them for its square-zero residuals, its
+rank and the part loop of ``torsion_engine``, whose solved square is
+their direct sum (``_block_diagonal``, which also lays out the Gram
+records of ``_direct_sum``).  One union-find (``_labels``) serves both
+searches and counts the components of a simplicial complex's edge
 table, its b_0 (``chain_models._betti_zero``).
 """
 
@@ -244,18 +240,29 @@ def _gram_factor(G: np.ndarray, n: int, name: str = "gram") -> GramFactor:
         raise GramNotPositive(f"{name} is not positive definite") from None
 
 
+def _block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of the given square blocks, in order, in
+    float64 or complex128; one block is its own direct sum and is
+    returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(np.float64, *blocks))
+    i = 0
+    for b in blocks:
+        k = i + len(b)
+        out[i:k, i:k] = b
+        i = k
+    return out
+
+
 def _direct_sum(blocks: Sequence[GramFactor]) -> GramFactor:
     """Record of the block-diagonal Gram with the given diagonal blocks, in
     order.  Its Cholesky factor is the block-diagonal of the blocks'
-    factors, so nothing is checked or factored again."""
-    n = sum(f.gram.shape[0] for f in blocks)
-    gram = np.zeros((n, n), dtype=np.result_type(np.float64, *(f.gram for f in blocks)))
-    lower = np.zeros((n, n), dtype=np.result_type(np.float64, *(f.lower for f in blocks)))
-    i = 0
-    for f in blocks:
-        k = i + f.gram.shape[0]
-        gram[i:k, i:k], lower[i:k, i:k] = f.gram, f.lower
-        i = k
+    factors, so nothing is checked or factored again; the record of one
+    block shares its arrays."""
+    gram = _block_diagonal([f.gram for f in blocks])
+    lower = _block_diagonal([f.lower for f in blocks])
     gram.setflags(write=False)
     lower.setflags(write=False)
     return GramFactor(gram, lower)

@@ -23,39 +23,31 @@ congruent to d_p^+ d_p and the Hodge Laplacian, by L_p*, so no Gram
 reaches the eigensolver.  Without Grams, w_p is d_p itself.  One solve
 loop (``_solve``) serves both torsions: per space, the Laplacian for
 eigenvalues only, whose cut is checked for roundoff and which is kept
-for the harmonic bases, then one square of w_p.  With Grams that square
-is w_p w_p*, which reads ill-conditioned Grams more accurately; without
-them it is the smaller of the two, a tie keeping w_p* w_p, as on the
-square parity maps of every circle bundle.  w_p w_p* is the down term
-of the next space's Laplacian, formed anyway.  The graded torsion
-solves its squares with eigenvectors, since ``eigh`` gives their
-eigenvalues more accurately than ``eigvalsh`` on large cycles, and
-reads only the eigenvalues; the twisted torsion solves them for values
-only.  The harmonic bases of both are formed when first read, by one
-more solve of each kept Laplacian, and the squares' positive spectra
+for the harmonic bases, then one square of w_p (``_solved_square``):
+w_p w_p* with Grams, which reads ill-conditioned Grams more accurately,
+else the smaller of the two, a tie keeping w_p* w_p.  w_p w_p* is the
+down term of the next space's Laplacian, formed anyway.  The graded
+torsion solves its squares with eigenvectors, since ``eigh`` gives
+their eigenvalues more accurately than ``eigvalsh`` on large cycles,
+and reads only the eigenvalues; the twisted torsion solves them for
+values only.  The harmonic bases of both are formed when first read, by
+one more solve of each kept Laplacian, and the squares' positive spectra
 are kept for the duality transport.  Kernel dimensions double as
 cohomology dimensions (checked against rank-nullity in the test suite).
 
-Each complex keeps the bipartite components of its maps
-(``spectral._map_blocks``), or None for a map taken whole.  Without
-Grams, w_p is d_p, and a map kept as components is handled one
-component b = d_p[rows, cols] at a time (``_split_squares``).  b is
-taken in its own dtype: float64 when its entries are real, even inside
-a complex128 map.  b* b and b b* are formed once and added straight
-into the one n x n Laplacian of each space they reach (``_laplacian``),
-and the square solved is the direct sum of each component's smaller
-product, a tie keeping b* b: on the twisted ``simplex_boundary(8)`` that
-is order 45 + 84 + 84 (even) and 36 + 36 + 126 (odd) in place of 255.
-A block of it that is real is solved in float64 (``spectral``), and a
-map with no nonzero has an empty square.  A map taken whole (with
-Grams, below ``SPLIT_MIN_ORDER``, or with a component over half) keeps
-its n x n products and their bits.  One from ``SPLIT_MIN_ORDER`` up
-whose nonzeros are integers of modulus at most 2^20 (every simplicial
-coboundary) has its two squares summed from the pairs of nonzeros in
-each row and in each column instead: within 8192 rows and columns every
-sum is an integer below 2^53, so the result has the bits of the dense
-product.  The underflow guard on a square reads its diagonal, which
-holds its largest modulus.
+One loop forms the products (``_products``), part by part.  A map's
+parts are the bipartite components its complex keeps
+(``spectral._map_blocks``), each taken in float64 when its entries are
+real, or the whole map in its own dtype: with Grams, which fill in the
+zero pattern of a nonzero map, below ``SPLIT_MIN_ORDER``, or with a
+component over half.
+Each part's b* b and b b* are formed once and land on the Laplacian of
+each space they reach (``_laplacian``), and the square solved is the
+direct sum of the parts' squares: on the twisted ``simplex_boundary(8)``
+order 45 + 84 + 84 (even) and 36 + 36 + 126 (odd) in place of 255.  A
+map with no nonzero, the graded top map among them, has no part.  A
+whole map keeps the bits of its dense products, which without Grams are
+summed from its integer nonzeros where they can be (``_squares``).
 
 The rank-nullity dimensions stay independent of the eigensolver.  The
 untwisted complex of a simplicial complex K, recognised by its maps
@@ -99,6 +91,7 @@ from .errors import ValidationError
 from .spectral import (
     SPLIT_MIN_ORDER,
     HarmonicBasis,
+    _block_diagonal,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -132,9 +125,8 @@ class TorsionElement:
     or parity; ``harmonic_bases`` runs it on first read and keeps its
     value.  ``square_spectra`` holds, per degree or parity, the positive
     eigenvalues of w* w that the torsion solved, read off the square it
-    solved (w* w or w w*, which share them; for a map kept as bipartite
-    components, the direct sum of each component's smaller product, each
-    block solved in float64 where it is real).
+    solved (w* w or w w*, which share them, or their direct sum over the
+    map's parts).
     """
 
     log_scalar: float
@@ -170,23 +162,6 @@ class TorsionElement:
         }
 
 
-def _unless_underflowed(square: np.ndarray, op: np.ndarray, what: str) -> np.ndarray:
-    """Pass w* w (or w w*) through, refusing it when the coboundary op
-    behind w is nonzero but the product fell below the normal float64
-    range.  Grams can do that to in-range entries, and a zero product
-    would enlarge the kernel; overflow to inf is refused by the solver.
-    The square is positive semidefinite, so its largest diagonal modulus
-    is its largest entry modulus (|a_ij|^2 <= a_ii a_jj): the guard reads
-    n entries, not n^2.  An empty op (the graded top map) is tested
-    first, and ``op.any()`` runs only on an underflowed square."""
-    if op.size and float(np.abs(square.diagonal()).max()) < _TINY and op.any():
-        raise ValidationError(
-            f"{what}: the Gram-weighted square of a nonzero coboundary "
-            "underflowed float64"
-        )
-    return square
-
-
 def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     """(dims, maps, grams, labels, cyclic, blocks): maps[p] leaves space p
     for space p + 1 and, when cyclic, maps[-1] enters space 0.  The
@@ -194,7 +169,8 @@ def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     record of space p, or None for the identity Gram, and grams[p + 1]
     that of the target of maps[p] (None past a graded top degree).
     blocks[p] are the bipartite components of maps[p] that the complex
-    keeps, or None where the map is taken whole."""
+    keeps, or None where the map is taken whole; the graded top map has
+    none."""
     if isinstance(C, TwistedComplex):
         labels = ("d_even (even parity)", "d_odd (odd parity)")
         grams = C._gram_factors or (None, None)
@@ -203,9 +179,8 @@ def _spaces(C: GradedCochainComplex | TwistedComplex) -> tuple:
     n = len(C.dims)
     labels = tuple(f"degree {p}" for p in range(n))
     grams = (C._gram_factors or (None,) * n) + (None,)
-    # the zero-row map out of the top degree is taken whole
     maps = [C.delta(p) for p in range(n)]
-    return C.dims, maps, grams, labels, False, C._components + (None,)
+    return C.dims, maps, grams, labels, False, C._components + ((),)
 
 
 # An integer map with entries of modulus at most 2^20 and at most 8192
@@ -256,8 +231,8 @@ def _pair_sums(group: np.ndarray, index: np.ndarray, values: np.ndarray, size: i
 
 
 def _squares(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x* x, x x*) of a map taken whole.  When ``exact`` allows it (a map
-    without Grams from ``SPLIT_MIN_ORDER`` up) and x passes
+    """(x* x, x x*) of a map or a part of one.  When ``exact`` allows it
+    (a whole map without Grams from ``SPLIT_MIN_ORDER`` up) and x passes
     ``_integer_nonzeros``, each square is summed from the pairs of
     nonzeros in a row or in a column (``_pair_sums``); every other square
     is the dense product."""
@@ -268,87 +243,83 @@ def _squares(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
         by_col = np.argsort(cols, kind="stable")
         inner = _pair_sums(rows, cols, values, x.shape[1])
         outer = _pair_sums(cols[by_col], rows[by_col], values[by_col], x.shape[0])
-    return (
-        x.conj().T @ x if inner is None else inner,
-        x @ x.conj().T if outer is None else outer,
-    )
+    xh = x.conj().T
+    return xh @ x if inner is None else inner, x @ xh if outer is None else outer
 
 
-def _dtype_of(arrays: list[np.ndarray]):
-    """complex128 when one of the arrays is complex, else float64."""
-    return np.complex128 if any(a.dtype.kind == "c" for a in arrays) else np.float64
+def _products(w: np.ndarray, d: np.ndarray, parts, weighted: bool, what: str) -> tuple:
+    """The products of w_p = w, the map d weighted, one part at a time:
+    (cols, b* b) and (rows, b b*) per part b = w[rows, cols], and each
+    part's square for the torsion (``_solved_square``), whose direct sum
+    is the square solved.  The parts are the bipartite components that
+    the complex keeps, each taken in float64 when its entries are real,
+    or, with ``parts`` None, the whole map, with indices None, in its own
+    dtype (``_squares`` sums it from its integer nonzeros where it can).
 
-
-def _diagonal_sum(squares: list[np.ndarray]) -> np.ndarray:
-    """The block-diagonal matrix of the given squares, in order."""
-    n = sum(len(s) for s in squares)
-    out = np.zeros((n, n), dtype=_dtype_of(squares))
-    i = 0
-    for s in squares:
-        k = i + len(s)
-        out[i:k, i:k] = s
-        i = k
-    return out
-
-
-def _split_squares(x: np.ndarray, blocks, what: str) -> tuple[list, list, list]:
-    """The products of a map its complex keeps as bipartite components:
-    (cols, b* b) and (rows, b b*) per component b = x[rows, cols], and
-    each component's smaller product, a tie keeping b* b, whose direct sum
-    (``_diagonal_sum``) is the square solved.  Each b is taken in its own
-    dtype, float64 when its entries are real even inside a complex map,
-    and each product is formed once and refused if it underflowed.  A map
-    with no nonzero has no component and an empty square."""
+    A product that fell below the normal float64 range while d is
+    nonzero is refused: Grams can do that to in-range entries, and a zero
+    product would enlarge the kernel (overflow is refused by the solver).
+    A positive semidefinite square holds its largest modulus on its
+    diagonal (|a_ij|^2 <= a_ii a_jj), so the guard reads n entries, and
+    ``d.any()`` runs only on an underflowed square."""
     inner, outer, solved = [], [], []
-    for rows, cols in blocks:
-        b = x[np.ix_(rows, cols)]
-        if b.dtype.kind == "c" and not b.imag.any():
-            b = np.ascontiguousarray(b.real)
-        bh = b.conj().T
-        up = _unless_underflowed(bh @ b, b, what)
-        down = _unless_underflowed(b @ bh, b, what)
+    for rows, cols in [(None, None)] if parts is None else parts:
+        if rows is None:
+            b, exact = w, not weighted and max(w.shape) >= SPLIT_MIN_ORDER
+        else:
+            b, exact = w[np.ix_(rows, cols)], False
+            if b.dtype.kind == "c" and not b.imag.any():
+                b = np.ascontiguousarray(b.real)
+        up, down = _squares(b, exact)
+        small = d.size and min(np.abs(up.diagonal()).max(), np.abs(down.diagonal()).max()) < _TINY
+        if small and d.any():
+            raise ValidationError(
+                f"{what}: the Gram-weighted square of a nonzero coboundary underflowed float64"
+            )
         inner.append((cols, up))
         outer.append((rows, down))
-        solved.append(down if rows.size < cols.size else up)
+        solved.append(_solved_square(up, down, weighted))
     return inner, outer, solved
 
 
-def _laplacian(n: int, up, down) -> np.ndarray:
-    """up + down, the weighted Laplacian of an order-n space (down None on
-    a chain's first space).  Each term is a whole n x n product, or the
-    (indices, product) pieces of a split map's products, written where
-    they land on one n x n zero: the first split term's disjoint pieces
-    are assigned, the other term's added.  Whole terms keep the bytes of
-    their sum, and a whole term beside only zero maps is itself."""
-    terms = [up] if down is None else [up, down]
-    whole = [t for t in terms if isinstance(t, np.ndarray)]
-    if len(whole) == len(terms):
-        return up if down is None else up + down
-    # a split term leaves at most one whole term
-    split = [t for t in terms if not isinstance(t, np.ndarray)]
-    if not any(split):  # the products of zero maps
-        return whole[0] if whole else np.zeros((n, n))
-    dtype = _dtype_of(whole + [s for t in split for _, s in t])
+def _laplacian(n: int, up: list, down: list | None) -> np.ndarray:
+    """up + down, the weighted Laplacian of an order-n space, from the
+    (indices, product) pieces of w_p* w_p and w_{p-1} w_{p-1}*: a whole
+    product has indices None, a map with no nonzero has no piece, and
+    down is None on a chain's first space, whose Laplacian is its up
+    term.  Whole terms keep the bytes of their sum: two read up + down,
+    and one beside a zero map's term has 0.0 added in place, where -0.0
+    reads +0.0.  Else the pieces are written where they land, on a copy
+    of the whole term or on one n x n zero, where the first term's
+    disjoint pieces are assigned; the rest are added."""
+    pieces = up + (down or [])
+    whole = [s for idx, s in pieces if idx is None]
+    if whole and len(whole) == len(pieces):
+        if len(whole) == 2:
+            return whole[0] + whole[1]
+        if down is not None:
+            whole[0] += 0.0
+        return whole[0]
+    dtype = np.result_type(np.float64, *(s for _, s in pieces))
     lap = np.array(whole[0], dtype=dtype) if whole else np.zeros((n, n), dtype=dtype)
     flat = lap.reshape(-1)
-    for k, pieces in enumerate(split):
-        # one map's components are disjoint, so the first term's pieces
-        # land on zeros
-        assign = not (k or whole)
-        for idx, s in pieces:
-            at = (idx[:, None] * n + idx).ravel()
-            if assign:
-                flat[at] = s.ravel()
-            else:
-                flat[at] += s.ravel()
+    assigned = 0 if whole else len(up)
+    for i, (idx, s) in enumerate(pieces):
+        if idx is None:
+            continue
+        at = (idx[:, None] * n + idx).ravel()
+        if i < assigned:
+            flat[at] = s.ravel()
+        else:
+            flat[at] += s.ravel()
     return lap
 
 
 def _solved_square(up: np.ndarray, outer: np.ndarray, weighted: bool) -> np.ndarray:
-    """The square of w_p that the torsion solves: w_p w_p* on a complex
-    with Grams, whose ill-conditioned Grams it reads more accurately than
-    w_p* w_p; without Grams the smaller of the two, a tie keeping w_p* w_p.
-    The two share their positive spectrum."""
+    """The square of w_p (or of a part of it) that the torsion solves:
+    w_p w_p* on a complex with Grams, whose ill-conditioned Grams it reads
+    more accurately than w_p* w_p; without Grams the smaller of the two, a
+    tie keeping w_p* w_p.  The two share their positive spectrum."""
     return outer if weighted or len(outer) < len(up) else up
 
 
@@ -360,22 +331,13 @@ def _blocks(C: GradedCochainComplex | TwistedComplex):
     itself without Grams).  w_p w_p* is the down term of the next space,
     so no square costs a product of its own.
 
-    A map taken whole (with Grams, below ``SPLIT_MIN_ORDER``, or with a
-    component over half) has its two products formed whole, from its
-    integer nonzeros where it can (``_squares``), and its solved square
-    is one of them (``_solved_square``).  A map without Grams that its
-    complex keeps as bipartite components is handled one component at a
-    time (``_split_squares``): each component's products are added
-    straight into the Laplacians they reach (``_laplacian``), and the
-    solved square is the direct sum of each component's smaller product,
-    in float64 where the component is real, laid out only when its space
-    is reached, so a solve loop holds one such square at a time.  Each
-    product is built, and refused if it underflowed, once; one that
-    overflowed is refused by the solver."""
+    Each map's products are formed part by part (``_products``) when its
+    space is reached, and its solved square, the direct sum of its parts'
+    squares (``spectral._block_diagonal``), is laid out only when its
+    space is yielded, so a solve loop holds one laid-out square at a
+    time."""
     dims, maps, grams, labels, cyclic, blocks = _spaces(C)
     weighted = grams[0] is not None
-    if weighted:
-        blocks = (None,) * len(maps)
     w, out = [], []
     with np.errstate(over="ignore"):
         for p, d in enumerate(maps):
@@ -386,30 +348,19 @@ def _blocks(C: GradedCochainComplex | TwistedComplex):
             w.append(d)
 
         def products(p: int) -> tuple:
-            """(w_p* w_p, w_p w_p*, the square solved or its pieces)."""
-            if blocks[p] is not None:
-                return _split_squares(w[p], blocks[p], labels[p])
-            exact = not weighted and max(w[p].shape) >= SPLIT_MIN_ORDER
-            up, outer = (_unless_underflowed(s, maps[p], labels[p]) for s in _squares(w[p], exact))
-            return up, outer, _solved_square(up, outer, weighted)
+            # Grams fill in the zero pattern of a map, unless it is zero
+            parts = None if weighted and blocks[p] else blocks[p]
+            return _products(w[p], maps[p], parts, weighted, labels[p])
 
         # the down term of space 0: w_{-1} w_{-1}* on a cycle, none on a chain
         last = products(len(w) - 1) if cyclic else None
         down = last[1] if cyclic else None
-        for p, x in enumerate(w):
-            up, outer, square = last if cyclic and p == len(w) - 1 else products(p)
-            if not len(x) and isinstance(down, np.ndarray):
-                # w* w of a map with no rows (the graded top map) is
-                # exactly zero; adding 0.0 in place gives the bytes of
-                # up + down, where -0.0 reads +0.0
-                down += 0.0
-                lap = down
-            else:
-                lap = _laplacian(dims[p], up, down)
-            out.append((square, lap, grams[p]))
+        for p in range(len(w)):
+            up, outer, solved = last if cyclic and p == len(w) - 1 else products(p)
+            out.append((solved, _laplacian(dims[p], up, down), grams[p]))
             down = outer
-    for square, lap, gram in out:
-        yield (square if isinstance(square, np.ndarray) else _diagonal_sum(square)), lap, gram
+    for solved, lap, gram in out:
+        yield _block_diagonal(solved), lap, gram
 
 
 def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):

@@ -52,7 +52,7 @@ CASES = (
     ]
     + [
         ("twisted", f"simplex_boundary({n})", RunOptions(flux=flux))
-        for n in (4, 6)
+        for n in (4, 6, 8)
         for flux in ("top(2)", "top(1.5-0.5j)")
     ]
     + [

@@ -277,6 +277,47 @@ def test_text_emission_mentions_the_product():
     assert "log tau" in text and "kernel dims" in text
 
 
+# per command: a model, its options, and the labels its text lines carry
+_TEXT_CASES = {
+    "reidemeister": ("cycle(3)", RunOptions(), ["log tau =", "tau =", "kernel dims =", "cohomology dims:"]),
+    "twisted": ("simplex_boundary(4)", RunOptions(flux="top(2)"), ["log tau =", "kernel dims =", "cohomology dims:"]),
+    "bundle-torsion": ("hopf(1,2)", RunOptions(), ["log tau =", "kernel dims =", "cohomology dims:"]),
+    "t-dual": ("hopf(1,2)", RunOptions(), ["dual radius = 1.0", "dual digest = "]),
+    "verify-duality": ("hopf(1,2)", RunOptions(), ["log tau_dual =", "tolerance:", "verdict: pass"]),
+    "deform": (
+        "hopf(1,2)",
+        RunOptions(steps=2),
+        ["path: gram_scale(degree=0, factor=2.0)", "parameters: [0.0, 0.5, 1.0]", "log scalars: [",
+         "max |log drift| =", "note: "],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_text_emission_of_every_command(command):
+    model, options, labels = _TEXT_CASES[command]
+    lines = emit(run(command, model, options), "text").decode().splitlines()
+    assert lines[0] == f"torsion {command} {model}"
+    assert lines[-1].startswith("  wall time: ") and lines[-1].endswith(" s")
+    for label in labels:
+        assert sum(line.startswith(f"  {label}") for line in lines) == 1, label
+    assert not any("warning:" in line or "error:" in line for line in lines)
+
+
+def test_text_emission_lists_warnings_and_errors():
+    report = Report(
+        command="reidemeister", model="cycle(3)", convention=None, kernel_tol=1e-6,
+        result={}, warnings=("gap is thin", "dims disagree"), errors=("not psd",),
+    )
+    assert emit(report, "text").decode().splitlines() == [
+        "torsion reidemeister cycle(3)",
+        "  kernel tolerance: 1e-06",
+        "  warning: gap is thin",
+        "  warning: dims disagree",
+        "  error: not psd",
+    ]
+
+
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValidationError, match="unknown format"):
         emit(run("reidemeister", "cycle(3)"), "yaml")
