@@ -133,16 +133,12 @@ def _is_frozen(a) -> bool:
     return a is None
 
 
-def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
+def _frozen(a: np.ndarray) -> np.ndarray:
     """Read-only array: float64 when every entry is real, else complex128.
 
     An array that already is one, C-ordered and frozen (``_is_frozen``),
-    is kept as it is; anything else is copied.  Non-finite entries are
-    refused, so nothing downstream computes with them; ``bounded`` also
-    refuses nonzero entries whose modulus lies outside [1e-150, 1e150],
-    where squaring them in a Laplacian would overflow or underflow
-    float64 into a wrong kernel.  Both scans read one array of moduli.
-    """
+    is kept as it is; anything else is copied.  Its entries are not
+    scanned (``_freeze`` scans them)."""
     out = np.asarray(a)
     if out.dtype.kind != "f":
         out = out.astype(np.complex128, copy=False)
@@ -152,6 +148,17 @@ def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
     if not (out.dtype == dtype and out.flags.c_contiguous and _is_frozen(out)):
         out = np.array(out, dtype=dtype, order="C")
         out.setflags(write=False)
+    return out
+
+
+def _freeze(a: np.ndarray, what: str, *, bounded: bool = False) -> np.ndarray:
+    """``_frozen(a)``, its entries checked.  Non-finite entries are
+    refused, so nothing downstream computes with them; ``bounded`` also
+    refuses nonzero entries whose modulus lies outside [1e-150, 1e150],
+    where squaring them in a Laplacian would overflow or underflow
+    float64 into a wrong kernel.  Both scans read one array of moduli.
+    """
+    out = _frozen(a)
     if out.size:
         moduli = np.abs(out)
         top = float(moduli.max())
@@ -1037,11 +1044,21 @@ class TwistedComplex:
     complex) forms the two products, one bipartite component at a time
     where a map splits; for an invariant complex that check is the
     bundle-data validation behind ``InvalidFlux``.
+
+    Every entry of a map is checked finite and in [1e-150, 1e150]
+    (``_freeze``), except on the maps of ``twisted_differential``
+    (``_entries_checked``): it assembled them from C's checked
+    coboundaries and its range-checked flux coefficients, on disjoint
+    entries, so they are only brought to float64 or complex128
+    (``_frozen``).
     """
 
     # (C, flux blocks), filled in by twisted_differential before
     # __post_init__ runs; None for every other complex
     _folded: ClassVar[tuple[GradedCochainComplex, tuple[tuple[int, int], ...]] | None] = None
+    # True when twisted_differential assembled the maps from checked
+    # entries, before __post_init__ runs; False for every other complex
+    _entries_checked: ClassVar[bool] = False
 
     even_dim: int
     odd_dim: int
@@ -1059,8 +1076,11 @@ class TwistedComplex:
     _components: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
-        de = _freeze(self.d_even, "d_even (even parity)", bounded=True)
-        do = _freeze(self.d_odd, "d_odd (odd parity)", bounded=True)
+        if self._entries_checked:
+            de, do = _frozen(self.d_even), _frozen(self.d_odd)
+        else:
+            de = _freeze(self.d_even, "d_even (even parity)", bounded=True)
+            do = _freeze(self.d_odd, "d_odd (odd parity)", bounded=True)
         if de.shape != (self.odd_dim, self.even_dim):
             raise ValidationError(f"d_even shape {de.shape} != {(self.odd_dim, self.even_dim)}")
         if do.shape != (self.even_dim, self.odd_dim):
@@ -1182,7 +1202,9 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
     and only the flux shifts d + 1 (Leibniz) and d + d' (associativity)
     multiplied (``_folded_residual``), and ``torsion_engine`` ranks its
     maps by block.  A twist of a bare or local-system complex keeps the
-    dense check and whole ranks.
+    dense check and whole ranks.  Every entry of the maps is one of C's
+    checked coboundaries or one checked flux coefficient, so the result's
+    entries are not scanned again (``TwistedComplex._entries_checked``).
     """
     if not isinstance(C, GradedCochainComplex):
         raise ValidationError(f"cannot twist a {type(C).__name__}")
@@ -1262,6 +1284,7 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
         gram_even=gram_even,
         gram_odd=gram_odd,
     )
-    if not C._own_incidence:
-        return TwistedComplex(**fields)
-    return _made_with(TwistedComplex, {"_folded": (C, tuple(blocks))}, **fields)
+    known: dict[str, object] = {"_entries_checked": True}
+    if C._own_incidence:
+        known["_folded"] = (C, tuple(blocks))
+    return _made_with(TwistedComplex, known, **fields)

@@ -16,36 +16,43 @@ result rather than failing.
 
 The arithmetic follows the input dtype: a real A gives a real symmetric
 solve in float64, and a complex A a Hermitian one in complex128, except
-that a diagonal block of a split complex A whose imaginary part is
-exactly zero is solved in float64.  Callers that read only eigenvalues
-pass ``vectors=False``, which runs ``eigvalsh`` and leaves the
-decomposition without eigenvectors.  The scans before a solve form no
+that a complex block whose imaginary part is exactly zero is solved in
+float64 unless it is an array taken whole.  Callers that read only
+eigenvalues pass ``vectors=False``, which runs ``eigvalsh`` and leaves
+the decomposition without eigenvectors.  The scans before a solve form no
 n x n temporary: a real A's scale is its max and min, and its Hermitian
 residual the max of A - A^T, formed ``_SLICE_ROWS`` rows at a time, as
 are a complex A's moduli.  The default cut is read off the two ends of
 the ascending spectrum.
 
-A solve splits on the exact zero pattern of A: the indices joined
-through its nonzero entries, on either side of the diagonal, form a
-diagonal block up to a permutation, and each block is solved on its
-own.  A 1 x 1 block is read off the diagonal, a larger one goes to
-LAPACK, and the block spectra merge into one ascending spectrum.  What
-reads a spectrum stays global: the kernel cut, the roundoff refusal
-(``_refuse_imprecise``) and the gap warning all see the whole order-n
-spectrum, so a tolerance means what it meant for the whole matrix.  A
-matrix with a block of more than half its order (one block included),
-or of order below ``SPLIT_MIN_ORDER``, goes to LAPACK whole.
+An operator is an array, its own single block, or a ``BlockDiagonal``:
+diagonal blocks on disjoint index sets of an order-n space, where an
+index in no block is a zero row.  One block loop (``_solve_blocks``)
+solves both.  Each block from ``SPLIT_MIN_ORDER`` up splits again on
+its exact zero pattern: the indices joined through its nonzero entries,
+on either side of the diagonal, form a diagonal block up to a
+permutation (``_blocks_of``), and the split is taken when it has more
+than one part and none over half the operator's order.  A 1 x 1 part
+is read off the diagonal, any other part or block goes to LAPACK, and
+the spectra merge into one ascending order-n spectrum, each block's
+eigenvectors at its own indices; an array that is not split keeps the
+bits of one whole solve.  What reads a spectrum stays global: the
+finiteness and Hermitian checks set the largest block residual against
+the largest block entry, and the kernel cut, the roundoff refusal
+(``_refuse_imprecise``) and the gap warning all see the order-n
+spectrum, so a tolerance means what it meant for the laid-out matrix.
 
 A coboundary splits by the same rule on the bipartite graph of its
 nonzeros, rows on one side and columns on the other (``_map_blocks``):
 each connected component is a block of the map up to permutations of
 its rows and of its columns.  The complexes of ``chain_models`` find a
 map's components once and keep them for its square-zero residuals, its
-rank and the part loop of ``torsion_engine``, whose solved square is
-their direct sum (``_block_diagonal``, which also lays out the Gram
-records of ``_direct_sum``).  One union-find (``_labels``) serves both
-searches and counts the components of a simplicial complex's edge
-table, its b_0 (``chain_models._betti_zero``).
+rank and the part loop of ``torsion_engine``, which passes a split
+map's square and Laplacians to the solver as ``BlockDiagonal``
+operators.  One union-find (``_labels``) serves both searches, joins a
+Laplacian's products into its coarse blocks
+(``torsion_engine._coarse_blocks``) and counts the components of a
+simplicial complex's edge table, its b_0 (``chain_models._betti_zero``).
 """
 
 from __future__ import annotations
@@ -268,59 +275,71 @@ def _direct_sum(blocks: Sequence[GramFactor]) -> GramFactor:
     return GramFactor(gram, lower)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockDiagonal:
+    """A Hermitian operator of order n given by its diagonal blocks:
+    ``blocks[k]`` acts on the indices ``index[k]`` of the order-n space,
+    its row i on index[k][i]; the index sets are disjoint, and an index
+    no block holds is a zero row and column.  ``shape`` is (n, n).
+    ``hermitian_spectrum`` solves it block by block, so nothing of order
+    n is laid out."""
+
+    blocks: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]
+    shape: tuple[int, int]
+
+
 def hermitian_spectrum(
-    A: np.ndarray,
+    A: np.ndarray | BlockDiagonal,
     *,
     kernel_tol: float | None = None,
     vectors: bool = True,
 ) -> SpectralDecomposition:
     """Solve A v = lambda v for a Hermitian A, with V*V = I.
 
-    A real A is solved in float64 and a complex one in complex128, except
-    that a diagonal block with zero imaginary part of a split complex A
-    is solved in float64.  With ``vectors=False`` only the eigenvalues
-    are computed and the result's ``eigenvectors`` is None.  An exactly
-    zero A is answered without an eigensolve, with the same bits.
+    A is an array, its own single block, or a ``BlockDiagonal``; every
+    block is solved by the one block loop (``_solve_blocks``).  A real
+    block is solved in float64 and a complex one in complex128, except
+    that a complex block with zero imaginary part is solved in float64
+    unless it is an array A taken whole.  With ``vectors=False`` only the
+    eigenvalues are computed and the result's ``eigenvectors`` is None.
+    An exactly zero A is answered without an eigensolve, with the same
+    bits.
 
-    From order ``SPLIT_MIN_ORDER`` up, A is solved one diagonal block of
-    its exact zero pattern at a time (``_blocks_of``) when no block is
-    more than half its order; its eigenvectors are then block-diagonal
-    up to the same permutation.  Any other A, one block included, gets
-    the bits of a whole ``eigh`` or ``eigvalsh``.  The cut
-    (``kernel_tol``, by default from the whole spectrum), the roundoff
-    refusal and the gap warning read the merged order-n spectrum.
-
-    Raises NotHermitian when the largest entry of A - A* exceeds 1e-10
-    times that of A (or 1), and ValidationError when A has a non-finite
-    entry.
+    The checks are those of the operator laid out: ValidationError when
+    a block has a non-finite entry, and NotHermitian when the largest
+    entry of a block's B - B* exceeds 1e-10 times the largest entry of
+    any block (or 1).  The cut (``kernel_tol``, by default from the
+    whole spectrum), the roundoff refusal and the gap warning read the
+    merged order-n spectrum, and the eigenvectors of each block fill its
+    own indices.
     """
-    A = _as_square(A, "operator")
-    n = A.shape[0]
-    scale = _largest(A) if n else 0.0  # also refuses a non-finite A
+    if isinstance(A, BlockDiagonal):
+        n, parts = A.shape[0], tuple(zip(A.index, A.blocks))
+        dtype = np.result_type(np.float64, *A.blocks)
+    else:
+        A = _as_square(A, "operator")
+        n, parts, dtype = A.shape[0], ((None, A),), A.dtype
+    scale = resid = 0.0
+    for _, b in parts:
+        top = _largest(b) if len(b) else 0.0  # also refuses a non-finite block
+        if top:
+            scale = max(scale, top)
+            resid = max(resid, _hermitian_residual(b))
     # an exactly zero A (or an empty one) has the zero spectrum and the
     # identity as eigenbasis, bit for bit what LAPACK returns for it
     if scale == 0.0:
         w = np.zeros(n)
         return SpectralDecomposition(
             eigenvalues=w,
-            eigenvectors=np.eye(n, dtype=A.dtype) if vectors else None,
+            eigenvectors=np.eye(n, dtype=dtype) if vectors else None,
             # default_kernel_tol of the zero spectrum
             kernel_tol=kernel_tol if kernel_tol is not None else KERNEL_TOL_FACTOR,
         )
-    resid = _hermitian_residual(A)
     if resid > HERMITIAN_TOL * max(1.0, scale):
         raise NotHermitian(f"operator is not Hermitian (residual {resid:.3e})")
 
-    # with no block over n / 2 the blocks hold at most a quarter of the
-    # n^3 work; a larger block keeps more, and at order 63 splitting real
-    # blocks [28, 35] cost 1.1-1.3x the whole solve
-    if n >= SPLIT_MIN_ORDER and 2 * np.bincount(label := _blocks_of(A)).max() <= n:
-        w, V = _solve_blocks(A, label, vectors)
-    elif vectors:
-        w, V = np.linalg.eigh(A)
-    else:
-        w, V = np.linalg.eigvalsh(A), None
-
+    w, V = _solve_blocks(parts, n, dtype, vectors)
     if kernel_tol is None:
         # default_kernel_tol(w): the ascending w has its largest modulus
         # at one of its ends, so no second reduction over it
@@ -403,34 +422,72 @@ def _map_blocks(d: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...] | No
     return tuple((g[g < m], g[g >= m] - m) for g in groups)
 
 
-def _solve_blocks(A: np.ndarray, label: np.ndarray, vectors: bool):
-    """Eigenvalues ascending, and eigenvectors when ``vectors``, of A
-    solved one block of ``label`` at a time: a 1 x 1 block is read off
-    the diagonal (its real part, as LAPACK reads a Hermitian diagonal),
-    a larger one goes to LAPACK, and its eigenvectors fill its own rows."""
-    n = A.shape[0]
-    sizes = np.bincount(label)  # the size of each block, at its root
-    lone = np.flatnonzero(sizes[label] == 1)
-    k = lone.size
-    w = np.empty(n)
-    w[:k] = A[lone, lone].real
-    V = None
+def _eigh(block: np.ndarray, vectors: bool):
+    """(eigenvalues, eigenvectors or None) of one block, in float64 when
+    its imaginary part is exactly zero."""
+    if block.dtype.kind == "c" and not block.imag.any():
+        block = np.ascontiguousarray(block.real)
     if vectors:
-        V = np.zeros((n, n), dtype=A.dtype)
-        V[lone, np.arange(k)] = 1.0
-    for root in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(label == root)
-        at = slice(k, k + idx.size)
-        k += idx.size
-        block = A.take(idx, 0).take(idx, 1)
-        if block.dtype.kind == "c" and not block.imag.any():
-            block = np.ascontiguousarray(block.real)
-        if vectors:
-            w[at], V[idx, at] = np.linalg.eigh(block)
-        else:
-            w[at] = np.linalg.eigvalsh(block)
+        return np.linalg.eigh(block)
+    return np.linalg.eigvalsh(block), None
+
+
+def _solve_blocks(parts, n: int, dtype, vectors: bool):
+    """Eigenvalues ascending, and eigenvectors when ``vectors``, of the
+    order-n operator with the diagonal blocks ``parts``, (indices, block)
+    pairs, where indices None is a whole array.
+
+    Each block from ``SPLIT_MIN_ORDER`` up is split on its exact zero
+    pattern (``_blocks_of``) when that has more than one part and none
+    over n / 2: with none over half, the parts hold at most a quarter of
+    the n^3 work; a larger one keeps more, and at order 63 splitting real
+    blocks [28, 35] cost 1.1-1.3x the whole solve.  A 1 x 1 part is read
+    off the diagonal (its real part, as LAPACK reads a Hermitian
+    diagonal), an index in no block is a zero, and every other part or
+    block goes to LAPACK; an array that is not split gets the bits of one
+    whole ``eigh`` or ``eigvalsh``.  The spectra merge in a fixed order
+    before the stable sort: the 1 x 1s by index, then the rest by their
+    first index."""
+    lone, values, groups = [], [], []
+    for idx, b in parts:
+        m = len(b)
+        label = _blocks_of(b) if m >= SPLIT_MIN_ORDER else None
+        sizes = None if label is None else np.bincount(label)
+        if sizes is None or sizes.max() == m or 2 * sizes.max() > n:
+            if idx is None:
+                return np.linalg.eigh(b) if vectors else (np.linalg.eigvalsh(b), None)
+            groups.append((idx, *_eigh(b, vectors)))
+            continue
+        one = np.flatnonzero(sizes[label] == 1)
+        lone.append(one if idx is None else idx[one])
+        values.append(b[one, one].real)
+        for root in np.flatnonzero(sizes > 1):
+            at = np.flatnonzero(label == root)
+            solved = _eigh(b.take(at, 0).take(at, 1), vectors)
+            groups.append((at if idx is None else idx[at], *solved))
+    if parts[0][0] is None:
+        free = np.zeros(0, dtype=np.intp)
+    else:
+        held = np.zeros(n, dtype=bool)
+        for idx, _ in parts:
+            held[idx] = True
+        free = np.flatnonzero(~held)
+    at = np.concatenate([free, *lone])
+    first = np.argsort(at, kind="stable")
+    at = at[first]
+    groups.sort(key=lambda g: g[0][0])
+    w = np.concatenate([np.zeros(free.size), *values])[first]
+    w = np.concatenate([w, *(g[1] for g in groups)])
     rank = np.argsort(w, kind="stable")
-    return w[rank], (V[:, rank] if vectors else None)
+    if not vectors:
+        return w[rank], None
+    V = np.zeros((n, n), dtype=dtype)
+    V[at, np.arange(at.size)] = 1.0
+    k = at.size
+    for idx, _, vec in groups:
+        V[idx, k:k + idx.size] = vec
+        k += idx.size
+    return w[rank], V[:, rank]
 
 
 def _gap_warnings(ev: np.ndarray, k: int) -> tuple[str, ...]:

@@ -41,13 +41,20 @@ parts are the bipartite components its complex keeps
 real, or the whole map in its own dtype: with Grams, which fill in the
 zero pattern of a nonzero map, below ``SPLIT_MIN_ORDER``, or with a
 component over half.
-Each part's b* b and b b* are formed once and land on the Laplacian of
-each space they reach (``_laplacian``), and the square solved is the
-direct sum of the parts' squares: on the twisted ``simplex_boundary(8)``
-order 45 + 84 + 84 (even) and 36 + 36 + 126 (odd) in place of 255.  A
-map with no nonzero, the graded top map among them, has no part.  A
-whole map keeps the bits of its dense products, which without Grams are
-summed from its integer nonzeros where they can be (``_squares``).
+Each part's b* b and b b* are formed once.  The square solved is the
+direct sum of the parts' squares, passed to the solver as a
+``spectral.BlockDiagonal``: on the twisted ``simplex_boundary(8)`` blocks
+of 45, 84 and 84 (even) and 36, 126 and 36 (odd), where the laid-out
+square would have order 213 or 198.  The products land on the Laplacian
+of each space they reach (``_laplacian``); when they are all split it is
+the direct sum of coarse blocks, the products that share an index summed
+at their own size (``_coarse_blocks``): 45, 84 and 126 there, which the
+solver splits again on their own zero patterns, down to one block of 33
+(even) or 24 (odd) among 1 x 1s.  So nothing of order n is laid out for
+a split map.  A map with no nonzero, the graded top map among them, has
+no part.  A whole map keeps the bits of its dense products, which
+without Grams are summed from its integer nonzeros where they can be
+(``_squares``).
 
 The rank-nullity dimensions stay independent of the eigensolver.  The
 untwisted complex of a simplicial complex K, recognised by its maps
@@ -90,8 +97,9 @@ from .chain_models import (
 from .errors import ValidationError
 from .spectral import (
     SPLIT_MIN_ORDER,
+    BlockDiagonal,
     HarmonicBasis,
-    _block_diagonal,
+    _labels,
     _refuse_imprecise,
     hermitian_spectrum,
     pseudodet_of,
@@ -249,12 +257,14 @@ def _squares(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _products(w: np.ndarray, d: np.ndarray, parts, weighted: bool, what: str) -> tuple:
     """The products of w_p = w, the map d weighted, one part at a time:
-    (cols, b* b) and (rows, b b*) per part b = w[rows, cols], and each
-    part's square for the torsion (``_solved_square``), whose direct sum
-    is the square solved.  The parts are the bipartite components that
-    the complex keeps, each taken in float64 when its entries are real,
-    or, with ``parts`` None, the whole map, with indices None, in its own
-    dtype (``_squares`` sums it from its integer nonzeros where it can).
+    (cols, b* b) and (rows, b b*) per part b = w[rows, cols], and the
+    square the torsion solves, the direct sum of each part's square
+    (``_solved_square``): a ``spectral.BlockDiagonal`` whose blocks sit
+    side by side, in part order, or the whole map's square as it is.
+    The parts are the bipartite components that the complex keeps, each
+    taken in float64 when its entries are real, or, with ``parts`` None,
+    the whole map, with indices None, in its own dtype (``_squares`` sums
+    it from its integer nonzeros where it can).
 
     A product that fell below the normal float64 range while d is
     nonzero is refused: Grams can do that to in-range entries, and a zero
@@ -279,19 +289,25 @@ def _products(w: np.ndarray, d: np.ndarray, parts, weighted: bool, what: str) ->
         inner.append((cols, up))
         outer.append((rows, down))
         solved.append(_solved_square(up, down, weighted))
-    return inner, outer, solved
+    if parts is None:
+        return inner, outer, solved[0]
+    ends = np.cumsum([len(s) for s in solved], dtype=np.intp)
+    index = tuple(np.arange(end - len(s), end) for s, end in zip(solved, ends))
+    order = int(ends[-1]) if solved else 0
+    return inner, outer, BlockDiagonal(tuple(solved), index, (order, order))
 
 
-def _laplacian(n: int, up: list, down: list | None) -> np.ndarray:
+def _laplacian(n: int, up: list, down: list | None):
     """up + down, the weighted Laplacian of an order-n space, from the
     (indices, product) pieces of w_p* w_p and w_{p-1} w_{p-1}*: a whole
     product has indices None, a map with no nonzero has no piece, and
     down is None on a chain's first space, whose Laplacian is its up
     term.  Whole terms keep the bytes of their sum: two read up + down,
     and one beside a zero map's term has 0.0 added in place, where -0.0
-    reads +0.0.  Else the pieces are written where they land, on a copy
-    of the whole term or on one n x n zero, where the first term's
-    disjoint pieces are assigned; the rest are added."""
+    reads +0.0.  One whole term beside a split one is copied, and the
+    split pieces are added where they land.  When every piece is split
+    the Laplacian is the ``spectral.BlockDiagonal`` of ``_coarse_blocks``,
+    and nothing of order n is formed."""
     pieces = up + (down or [])
     whole = [s for idx, s in pieces if idx is None]
     if whole and len(whole) == len(pieces):
@@ -300,19 +316,51 @@ def _laplacian(n: int, up: list, down: list | None) -> np.ndarray:
         if down is not None:
             whole[0] += 0.0
         return whole[0]
-    dtype = np.result_type(np.float64, *(s for _, s in pieces))
-    lap = np.array(whole[0], dtype=dtype) if whole else np.zeros((n, n), dtype=dtype)
-    flat = lap.reshape(-1)
-    assigned = 0 if whole else len(up)
-    for i, (idx, s) in enumerate(pieces):
-        if idx is None:
-            continue
-        at = (idx[:, None] * n + idx).ravel()
-        if i < assigned:
-            flat[at] = s.ravel()
-        else:
-            flat[at] += s.ravel()
+    if not whole:
+        return _coarse_blocks(n, up, down or [])
+    lap = np.array(whole[0], dtype=np.result_type(np.float64, *(s for _, s in pieces)))
+    for idx, s in pieces:
+        if idx is not None:
+            lap[np.ix_(idx, idx)] += s
     return lap
+
+
+def _coarse_blocks(n: int, up: list, down: list) -> BlockDiagonal:
+    """The order-n direct sum of the split (indices, product) pieces of
+    the two terms, each term's pieces disjoint, as coarse blocks: the
+    pieces joined through shared indices (an up piece with the down
+    pieces it meets, and so on, ``spectral._labels``) sum into one block
+    on the union of their indices, formed at its own size, a piece added
+    by slices where its positions in the block are contiguous.  A block
+    of one piece is that piece.  The solver splits each block again on
+    its own exact zero pattern, which can be finer than the pieces' (the
+    two terms can cancel)."""
+    pieces = up + down
+    owner = np.full((2, n), -1)
+    for side, (first, term) in enumerate(((0, up), (len(up), down))):
+        for k, (idx, _) in enumerate(term):
+            owner[side, idx] = first + k
+    met = owner[:, (owner >= 0).all(axis=0)]
+    groups: dict[int, list] = {}
+    for k, root in enumerate(_labels(met[0], met[1], len(pieces), bipartite=True).tolist()):
+        groups.setdefault(root, []).append(pieces[k])
+    blocks, index = [], []
+    for members in groups.values():
+        at, block = members[0]
+        if len(members) > 1:
+            at = np.unique(np.concatenate([idx for idx, _ in members]))
+            dtype = np.result_type(np.float64, *(s for _, s in members))
+            block = np.zeros((at.size, at.size), dtype=dtype)
+            for idx, s in members:
+                pos = np.searchsorted(at, idx)
+                if pos[-1] - pos[0] == pos.size - 1:
+                    span = slice(pos[0], pos[-1] + 1)
+                    block[span, span] += s
+                else:
+                    block[np.ix_(pos, pos)] += s
+        blocks.append(block)
+        index.append(at)
+    return BlockDiagonal(tuple(blocks), tuple(index), (n, n))
 
 
 def _solved_square(up: np.ndarray, outer: np.ndarray, weighted: bool) -> np.ndarray:
@@ -323,7 +371,7 @@ def _solved_square(up: np.ndarray, outer: np.ndarray, weighted: bool) -> np.ndar
     return outer if weighted or len(outer) < len(up) else up
 
 
-def _blocks(C: GradedCochainComplex | TwistedComplex):
+def _blocks(C: GradedCochainComplex | TwistedComplex) -> list[tuple]:
     """Per space p, in order: (the square of w_p the torsion solves, the
     weighted Laplacian w_p* w_p + w_{p-1} w_{p-1}*, the GramFactor or
     None), where w_p = L_{p+1}* d_p L_p^{-*} is the Gram-weighted
@@ -331,11 +379,10 @@ def _blocks(C: GradedCochainComplex | TwistedComplex):
     itself without Grams).  w_p w_p* is the down term of the next space,
     so no square costs a product of its own.
 
-    Each map's products are formed part by part (``_products``) when its
-    space is reached, and its solved square, the direct sum of its parts'
-    squares (``spectral._block_diagonal``), is laid out only when its
-    space is yielded, so a solve loop holds one laid-out square at a
-    time."""
+    Each map's products are formed part by part (``_products``), and a
+    split map's square and a Laplacian of split pieces are
+    ``spectral.BlockDiagonal`` operators, which the solver takes block by
+    block."""
     dims, maps, grams, labels, cyclic, blocks = _spaces(C)
     weighted = grams[0] is not None
     w, out = [], []
@@ -359,8 +406,7 @@ def _blocks(C: GradedCochainComplex | TwistedComplex):
             up, outer, solved = last if cyclic and p == len(w) - 1 else products(p)
             out.append((solved, _laplacian(dims[p], up, down), grams[p]))
             down = outer
-    for solved, lap, gram in out:
-        yield _block_diagonal(solved), lap, gram
+    return out
 
 
 def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, vectors: bool):
@@ -368,15 +414,13 @@ def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, v
     weighted Laplacian for values only, refused when its cut cannot be
     trusted, then the square of w_p, with eigenvectors when ``vectors``
     (only its eigenvalues are read; ``eigh`` gives them more accurately
-    than ``eigvalsh``); a split map's square is dropped once solved.
+    than ``eigvalsh``).
     Yields, per space, the square's decomposition and the (weighted
     Laplacian, GramFactor or None) pair that a kernel basis is read
     from."""
     for square, lap, gram in _blocks(C):
         _refuse_imprecise(hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=False))
-        solved = hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors)
-        del square
-        yield solved, (lap, gram)
+        yield hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors), (lap, gram)
 
 
 def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:

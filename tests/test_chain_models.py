@@ -1,6 +1,7 @@
 """Combinatorial layer: complexes, local systems, cup products, parity
 assembly, and flux-twisted differentials."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from torsionlab import (
     twisted_differential,
     validate_local_system,
 )
+from torsionlab import chain_models
 from torsionlab.builders import cycle, minimal_sphere, simplex_boundary
 from torsionlab.chain_models import MAX_MODEL_SIZE, _betti_zero, _is_frozen, fold
 from torsionlab.cli import main
@@ -549,6 +551,61 @@ def test_tiny_flux_is_refused_not_read_as_zero(value, capsys):
         T, zero = twisted_differential(C, h), twisted_differential(C)
         assert np.array_equal(T.d_even, zero.d_even) and np.array_equal(T.d_odd, zero.d_odd)
         assert code == 0
+
+
+def _scanned(monkeypatch) -> list:
+    """Record the name of every array whose entry range is checked."""
+    seen = []
+    check = chain_models._check_entry_range
+
+    def record(moduli, top, what):
+        seen.append(what)
+        return check(moduli, top, what)
+
+    monkeypatch.setattr(chain_models, "_check_entry_range", record)
+    return seen
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_twisted_maps_are_not_scanned_again_but_every_other_complex_is(n, monkeypatch):
+    # the maps of a twist hold only C's checked coboundaries and checked
+    # flux coefficients; a hand-built complex and a replace copy are
+    # scanned whole
+    C = coboundary_matrices(simplex_boundary(n))
+    scanned = _scanned(monkeypatch)
+    # two components that sum to a real flux in a complex dtype
+    flux = [Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)) for c in (1 + 1j, 1 - 1j)]
+    for T in (twisted_differential(C, flux), twisted_differential(C)):
+        assert T._entries_checked
+        assert {T.d_even.dtype, T.d_odd.dtype} == {np.dtype(np.float64)}
+        assert not T.d_even.flags.writeable and not T.d_odd.flags.writeable
+    # the one summed flux component; a twist without flux scans nothing
+    assert scanned == [f"degree-{C.top} flux"]
+    scanned.clear()
+    copy = dataclasses.replace(T)
+    hand = TwistedComplex(T.even_dim, T.odd_dim, T.d_even, T.d_odd, None, None)
+    for U in (copy, hand):
+        assert not U._entries_checked
+    assert scanned == ["d_even (even parity)", "d_odd (odd parity)"] * 2
+    big = np.array(T.d_even)
+    big[0, 0] = 1e200
+    with pytest.raises(ValidationError, match=r"d_even \(even parity\) has an entry of modulus"):
+        TwistedComplex(T.even_dim, T.odd_dim, big, T.d_odd, None, None)
+
+
+@pytest.mark.parametrize("value", [1e200, -1e151, 1e151j, 1e-200])
+def test_out_of_range_flux_is_refused_by_the_twist(value):
+    C = coboundary_matrices(simplex_boundary(8))
+    h = Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], value))
+    with pytest.raises(ValidationError, match=rf"degree-{C.top} flux has an entry of modulus"):
+        twisted_differential(C, h)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.0, float("inf"))])
+def test_non_finite_flux_never_reaches_the_twist(value):
+    C = coboundary_matrices(simplex_boundary(8))
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], value)))
 
 
 def test_degree_one_flux_rejected_even_when_zero():

@@ -37,6 +37,7 @@ from torsionlab.spectral import (
     GAP_RATIO,
     KERNEL_TOL_FACTOR,
     SPLIT_MIN_ORDER,
+    BlockDiagonal,
     SpectralDecomposition,
     _blocks_of,
     _gram_factor,
@@ -45,6 +46,8 @@ from torsionlab.spectral import (
     pseudodet_of,
 )
 from torsionlab.torsion_engine import _blocks
+
+from direct_sums import laid_out
 
 
 def test_triangle_laplacian_against_symbolic_charpoly():
@@ -538,20 +541,106 @@ def test_a_block_over_half_the_order_is_solved_whole(larger, smaller, lone, dtyp
 def test_twisted_laplacian_runs_one_lapack_call_per_block(eigensolves):
     # after the parity fold a top-degree flux couples only degree 0 to the
     # top degree: the order-255 parity Laplacians of simplex_boundary(8)
-    # are one block of 33 (even) or 24 (odd) among 1 x 1 blocks
+    # are one block of 33 (even) or 24 (odd) among 1 x 1 blocks.  The
+    # engine passes each as the direct sum of its coarse blocks, 45, 84
+    # and 126, which the solver splits again on their zero patterns
     C = coboundary_matrices(simplex_boundary(8))
     flux = Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], 1.5 - 0.5j))
     for (up, lap, _), larger in zip(_blocks(twisted_differential(C, flux)), ([33], [24])):
-        labels = _components(lap)
+        assert sorted(len(b) for b in lap.blocks) == [45, 84, 126]
+        whole = laid_out(lap)
+        labels = _components(whole)
         sizes = np.bincount(labels)
         assert sorted(sizes[sizes > 1].tolist()) == larger
-        assert _same_partition(_blocks_of(lap), labels)
+        assert _same_partition(_blocks_of(whole), labels)
         eigensolves.clear()
         dec = hermitian_spectrum(lap, vectors=False)
-        assert eigensolves == [(np.dtype(lap.dtype).name, "values")]
-        reference = np.linalg.eigvalsh(lap)
-        assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-12 * np.linalg.norm(lap)
-        assert dec.kernel_dimension == _whole(lap, vectors=False).kernel_dimension
+        assert eigensolves == [(np.dtype(whole.dtype).name, "values")]
+        reference = np.linalg.eigvalsh(whole)
+        assert np.max(np.abs(dec.eigenvalues - reference)) <= 1e-12 * np.linalg.norm(whole)
+        assert dec.kernel_dimension == _whole(whole, vectors=False).kernel_dimension
+
+
+def _direct_sum(rng, free=7):
+    """A BlockDiagonal of random psd blocks on disjoint random index sets,
+    in no order, with ``free`` indices in no block: real, complex,
+    complex with a zero imaginary part, all-zero and 1 x 1 blocks, and a
+    permuted block-diagonal one that the solver splits again."""
+    blocks = []
+    for kind in ["real", "complex", "real-complex", "zero", "one"] * 2:
+        size = 1 if kind == "one" else int(rng.integers(2, 9))
+        f = rng.standard_normal((max(size - 1, 1), size))
+        if kind == "complex":
+            f = f + 1j * rng.standard_normal(f.shape)
+        b = f.conj().T @ f
+        if kind == "real-complex":
+            b = b.astype(np.complex128)
+        elif kind == "zero":
+            b = np.zeros((size, size))
+        blocks.append(b)
+    blocks.append(_permuted_blocks(rng, np.float64))
+    order = rng.permutation(len(blocks))
+    blocks = [blocks[k] for k in order]
+    n = sum(len(b) for b in blocks) + free
+    perm = rng.permutation(n)
+    ends = np.cumsum([len(b) for b in blocks])
+    index = tuple(perm[end - len(b):end] for b, end in zip(blocks, ends))
+    return BlockDiagonal(tuple(blocks), index, (n, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_direct_sum_solves_as_its_laid_out_matrix(seed):
+    rng = np.random.default_rng(1300 + seed)
+    A = _direct_sum(rng)
+    whole = laid_out(A)
+    n = whole.shape[0]
+    bound = 1e-12 * np.linalg.norm(whole)
+    reference = hermitian_spectrum(whole, vectors=False)
+    dec, values = hermitian_spectrum(A), hermitian_spectrum(A, vectors=False)
+    for d in (dec, values):
+        assert np.all(np.diff(d.eigenvalues) >= 0.0)
+        assert np.max(np.abs(d.eigenvalues - np.linalg.eigvalsh(whole))) <= bound
+        assert d.kernel_dimension == reference.kernel_dimension
+    V = dec.eigenvectors
+    assert V.dtype == whole.dtype
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(whole @ V - V * dec.eigenvalues)) <= bound
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_direct_sum_is_refused_as_its_laid_out_matrix(seed):
+    rng = np.random.default_rng(1400 + seed)
+    A = _direct_sum(rng)
+    # a 1 x 1 block of 1e4 on an index no block holds sets the scale
+    free = np.setdiff1d(np.arange(A.shape[0]), np.concatenate(A.index))[:1]
+    A = BlockDiagonal(A.blocks + (np.array([[1e4]]),), A.index + (free,), A.shape)
+    k = next(k for k, b in enumerate(A.blocks) if len(b) > 1 and b.any())
+
+    def with_block(b):
+        return BlockDiagonal(A.blocks[:k] + (b,) + A.blocks[k + 1:], A.index, A.shape)
+
+    nan, skew, within = (np.array(A.blocks[k]) for _ in range(3))
+    nan[0, 1] = np.nan
+    skew[0, 1] += 1e-9 * 1e4
+    within[0, 1] += 0.5e-10 * 1e4
+    for b, error in ((nan, ValidationError), (skew, NotHermitian)):
+        for op in (with_block(b), laid_out(with_block(b))):
+            with pytest.raises(error):
+                hermitian_spectrum(op, vectors=False)
+    # the tolerance is the whole operator's: a residual under 1e-10 of the
+    # largest entry passes, though the block alone is refused
+    with pytest.raises(NotHermitian):
+        hermitian_spectrum(within, vectors=False)
+    for op in (with_block(within), laid_out(with_block(within))):
+        assert hermitian_spectrum(op, vectors=False).eigenvalues.size == A.shape[0]
+
+
+def test_an_empty_direct_sum_is_the_zero_operator(eigensolves):
+    dec = hermitian_spectrum(BlockDiagonal((), (), (5, 5)))
+    assert eigensolves == []
+    assert dec.eigenvalues.tobytes() == np.zeros(5).tobytes()
+    assert dec.eigenvectors.tobytes() == np.eye(5).tobytes()
+    assert dec.kernel_dimension == 5
 
 
 @pytest.mark.parametrize("upper", [True, False])

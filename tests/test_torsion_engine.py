@@ -8,8 +8,11 @@ Lens: four 1x1 coboundaries give the alternating product
 
 import cmath
 import dataclasses
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -48,8 +51,9 @@ from torsionlab.chain_models import (
     _product_norm,
 )
 from torsionlab.errors import FluxNotNilpotent, ValidationError
-from torsionlab.spectral import _map_blocks
+from torsionlab.spectral import BlockDiagonal, _map_blocks, pseudodet_of
 from torsionlab.suite import bundle_fleet
+from direct_sums import laid_out
 from torsionlab.torsion_engine import (
     REIDEMEISTER_TAG,
     TWISTED_TAG,
@@ -918,7 +922,7 @@ def test_split_rank_products_and_residuals_match_the_whole_ones(seed, kind, svds
     # d d* in degree 1's, whose up term (the top map's) is zero
     C = GradedCochainComplex(dims=(d.shape[1], d.shape[0]), coboundary=(d,))
     assert C._components[0] is not None
-    laps = [lap for _, lap, _ in _blocks(C)]
+    laps = [laid_out(lap) for _, lap, _ in _blocks(C)]
     for lap, whole in zip(laps, (d.conj().T @ d, d @ d.conj().T)):
         assert np.max(np.abs(lap - whole)) <= 1e-12 * scale
     a = rng.standard_normal((20, d.shape[0]))
@@ -1032,7 +1036,7 @@ def test_twisted_cohomology_dims_are_the_whole_matrix_answer(n, c, svds):
         # the solved square is the direct sum of each component's smaller
         # product, a tie keeping b* b: the block of w* w on its columns or
         # of w w* on its rows, of order 45 + 84 + 84, not 255
-        square, lap, _ = list(_blocks(T))[0]
+        square, lap = (laid_out(a) for a in list(_blocks(T))[0][:2])
         w = T.d_even
         inner, outer = w.conj().T @ w, w @ w.conj().T
         tol = 1e-12 * np.linalg.norm(w) ** 2
@@ -1087,6 +1091,57 @@ def test_split_twists_solve_as_the_whole_matrices(n, kind, log_modulus, phase, s
     _assert_the_whole_answer(T)
 
 
+def _pieces(rng, n, sizes, dtype):
+    """(indices, psd product) pieces on disjoint random indices below n."""
+    perm, out, at = rng.permutation(n), [], 0
+    for size in sizes:
+        f = rng.standard_normal((size, size))
+        if dtype is np.complex128:
+            f = f + 1j * rng.standard_normal((size, size))
+        out.append((np.sort(perm[at:at + size]), f @ f.conj().T))
+        at += size
+    return out
+
+
+def _summed(n, pieces, start=None):
+    out = np.zeros((n, n), dtype=np.result_type(np.float64, *(s for _, s in pieces)))
+    if start is not None:
+        out += start
+    for idx, s in pieces:
+        out[np.ix_(idx, idx)] += s
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_laplacian_of_split_pieces_is_their_laid_out_sum(seed, dtype):
+    rng = np.random.default_rng(1500 + seed)
+    up = _pieces(rng, 60, [10, 7, 5, 1], dtype)
+    down = _pieces(rng, 60, [12, 6, 3], np.float64)
+    # two pieces whose positions in their union are contiguous
+    up.append((np.arange(60, 70), _pieces(rng, 10, [10], dtype)[0][1]))
+    down.append((np.arange(65, 80), _pieces(rng, 15, [15], np.float64)[0][1]))
+    n = 84  # four indices in no piece
+    lap = torsion_engine._laplacian(n, up, down)
+    assert isinstance(lap, BlockDiagonal) and lap.shape == (n, n)
+    assert np.array_equal(laid_out(lap), _summed(n, up + down))
+    # each block is one component of the pieces joined through shared
+    # indices
+    pieces = [set(idx.tolist()) for idx, _ in up + down]
+    meets = np.array([[bool(a & b) for b in pieces] for a in pieces])
+    count, _ = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_matrix(meets))
+    held = [set(idx.tolist()) for idx in lap.index]
+    assert len(held) == count
+    assert sum(map(len, held)) == len(set().union(*held))
+    assert all(any(p <= h for h in held) for p in pieces)
+    # beside a whole term the pieces are added onto a copy of it
+    whole = _pieces(rng, n, [n], np.float64)[0][1]
+    for terms in ((up, [(None, whole)]), ([(None, whole)], down)):
+        lap = torsion_engine._laplacian(n, *terms)
+        split = [piece for piece in terms[0] + terms[1] if piece[0] is not None]
+        assert np.array_equal(lap, _summed(n, split, whole))
+
+
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
 @given(st.integers(64, 200))
 def test_zero_flux_cycles_solve_as_the_whole_matrices(n):
@@ -1113,7 +1168,7 @@ def test_a_split_twist_solves_its_real_components_in_float64(c, eigensolves, mon
     T = twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)))
     twisted_torsion(T)
     # per parity the Laplacian, of order 255, then the direct sum of each
-    # component's smaller product: 45 + 84 + 84 even, 36 + 36 + 126 odd
+    # component's smaller product: 45 + 84 + 84 even, 36 + 126 + 36 odd
     assert solved == [255, 213, 255, 198]
     # a complex flux makes the component it sits in complex, with the
     # Laplacian blocks it reaches (33 even, 24 odd); the two components
@@ -1125,8 +1180,72 @@ def test_a_split_twist_solves_its_real_components_in_float64(c, eigensolves, mon
         ("float64", "values"),
         ("float64", "values"),
         (flux, "values"),  # odd Laplacian: one block of 24
-        ("float64", "values"),  # the odd square, all real, solved whole
-    ]
+    ] + [("float64", "values")] * 3  # the odd square's three real components
+
+
+def _sb8_twist(c) -> TwistedComplex:
+    C = coboundary_matrices(simplex_boundary(8))
+    return twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)))
+
+
+@pytest.mark.parametrize("c", [2.0, 1.5 - 0.5j])
+def test_a_split_twist_runs_no_solve_above_its_largest_part(c, eigensolve_orders, monkeypatch):
+    passed = []
+    solve = torsion_engine.hermitian_spectrum
+
+    def record(A, **kwargs):
+        passed.append((type(A), A.shape))
+        return solve(A, **kwargs)
+
+    monkeypatch.setattr(torsion_engine, "hermitian_spectrum", record)
+    T = _sb8_twist(c)
+    got = twisted_torsion(T)
+    # every operator is passed as its direct sum, none as an order-255
+    # array; LAPACK sees, per parity, the Laplacian's one coupled block,
+    # then the square's parts: 45 + 84 + 84 even, 36 + 126 + 36 odd
+    assert passed == [(BlockDiagonal, (n, n)) for n in (255, 213, 255, 198)]
+    assert eigensolve_orders == [33, 45, 84, 84, 24, 36, 126, 36]
+    # each operator's spectrum, and the torsion, are those of the laid-out
+    # operators
+    laid = 0.0
+    for p, (square, lap, _) in enumerate(torsion_engine._blocks(T)):
+        for op in (square, lap):
+            fast = solve(op, vectors=False)
+            slow = solve(laid_out(op), vectors=False)
+            assert np.max(np.abs(fast.eigenvalues - slow.eigenvalues)) <= 1e-12 * slow.eigenvalues[-1]
+            assert fast.kernel_dimension == slow.kernel_dimension
+        laid += (-1) ** p * 0.5 * pseudodet_of(solve(laid_out(square), vectors=False)).log_value
+    assert abs(got.log_scalar - laid) <= 1e-12 * max(1.0, abs(laid))
+    whole = twisted_torsion(_taken_whole(T))
+    assert abs(got.log_scalar - whole.log_scalar) <= 1e-12 * max(1.0, abs(whole.log_scalar))
+    assert got.kernel_dims == whole.kernel_dims
+
+
+def _bench_tracer():
+    """``Tracer`` of the benchmark's span module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_the_benchmark_tracer_reads_direct_sums():
+    # the traced benchmark reads the order of every hermitian_spectrum
+    # argument from its shape, a direct sum's included
+    import torsionlab.workbench  # noqa: F401  (every traced layer is loaded)
+
+    T = _sb8_twist(1.5 - 0.5j)
+    tracer = _bench_tracer()()
+    tracer.install()
+    try:
+        tracer.reset()
+        twisted_torsion(T)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["spectral.calls"] == 4
+    assert tracer.counters["spectral.max_n"] == 255
 
 
 def test_a_complex_keeps_its_betti_numbers(svds):
@@ -1259,6 +1378,7 @@ def test_only_whole_integer_maps_without_grams_square_from_their_nonzeros(case, 
 
     monkeypatch.setattr(torsion_engine, "_integer_nonzeros", record)
     (square, lap, _), (_, down, _) = _blocks(C)
+    square, lap, down = laid_out(square), laid_out(lap), laid_out(down)
     assert [accepted for shape, accepted in scanned if shape == d.shape] == scans
     if gram is None:
         # both paths give the bits of the whole products
