@@ -64,13 +64,35 @@ no product (``_faces_commute``); every other graded complex multiplies
 its maps.  A flux twist of the former sums its check by degree block
 (``_folded_residual``); every other Z2-graded complex multiplies its two
 maps.
+
+Cohomology dimensions are read by rank-nullity (``_rank_nullity``), from
+the maps themselves and no eigensolve, so they stay an independent check
+of the torsion's kernel dimensions.  Three routes, keyed on the same
+provenance as the square-zero check:
+
+- The cone.  A graded complex that is its simplicial complex K's own
+  incidence is ranked on the relative complex (K, cl st v) of a vertex's
+  closed star, a cone and so acyclic: b_p(K) = b_p(K, cl st v) + [p = 0]
+  (``_off_a_star``).  Its relative delta_0 is never written: its rank is
+  n_0 - (b_0(K) - 1), with b_0(K) the components of K's edge table
+  (``_betti_zero``).  On a sphere that leaves one cell and no map.
+- Degree blocks.  In a flux twist of such a complex, each delta_p that
+  no flux block meets is a direct summand of its folded map, ranked
+  exactly from the cone's Betti numbers; only the coupled part, the
+  degrees the flux blocks join and the delta_p that meet them, takes one
+  SVD, under the whole map's cut (``_folded_ranks``).
+- Whole maps.  Every other map (a relative delta_p with p >= 1, and
+  every map of a lens, a local system, a bundle complex, a complex built
+  by hand or a copied twist) is ranked by its singular values, one SVD
+  per bipartite component under the whole matrix's ``matrix_rank`` cut
+  (``_rank``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -716,7 +738,8 @@ class GradedCochainComplex:
         """Per coboundary, its bipartite components
         (``spectral._map_blocks``), or None where it is taken whole: found
         on first use, by the square-zero check when there are two or
-        more, and kept for the ranks and products of ``torsion_engine``."""
+        more, and kept for the ranks (``_rank``) and the products of
+        ``torsion_engine``."""
         return tuple(_map_blocks(d) for d in self.coboundary)
 
     @cached_property
@@ -725,7 +748,7 @@ class GradedCochainComplex:
         the dimensions are K's f-vector and every delta_p is real, holds
         (-1)^i at each (p+1)-simplex's i-th face (``K.faces[p]``) and no
         other nonzero.  Decided once, by reading each map, when the
-        complex is built; ``with_gram`` copies take the verdict along."""
+        complex is built."""
         K = self.simplicial
         if K is None or self.dims != K.f_vector:
             return False
@@ -755,16 +778,6 @@ class GradedCochainComplex:
         )
 
     @cached_property
-    def _betti(self) -> tuple[int, ...]:
-        """The cohomology dimensions by rank-nullity
-        (``torsion_engine._rank_nullity``), as Python ints: read on first
-        use and kept, so ``cohomology_dimensions`` and the block ranks of
-        every flux twist of the complex read them once."""
-        from .torsion_engine import _rank_nullity  # it imports this module
-
-        return _rank_nullity(self)
-
-    @cached_property
     def _parity(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[GramFactor, GramFactor] | None]:
         """The complex on the Z2 grading, laid out on first use and kept:
         the coboundary folded (from even, from odd), read-only, and the
@@ -792,17 +805,8 @@ class GradedCochainComplex:
         return self.coboundary[p]
 
     def with_gram(self, gram: Sequence[np.ndarray]) -> "GradedCochainComplex":
-        """The same maps with the given Grams; the copy keeps the maps'
-        incidence verdict and square-zero residuals."""
-        return _made_with(
-            GradedCochainComplex,
-            {name: getattr(self, name) for name in ("_own_incidence", "_square_residuals")},
-            dims=self.dims,
-            coboundary=self.coboundary,
-            gram=tuple(gram),
-            simplicial=self.simplicial,
-            local_rank=self.local_rank,
-        )
+        """The same maps with the given Grams."""
+        return replace(self, gram=tuple(gram))
 
 
 def _faces_commute(K: SimplicialComplex, p: int) -> bool:
@@ -1038,7 +1042,7 @@ class TwistedComplex:
     simplicial complex (``GradedCochainComplex._own_incidence``) keeps,
     in ``_folded``, that graded complex C and the flux degree blocks
     q -> q + deg h it added; its products are summed by degree block
-    (``_folded_residual``), and ``torsion_engine`` ranks it by block.
+    (``_folded_residual``), and it is ranked by block (``_folded_ranks``).
     Every other complex (one built by hand, a ``dataclasses.replace``
     copy, every invariant complex, a twist of a bare or local-system
     complex) forms the two products, one bipartite component at a time
@@ -1072,7 +1076,8 @@ class TwistedComplex:
     )
     # the bipartite components (spectral._map_blocks) of d_even and d_odd,
     # or None for a map taken whole: found once, for the square-zero
-    # check, and kept for the ranks and products of torsion_engine
+    # check, and kept for the ranks (_rank) and the products of
+    # torsion_engine
     _components: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -1200,9 +1205,9 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
     those blocks (``TwistedComplex._folded``): its square-zero check is
     then summed by degree block, shift 2 read from C's kept residuals
     and only the flux shifts d + 1 (Leibniz) and d + d' (associativity)
-    multiplied (``_folded_residual``), and ``torsion_engine`` ranks its
-    maps by block.  A twist of a bare or local-system complex keeps the
-    dense check and whole ranks.  Every entry of the maps is one of C's
+    multiplied (``_folded_residual``), and its maps are ranked by block
+    (``_folded_ranks``).  A twist of a bare or local-system complex keeps
+    the dense check and whole ranks.  Every entry of the maps is one of C's
     checked coboundaries or one checked flux coefficient, so the result's
     entries are not scanned again (``TwistedComplex._entries_checked``).
     """
@@ -1288,3 +1293,157 @@ def twisted_differential(C: GradedCochainComplex, flux=None) -> TwistedComplex:
     if C._own_incidence:
         known["_folded"] = (C, tuple(blocks))
     return _made_with(TwistedComplex, known, **fields)
+
+
+# ---------------------------------------------------------------------------
+# rank-nullity
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _rank(d: np.ndarray, blocks) -> int:
+    """``np.linalg.matrix_rank(d)``, as a Python int: the singular values
+    of d above max sigma * max(M, N) * eps.  With ``blocks``, the
+    bipartite components of d, the singular values are those of the
+    components, one SVD each, and the whole-matrix cut applies to all of
+    them together; None runs one SVD of d."""
+    if not d.size:
+        return 0
+    parts = [d] if blocks is None else [d[np.ix_(rows, cols)] for rows, cols in blocks]
+    s = np.concatenate([np.zeros(0)] + [np.linalg.svd(x, compute_uv=False) for x in parts])
+    return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
+
+
+def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[int]]:
+    """(dims, ranks of the maps) of the relative complex (K, cl st v) of
+    C's simplicial complex K: the cochains of K that vanish on the closed
+    star of a vertex v, the one in the most top simplices.  A p-simplex
+    stays when it does not hold v and v joined to it is no simplex of K,
+    that is, when it is not the face without v of a (p+1)-simplex that
+    holds v, which the face table ``K.faces[p]`` names.
+
+    The relative delta_0 is ranked from b_0(K) (the module docstring).
+    Each delta_p with p >= 1 is the submatrix of delta_p on the cells
+    that stay; since C has checked delta_p against the face table
+    (``GradedCochainComplex._own_incidence``), it is written from it,
+    (-1)^i at each face that stays, and ranked by ``_rank``.  The map out
+    of the top degree has no rows."""
+    K = C.simplicial
+    v = int(np.bincount(K.levels[-1].ravel(), minlength=len(K.vertices)).argmax())
+    holds = [level == v for level in K.levels]
+    in_star = [h.any(axis=1) for h in holds]
+    for p, F in enumerate(K.faces):
+        rows, i = np.nonzero(holds[p + 1])
+        in_star[p][F[rows, i]] = True
+    kept = [np.flatnonzero(~s) for s in in_star]
+    ranks = [len(kept[0]) - (_betti_zero(K) - 1)]
+    for p in range(1, K.dim):
+        place = np.full(len(K.levels[p]), -1)
+        place[kept[p]] = np.arange(len(kept[p]))
+        cols = place[K.faces[p][kept[p + 1]]]  # -1 at a face in the star
+        rows, i = np.nonzero(cols >= 0)
+        d = np.zeros((len(kept[p + 1]), len(kept[p])))
+        d[rows, cols[rows, i]] = _ALTERNATING[i]
+        ranks.append(_rank(d, None))
+    # on a 0-complex delta_0 is the top map, and its rank above reads 0
+    return [len(k) for k in kept], ranks + [0] * (K.dim > 0)
+
+
+def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
+    """dim - rank of the map out - rank of the map in, per space (degree
+    or parity), as Python ints: the cohomology dimensions, read by the
+    route that C's provenance selects (the module docstring): off a
+    vertex star (``_off_a_star``), by degree block (``_folded_ranks``) or
+    one map at a time (``_rank``).
+
+    No eigensolve or Laplacian is read.  The one piece shared with the
+    solves is the exact partition of each map into the bipartite
+    components the complex keeps; a split map is ranked under the whole
+    matrix's cut, so every decision is the one ``matrix_rank`` makes."""
+    if isinstance(C, TwistedComplex):
+        dims, maps, cyclic = (C.even_dim, C.odd_dim), (C.d_even, C.d_odd), True
+    else:
+        dims, maps, cyclic = C.dims, C.coboundary, False
+    coned = not cyclic and C._own_incidence
+    if coned:
+        dims, ranks = _off_a_star(C)
+    elif cyclic and C._folded is not None:
+        ranks = _folded_ranks(C)
+    else:
+        # a graded complex's top map has no rows
+        ranks = [_rank(d, b) for d, b in zip(maps, C._components)] + [0] * (not cyclic)
+    return tuple(
+        int(coned and p == 0) + n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0)
+        for p, n in enumerate(dims)
+    )
+
+
+# the largest cut under which a direct summand of a folded map is ranked
+# exactly (``_folded_ranks``); past it the whole map is ranked
+_SUMMAND_CUT = 2.0**-26
+
+
+def _folded_ranks(T: TwistedComplex) -> list[int]:
+    """The ranks of (d_even, d_odd) of a flux twist of C, the complex of
+    a simplicial complex K's own incidence, read by degree block.
+
+    A folded map holds delta_p (degree p to p + 1) for every p of its
+    parity and the flux blocks q -> q + d that ``twisted_differential``
+    recorded.  A delta_p that shares neither its column degree p nor its
+    row degree p + 1 with a flux block is a direct summand, of rank
+    r_p = n_p - b_p - r_{p-1} from C's Betti numbers (``_rank_nullity``
+    of C).  The coupled part is the submatrix on the flux blocks' degrees
+    and those of the delta_p they touch.
+
+    The coupled part is cut where ``matrix_rank`` cuts the whole map:
+    at s max(M, N) eps, with M x N the whole folded map's shape and s its
+    largest singular value, the coupled part's s_c or a summand's.  The
+    whole map's singular values are the coupled part's together with the
+    summands', so its ``matrix_rank`` decisions are reproduced when
+    (a) every coupled singular value lies on the same side of
+    s_c max(M, N) eps as of the whole cut.  This is checked exactly: none
+    lies above the first and at or below max(s_c, u) max(M, N) eps,
+    where u >= sqrt(||delta_p||_1 ||delta_p||_inf) =
+    sqrt((p + 2) * the most cofaces of a p-simplex) bounds every
+    summand's largest singular value; and
+    (b) every nonzero singular value of a summand lies above the whole
+    cut, so that ``matrix_rank`` counts r_p of them.  The summands are
+    integer maps, and (b) is taken to hold while max(s_c, u) max(M, N)
+    eps stays below 2^-26.
+    Where either fails the map is ranked whole (``_rank``): a flux large
+    enough to lift the whole cut over a summand's singular values keeps
+    the whole map's answer.  A summand with a nonzero singular value
+    below 2^-26 would be counted here where the whole map's cut might
+    drop it; that is the one decision this path assumes rather than
+    re-derives."""
+    C, flux = T._folded
+    K, top = C.simplicial, C.top
+    coupled = {p for q, t in flux for p in (q, t - 1)}
+    summands = [p for p in range(top) if p not in coupled]
+    exact = [0] * top
+    if summands:
+        betti, r = _rank_nullity(C), 0
+        for p in range(top):
+            r = exact[p] = C.dims[p] - betti[p] - r
+    ranks = []
+    for s, (d, blocks) in enumerate(zip((T.d_even, T.d_odd), T._components)):
+        pairs = [(q, t) for q, t in flux if q % 2 == s] + [(p, p + 1) for p in coupled if p % 2 == s]
+        part = d[np.ix_(
+            _degree_rows(C.dims, sorted({t for _, t in pairs})),
+            _degree_rows(C.dims, sorted({q for q, _ in pairs})),
+        )] if pairs else d[:0, :0]
+        sv = np.linalg.svd(part, compute_uv=False) if part.size else np.zeros(0)
+        mine = [p for p in summands if p % 2 == s]
+        u = max(
+            (math.sqrt((p + 2) * np.bincount(K.faces[p].ravel(), minlength=1).max()) for p in mine),
+            default=0.0,
+        )
+        size = max(d.shape) * _EPS
+        lo = sv.max(initial=0.0) * size
+        hi = max(sv.max(initial=0.0), u) * size
+        if hi < _SUMMAND_CUT and not ((sv > lo) & (sv <= hi)).any():
+            ranks.append(int(np.count_nonzero(sv > lo)) + sum(exact[p] for p in mine))
+        else:
+            ranks.append(_rank(d, blocks))
+    return ranks

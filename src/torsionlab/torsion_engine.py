@@ -33,7 +33,7 @@ and reads only the eigenvalues; the twisted torsion solves them for
 values only.  The harmonic bases of both are formed when first read, by
 one more solve of each kept Laplacian, and the squares' positive spectra
 are kept for the duality transport.  Kernel dimensions double as
-cohomology dimensions (checked against rank-nullity in the test suite).
+cohomology dimensions.
 
 One loop forms the products (``_products``), part by part.  A map's
 parts are the bipartite components its complex keeps
@@ -56,26 +56,10 @@ no part.  A whole map keeps the bits of its dense products, which
 without Grams are summed from its integer nonzeros where they can be
 (``_squares``).
 
-The rank-nullity dimensions stay independent of the eigensolver.  The
-untwisted complex of a simplicial complex K, recognised by its maps
-being exactly K's signed incidence ((-1)^i at ``K.faces[p]``, real, no
-other nonzero; a verdict the complex reaches once, when it is built),
-is ranked on the relative complex (K, cl st v) of a vertex's closed
-star, a cone and so acyclic: b_p(K) = b_p(K, cl st v) + [p = 0].  Its
-relative delta_0 is never written: its rank is n_0 - (b_0(K) - 1), with
-b_0(K) the components of K's edge table.  On a sphere that leaves one
-cell and no map.  A flux twist of such a complex is ranked by degree
-block: each delta_p that no flux block meets is a direct summand of its
-folded map, ranked exactly from those Betti numbers, and only the
-coupled part, the degrees the flux blocks join and the delta_p that
-meet them, is decomposed, by one SVD under the whole map's cut
-(``_folded_ranks``).  For flux-twisted maps this is the rank check that
-stays independent of the solves.  Every other map (a relative delta_p
-with p >= 1, and every map of a lens, a local system, a bundle complex
-or a complex built by hand or copied) is ranked by singular values of
-the map itself, one SVD per component under the whole matrix's
-``matrix_rank`` cut.  The only piece they share with the solves is that
-exact partition.
+The cohomology dimensions (``cohomology_dimensions``) are read by
+rank-nullity, with no eigensolve (``chain_models._rank_nullity``, whose
+module describes its routes), so they stay an independent check of the
+kernel dimensions.
 """
 
 from __future__ import annotations
@@ -87,13 +71,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain_models import (
-    _ALTERNATING,
-    GradedCochainComplex,
-    TwistedComplex,
-    _betti_zero,
-    _degree_rows,
-)
+from .chain_models import GradedCochainComplex, TwistedComplex, _rank_nullity
 from .errors import ValidationError
 from .spectral import (
     SPLIT_MIN_ORDER,
@@ -116,7 +94,6 @@ __all__ = [
 REIDEMEISTER_TAG = "p-weighted-v1"
 TWISTED_TAG = "parity-split-v1"
 _TINY = np.finfo(np.float64).tiny
-_EPS = np.finfo(np.float64).eps
 _LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -502,179 +479,13 @@ def twisted_torsion(
     return _torsion(T, kernel_tol, TWISTED_TAG, ("even", "odd"), vectors=False)
 
 
-def _rank(d: np.ndarray, blocks) -> int:
-    """``np.linalg.matrix_rank(d)``, as a Python int: the singular values
-    of d above max sigma * max(M, N) * eps.  With ``blocks``, the
-    bipartite components of d, the singular values are those of the
-    components, one SVD each, and the whole-matrix cut applies to all of
-    them together; None runs one SVD of d."""
-    if not d.size:
-        return 0
-    parts = [d] if blocks is None else [d[np.ix_(rows, cols)] for rows, cols in blocks]
-    s = np.concatenate([np.zeros(0)] + [np.linalg.svd(x, compute_uv=False) for x in parts])
-    return int(np.count_nonzero(s > s.max(initial=0.0) * (max(d.shape) * _EPS)))
+def cohomology_dimensions(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
+    """Cohomology dimensions by rank-nullity, per degree of a graded
+    complex or per (even, odd) parity of a Z2-graded one: dim ker d_p -
+    rank d_{p-1} (``chain_models._rank_nullity``).  No eigensolve is
+    read, so they stay an independent check of the torsion's kernel
+    dimensions."""
+    return _rank_nullity(C)
 
 
-def _off_a_star(C: GradedCochainComplex) -> tuple[list[int], list[int]]:
-    """(dims, ranks of the maps) of the relative complex (K, cl st v) of
-    C's simplicial complex K: the cochains of K that vanish on the closed
-    star of a vertex v, the one in the most top simplices.  A p-simplex
-    stays when it does not hold v and v joined to it is no simplex of K,
-    that is, when it is not the face without v of a (p+1)-simplex that
-    holds v, which the face table ``K.faces[p]`` names.
-
-    The closed star is a cone on v, so it is connected and acyclic and
-    b_p(K) = b_p(K, cl st v) + [p = 0].  At p = 0 that gives the rank of
-    the relative delta_0 as n_0 - (b_0(K) - 1), with b_0(K) the
-    components of K's edge table (``chain_models._betti_zero``), so that
-    map is never written.  Each delta_p with p >= 1 is the submatrix of
-    delta_p on the cells that stay; since C has checked delta_p against
-    the face table (``GradedCochainComplex._own_incidence``), it is
-    written from it, (-1)^i at each face that stays, and ranked by
-    ``_rank``.  The map out of the top degree has no rows."""
-    K = C.simplicial
-    v = int(np.bincount(K.levels[-1].ravel(), minlength=len(K.vertices)).argmax())
-    holds = [level == v for level in K.levels]
-    in_star = [h.any(axis=1) for h in holds]
-    for p, F in enumerate(K.faces):
-        rows, i = np.nonzero(holds[p + 1])
-        in_star[p][F[rows, i]] = True
-    kept = [np.flatnonzero(~s) for s in in_star]
-    ranks = [len(kept[0]) - (_betti_zero(K) - 1)]
-    for p in range(1, K.dim):
-        place = np.full(len(K.levels[p]), -1)
-        place[kept[p]] = np.arange(len(kept[p]))
-        cols = place[K.faces[p][kept[p + 1]]]  # -1 at a face in the star
-        rows, i = np.nonzero(cols >= 0)
-        d = np.zeros((len(kept[p + 1]), len(kept[p])))
-        d[rows, cols[rows, i]] = _ALTERNATING[i]
-        ranks.append(_rank(d, None))
-    # on a 0-complex delta_0 is the top map, and its rank above reads 0
-    return [len(k) for k in kept], ranks + [0] * (K.dim > 0)
-
-
-def _rank_nullity(C: GradedCochainComplex | TwistedComplex) -> tuple[int, ...]:
-    """dim - rank of the map out - rank of the map in, per space, as
-    Python ints.
-
-    Independent of the spectral route: the ranks come from the
-    coboundaries themselves, not from any eigensolve or Laplacian.
-
-    A graded complex whose maps are exactly the signed incidence of its
-    simplicial complex K (``GradedCochainComplex._own_incidence``) is
-    ranked on the relative complex (K, cl st v) instead (``_off_a_star``),
-    by the cone identity b_p(K) = b_p(K, cl st v) + [p = 0]: on a sphere
-    that leaves one cell and no map.  A flux twist of such a complex is
-    ranked by degree block (``_folded_ranks``).  Every other complex (a
-    lens, a local system, a bundle complex, any hand-made map) is ranked
-    whole.
-
-    Every map that is written out, relative or whole, is ranked by its
-    singular values (``_rank``).  The one piece shared with the solves is
-    the exact partition of each whole map into its bipartite components,
-    which the complex keeps; a split map is ranked from its components'
-    singular values under the whole matrix's cut, so every decision is
-    the one ``matrix_rank`` makes."""
-    coned = isinstance(C, GradedCochainComplex) and C._own_incidence
-    if coned:
-        dims, ranks = _off_a_star(C)
-        cyclic = False
-    else:
-        dims, maps, _, _, cyclic, blocks = _spaces(C)
-        if isinstance(C, TwistedComplex) and C._folded is not None:
-            ranks = _folded_ranks(C)
-        else:
-            ranks = [_rank(d, b) for d, b in zip(maps, blocks)]
-    return tuple(
-        int(coned and p == 0) + n - ranks[p] - (ranks[p - 1] if p > 0 or cyclic else 0)
-        for p, n in enumerate(dims)
-    )
-
-
-# the largest cut under which a direct summand of a folded map is ranked
-# exactly (``_folded_ranks``); past it the whole map is ranked
-_SUMMAND_CUT = 2.0**-26
-
-
-def _folded_ranks(T: TwistedComplex) -> list[int]:
-    """The ranks of (d_even, d_odd) of a flux twist of C, the complex of
-    a simplicial complex K's own incidence, read by degree block.
-
-    A folded map holds delta_p (degree p to p + 1) for every p of its
-    parity and the flux blocks q -> q + d that ``twisted_differential``
-    recorded.  A delta_p that shares neither its column degree p nor its
-    row degree p + 1 with a flux block is a direct summand: no other
-    block meets its rows or its columns.  Its rank is exact,
-    r_p = n_p - b_p - r_{p-1} from C's exact Betti numbers
-    (``_rank_nullity`` of C, read off a vertex star once and kept by C).
-    The rest, the coupled part, is the submatrix on the flux blocks'
-    degrees and those of the delta_p they touch; only it is decomposed,
-    by one SVD.
-
-    The coupled part is cut where ``matrix_rank`` cuts the whole map:
-    at s max(M, N) eps, with M x N the whole folded map's shape and s its
-    largest singular value, the coupled part's s_c or a summand's.  The
-    whole map's singular values are the coupled part's together with the
-    summands', so its ``matrix_rank`` decisions are reproduced when
-    (a) every coupled singular value lies on the same side of
-    s_c max(M, N) eps as of the whole cut.  This is checked exactly: none
-    lies above the first and at or below max(s_c, u) max(M, N) eps,
-    where u >= sqrt(||delta_p||_1 ||delta_p||_inf) =
-    sqrt((p + 2) * the most cofaces of a p-simplex) bounds every
-    summand's largest singular value; and
-    (b) every nonzero singular value of a summand lies above the whole
-    cut, so that ``matrix_rank`` counts r_p of them.  The summands are
-    integer maps, and (b) is taken to hold while max(s_c, u) max(M, N)
-    eps stays below 2^-26.
-    Where either fails the map is ranked whole (``_rank``): a flux large
-    enough to lift the whole cut over a summand's singular values keeps
-    the whole map's answer.  A summand with a nonzero singular value
-    below 2^-26 would be counted here where the whole map's cut might
-    drop it; that is the one decision this path assumes rather than
-    re-derives."""
-    C, flux = T._folded
-    K, top = C.simplicial, C.top
-    coupled = {p for q, t in flux for p in (q, t - 1)}
-    summands = [p for p in range(top) if p not in coupled]
-    exact = [0] * top
-    if summands:
-        betti, r = C._betti, 0
-        for p in range(top):
-            r = exact[p] = C.dims[p] - betti[p] - r
-    ranks = []
-    for s, (d, blocks) in enumerate(zip((T.d_even, T.d_odd), T._components)):
-        pairs = [(q, t) for q, t in flux if q % 2 == s] + [(p, p + 1) for p in coupled if p % 2 == s]
-        part = d[np.ix_(
-            _degree_rows(C.dims, sorted({t for _, t in pairs})),
-            _degree_rows(C.dims, sorted({q for q, _ in pairs})),
-        )] if pairs else d[:0, :0]
-        sv = np.linalg.svd(part, compute_uv=False) if part.size else np.zeros(0)
-        mine = [p for p in summands if p % 2 == s]
-        u = max(
-            (math.sqrt((p + 2) * np.bincount(K.faces[p].ravel(), minlength=1).max()) for p in mine),
-            default=0.0,
-        )
-        size = max(d.shape) * _EPS
-        lo = sv.max(initial=0.0) * size
-        hi = max(sv.max(initial=0.0), u) * size
-        if hi < _SUMMAND_CUT and not ((sv > lo) & (sv <= hi)).any():
-            ranks.append(int(np.count_nonzero(sv > lo)) + sum(exact[p] for p in mine))
-        else:
-            ranks.append(_rank(d, blocks))
-    return ranks
-
-
-def cohomology_dimensions(C: GradedCochainComplex) -> tuple[int, ...]:
-    """Betti numbers by rank-nullity: dim ker delta_p - rank delta_{p-1},
-    read for the untwisted complex of a simplicial complex K off
-    (K, cl st v) by the cone identity b_p(K) = b_p(K, cl st v) + [p = 0]
-    (``_rank_nullity``).  No eigensolve is read, so they stay an
-    independent check of the torsion's kernel dimensions.  The complex
-    keeps them (``GradedCochainComplex._betti``)."""
-    return C._betti
-
-
-def twisted_cohomology_dimensions(T: TwistedComplex) -> tuple[int, int]:
-    """(even, odd) cohomology dimensions of a Z2-graded complex by
-    rank-nullity."""
-    return _rank_nullity(T)
+twisted_cohomology_dimensions = cohomology_dimensions

@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from torsionlab import chain_models, circle_bundle, spectral, torsion_engine
+from torsionlab import chain_models, circle_bundle, spectral
 
 
 @pytest.fixture
@@ -42,16 +42,17 @@ def eigensolve_orders(monkeypatch):
 
 @pytest.fixture
 def svds(monkeypatch):
-    """Record every SVD the torsion engine runs, in call order, as
-    (shape, dtype)."""
+    """Record every SVD run through numpy's ``np.linalg.svd``, in call
+    order, as (shape, dtype): the patch is on numpy's module, so it sees
+    every caller in the package."""
     seen = []
-    svd = torsion_engine.np.linalg.svd
+    svd = np.linalg.svd
 
     def record(m, *args, **kwargs):
         seen.append((m.shape, np.dtype(m.dtype).name))
         return svd(m, *args, **kwargs)
 
-    monkeypatch.setattr(torsion_engine.np.linalg, "svd", record)
+    monkeypatch.setattr(np.linalg, "svd", record)
     return seen
 
 

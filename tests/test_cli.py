@@ -62,6 +62,14 @@ def test_invalid_model_parameters_are_exit_2(capsys):
     assert "torsion: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["reidemeister", "hopf(1,2)"], ["twisted", "random(3)", "--flux", "top"]]
+)
+def test_a_bundle_given_to_a_complex_command_is_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "needs a cochain or simplicial model" in capsys.readouterr().err
+
+
 def test_model_argument_required():
     with pytest.raises(SystemExit) as exc:
         main(["reidemeister"])

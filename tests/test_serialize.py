@@ -159,6 +159,16 @@ def test_bundle_round_trip():
             assert np.allclose(b2.base.gram_at(p), b.base.gram_at(p))
 
 
+def test_a_bundle_payload_without_a_family_decodes_to_zero_blocks():
+    for b in (hopf(1, 2, 3), random_bundle(5)):
+        payload = encode_bundle(b)
+        full = decode_model(payload)
+        short = decode_model({key: value for key, value in payload.items() if key != "h3_op"})
+        assert [x.shape for x in short.h3_op] == [x.shape for x in full.h3_op]
+        assert not any(x.any() for x in short.h3_op)
+        assert digest(encode_bundle(short)) == digest(payload)
+
+
 def test_cochain_round_trip():
     c = Cochain(degree=3, coefficients=np.array([1.0 + 1.0j, -2.0], dtype=np.complex128))
     payload = encode_cochain(c)

@@ -228,6 +228,21 @@ def test_kernel_dims_disagreeing_with_rank_nullity_warn(tmp_path):
     )
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e-4, 1e-3])
+def test_an_exact_boundary_flux_on_s5_is_reported_as_a_disagreement(scale, tmp_path):
+    """An exact flux delta_2 B on S^5 with |B| small: the torsion's kernel
+    dims and rank-nullity read different cohomology (today [1, 1] and
+    (0, 0)), and the report says so instead of printing one of them as
+    settled.  Which reading is right is open (ROADMAP item 16); this pins
+    only that the disagreement reaches the report as a warning."""
+    C = coboundary_matrices(simplex_boundary(6))
+    B = scale * np.random.default_rng(152).standard_normal(C.dims[2])
+    flux = tmp_path / "boundary.json"
+    dump_json_file(flux, encode_cochain(Cochain(degree=3, coefficients=C.coboundary[2] @ B)))
+    report = run("twisted", "simplex_boundary(6)", RunOptions(flux=str(flux)))
+    assert any("disagree with rank-nullity" in w for w in report.warnings)
+
+
 def test_verify_duality_report_passes():
     report = run("verify-duality", "hopf(1,2,1)")
     r = report.result
