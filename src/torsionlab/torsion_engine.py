@@ -30,10 +30,18 @@ down term of the next space's Laplacian, formed anyway.  The graded
 torsion solves its squares with eigenvectors, since ``eigh`` gives
 their eigenvalues more accurately than ``eigvalsh`` on large cycles,
 and reads only the eigenvalues; the twisted torsion solves them for
-values only.  The harmonic bases of both are formed when first read, by
-one more solve of each kept Laplacian, and the squares' positive spectra
-are kept for the duality transport.  Kernel dimensions double as
-cohomology dimensions.
+values only.  A Laplacian that is its space's one whole term can be the
+very square solved there (beside a map with no part: the even space of a
+zero-flux twist of ``cycle(n)`` from ``SPLIT_MIN_ORDER`` up); wanted for
+values only, it is solved once, and the roundoff refusal and the
+pseudo-determinant read that one decomposition.  A graded chain's end
+still solves such a Laplacian twice, for values and then with
+eigenvectors, which are different requests: Delta_0 = w_0* w_0 where
+that is the smaller square, and Delta_top = w w* on the spheres.  The
+harmonic bases of both are formed when first read, by one more solve of
+each kept Laplacian, and the squares' positive spectra are kept for the
+duality transport.  Kernel dimensions double as cohomology
+dimensions.
 
 One loop forms the products (``_products``), part by part.  A map's
 parts are the bipartite components its complex keeps
@@ -391,13 +399,20 @@ def _solve(C: GradedCochainComplex | TwistedComplex, kernel_tol: float | None, v
     weighted Laplacian for values only, refused when its cut cannot be
     trusted, then the square of w_p, with eigenvectors when ``vectors``
     (only its eigenvalues are read; ``eigh`` gives them more accurately
-    than ``eigvalsh``).
+    than ``eigvalsh``).  A square that is the Laplacian just solved,
+    wanted for values only, is not solved again: that one decomposition
+    serves the refusal and the pseudo-determinant.  With ``vectors`` it
+    is another request, solved again: a graded chain's Delta_0, and on
+    the spheres Delta_top, which is also the square w w* below it.
     Yields, per space, the square's decomposition and the (weighted
     Laplacian, GramFactor or None) pair that a kernel basis is read
     from."""
     for square, lap, gram in _blocks(C):
-        _refuse_imprecise(hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=False))
-        yield hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors), (lap, gram)
+        spectrum = hermitian_spectrum(lap, kernel_tol=kernel_tol, vectors=False)
+        _refuse_imprecise(spectrum)
+        if vectors or square is not lap:
+            spectrum = hermitian_spectrum(square, kernel_tol=kernel_tol, vectors=vectors)
+        yield spectrum, (lap, gram)
 
 
 def _lifted(name: str, vectors: np.ndarray, gram) -> HarmonicBasis:

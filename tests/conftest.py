@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from torsionlab import chain_models, circle_bundle, spectral
+from torsionlab import chain_models, circle_bundle, spectral, torsion_engine
 
 
 @pytest.fixture
@@ -37,6 +37,33 @@ def eigensolve_orders(monkeypatch):
             return _solve(m, *args, **kwargs)
 
         monkeypatch.setattr(spectral.np.linalg, name, record)
+    return seen
+
+
+class SolveLog(list):
+    """(operator type, order, "vectors" or "values") per solve, in call
+    order; ``operators`` holds the operators themselves, in the same
+    order, so their identities stay valid while the log lives."""
+
+    def __init__(self):
+        super().__init__()
+        self.operators = []
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Record every solve the torsion engine asks for
+    (``torsion_engine.hermitian_spectrum``): the sibling of ``eigensolves``
+    and ``eigensolve_orders``, which see the LAPACK calls under it."""
+    seen = SolveLog()
+    solve = torsion_engine.hermitian_spectrum
+
+    def record(A, **kwargs):
+        seen.append((type(A), A.shape[0], "vectors" if kwargs.get("vectors", True) else "values"))
+        seen.operators.append(A)
+        return solve(A, **kwargs)
+
+    monkeypatch.setattr(torsion_engine, "hermitian_spectrum", record)
     return seen
 
 

@@ -471,6 +471,19 @@ def test_tolerance_below_roundoff_is_named_in_the_refusal(capsys):
     ]
 
 
+def test_a_zero_flux_twist_refuses_a_tolerance_below_roundoff_at_its_even_laplacian(capsys):
+    # the even Laplacian of a zero-flux cycle is also its square, solved
+    # once: the refusal is still that of the solve loop's first check
+    assert main(["twisted", "cycle(40)", "--tol", "1e-30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        "torsion: error: eigenvalue -7.467575e-18 is roundoff of a positive semidefinite "
+        "operator (n eps max|eigenvalue| = 3.553e-14); kernel tolerance 1.000e-30 is "
+        "below the precision of the solve"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, eigenvalue, roundoff",
     [

@@ -20,7 +20,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -578,10 +578,13 @@ def test_first_read_of_graded_bases_costs_one_solve(name, eigensolves):
     assert len(eigensolves) == len(solved) + len(C.dims)
 
 
-@pytest.mark.parametrize("expr, degrees", [("cycle(9)", 2), ("simplex_boundary(5)", 5)])
-def test_each_solve_is_checked_for_roundoff_once(expr, degrees, monkeypatch):
+@pytest.mark.parametrize(
+    "expr, degrees", [("cycle(9)", 2), ("simplex_boundary(5)", 5), ("zero-flux cycle(40)", 2)]
+)
+def test_each_solve_is_checked_for_roundoff_once(expr, degrees, solves, monkeypatch):
     # one roundoff refusal check per solved operator: each Laplacian in
-    # the solve loop, each square in its pseudo-determinant
+    # the solve loop, each square in its pseudo-determinant; no solve's
+    # decomposition escapes the check
     seen = []
     check = spectral._refuse_imprecise
 
@@ -591,8 +594,22 @@ def test_each_solve_is_checked_for_roundoff_once(expr, degrees, monkeypatch):
 
     monkeypatch.setattr(spectral, "_refuse_imprecise", record)
     monkeypatch.setattr(torsion_engine, "_refuse_imprecise", record)
-    reidemeister_torsion(coboundary_matrices(from_expression(expr)))
-    assert len(seen) == len({id(dec) for dec in seen}) == 2 * degrees
+    model = expr.removeprefix("zero-flux ")
+    C = coboundary_matrices(from_expression(model))
+    if model == expr:
+        reidemeister_torsion(C)
+    else:
+        twisted_torsion(twisted_differential(C))
+    distinct = {id(dec) for dec in seen}
+    assert len(distinct) == len(solves)
+    if model == expr:
+        assert len(seen) == len(distinct) == 2 * degrees
+    else:
+        # the even Laplacian is the even square, solved once: its one
+        # decomposition is checked in the solve loop and again by its
+        # pseudo-determinant (an O(n) scan, the same verdict)
+        assert len(seen) == 2 * degrees and len(distinct) == 2 * degrees - 1
+        assert seen[0] is seen[2]
 
 
 @pytest.mark.parametrize(
@@ -1165,34 +1182,178 @@ def test_a_laplacian_of_split_pieces_is_their_laid_out_sum(seed, dtype):
         assert np.array_equal(lap, _summed(n, split, whole))
 
 
-@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@settings(max_examples=12, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(64, 200))
-def test_zero_flux_cycles_solve_as_the_whole_matrices(n):
+def test_zero_flux_cycles_solve_as_the_whole_matrices(eigensolve_orders, n):
     # d_odd is the zero map: no component, and an empty square
     T = twisted_differential(coboundary_matrices(cycle(n)))
     assert T._components == (None, ())
     _assert_the_whole_answer(T)
-    square, lap, _ = list(_blocks(T))[1]
+    (even_square, even_lap, _), (square, lap, _) = _blocks(T)
     assert square.shape == (0, 0)
     assert lap.tobytes() == (T.d_even @ T.d_even.T).tobytes()
+    # the even Laplacian is d_even* d_even alone, the square solved there:
+    # LAPACK sees the two Laplacians and nothing else
+    assert even_square is even_lap
+    eigensolve_orders.clear()
+    twisted_torsion(T)
+    assert eigensolve_orders == [n, n]
+
+
+def _eager_torsion(T: TwistedComplex) -> tuple:
+    """(log tau, kernel dims, warnings, square spectra, harmonic bases) of
+    T with every square solved by a call of its own, the solve loop's
+    refusal included: the even square of a zero-flux cycle is then its
+    Laplacian solved twice."""
+    squares, kept = [], []
+    for square, lap, _ in _blocks(T):
+        spectral._refuse_imprecise(hermitian_spectrum(lap, vectors=False))
+        squares.append(hermitian_spectrum(square, vectors=False))
+        kept.append(lap)
+    pds = [pseudodet_of(square) for square in squares]
+    ranks = [square.positive_eigenvalues.size for square in squares]
+    dims = (T.even_dim - ranks[0] - ranks[1], T.odd_dim - ranks[1] - ranks[0])
+    bases = [hermitian_spectrum(lap).eigenvectors[:, :k] for lap, k in zip(kept, dims)]
+    return (
+        torsion_engine._telescoped(pds),
+        dims,
+        tuple(w for pd in pds for w in pd.warnings),
+        [square.positive_eigenvalues for square in squares],
+        bases,
+    )
+
+
+def test_a_zero_flux_twist_solves_its_even_laplacian_once(solves):
+    T = twisted_differential(coboundary_matrices(cycle(40)))
+    square, lap, _ = _blocks(T)[0]
+    assert square is lap
+    got = twisted_torsion(T)
+    # the even Laplacian, read as the even square too, the odd Laplacian,
+    # and the odd square, empty beside the zero map
+    assert solves == [
+        (np.ndarray, 40, "values"),
+        (np.ndarray, 40, "values"),
+        (BlockDiagonal, 0, "values"),
+    ]
+    log_tau, dims, warnings, spectra, bases = _eager_torsion(T)
+    assert got.log_scalar.hex() == log_tau.hex()
+    assert got.kernel_dims == dims == (1, 1)
+    assert got.warnings == warnings
+    assert [s.tobytes() for s in got.square_spectra] == [s.tobytes() for s in spectra]
+    assert [b.vectors.tobytes() for b in got.harmonic_bases] == [b.tobytes() for b in bases]
+
+
+def _graded_or_twisted(name: str):
+    """The complex a boundary case of the shared solve names."""
+    if name == "zero-flux cycle(9)":
+        return twisted_differential(coboundary_matrices(cycle(9)))
+    if name == "top(2) simplex_boundary(4)":
+        C = coboundary_matrices(simplex_boundary(4))
+        return twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], 2.0)))
+    return coboundary_matrices(cycle(40))
+
+
+@pytest.mark.parametrize(
+    "name, kinds",
+    [
+        # below SPLIT_MIN_ORDER the zero map is taken whole, so the even
+        # Laplacian is a fresh sum and not the square
+        ("zero-flux cycle(9)", [(np.ndarray, 9)] * 4),
+        ("top(2) simplex_boundary(4)", [(np.ndarray, 15)] * 4),
+        # Delta_0 is the graded square, solved for values, then with vectors
+        ("graded cycle(40)", [(np.ndarray, 40)] * 3 + [(BlockDiagonal, 0)]),
+    ],
+)
+def test_a_square_that_is_not_a_values_only_laplacian_is_solved_on_its_own(name, kinds, solves):
+    C = _graded_or_twisted(name)
+    graded = isinstance(C, GradedCochainComplex)
+    (reidemeister_torsion if graded else twisted_torsion)(C)
+    request = "vectors" if graded else "values"
+    assert solves == [kind + (r,) for kind, r in zip(kinds, ["values", request] * 2)]
+    shared = solves.operators[0] is solves.operators[1]
+    assert shared == graded
+
+
+def _ledger_run(name: str) -> None:
+    """Compute the torsions a ledger case names."""
+    from test_golden import CASES, case_name
+    from torsionlab.suite import run_suite
+    from torsionlab.workbench import run
+
+    kind, _, rest = name.partition(" ")
+    if name == "golden suite":
+        run_suite()
+    elif kind == "golden":
+        (command, model, options), = [c for c in CASES if case_name(*c)[:-5] == rest]
+        run(command, model, options)
+    elif kind == "zero-flux":
+        twisted_torsion(twisted_differential(coboundary_matrices(from_expression(rest))))
+    elif kind == "fleet":
+        for _, b in bundle_fleet():
+            for m in (b, t_dualize(b)):
+                twisted_torsion(build_invariant_complex(m))
+    else:
+        C = coboundary_matrices(from_expression(rest))
+        h = Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], complex(kind[4:-1])))
+        twisted_torsion(twisted_differential(C, h))
+
+
+def _ledger_cases() -> list[str]:
+    from test_golden import CASES, case_name
+
+    return (
+        # t-dual computes no torsion; its models are verify-duality's
+        [f"golden {case_name(*c)[:-5]}" for c in CASES if c[0] != "t-dual"]
+        + ["golden suite", "zero-flux cycle(40)", "zero-flux cycle(150)", "fleet"]
+        + [f"top({c}) simplex_boundary({n})" for n in (4, 6, 8) for c in ("2", "1.5-0.5j")]
+    )
+
+
+@pytest.mark.parametrize("name", _ledger_cases())
+def test_no_torsion_repeats_a_solve(name, solves, monkeypatch):
+    # per torsion, every (operator, request) pair is solved once; the one
+    # operator solved twice is a graded Laplacian that is also a square,
+    # solved once for values and once with vectors (Delta_0, Delta_top on
+    # the spheres), which the torsion reads as two requests
+    spans = []
+    torsion = torsion_engine._torsion
+
+    def scoped(C, kernel_tol, tag, *args, **kwargs):
+        start = len(solves)
+        try:
+            return torsion(C, kernel_tol, tag, *args, **kwargs)
+        finally:
+            spans.append((start, len(solves), tag == REIDEMEISTER_TAG))
+
+    monkeypatch.setattr(torsion_engine, "_torsion", scoped)
+    _ledger_run(name)
+    assert spans
+    for start, end, graded in spans:
+        ledger = [(id(solves.operators[i]), solves[i][2]) for i in range(start, end)]
+        assert len(set(ledger)) == len(ledger)
+        at: dict[int, list[int]] = {}
+        for i, (key, _) in enumerate(ledger):
+            at.setdefault(key, []).append(i)
+        # the solve loop asks for space p's Laplacian at 2p, its square at
+        # 2p + 1: a repeat is one space's two solves, or a square followed
+        # by the next space's Laplacian
+        twice = sorted(tuple(i) for i in at.values() if len(i) > 1)
+        assert all(graded and b == a + 1 for a, b in twice)
+        if name in ("golden reidemeister__cycle_40_", "golden reidemeister__cycle_5_"):
+            assert twice == [(0, 1)]  # Delta_0
+        if name == "golden reidemeister__simplex_boundary_5_":
+            assert twice == [(0, 1), (7, 8)]  # Delta_0, then the square of w_3 as Delta_4
 
 
 @pytest.mark.parametrize("c", [2.0, 1.5 - 0.5j])
-def test_a_split_twist_solves_its_real_components_in_float64(c, eigensolves, monkeypatch):
-    solved = []
-    solve = torsion_engine.hermitian_spectrum
-
-    def record(A, **kwargs):
-        solved.append(A.shape[0])
-        return solve(A, **kwargs)
-
-    monkeypatch.setattr(torsion_engine, "hermitian_spectrum", record)
+def test_a_split_twist_solves_its_real_components_in_float64(c, eigensolves, solves):
     C = coboundary_matrices(simplex_boundary(8))
     T = twisted_differential(C, Cochain(degree=C.top, coefficients=np.full(C.dims[C.top], c)))
     twisted_torsion(T)
     # per parity the Laplacian, of order 255, then the direct sum of each
     # component's smaller product: 45 + 84 + 84 even, 36 + 126 + 36 odd
-    assert solved == [255, 213, 255, 198]
+    assert [order for _, order, _ in solves] == [255, 213, 255, 198]
     # a complex flux makes the component it sits in complex, with the
     # Laplacian blocks it reaches (33 even, 24 odd); the two components
     # of order 84 beside it are real and solved in float64
@@ -1212,21 +1373,17 @@ def _sb8_twist(c) -> TwistedComplex:
 
 
 @pytest.mark.parametrize("c", [2.0, 1.5 - 0.5j])
-def test_a_split_twist_runs_no_solve_above_its_largest_part(c, eigensolve_orders, monkeypatch):
-    passed = []
-    solve = torsion_engine.hermitian_spectrum
-
-    def record(A, **kwargs):
-        passed.append((type(A), A.shape))
-        return solve(A, **kwargs)
-
-    monkeypatch.setattr(torsion_engine, "hermitian_spectrum", record)
+def test_a_split_twist_runs_no_solve_above_its_largest_part(c, eigensolve_orders, solves):
+    solve = hermitian_spectrum  # unrecorded, for the reference solves below
     T = _sb8_twist(c)
     got = twisted_torsion(T)
     # every operator is passed as its direct sum, none as an order-255
     # array; LAPACK sees, per parity, the Laplacian's one coupled block,
     # then the square's parts: 45 + 84 + 84 even, 36 + 126 + 36 odd
-    assert passed == [(BlockDiagonal, (n, n)) for n in (255, 213, 255, 198)]
+    assert [(kind, order) for kind, order, _ in solves] == [
+        (BlockDiagonal, n) for n in (255, 213, 255, 198)
+    ]
+    assert all(op.shape == (n, n) for op, (_, n, _) in zip(solves.operators, solves))
     assert eigensolve_orders == [33, 45, 84, 84, 24, 36, 126, 36]
     # each operator's spectrum, and the torsion, are those of the laid-out
     # operators
