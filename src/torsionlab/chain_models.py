@@ -1044,10 +1044,13 @@ class TwistedComplex:
     q -> q + deg h it added; its products are summed by degree block
     (``_folded_residual``), and it is ranked by block (``_folded_ranks``).
     Every other complex (one built by hand, a ``dataclasses.replace``
-    copy, every invariant complex, a twist of a bare or local-system
-    complex) forms the two products, one bipartite component at a time
-    where a map splits; for an invariant complex that check is the
-    bundle-data validation behind ``InvalidFlux``.
+    copy, a twist of a bare or local-system complex, the first invariant
+    complex of a bundle model) forms the two products, one bipartite
+    component at a time where a map splits; for an invariant complex
+    that check is the bundle-data validation behind ``InvalidFlux``.  A
+    later invariant complex of the same model, or of its T-dual, whose
+    maps are the checked ones signed and permuted, skips both the entry
+    scans and the products (``_square_zero_checked``).
 
     Every entry of a map is checked finite and in [1e-150, 1e150]
     (``_freeze``), except on the maps of ``twisted_differential``
@@ -1063,6 +1066,10 @@ class TwistedComplex:
     # True when twisted_differential assembled the maps from checked
     # entries, before __post_init__ runs; False for every other complex
     _entries_checked: ClassVar[bool] = False
+    # True, with _entries_checked, when build_invariant_complex assembled
+    # the maps of a bundle model whose maps passed these checks before;
+    # False for every other complex
+    _square_zero_checked: ClassVar[bool] = False
 
     even_dim: int
     odd_dim: int
@@ -1104,6 +1111,8 @@ class TwistedComplex:
             object.__setattr__(self, "_gram_factors", factors)
         even, odd = _map_blocks(de), _map_blocks(do)
         object.__setattr__(self, "_components", (even, odd))
+        if self._square_zero_checked:
+            return
         scale = 1.0 + _norm(de) * _norm(do)
         if self._folded is None:
             resid = max(_product_norm(do, de, even), _product_norm(de, do, odd))

@@ -16,8 +16,11 @@ is made once and shared: the base keeps its folded coboundary
 (``GradedCochainComplex._parity``), and a model folds its H3, F and H2
 and assembles its two invariant parity Gram records once
 (``BundleData._folds`` and ``_invariant_grams``) and hands both to its
-T-dual.  No build, dual or torsion is cached: each build still
-assembles its differential and checks that it squares to zero.
+T-dual.  A model is checked once: its first build checks the entries of
+its differential and that it squares to zero, and records the verdict
+(``BundleData._checked``), which the T-dual takes with the layouts.  No
+build, dual or torsion is cached: each build still assembles its
+differential.
 
 The T-dual model swaps F with H2 and inverts the radius.  The duality
 map T_k(w1, w2) = ((-1)^k w2, (-1)^(k+1) w1) is a parity-shifting Gram
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .chain_models import (
     MAX_MODEL_SIZE,
     _SQUARE_ZERO_TOL,
     _is_frozen,
+    _made_with,
     _norm,
     _refuse_oversize,
     GradedCochainComplex,
@@ -142,6 +146,12 @@ class BundleData:
     a value that is not 1/radius up to roundoff is refused.
     """
 
+    # True once a build of this model's invariant complex passed the
+    # entry and square-zero checks of TwistedComplex, or one of its
+    # T-dual's did: set by that build, never by __post_init__, and handed
+    # by t_dualize; a replace makes a new model, which starts without it
+    _checked: ClassVar[bool] = False
+
     base: GradedCochainComplex
     f_op: tuple[np.ndarray, ...]
     h2_op: tuple[np.ndarray, ...]
@@ -237,15 +247,17 @@ def _closure_residuals(d_h3, f, h2) -> dict[str, float]:
 def build_invariant_complex(b: BundleData) -> InvariantComplex:
     """Assemble the invariant-cochain complex of a bundle model.
 
-    Every build assembles the differential afresh and checks that it
-    squares to zero, from layouts made once: the base's folded
-    coboundary (``GradedCochainComplex._parity``), the model's folded
-    families and invariant parity Gram records (``BundleData._folds`` and
-    ``_invariant_grams``, shared with its T-dual), the records direct
-    sums of the base's checked Grams, so no Gram is checked or factored
-    again.  Raises
-    InvalidFlux naming the failing block identity when the assembled
-    differential does not square to zero.
+    Every build assembles the differential afresh, from layouts made
+    once: the base's folded coboundary (``GradedCochainComplex._parity``),
+    the model's folded families and invariant parity Gram records
+    (``BundleData._folds`` and ``_invariant_grams``, shared with its
+    T-dual), the records direct sums of the base's checked Grams, so no
+    Gram is checked or factored again.  The first build of a model
+    checks every entry and that the differential squares to zero, and
+    on success records it (``BundleData._checked``); a build of a
+    recorded model only assembles.  Raises InvalidFlux naming the
+    failing block identity when the assembled differential does not
+    square to zero; a failed check records nothing.
     """
     C = b.base
     (delta_eo, delta_oe), _ = C._parity
@@ -276,17 +288,20 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
     d_odd.setflags(write=False)
 
     gram_even, gram_odd = b._invariant_grams
+    fields = dict(
+        even_dim=e + o,
+        odd_dim=o + e,
+        d_even=d_even,
+        d_odd=d_odd,
+        gram_even=gram_even,
+        gram_odd=gram_odd,
+        base_even_dim=e,
+        base_odd_dim=o,
+    )
+    if b._checked:
+        return _made_with(InvariantComplex, _RECORDED, **fields)
     try:
-        return InvariantComplex(
-            even_dim=e + o,
-            odd_dim=o + e,
-            d_even=d_even,
-            d_odd=d_odd,
-            gram_even=gram_even,
-            gram_odd=gram_odd,
-            base_even_dim=e,
-            base_odd_dim=o,
-        )
+        ic = InvariantComplex(**fields)
     except FluxNotNilpotent:
         # the bound of the square-zero check in TwistedComplex that failed
         scale = 1.0 + _norm(d_even) * _norm(d_odd)
@@ -300,24 +315,44 @@ def build_invariant_complex(b: BundleData) -> InvariantComplex:
         raise InvalidFlux(
             f"bundle data violates square-zero; failing identities: {detail}"
         ) from None
+    vars(b)["_checked"] = True
+    return ic
+
+
+# what a build of a recorded model tells TwistedComplex it need not check
+_RECORDED = {"_entries_checked": True, "_square_zero_checked": True}
 
 
 def t_dualize(b: BundleData) -> BundleData:
     """Swap curvature with H2 and invert the radius; an exact involution.
 
-    The dual shares the model's base, its family blocks, their folds
-    (F and H2 swapped) and its invariant Gram records, so the dual and
-    the double dual fold and assemble nothing.  Its invariant complex is
-    still built, as an assertion.
+    The dual is made from the model's normalized families and its exact
+    radius pair, so nothing is validated or normalized again.  It shares
+    the model's base, its family blocks, their folds (F and H2 swapped),
+    its invariant Gram records and its check record: the dual's
+    differential is the model's, signed and permuted, so it holds the
+    same entries and squares to zero with it.  Its invariant complex is
+    still built.  On a recorded model that build only assembles; on a
+    new one it runs the checks, refuses the dual's failing identity,
+    and on success hands the record back to the model.
     """
     h3, f, h2 = b._folds
-    dual = replace(
-        b, f_op=b.h2_op, h2_op=b.f_op, radius=b.inverse_radius, radius_inverse=b.radius
+    dual = object.__new__(BundleData)
+    # the fields as __post_init__ would leave them, and the cache slots of
+    # the cached_properties, seeded with the model's own
+    vars(dual).update(
+        base=b.base,
+        f_op=b.h2_op,
+        h2_op=b.f_op,
+        h3_op=b.h3_op,
+        radius=float(b.inverse_radius),
+        radius_inverse=b.radius,
+        _folds=(h3, h2, f),
+        _invariant_grams=b._invariant_grams,
+        _checked=b._checked,
     )
-    # the cache slots of the cached_properties, seeded with the model's own
-    vars(dual)["_folds"] = (h3, h2, f)
-    vars(dual)["_invariant_grams"] = b._invariant_grams
-    build_invariant_complex(dual)  # cannot fail for valid input; asserted
+    build_invariant_complex(dual)
+    vars(b)["_checked"] = True
     return dual
 
 

@@ -47,8 +47,9 @@ REPORT_SCHEMA = "report.v1"
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    # a complex128 entry is its [re, im] pair of float64s in memory
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def matrix_from_json(rows, shape=None) -> np.ndarray:

@@ -20,6 +20,7 @@ from torsionlab import (
     BundleData,
     Cochain,
     DualityViolation,
+    FluxNotNilpotent,
     GradedCochainComplex,
     InvalidFlux,
     ParityMismatch,
@@ -39,9 +40,9 @@ from torsionlab import (
     twisted_torsion,
     verify_t_duality,
 )
-from torsionlab import circle_bundle, torsion_engine
+from torsionlab import chain_models, circle_bundle, torsion_engine
 from torsionlab.builders import simplex_boundary
-from torsionlab.chain_models import fold
+from torsionlab.chain_models import TwistedComplex, fold
 from torsionlab.circle_bundle import _slot_dims
 from torsionlab.serialize import canonical_bytes
 from torsionlab.suite import bundle_fleet
@@ -292,16 +293,15 @@ def test_warm_and_fresh_bundles_verify_to_the_same_bytes(seed, top, radius):
         )
 
 
-def test_traced_verify_of_a_warm_bundle_counts_every_solve_and_build(monkeypatch):
-    # the benchmark's span tracer, loaded from its file
+def _traced_verify(monkeypatch, b: BundleData) -> dict:
+    """The counters of one verify of b under the benchmark's span tracer,
+    loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "_bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     )
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
-    b = random_bundle(4242, 4)
-    verify_t_duality(b)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -309,8 +309,25 @@ def test_traced_verify_of_a_warm_bundle_counts_every_solve_and_build(monkeypatch
         circle_bundle.verify_t_duality(b)
     finally:
         tracer.uninstall()
-    assert tracer.counters["spectral.calls"] == 12
-    assert tracer.counters["circle_bundle.invariant_builds"] == 3
+    return tracer.counters
+
+
+def test_traced_verify_of_a_warm_bundle_counts_every_solve_and_build(monkeypatch):
+    b = random_bundle(4242, 4)
+    verify_t_duality(b)
+    counters = _traced_verify(monkeypatch, b)
+    assert counters["spectral.calls"] == 12
+    assert counters["circle_bundle.invariant_builds"] == 3
+
+
+def test_traced_verify_of_a_fresh_bundle_counts_every_solve_and_build(monkeypatch):
+    # the same counts as a warm model's: a build that runs the checks and
+    # one that only assembles are both builds
+    b = random_bundle(4242, 4)
+    assert not b._checked
+    counters = _traced_verify(monkeypatch, b)
+    assert counters["spectral.calls"] == 12
+    assert counters["circle_bundle.invariant_builds"] == 3
 
 
 def _bundles():
@@ -480,6 +497,147 @@ def test_square_zero_failure_names_the_identity():
     )
     with pytest.raises(InvalidFlux, match=r"dH3\^2 \+ F\.H2 \(even source\)"):
         build_invariant_complex(bad)
+
+
+def _bad_bundle() -> BundleData:
+    # H2 then F carries degree 0 to 4 with product 3; F then H2 gives 0
+    return BundleData(
+        base=minimal_model((1, 1, 1, 1, 1)),
+        f_op={0: np.array([[1.0]]), 2: np.array([[2.0]])},
+        h2_op={0: np.array([[1.5]])},
+        h3_op=None,
+        radius=1.0,
+    )
+
+
+_MODEL_IDENTITY = (
+    "bundle data violates square-zero; failing identities: dH3^2 + F.H2 (even source): 3.000e+00"
+)
+_DUAL_IDENTITY = (
+    "bundle data violates square-zero; failing identities: dH3^2 + H2.F (even source): 3.000e+00"
+)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (build_invariant_complex, _MODEL_IDENTITY),
+        (verify_t_duality, _MODEL_IDENTITY),
+        (t_dualize, _DUAL_IDENTITY),
+    ],
+)
+def test_a_failed_check_records_nothing_and_refuses_again(call, message):
+    bad = _bad_bundle()
+    for _ in range(2):
+        with pytest.raises(InvalidFlux) as info:
+            call(bad)
+        assert str(info.value) == message
+        assert not bad._checked
+
+
+def _count_square_checks(monkeypatch) -> list:
+    """One entry per dense square-zero product ``TwistedComplex`` forms:
+    a check of both parities appends two."""
+    calls = []
+    product_norm = chain_models._product_norm
+
+    def record(*args):
+        calls.append(args)
+        return product_norm(*args)
+
+    monkeypatch.setattr(chain_models, "_product_norm", record)
+    return calls
+
+
+def test_a_model_is_checked_once_and_its_duals_take_its_record(monkeypatch):
+    # made first: a base checks its own coboundary's square when it is made
+    b, fresh = random_bundle(4242, 4), random_bundle(4242, 4)
+    checks = _count_square_checks(monkeypatch)
+    verify_t_duality(b)
+    assert len(checks) == 2
+    checks.clear()
+    dd = t_dualize(t_dualize(b))
+    assert checks == []
+    assert b._checked and dd._checked
+    # a dual made before the model's first build hands the verdict of its
+    # own check back to the model
+    t_dualize(fresh)
+    assert len(checks) == 2 and fresh._checked
+
+
+def _scratch_dual(b: BundleData) -> BundleData:
+    return BundleData(
+        base=b.base, f_op=b.h2_op, h2_op=b.f_op, h3_op=b.h3_op,
+        radius=b.inverse_radius, radius_inverse=b.radius,
+    )
+
+
+@pytest.mark.parametrize("make", [lambda: random_bundle(4242, 4), _ladder_bundle])
+def test_recorded_builds_equal_checked_builds_from_scratch(make, monkeypatch):
+    b = make()
+    build_invariant_complex(b)
+    d = t_dualize(b)
+    dd = t_dualize(d)
+    scratch = {"model": make(), "dual": _scratch_dual(make()), "double dual": make()}
+    checks = _count_square_checks(monkeypatch)
+    for (name, own), model in zip(scratch.items(), (b, d, dd)):
+        recorded = build_invariant_complex(model)
+        assert checks == [], name
+        checked = build_invariant_complex(own)
+        assert len(checks) == 2, name
+        checks.clear()
+        for x, y in ((recorded.d_even, checked.d_even), (recorded.d_odd, checked.d_odd)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert recorded._components == checked._components
+        assert recorded._gram_factors is None or all(
+            r is g for r, g in zip(recorded._gram_factors, b._invariant_grams)
+        )
+        assert (recorded._gram_factors is None) == (checked._gram_factors is None)
+        for r, g in zip(recorded._gram_factors or (), checked._gram_factors or ()):
+            assert r.gram.tobytes() == g.gram.tobytes()
+
+
+def test_a_replace_of_a_recorded_model_is_checked_again(monkeypatch):
+    b = BundleData(
+        base=minimal_model((1, 1, 1, 1, 1)),
+        f_op={0: np.array([[1.0]])},
+        h2_op={0: np.array([[1.5]])},
+        h3_op=None,
+        radius=1.0,
+    )
+    verify_t_duality(b)
+    assert b._checked
+    bad_f, fleet = _bad_bundle().f_op, random_bundle(4242, 4)
+    checks = _count_square_checks(monkeypatch)
+    # r H2 = 1.5e-151 leaves the entry range the complex checks
+    small = replace(b, radius=1e-151)
+    with pytest.raises(ValidationError, match=r"d_even \(even parity\) has an entry of modulus 1\.500e-151"):
+        build_invariant_complex(small)
+    assert not small._checked
+    bad = replace(b, f_op=bad_f)
+    with pytest.raises(InvalidFlux) as info:
+        build_invariant_complex(bad)
+    assert str(info.value) == _MODEL_IDENTITY
+    assert len(checks) == 2 and not bad._checked
+    build_invariant_complex(fleet)
+    scaled = gram_scale_path(fleet, degree=0, factor=2.5)(1.0)
+    assert fleet._checked and not scaled._checked
+    checks.clear()  # the model's own check and its new base's square
+    build_invariant_complex(scaled)
+    assert len(checks) == 2 and scaled._checked
+
+
+def test_plain_and_replaced_complexes_still_check_square_zero():
+    with pytest.raises(FluxNotNilpotent, match="does not square to zero"):
+        TwistedComplex(
+            even_dim=1, odd_dim=1, d_even=np.ones((1, 1)), d_odd=np.ones((1, 1)),
+            gram_even=None, gram_odd=None,
+        )
+    b = random_bundle(4242, 4)
+    verify_t_duality(b)
+    ic = build_invariant_complex(b)  # a recorded build
+    with pytest.raises(FluxNotNilpotent, match="does not square to zero"):
+        replace(ic, d_odd=np.ones_like(ic.d_odd))
 
 
 def test_operator_shape_checks():

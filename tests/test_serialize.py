@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionlab import (
     Cochain,
@@ -40,6 +42,56 @@ def test_matrix_round_trip():
     assert np.array_equal(back, m)
     empty = np.zeros((0, 3), dtype=np.complex128)
     assert matrix_from_json(matrix_to_json(empty), (0, 3)).shape == (0, 3)
+
+
+def _per_entry(m) -> list:
+    # the encoding entry by entry, as [re, im] Python floats
+    a = np.asarray(m, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[-0.0, 0.0], [5e-324, -5e-324]]),
+        np.array([[1e300, -1e300]]),
+        np.array([[1.0 + 2.0j, -0.0 - 0.0j], [complex(0.0, -0.0), 5e-324j]]),
+        np.array([[1, -2], [3, 4]]),
+        np.arange(12.0).reshape(3, 4)[::2, 1::2].T,
+        (np.arange(6) * (1 - 2j)).reshape(2, 3).T,
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+    ],
+    ids=["signed-zeros", "huge", "complex", "integer", "strided", "transposed", "0xk", "kx0", "0x0"],
+)
+def test_matrix_encoding_is_the_per_entry_encoding(m):
+    out = matrix_to_json(m)
+    assert out == _per_entry(m)
+    assert json.dumps(out) == json.dumps(_per_entry(m))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    data=st.data(),
+    complex_entries=st.booleans(),
+    transposed=st.booleans(),
+)
+def test_random_matrices_encode_as_the_per_entry_encoding(shape, data, complex_entries, transposed):
+    n = shape[0] * shape[1]
+    re = np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)), dtype=float)
+    m = re.reshape(shape)
+    if complex_entries:
+        im = np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)), dtype=float)
+        m = m + 1j * im.reshape(shape)
+    if transposed:  # not C-ordered
+        m = m.T
+    # json.dumps tells -0.0 from 0.0, which == does not
+    assert json.dumps(matrix_to_json(m)) == json.dumps(_per_entry(m))
 
 
 def test_matrix_shape_enforced():
